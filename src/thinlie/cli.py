@@ -25,7 +25,7 @@ from .liealg import (AlgebraDescriptor, Family, anticommutativity_violations,
                      build_derivation, closure_violations,
                      derivation_power_violations, jacobi_violations,
                      leibniz_violations, realization_violations)
-from .loopalg import CheckResult, render_text, run_analysis
+from .loopalg import CheckResult, degree_floor, render_text, run_analysis
 
 
 class UsageError(Exception):
@@ -332,10 +332,12 @@ def cmd_analyze(rc: RunConfig):
     if rc.case == "preswitch":
         spec = _preswitch_spec(rc)
         cfg = None
-        basis = build_closed_basis(desc, spec, None)
     else:
         desc, _pre, spec, cfg = _switched_setup(rc)
-        basis = build_closed_basis(desc, spec, cfg)
+    floor = degree_floor(spec)
+    if rc.max_degree is not None and rc.max_degree < floor:
+        raise UsageError(f"max-degree must be at least 2N + q = {floor}")
+    basis = build_closed_basis(desc, spec, cfg)
     X, Y = _generators(spec, basis)
     report = run_analysis(desc, basis, X, Y, rc.max_degree, cfg,
                           _grading_params(rc, spec))
@@ -380,11 +382,10 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         rc = materialize(ns)
+        code, out = COMMANDS[rc.command](rc)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        code, out = COMMANDS[rc.command](rc)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -4,7 +4,7 @@ Monomials are written x^(i)y^(j) with 0 <= i < p^n1 and 0 <= j < p^n2 and
 multiply by x^(i)y^(j) * x^(k)y^(l) = C(i+k, i) C(j+l, j) x^(i+k)y^(j+l).
 Whenever an exponent would overflow its height the binomial coefficient is 0
 mod p (a base-p carry), so overflowing products are the zero element; this is
-asserted rather than assumed.  Elements are sparse monomial-to-coefficient
+checked rather than assumed.  Elements are sparse monomial-to-coefficient
 maps over an explicit finite field and every operation returns a new element.
 """
 
@@ -79,7 +79,9 @@ def mono_mul(h: Heights, a: Monomial, b: Monomial):
     i, j = a.i + b.i, a.j + b.j
     c = lucas_binomial(i, a.i, p) * lucas_binomial(j, a.j, p) % p
     if i >= h.xbound or j >= h.ybound:
-        assert c == 0, f"overflowing product {a} * {b} has nonzero coefficient {c}"
+        if c != 0:
+            raise ArithmeticError(
+                f"overflowing product {a} * {b} has nonzero coefficient {c}")
         return None
     if c == 0:
         return None
@@ -263,9 +265,12 @@ def generalized_power(field: FieldParams, heights: Heights, sigma: FieldElement,
 class SparseEchelon:
     """Incremental reduced row echelon form over sparse algebra elements.
 
-    Rows are kept fully inter-reduced with unit leading coefficient at the
-    lexicographically smallest monomial of their support, so two subspaces are
-    equal iff their SparseEchelon rows are equal.
+    Each row has unit leading coefficient at the lexicographically smallest
+    monomial of its support, and no two rows share that leading monomial.
+    insert clears the new pivot from the older rows but reduces only the
+    leading term of the new row, so its tail may still meet other pivots
+    and the stored rows depend on insertion order; __eq__ therefore
+    compares the spans, not the rows.
     """
 
     def __init__(self, field: FieldParams, heights: Heights):
@@ -308,4 +313,16 @@ class SparseEchelon:
         return [self.rows[k] for k in sorted(self.rows)]
 
     def __eq__(self, other):
-        return isinstance(other, SparseEchelon) and self.rows == other.rows
+        """Equality of the spanned subspaces.
+
+        The set of leading monomials of a span's nonzero vectors is the
+        pivot set, so equal spans have equal pivot sets; with equal rank,
+        one span containing the other's rows makes them equal.
+        """
+        return (
+            isinstance(other, SparseEchelon)
+            and self.field == other.field
+            and self.heights == other.heights
+            and self.rows.keys() == other.rows.keys()
+            and all(other.contains(row) for row in self.rows.values())
+        )

@@ -83,7 +83,9 @@ class AlgebraDescriptor:
                 return None
             c = (lucas_binomial(jy, b.j, p) - lucas_binomial(jy, a.j, p)) % p
             if jy >= h.ybound:
-                assert c == 0, f"overflowing bracket {a},{b} has coefficient {c}"
+                if c != 0:
+                    raise ArithmeticError(
+                        f"overflowing bracket {a},{b} has coefficient {c}")
                 return None
             if c == 0:
                 return None
@@ -94,7 +96,9 @@ class AlgebraDescriptor:
             return None
         c = poisson_coeff(p, a.i, a.j, b.i, b.j)
         if ix >= h.xbound or jy >= h.ybound:
-            assert c == 0, f"overflowing bracket {a},{b} has coefficient {c}"
+            if c != 0:
+                raise ArithmeticError(
+                    f"overflowing bracket {a},{b} has coefficient {c}")
             return None
         if c == 0:
             return None
@@ -102,7 +106,9 @@ class AlgebraDescriptor:
         if self.family is Family.GRADED_HAMILTONIAN:
             if mono == h.unit:
                 return None  # constants act as zero
-            assert mono != h.top, f"bracket {a},{b} produced the excluded top monomial"
+            if mono == h.top:
+                raise ArithmeticError(
+                    f"bracket {a},{b} produced the excluded top monomial")
         return c, mono
 
     def bracket(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:

@@ -10,6 +10,7 @@ normalization, centralizer chains and the per-period dimension count.
 """
 
 import dataclasses
+import itertools
 import json
 
 from .dpalgebra import AlgebraElement, SparseEchelon
@@ -212,35 +213,110 @@ def expand_loop(cfg: LoopConfig) -> list:
 
 
 def check_covering(cfg: LoopConfig, i: int, records: list):
-    """None if every nonzero u in L_i has span{[u,X],[u,Y]} = L_{i+1}.
+    """None if every nonzero u in L_i has span{[u,X],[u,Y]} = L_{i+1}, else
+    the first line of L_i that fails, as a counterexample dict.
 
-    A one-dimensional component is tested on its basis vector; a
-    two-dimensional one on all |F|+1 lines through zero.  A nonzero L_i
-    whose successor is zero fails: the chain is required not to die.
-    Components of other dimensions are left to the thinness check.
+    The check is linear algebra on four images, not a search over lines:
+
+    - Containment is free.  expand_loop spans L_{i+1} by exactly
+      A_k = [u_k, X] and B_k = [u_k, Y] over the basis u_k of L_i, so
+      covering is a rank condition on those images.
+    - Coordinates.  Each image is read at the pivot monomials of the
+      echelon of L_{i+1}.  Echelon rows have distinct leading monomials, so
+      this projection is unit-triangular and hence injective on L_{i+1}.
+    - dim L_i = 1: pass iff rank{A_1, B_1} = dim L_{i+1}.
+    - dim L_i = 2, dim L_{i+1} = 1: u = a*u_1 + b*u_2 maps to
+      (a*A_1 + b*A_2, a*B_1 + b*B_2), so the 2x2 matrix
+      [[A_1, A_2], [B_1, B_2]] must be nonsingular.
+    - dim L_i = 2, dim L_{i+1} = 2: det([u,X] | [u,Y]) is the binary
+      quadratic form alpha*a^2 + beta*a*b + gamma*b^2 with
+      alpha = det(A_1|B_1), beta = det(A_1|B_2) + det(A_2|B_1) and
+      gamma = det(A_2|B_2).  Covering means it has no zero on the
+      projective line, see binary_form_anisotropic.
+    - dim L_{i+1} = 0 or > 2 fails: the chain is required not to die, and
+      two images cannot span more than a plane.
+
+    Components of dimension 0 or above 2 are left to the thinness check.
+    Only on failure are the lines walked, in the order u_2, then
+    u_1 + c*u_2 for c in field.elements(); their images are combined from
+    the four brackets above, which equals bracketing directly because
+    elements are canonical.
     """
     cur, nxt = records[i - 1], records[i]
     if cur.dim == 0 or cur.dim > 2:
         return None
+    desc, X, Y = cfg.alg, cfg.X, cfg.Y
+    pivots = sorted(nxt.echelon.rows)
+    images = [(desc.bracket(u, X), desc.bracket(u, Y)) for u in cur.vectors]
+    coords = [(_coords(a, pivots), _coords(b, pivots)) for a, b in images]
     if cur.dim == 1:
-        reps = list(cur.vectors)
+        covered = _spans(*coords[0])
+    elif nxt.dim == 1:
+        ((a1,), (b1,)), ((a2,), (b2,)) = coords
+        covered = not _det((a1, a2), (b1, b2)).is_zero()
+    elif nxt.dim == 2:
+        (a1, b1), (a2, b2) = coords
+        covered = binary_form_anisotropic(
+            _det(a1, b1), _det(a1, b2) + _det(a2, b1), _det(a2, b2))
     else:
-        u1, u2 = cur.vectors
-        reps = [u2] + [u1 + u2.scale(c) for c in cfg.alg.field.elements()]
-    for u in reps:
-        bx = cfg.alg.bracket(u, cfg.X)
-        by = cfg.alg.bracket(u, cfg.Y)
-        ech = SparseEchelon(cfg.alg.field, cfg.alg.heights)
-        ech.insert(bx)
-        ech.insert(by)
-        if nxt.dim == 0 or ech != nxt.echelon:
+        covered = False
+    if covered:
+        return None
+
+    if cur.dim == 1:
+        lines = [(cur.vectors[0], *images[0])]
+    else:
+        (u1, u2), ((a1, b1), (a2, b2)) = cur.vectors, images
+        lines = itertools.chain(
+            [(u2, a2, b2)],
+            ((u1 + u2.scale(c), a1 + a2.scale(c), b1 + b2.scale(c))
+             for c in desc.field.elements()))
+    for u, bx, by in lines:
+        if not _spans(_coords(bx, pivots), _coords(by, pivots)):
             return {
                 "degree": i,
                 "representative": u.text(),
                 "image_with_X": bx.text(),
                 "image_with_Y": by.text(),
             }
-    return None
+    raise ArithmeticError(f"covering at degree {i}: the closed form fails "
+                          "but no line of L_i does")
+
+
+def _coords(v: AlgebraElement, pivots: list) -> tuple:
+    return tuple(v.coeff(m) for m in pivots)
+
+
+def _det(x: tuple, y: tuple) -> FieldElement:
+    return x[0] * y[1] - x[1] * y[0]
+
+
+def _spans(x: tuple, y: tuple) -> bool:
+    """Whether coordinate vectors x and y span their whole space, which
+    must be of dimension 1 or 2 to be spanned at all."""
+    if len(x) == 1:
+        return not (x[0].is_zero() and y[0].is_zero())
+    if len(x) == 2:
+        return not _det(x, y).is_zero()
+    return False
+
+
+def binary_form_anisotropic(alpha: FieldElement, beta: FieldElement,
+                            gamma: FieldElement) -> bool:
+    """True iff alpha*a^2 + beta*a*b + gamma*b^2 vanishes at no point (a:b)
+    of the projective line over the coefficients' field.
+
+    The field order q is odd, so completing the square applies: the form
+    is anisotropic iff its discriminant beta^2 - 4*alpha*gamma is a
+    nonsquare, that is nonzero with disc^((q-1)/2) != 1 (Euler's
+    criterion).  With gamma = 0 the form vanishes at (0:1), and the
+    discriminant is the square beta^2.
+    """
+    field = alpha.params
+    disc = beta * beta - alpha * gamma * 4
+    if disc.is_zero():
+        return False
+    return disc ** ((field.order - 1) // 2) != field.one()
 
 
 def _scalar_ratio(v: AlgebraElement, w: AlgebraElement):
@@ -498,6 +574,11 @@ def periodicity_failures(records: list, period: int) -> list:
     return bad
 
 
+def degree_floor(spec: GradingSpec) -> int:
+    """Least max_degree run_analysis accepts: 2N + q."""
+    return 2 * spec.N + spec.q
+
+
 def run_analysis(descriptor: AlgebraDescriptor, basis: GradedBasis,
                  X: AlgebraElement, Y: AlgebraElement, max_degree: int | None = None,
                  cfg: SwitchConfig | None = None,
@@ -512,8 +593,9 @@ def run_analysis(descriptor: AlgebraDescriptor, basis: GradedBasis,
     field = descriptor.field
     N, q, p = spec.N, spec.q, spec.p
     limit = 3 * N if max_degree is None else max_degree
-    if limit < 2 * N + q:
-        raise ValueError(f"max_degree must be at least 2N + q = {2 * N + q}")
+    floor = degree_floor(spec)
+    if limit < floor:
+        raise ValueError(f"max_degree must be at least 2N + q = {floor}")
     loop = LoopConfig(descriptor, basis, X, Y, limit + 1)
     records = expand_loop(loop)
 
@@ -550,7 +632,8 @@ def run_analysis(descriptor: AlgebraDescriptor, basis: GradedBasis,
         None if dim_total == descriptor.dim
         else {"sum": dim_total, "dim": descriptor.dim},
     )
-    assert tuple(checks) == CHECK_ORDER
+    if tuple(checks) != CHECK_ORDER:
+        raise RuntimeError(f"checks {tuple(checks)} are not in CHECK_ORDER")
 
     if params_echo is None:
         params_echo = {

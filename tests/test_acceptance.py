@@ -102,6 +102,14 @@ def analyze_json(args: tuple):
     return code, json.loads(buf.getvalue())
 
 
+@functools.cache
+def analyze_text(args: tuple):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["analyze", *args])
+    return code, buf.getvalue()
+
+
 def diamond_index(doc):
     return {d["degree"]: d for d in doc["diamonds"]}
 
@@ -303,3 +311,52 @@ def test_criterion_11_oracle_equivalences():
     for name in ("big p3 n1", "prime p5 pi2"):
         desc, _raw, closed, cfg = switched_jobs()[name]
         assert verify_product_tables(desc, closed, cfg) == [], name
+
+
+# frozen from the output of the line-enumerating covering check
+F3125_TIMELINE = """\
+case=big-field p=5 n=1 s=0 N=20 q=5 field=5^5:4,4,0,0,0,1 sigma=1 pi=t
+1:first
+5:4
+9:t^4+3
+13:2t^4+2
+17:3t^4+1
+21:4t^4
+25:4
+29:t^4+3
+33:2t^4+2
+37:3t^4+1
+41:4t^4
+45:4
+check thinness: pass
+check covering: pass
+check diamond_positions: pass
+check finite_slot_positions: pass
+check type_progression: pass
+check second_diamond: pass
+check normalization: pass
+check first_centralizer_chain: pass
+check second_centralizer_chain: pass (informational)
+check periodicity: pass
+check dimension_sum: pass
+overall: pass
+"""
+
+
+def test_criterion_12_big_field_p5_reproduction():
+    start = time.monotonic()
+    code, out = analyze_text(("--case", "big-field", "--p", "5", "--n", "1",
+                              "--s", "0", "--max-degree", "45", "--pi", "t"))
+    assert code == 0
+    assert out == F3125_TIMELINE
+    assert time.monotonic() - start < 10
+
+
+def test_criterion_13_big_field_p7_stretch():
+    code, doc = analyze_json(("--case", "big-field", "--p", "7", "--n", "1",
+                              "--s", "0"))
+    assert code == 0
+    assert doc["params"]["field"] == "7^7:6,6,0,0,0,0,0,1"
+    for name, c in doc["checks"].items():
+        if not c.get("informational"):
+            assert c["pass"], name

@@ -146,6 +146,9 @@ def test_usage_errors(capsys):
         ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
          "--pi", "t"),
         ("verify", "--p", "4", "--n", "1", "--family", "albert-zassenhaus"),
+        # below 2N + q = 39
+        ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
+         "--max-degree", "38"),
     ]
     for args in cases:
         code, _, err = run(capsys, *args)

@@ -1,6 +1,15 @@
 """Divided power algebra: monomial products, sparse elements, echelon spans."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import thinlie
 
 from thinlie.dpalgebra import (
     AlgebraElement,
@@ -153,6 +162,15 @@ def test_echelon_subspace_equality():
     assert e1 == e2
     e2.insert(elem(F3, H11, ((1, 1), 1)))
     assert e1 != e2
+    # insert reduces only the leading term of a new row: x + y keeps its x
+    e3 = SparseEchelon(F3, H11)
+    e4 = SparseEchelon(F3, H11)
+    e3.insert(x)
+    e3.insert(x + y)
+    e4.insert(y)
+    e4.insert(x)
+    assert e3.rows != e4.rows
+    assert e3 == e4
 
 
 def test_echelon_basis_is_reduced():
@@ -162,3 +180,48 @@ def test_echelon_basis_is_reduced():
     (row,) = ech.basis()
     lead = min(row.terms)
     assert row.coeff(lead) == F3.one()
+
+
+H11_MONOS = list(H11.monomials())
+elements_f3 = st.lists(
+    st.tuples(st.sampled_from(H11_MONOS), st.integers(0, 2)), max_size=4
+).map(lambda terms: AlgebraElement(F3, H11, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(elements_f3, min_size=1, max_size=5).flatmap(
+    lambda vs: st.tuples(st.just(vs), st.permutations(vs))), elements_f3)
+def test_echelon_equality_is_span_equality(orders, extra):
+    vs, shuffled = orders
+    e1 = SparseEchelon(F3, H11)
+    e2 = SparseEchelon(F3, H11)
+    for v in vs:
+        e1.insert(v)
+    for v in shuffled:
+        e2.insert(v)
+    assert e1 == e2
+    grown = SparseEchelon(F3, H11)
+    for v in vs + [extra]:
+        grown.insert(v)
+    assert (grown == e1) == e1.contains(extra)
+
+
+def test_overflow_check_survives_optimize():
+    """python -O drops asserts; the overflow check must still raise."""
+    script = textwrap.dedent("""
+        import thinlie.dpalgebra as dp
+        dp.lucas_binomial = lambda n, k, p: 1
+        print("debug", __debug__)
+        try:
+            dp.mono_mul(dp.Heights(3, 1, 1), dp.Monomial(2, 0), dp.Monomial(1, 0))
+        except ArithmeticError as e:
+            print("raised", e)
+    """)
+    src = os.path.dirname(os.path.dirname(thinlie.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1].startswith("raised overflowing product")

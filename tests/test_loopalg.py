@@ -1,8 +1,13 @@
 """Loop expansion, diamond classification and the thin-pattern check battery."""
 
-import pytest
+import functools
+import types
 
-from thinlie.dpalgebra import Heights
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
 from thinlie.ffield import FieldParams
 from thinlie.grading import (
     GradingCase,
@@ -15,9 +20,11 @@ from thinlie.liealg import AlgebraDescriptor, Family
 from thinlie.loopalg import (
     CHECK_ORDER,
     INFINITY,
+    ComponentRecord,
     LoopConfig,
     PatternParams,
     ThinReport,
+    binary_form_anisotropic,
     centralizer_chain,
     check_covering,
     classify_component,
@@ -30,6 +37,7 @@ from thinlie.loopalg import (
 
 F27 = FieldParams(3, 3, (2, 2, 0, 1))
 F3 = FieldParams.prime(3)
+F5 = FieldParams.prime(5)
 H21 = Heights(3, 2, 1)
 
 AZ = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, H21)
@@ -70,11 +78,160 @@ def test_expand_loop_dims_frozen():
     assert [r.degree for r in recs] == list(range(1, 9))
 
 
+def covering_by_lines(cfg, i, records):
+    """Brute-force covering: bracket a representative of every line of L_i
+    with X and Y and compare the span of the images with L_{i+1}."""
+    cur, nxt = records[i - 1], records[i]
+    if cur.dim == 0 or cur.dim > 2:
+        return None
+    if cur.dim == 1:
+        reps = list(cur.vectors)
+    else:
+        u1, u2 = cur.vectors
+        reps = [u2] + [u1 + u2.scale(c) for c in cfg.alg.field.elements()]
+    for u in reps:
+        bx = cfg.alg.bracket(u, cfg.X)
+        by = cfg.alg.bracket(u, cfg.Y)
+        ech = SparseEchelon(cfg.alg.field, cfg.alg.heights)
+        ech.insert(bx)
+        ech.insert(by)
+        if nxt.dim == 0 or ech != nxt.echelon:
+            return {
+                "degree": i,
+                "representative": u.text(),
+                "image_with_X": bx.text(),
+                "image_with_Y": by.text(),
+            }
+    return None
+
+
+def assert_covering_matches_lines(cfg, records):
+    verdicts = []
+    for i in range(1, len(records)):
+        got = check_covering(cfg, i, records)
+        assert got == covering_by_lines(cfg, i, records), i
+        verdicts.append(got)
+    return verdicts
+
+
+@functools.cache
+def prime_field_setup(p, pi):
+    """Descriptor, basis, X and Y of the prime-field case p, n = 1, s = 1;
+    pi = 0 is the negative control."""
+    field = FieldParams.prime(p)
+    h = Heights(p, 2, 1)
+    desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, field, h)
+    spec = GradingSpec(GradingCase.PRIME_FIELD, h, 1, pi_residue=pi)
+    cfg = SwitchConfig(field, field.one(), field.element(pi), 1,
+                       allow_zero_pi=True)
+    basis = build_closed_basis(desc, spec, cfg)
+    deg1 = {lab.j: lab for lab in basis.active_labels
+            if basis.degrees[lab] == 1}
+    X, Y = basis.vectors[deg1[-1]], basis.vectors[deg1[spec.q - 2]]
+    return desc, basis, spec, X, Y
+
+
 def test_covering_holds_on_good_config():
-    cfg = LoopConfig(AZ, BIG_BASIS, BIG_X, BIG_Y, 10)
-    recs = expand_loop(cfg)
-    for i in range(1, 10):
-        assert check_covering(cfg, i, recs) is None
+    cfg = LoopConfig(AZ, BIG_BASIS, BIG_X, BIG_Y, 3 * BIG.N + 1)
+    verdicts = assert_covering_matches_lines(cfg, expand_loop(cfg))
+    assert verdicts == [None] * 3 * BIG.N
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_covering_matches_line_oracle_negative_control(p):
+    desc, basis, spec, X, Y = prime_field_setup(p, 0)
+    cfg = LoopConfig(desc, basis, X, Y, 3 * spec.N + 1)
+    verdicts = assert_covering_matches_lines(cfg, expand_loop(cfg))
+    failing = [v for v in verdicts if v is not None]
+    assert [v["degree"] for v in failing] == [spec.q - 1]
+
+
+@pytest.mark.parametrize("p, pi", [(3, 1), (5, 2)])
+def test_covering_matches_line_oracle_rotated_generators(p, pi):
+    """(X + cY, Y) spans the same components as (X, Y) but changes every
+    2x2 block the closed form reads."""
+    desc, basis, spec, X, Y = prime_field_setup(p, pi)
+    for c in desc.field.elements():
+        cfg = LoopConfig(desc, basis, X + Y.scale(c), Y, 3 * spec.N + 1)
+        verdicts = assert_covering_matches_lines(cfg, expand_loop(cfg))
+        assert verdicts == [None] * 3 * spec.N, c
+
+
+class ActionAlgebra:
+    """Stand-in for an AlgebraDescriptor in check_covering: bracketing with
+    X or Y applies a given linear map, so arbitrary 2x2 blocks, including
+    two-dimensional successors, can be fed to the check."""
+
+    def __init__(self, field, heights, X, images):
+        self.field, self.heights, self.X = field, heights, X
+        self.images = images  # (monomial, generator is X) -> image
+
+    def bracket(self, u, v):
+        out = AlgebraElement.zero(self.field, self.heights)
+        for mono, c in u.terms.items():
+            out = out + self.images[mono, v is self.X].scale(c)
+        return out
+
+
+def field_elements(field):
+    return st.lists(st.integers(0, field.p - 1), min_size=field.m,
+                    max_size=field.m).map(field.element)
+
+
+@st.composite
+def covering_blocks(draw):
+    """Two basis vectors u_1, u_2 whose images under X and Y are random
+    combinations of one or two target monomials."""
+    field = draw(st.sampled_from([F3, F5, F27]))
+    targets = draw(st.integers(1, 2))
+    coeffs = draw(st.lists(field_elements(field), min_size=4 * targets,
+                           max_size=4 * targets))
+    return field, targets, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(covering_blocks())
+def test_covering_matches_line_oracle_random_blocks(block):
+    field, targets, coeffs = block
+    h = Heights(field.p, 1, 1)
+
+    def mono(i, j):
+        return AlgebraElement.from_monomial(field, h, Monomial(i, j))
+
+    X, Y = mono(2, 0), mono(2, 1)
+    u1, u2 = mono(0, 0), mono(0, 1)
+    images = {}
+    it = iter(coeffs)
+    for u in (Monomial(0, 0), Monomial(0, 1)):
+        for is_x in (True, False):
+            images[u, is_x] = AlgebraElement(
+                field, h, [(Monomial(1, k), next(it)) for k in range(targets)])
+    alg = ActionAlgebra(field, h, X, images)
+    cfg = types.SimpleNamespace(alg=alg, X=X, Y=Y)
+    cur = SparseEchelon(field, h)
+    cur.insert(u1)
+    cur.insert(u2)
+    nxt = SparseEchelon(field, h)
+    for u in cur.basis():
+        nxt.insert(alg.bracket(u, X))
+        nxt.insert(alg.bracket(u, Y))
+    records = [ComponentRecord(1, cur.rank, cur.basis(), cur),
+               ComponentRecord(2, nxt.rank, nxt.basis(), nxt)]
+    assert check_covering(cfg, 1, records) == covering_by_lines(cfg, 1, records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([F3, F5, F27]).flatmap(
+    lambda f: st.tuples(field_elements(f), field_elements(f), field_elements(f))))
+def test_anisotropy_matches_projective_roots(form):
+    alpha, beta, gamma = form
+    field = alpha.params
+    points = [(field.zero(), field.one())] + [
+        (field.one(), c) for c in field.elements()]
+    no_root = all(
+        not (alpha * a * a + beta * a * b + gamma * b * b).is_zero()
+        for a, b in points)
+    assert binary_form_anisotropic(alpha, beta, gamma) == no_root
 
 
 def test_classification_frozen():
