@@ -3,12 +3,12 @@ algebras, Laguerre-series grading switches, and machine verification of
 the thin loop-algebra diamond patterns."""
 
 from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
-from .ffield import FieldElement, FieldParams, Matrix, lucas_binomial
+from .ffield import FieldElement, FieldParams, lucas_binomial
 from .grading import (GradedBasis, GradingCase, GradingSpec, Label, SwitchConfig,
-                      build_closed_basis, check_graded, eigen_decompose,
-                      laguerre_apply, monomial_grading_violations,
-                      preswitch_degree, switch_grading, verify_product_tables)
-from .liealg import AlgebraDescriptor, Derivation, Family, build_derivation
+                      build_closed_basis, check_graded, laguerre_apply,
+                      monomial_grading_violations, switch_grading,
+                      verify_product_tables)
+from .liealg import AlgebraDescriptor, Derivation, Family
 from .loopalg import (CheckResult, ComponentRecord, DiamondRecord, LoopConfig,
                       PatternParams, ThinReport, centralizer_chain,
                       check_covering, classify_component, expand_loop,
@@ -32,24 +32,20 @@ __all__ = [
     "Heights",
     "Label",
     "LoopConfig",
-    "Matrix",
     "Monomial",
     "PatternParams",
     "SparseEchelon",
     "SwitchConfig",
     "ThinReport",
     "build_closed_basis",
-    "build_derivation",
     "centralizer_chain",
     "check_covering",
     "check_graded",
     "classify_component",
-    "eigen_decompose",
     "expand_loop",
     "laguerre_apply",
     "lucas_binomial",
     "monomial_grading_violations",
-    "preswitch_degree",
     "render_text",
     "run_analysis",
     "switch_grading",

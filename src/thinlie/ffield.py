@@ -5,8 +5,8 @@ stored monic irreducible modulus f, so every element has one canonical
 coefficient vector and equality is literal.  Everything here is exact integer
 arithmetic; no floats, no probabilistic shortcuts.  The module also carries
 the binomial machinery used throughout (Lucas digit binomials, falling
-binomials with a field-element upper index), a deterministic irreducible
-search, an Artin-Schreier solver, and dense Gaussian elimination.
+binomials with a field-element upper index), the irreducibility test
+every modulus passes, and the kernel of a two-column linear system.
 """
 
 from __future__ import annotations
@@ -143,21 +143,6 @@ def is_irreducible(p: int, coeffs) -> bool:
     return True
 
 
-def find_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree m over F_p.
-
-    Candidates are ordered lexicographically on the coefficient tuple
-    (c0, ..., c_{m-1}); the search is deterministic.
-    """
-    if m < 1:
-        raise ValueError("degree must be >= 1")
-    for tail in itertools.product(range(p), repeat=m):
-        cand = list(tail) + [1]
-        if is_irreducible(p, cand):
-            return tuple(cand)
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
 _SPEC_RE = re.compile(r"^(\d+)\^(\d+):([\d,]+)$")
 
 
@@ -184,12 +169,6 @@ class FieldParams:
     @classmethod
     def prime(cls, p: int) -> "FieldParams":
         return cls(p, 1, (0, 1))
-
-    @classmethod
-    def extension(cls, p: int, m: int, modulus=None) -> "FieldParams":
-        if modulus is None:
-            modulus = find_irreducible(p, m)
-        return cls(p, m, tuple(int(c) % p for c in modulus))
 
     @classmethod
     def parse_spec(cls, text: str) -> "FieldParams":
@@ -415,134 +394,25 @@ def falling_binomial(alpha: FieldElement, i: int) -> FieldElement:
     num = params.one()
     for r in range(i):
         num = num * (alpha - r)
-    return num * params.element(factorial_mod(i, params.p)).inverse()
+    return num * params.element(pow(factorial_mod(i, params.p), -1, params.p))
 
 
-def solve_artin_schreier(params: FieldParams, c: FieldElement):
-    """Smallest x with x^p - x = c in coefficient-lexicographic order, else None.
+def plane_kernel(field: FieldParams, rows: list) -> list:
+    """Reduced basis of {(a, b) : a*x + b*y = 0 for every row (x, y)}.
 
-    When a solution exists the full solution set is x + F_p.
+    The kernel of a k x 2 matrix is the whole plane when every row is zero,
+    nothing when two rows are independent (a nonzero 2x2 minor), and else
+    the line orthogonal to the first nonzero row (x0, y0).  Each basis
+    vector carries a 1 at its free coordinate: (-y0/x0, 1) when some x is
+    nonzero, (1, 0) when every x is zero.
     """
-    c = params.element(c)
-    p = params.p
-    for x in params.elements():
-        if x ** p - x == c:
-            return x
-    return None
-
-
-# ---------------------------------------------------------------------------
-# dense exact linear algebra
-
-class Matrix:
-    """Dense matrix over one FieldParams; rows of FieldElement."""
-
-    def __init__(self, field: FieldParams, rows):
-        self.field = field
-        self.rows = [[field.element(x) for x in row] for row in rows]
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ValueError("ragged matrix")
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def from_cols(cls, field, cols):
-        if not cols:
-            return cls(field, [])
-        n = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
-    @classmethod
-    def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def __sub__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shape mismatch")
-        return Matrix(self.field, [
-            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ])
-
-    def rref(self):
-        """Reduced row echelon form; returns (Matrix, pivot column list)."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return Matrix(self.field, rows), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel(self) -> list[list[FieldElement]]:
-        """Basis of the right null space, one vector per free column."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        zero, one = self.field.zero(), self.field.one()
-        for fc in free:
-            vec = [zero] * self.ncols
-            vec[fc] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red.rows[r][fc]
-            basis.append(vec)
-        return basis
-
-    def eigenspace(self, lam: FieldElement) -> list[list[FieldElement]]:
-        if self.nrows != self.ncols:
-            raise ValueError("eigenspace needs a square matrix")
-        shifted = self - Matrix.identity(self.field, self.nrows).scale(lam)
-        return shifted.kernel()
-
-    def scale(self, c: FieldElement) -> "Matrix":
-        return Matrix(self.field, [[c * x for x in row] for row in self.rows])
-
-    def times_vector(self, vec):
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            acc = self.field.zero()
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            out.append(acc)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.field == other.field and self.rows == other.rows
-
-
-def in_span(field: FieldParams, vectors, target):
-    """Coefficients expressing target in span(vectors), or None.
-
-    vectors and target are coordinate lists over the same field.
-    """
-    if not vectors:
-        return [] if all(not field.element(x) for x in target) else None
-    aug = Matrix(field, [list(col) + [t] for col, t in
-                         zip(zip(*vectors), target)])
-    red, pivots = aug.rref()
-    ncols = len(vectors)
-    if ncols in pivots:
-        return None
-    coeffs = [field.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = red.rows[r][-1]
-    return coeffs
+    one, zero = field.one(), field.zero()
+    lead = next(((x, y) for x, y in rows if not x.is_zero()), None)
+    if lead is None:
+        if all(y.is_zero() for _, y in rows):
+            return [[one, zero], [zero, one]]
+        return [[one, zero]]
+    x0, y0 = lead
+    if any(not (x0 * y - x * y0).is_zero() for x, y in rows):
+        return []
+    return [[-(y0 / x0), one]]

@@ -23,7 +23,6 @@ from .dpalgebra import generalized_power, parse_element
 from .ffield import (
     FieldElement,
     FieldParams,
-    Matrix,
     factorial_mod,
     falling_binomial,
     lucas_binomial,
@@ -112,10 +111,6 @@ class GradingSpec:
                     yield Label(j, k, a)
 
 
-def preswitch_degree(spec: GradingSpec, mono) -> int:
-    return spec.degree_of_monomial(Monomial(*mono))
-
-
 def monomial_grading_violations(descriptor: AlgebraDescriptor, spec: GradingSpec) -> list:
     """Monomial pairs whose bracket leaves the degree class of the degree sum.
 
@@ -171,10 +166,6 @@ class SwitchConfig:
         p = self.field.p
         return self.pi ** p - self.pi == self.sigma ** (-p)
 
-    def pi_residue(self) -> int:
-        """Integer representative of pi; only the twisted degree charts use it."""
-        return self.pi.as_int() if self.pi.in_prime_field() else 0
-
 
 @dataclasses.dataclass
 class GradedBasis:
@@ -196,12 +187,6 @@ class GradedBasis:
     def active_labels(self) -> list:
         return [lab for lab in self.labels if not self.vectors[lab].is_zero()]
 
-    def vector(self, lab) -> AlgebraElement:
-        return self.vectors[Label(*lab)]
-
-    def degree(self, lab) -> int:
-        return self.degrees[Label(*lab)]
-
     def validate_rank(self, descriptor: AlgebraDescriptor):
         active = self.active_labels
         if len(active) != descriptor.dim:
@@ -212,12 +197,6 @@ class GradedBasis:
         for lab in active:
             if not ech.insert(self.vectors[lab]):
                 raise ValueError(f"basis vector at label {lab} is dependent")
-
-    def by_degree(self) -> dict:
-        out: dict[int, list] = {}
-        for lab in self.labels:
-            out.setdefault(self.degrees[lab], []).append(lab)
-        return out
 
     def serialize(self) -> str:
         lines = []
@@ -267,60 +246,12 @@ def laguerre_apply(alpha, deriv: Derivation, v: AlgebraElement, scale=None) -> A
     w = v
     for k in range(p):
         c = falling_binomial(alpha + (p - 1), p - 1 - k)
-        c = c * field.element(factorial_mod(k, p)).inverse()
+        c = c * field.element(pow(factorial_mod(k, p), -1, p))
         if k % 2:
             c = -c
         out = out + w.scale(c)
         if k < p - 1:
             w = deriv.apply(w).scale(lam)
-    return out
-
-
-def eigen_decompose(deriv: Derivation, lam=None) -> dict:
-    """Split the algebra into eigenspaces of D^p, keyed by the label a.
-
-    Label a corresponds to the D^p eigenvalue a*lam^p (lam defaults to 1).
-    Requires D^(p^2) = lam^((p-1)p) D^p, which makes D^p semisimple with
-    eigenvalues of that shape; any defect raises.  Dense linear algebra,
-    intended for desk-scale dimensions.
-    """
-    desc = deriv.descriptor
-    field = desc.field
-    p = field.p
-    lam = field.one() if lam is None else field.element(lam)
-    basis = desc.basis
-    idx = {m: i for i, m in enumerate(basis)}
-    cols = []
-    for m in basis:
-        img = deriv.apply_power(desc.basis_element(m), p)
-        col = [field.zero()] * len(basis)
-        for mono, c in img.terms.items():
-            col[idx[mono]] = c
-        cols.append(col)
-    mat = Matrix.from_cols(field, cols)
-    factor = lam ** ((p - 1) * p)
-    for m in basis:
-        v = desc.basis_element(m)
-        dp = deriv.apply_power(v, p)
-        if deriv.apply_power(dp, p * p - p) != dp.scale(factor):
-            raise ValueError("D^(p^2) != lam^((p-1)p) D^p; eigen decomposition undefined")
-    lam_p = lam ** p
-    out = {}
-    total = 0
-    for a in range(p):
-        vecs = mat.eigenspace(field.element(a) * lam_p)
-        if not vecs:
-            continue
-        elems = []
-        for vec in vecs:
-            terms = {m: c for m, c in zip(basis, vec) if not c.is_zero()}
-            elems.append(AlgebraElement._make(field, desc.heights, terms))
-        out[a] = elems
-        total += len(elems)
-    if total != desc.dim:
-        raise ValueError(
-            f"eigenspaces of D^p cover {total} of {desc.dim} dimensions (defect)"
-        )
     return out
 
 

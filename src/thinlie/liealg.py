@@ -51,9 +51,6 @@ class AlgebraDescriptor:
     def dim(self) -> int:
         return len(self.basis)
 
-    def is_basis_mono(self, m) -> bool:
-        return Monomial(*m) in self._index
-
     def zero(self) -> AlgebraElement:
         return AlgebraElement.zero(self.field, self.heights)
 
@@ -220,10 +217,6 @@ class Derivation:
         for _ in range(k):
             v = self.apply(v)
         return v
-
-
-def build_derivation(descriptor: AlgebraDescriptor, s: int) -> Derivation:
-    return Derivation(descriptor, s)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 import json
 
 from .dpalgebra import AlgebraElement, SparseEchelon
-from .ffield import FieldElement, FieldParams, Matrix
+from .ffield import FieldElement, FieldParams, plane_kernel
 from .grading import GradedBasis, GradingCase, GradingSpec, SwitchConfig
 from .liealg import AlgebraDescriptor
 
@@ -68,12 +68,18 @@ class LoopConfig:
 
 @dataclasses.dataclass
 class ComponentRecord:
-    """One loop component: its degree, dimension and reduced basis."""
+    """One loop component: its degree, dimension and reduced basis.
+
+    images holds ([u, X], [u, Y]) for each basis vector u, in the order of
+    vectors; expand_loop fills it for every component it brackets, that is
+    every one but the last.
+    """
 
     degree: int
     dim: int
     vectors: list = dataclasses.field(repr=False)
     echelon: SparseEchelon | None = dataclasses.field(repr=False)
+    images: list = dataclasses.field(default_factory=list, repr=False)
 
 
 @dataclasses.dataclass
@@ -129,7 +135,7 @@ class ThinReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks.values() if not c.informational)
+        return checks_passed(self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -173,6 +179,23 @@ class ThinReport:
         return isinstance(other, ThinReport) and self.to_dict() == other.to_dict()
 
 
+def checks_passed(checks: dict) -> bool:
+    """Overall verdict of named CheckResults: informational ones do not count."""
+    return all(c.passed for c in checks.values() if not c.informational)
+
+
+def verdict_lines(checks: dict) -> list:
+    """One "check name: tag" line per CheckResult, then the overall line."""
+    lines = []
+    for name, c in checks.items():
+        tag = "pass" if c.passed else "FAIL"
+        if c.informational:
+            tag += " (informational)"
+        lines.append(f"check {name}: {tag}")
+    lines.append("overall: " + ("pass" if checks_passed(checks) else "FAIL"))
+    return lines
+
+
 def render_text(report: ThinReport) -> str:
     """Deterministic plain-text report: diamond timeline, one degree:type
     per line, followed by the named check verdicts."""
@@ -183,12 +206,7 @@ def render_text(report: ThinReport) -> str:
     ]
     for d in report.diamonds:
         lines.append(f"{d.degree}:{d.type_text()}")
-    for name, c in report.checks.items():
-        tag = "pass" if c.passed else "FAIL"
-        if c.informational:
-            tag += " (informational)"
-        lines.append(f"check {name}: {tag}")
-    lines.append("overall: " + ("pass" if report.passed else "FAIL"))
+    lines.extend(verdict_lines(report.checks))
     return "\n".join(lines) + "\n"
 
 
@@ -196,7 +214,8 @@ def expand_loop(cfg: LoopConfig) -> list:
     """Components L_1 .. L_max, L_{i+1} spanned by [u, X], [u, Y] over u in L_i.
 
     Dimensions other than 1 and 2 are recorded as found; a collapse to zero
-    simply propagates.
+    simply propagates.  The brackets are kept as each record's images for
+    the checks to read.
     """
     field, heights = cfg.alg.field, cfg.alg.heights
     first = SparseEchelon(field, heights)
@@ -205,9 +224,12 @@ def expand_loop(cfg: LoopConfig) -> list:
     records = [ComponentRecord(1, first.rank, first.basis(), first)]
     for i in range(2, cfg.max_degree + 1):
         ech = SparseEchelon(field, heights)
-        for u in records[-1].vectors:
-            ech.insert(cfg.alg.bracket(u, cfg.X))
-            ech.insert(cfg.alg.bracket(u, cfg.Y))
+        prev = records[-1]
+        prev.images = [(cfg.alg.bracket(u, cfg.X), cfg.alg.bracket(u, cfg.Y))
+                       for u in prev.vectors]
+        for bx, by in prev.images:
+            ech.insert(bx)
+            ech.insert(by)
         records.append(ComponentRecord(i, ech.rank, ech.basis(), ech))
     return records
 
@@ -218,9 +240,9 @@ def check_covering(cfg: LoopConfig, i: int, records: list):
 
     The check is linear algebra on four images, not a search over lines:
 
-    - Containment is free.  expand_loop spans L_{i+1} by exactly
-      A_k = [u_k, X] and B_k = [u_k, Y] over the basis u_k of L_i, so
-      covering is a rank condition on those images.
+    - Containment is free.  expand_loop spans L_{i+1} by exactly the
+      images A_k = [u_k, X] and B_k = [u_k, Y] of the basis u_k of L_i,
+      kept on the record, so covering is a rank condition on them.
     - Coordinates.  Each image is read at the pivot monomials of the
       echelon of L_{i+1}.  Echelon rows have distinct leading monomials, so
       this projection is unit-triangular and hence injective on L_{i+1}.
@@ -239,15 +261,14 @@ def check_covering(cfg: LoopConfig, i: int, records: list):
     Components of dimension 0 or above 2 are left to the thinness check.
     Only on failure are the lines walked, in the order u_2, then
     u_1 + c*u_2 for c in field.elements(); their images are combined from
-    the four brackets above, which equals bracketing directly because
+    the four images above, which equals bracketing directly because
     elements are canonical.
     """
     cur, nxt = records[i - 1], records[i]
     if cur.dim == 0 or cur.dim > 2:
         return None
-    desc, X, Y = cfg.alg, cfg.X, cfg.Y
     pivots = sorted(nxt.echelon.rows)
-    images = [(desc.bracket(u, X), desc.bracket(u, Y)) for u in cur.vectors]
+    images = cur.images
     coords = [(_coords(a, pivots), _coords(b, pivots)) for a, b in images]
     if cur.dim == 1:
         covered = _spans(*coords[0])
@@ -270,7 +291,7 @@ def check_covering(cfg: LoopConfig, i: int, records: list):
         lines = itertools.chain(
             [(u2, a2, b2)],
             ((u1 + u2.scale(c), a1 + a2.scale(c), b1 + b2.scale(c))
-             for c in desc.field.elements()))
+             for c in cfg.alg.field.elements()))
     for u, bx, by in lines:
         if not _spans(_coords(bx, pivots), _coords(by, pivots)):
             return {
@@ -344,8 +365,7 @@ def classify_component(cfg: LoopConfig, i: int, records: list) -> DiamondRecord:
     prev, cur = records[i - 2], records[i - 1]
     if prev.dim != 1:
         return DiamondRecord(i, "anomaly", f"component {i - 1} has dimension {prev.dim}")
-    V = prev.vectors[0]
-    vx, vy = desc.bracket(V, X), desc.bracket(V, Y)
+    vx, vy = prev.images[0]
     vxx, vxy = desc.bracket(vx, X), desc.bracket(vx, Y)
     vyx, vyy = desc.bracket(vy, X), desc.bracket(vy, Y)
     if cur.dim == 1:
@@ -495,9 +515,8 @@ def normalization_check(cfg: LoopConfig, records: list) -> CheckResult:
     if prev.dim != 1:
         return CheckResult("normalization", False,
                            {"reason": f"component {q - 1} has dimension {prev.dim}"})
-    V = prev.vectors[0]
     desc, X, Y = cfg.alg, cfg.X, cfg.Y
-    vx, vy = desc.bracket(V, X), desc.bracket(V, Y)
+    vx, vy = prev.images[0]
     vxx, vxy = desc.bracket(vx, X), desc.bracket(vx, Y)
     vyx, vyy = desc.bracket(vy, X), desc.bracket(vy, Y)
     problems = {}
@@ -512,26 +531,19 @@ def normalization_check(cfg: LoopConfig, records: list) -> CheckResult:
 
 def centralizer_chain(cfg: LoopConfig, records: list, bound: int) -> dict:
     """Per degree i <= bound, the subspace {v in L_1 : [u, v] = 0 for all
-    u in L_i}, returned as reduced coordinate pairs in the (X, Y) basis."""
-    field = cfg.alg.field
+    u in L_i}, returned as reduced coordinate pairs in the (X, Y) basis.
+
+    [u, aX + bY] = a[u, X] + b[u, Y] lies in L_{i+1}, so the condition is
+    read at the pivot monomials of L_{i+1}, which are injective there (see
+    check_covering): one row (x, y) per basis vector u and pivot, with the
+    centralizer the kernel {(a, b) : a*x + b*y = 0 for every row}.
+    """
     out = {}
-    full = [[field.one(), field.zero()], [field.zero(), field.one()]]
     for i in range(1, bound + 1):
-        rec = records[i - 1]
-        if rec.dim == 0:
-            out[i] = full
-            continue
-        xs, ys = [], []
-        for u in rec.vectors:
-            bx = cfg.alg.bracket(u, cfg.X)
-            by = cfg.alg.bracket(u, cfg.Y)
-            for mono in sorted(set(bx.support()) | set(by.support())):
-                xs.append(bx.coeff(mono))
-                ys.append(by.coeff(mono))
-        if not xs:
-            out[i] = full
-            continue
-        out[i] = Matrix.from_cols(field, [xs, ys]).kernel()
+        pivots = sorted(records[i].echelon.rows)
+        rows = [(bx.coeff(m), by.coeff(m))
+                for bx, by in records[i - 1].images for m in pivots]
+        out[i] = plane_kernel(cfg.alg.field, rows)
     return out
 
 

@@ -26,9 +26,9 @@ from thinlie.grading import (
 )
 from thinlie.liealg import (
     AlgebraDescriptor,
+    Derivation,
     Family,
     anticommutativity_violations,
-    build_derivation,
     derivation_power_violations,
     jacobi_violations,
     leibniz_violations,
@@ -87,7 +87,7 @@ def switched_jobs():
         pre = GradingSpec(pre_case, h, s, pihat)
         out = GradingSpec(out_case, h, s, pihat)
         cfg = SwitchConfig(field, field.one(), pi, s)
-        deriv = build_derivation(desc, s)
+        deriv = Derivation(desc, s)
         raw = switch_grading(desc, pre, deriv, cfg)
         closed = build_closed_basis(desc, out, cfg)
         jobs[name] = (desc, raw, closed, cfg)
@@ -136,7 +136,7 @@ def test_criterion_02_dimension_claims():
 def test_criterion_03_derivation_laws():
     for family, field, h, _dim in AXIOM_CONFIGS:
         desc = descriptor(family, field, h)
-        deriv = build_derivation(desc, h.n1 - 1)
+        deriv = Derivation(desc, h.n1 - 1)
         assert deriv.has_closed_form
         assert leibniz_violations(deriv) == []
         # GH: D^p = 0; AZ: D^p diagonal with eigenvalue -j and D^(p^2) = D^p
@@ -307,7 +307,7 @@ def test_criterion_11_oracle_equivalences():
                              (AZ, F5, Heights(5, 2, 1)),
                              (GH, F3, Heights(3, 2, 2))):
         assert realization_violations(
-            build_derivation(descriptor(family, field, h), h.n1 - 1)) == []
+            Derivation(descriptor(family, field, h), h.n1 - 1)) == []
     for name in ("big p3 n1", "prime p5 pi2"):
         desc, _raw, closed, cfg = switched_jobs()[name]
         assert verify_product_tables(desc, closed, cfg) == [], name

@@ -22,13 +22,20 @@ def test_standard_modulus():
     FieldParams(5, 5, standard_modulus(5))
 
 
+def test_help_lists_three_subcommands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{verify,switch,analyze}" in capsys.readouterr().out
+
+
 def test_verify_text(capsys):
     code, out, _ = run(capsys, "verify", "--p", "3", "--n", "1",
                        "--family", "graded-hamiltonian")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == ("params p=3 n1=1 n2=1 s=0 family=graded-hamiltonian "
-                        "field=3^1:0,1 pi=1 sigma=1 seed=0")
+                        "field=3^1:0,1 pi=1 sigma=1")
     assert lines[1] == "dimension 7"
     assert "check jacobi: pass" in lines
     assert lines[-1] == "overall: pass"
@@ -113,15 +120,6 @@ def test_analyze_negative_control(capsys):
     assert "overall: FAIL" in out
 
 
-def test_oracle(capsys):
-    code, out, _ = run(capsys, "oracle", "--case", "big-field",
-                       "--p", "3", "--n", "1")
-    assert code == 0
-    for name in ("binomial_oracle", "derivation_realization",
-                 "product_tables_oracle"):
-        assert f"check {name}: pass" in out
-
-
 def test_byte_determinism(capsys):
     args = ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
             "--pi", "1", "--format", "json")
@@ -149,6 +147,8 @@ def test_usage_errors(capsys):
         # below 2N + q = 39
         ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
          "--max-degree", "38"),
+        # 101^6 monomials, over the MAX_MONOMIALS budget
+        ("verify", "--p", "101", "--n", "3", "--family", "albert-zassenhaus"),
     ]
     for args in cases:
         code, _, err = run(capsys, *args)
@@ -176,11 +176,9 @@ def test_verify_defaults():
     assert (rc.n1, rc.s) == (2, 1)
     assert rc.field.spec_string == "3^3:2,2,0,1"
     assert str(rc.pi) == "t" and str(rc.sigma) == "1"
+    assert rc.pi_hat == 0  # t has no prime-field residue
+    ns = build_parser().parse_args(
+        ["analyze", "--case", "prime-field", "--p", "3", "--n", "1", "--pi", "2"]
+    )
+    assert materialize(ns).pi_hat == 2
 
-
-def test_seed_is_echoed(capsys):
-    code, out, _ = run(capsys, "verify", "--p", "3", "--n", "1",
-                       "--family", "graded-hamiltonian", "--seed", "7",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["params"]["seed"] == 7

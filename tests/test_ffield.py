@@ -1,20 +1,20 @@
-"""Field arithmetic, binomial helpers and the dense linear algebra kit."""
+"""Field arithmetic, binomial helpers and the irreducibility test."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinlie.ffield import (
     FieldParams,
-    Matrix,
     factorial_mod,
     falling_binomial,
-    find_irreducible,
-    in_span,
     is_irreducible,
     is_prime,
     lucas_binomial,
-    solve_artin_schreier,
+    plane_kernel,
 )
 
 F3 = FieldParams.prime(3)
@@ -43,11 +43,27 @@ def test_factorial_mod():
     assert [factorial_mod(k, 5) for k in range(5)] == [1, 1, 2, 1, 4]
 
 
-def test_find_irreducible_frozen():
-    assert find_irreducible(3, 1) == (0, 1)
-    assert find_irreducible(3, 2) == (1, 0, 1)
-    assert find_irreducible(3, 3) == (1, 0, 2, 1)
-    assert find_irreducible(5, 2) == (1, 1, 1)
+def mobius(n: int) -> int:
+    out = 1
+    d = 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return out
+
+
+def test_irreducible_count_matches_gauss():
+    """is_irreducible accepts exactly (1/m) sum_{d | m} mu(d) p^(m/d) of
+    the p^m monic polynomials of degree m."""
+    for p, m in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
+        accepted = sum(is_irreducible(p, list(tail) + [1])
+                       for tail in itertools.product(range(p), repeat=m))
+        gauss = sum(mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+        assert accepted * m == gauss, (p, m)
 
 
 def test_irreducibility_screen():
@@ -142,58 +158,53 @@ def test_falling_binomial():
         falling_binomial(t, 3)
 
 
-def test_artin_schreier():
-    t = F27.gen()
-    assert solve_artin_schreier(F27, F27.one()) == t
-    x = solve_artin_schreier(F27, t)
-    assert x == F27.parse_element("2t^2+t")
-    assert x ** 3 - x == t
-    # over the prime field x^p - x = 0 identically
-    assert solve_artin_schreier(F3, F3.one()) is None
-    assert solve_artin_schreier(F3, F3.zero()) == F3.zero()
-
-
-def test_rref_and_rank():
-    m = Matrix(F5, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    red, pivots = m.rref()
-    assert pivots == [0, 1]
-    assert m.rank() == 2
-    again, _ = red.rref()
-    assert again == red
-
-
 def test_kernel_frozen():
-    zero2 = Matrix(F5, [[0, 0], [0, 0]])
-    assert zero2.kernel() == [
-        [F5.one(), F5.zero()],
-        [F5.zero(), F5.one()],
-    ]
-    ident = Matrix.identity(F5, 2)
-    assert ident.kernel() == []
-    m = Matrix(F5, [[1, 2], [2, 4]])
-    (vec,) = m.kernel()
-    assert m.times_vector(vec) == [F5.zero(), F5.zero()]
+    zero, one = F5.zero(), F5.one()
+    assert plane_kernel(F5, []) == [[one, zero], [zero, one]]
+    assert plane_kernel(F5, [(zero, zero), (zero, zero)]) == [[one, zero], [zero, one]]
+    assert plane_kernel(F5, [(one, zero), (zero, one)]) == []
+    # rows (1, 2) and (2, 4) span one line: the kernel is <(-2, 1)>
+    rows = [(F5.element(1), F5.element(2)), (F5.element(2), F5.element(4))]
+    assert plane_kernel(F5, rows) == [[F5.element(3), one]]
+    assert plane_kernel(F5, [(zero, F5.element(2))]) == [[one, zero]]
 
 
-def test_eigenspace():
-    m = Matrix(F5, [[2, 0], [0, 3]])
-    assert m.eigenspace(F5.element(2)) == [[F5.one(), F5.zero()]]
-    assert m.eigenspace(F5.element(3)) == [[F5.zero(), F5.one()]]
-    assert m.eigenspace(F5.element(1)) == []
+def field_elements(field):
+    return st.lists(st.integers(0, field.p - 1), min_size=field.m,
+                    max_size=field.m).map(field.element)
 
 
-def test_from_cols_and_vector():
-    cols = [[F5.element(1), F5.element(2)], [F5.element(0), F5.element(1)]]
-    m = Matrix.from_cols(F5, cols)
-    assert m.rows[0] == [F5.element(1), F5.element(0)]
-    assert m.times_vector([F5.one(), F5.one()]) == [F5.element(1), F5.element(3)]
+@st.composite
+def kernel_blocks(draw):
+    """k x 2 blocks over F_3, F_5 or F_27: all zero, rank at most 1 (every
+    row a multiple of one row, which may have a zero column), or random."""
+    field = draw(st.sampled_from([F3, F5, F27]))
+    k = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["zero", "rank1", "random"]))
+    elems = field_elements(field)
+    if kind == "zero":
+        return field, [(field.zero(), field.zero())] * k
+    if kind == "rank1":
+        x, y = draw(elems), draw(elems)
+        scales = draw(st.lists(elems, min_size=k, max_size=k))
+        return field, [(c * x, c * y) for c in scales]
+    return field, draw(st.lists(st.tuples(elems, elems), min_size=k, max_size=k))
 
 
-def test_in_span():
-    v1 = [F5.element(1), F5.element(0)]
-    v2 = [F5.element(1), F5.element(1)]
-    coords = in_span(F5, [v1, v2], [F5.element(3), F5.element(2)])
-    assert coords == [F5.element(1), F5.element(2)]
-    assert in_span(F5, [v1], [F5.element(0), F5.element(1)]) is None
-    assert in_span(F5, [], [F5.zero(), F5.zero()]) == []
-    assert in_span(F5, [], [F5.one()]) is None
+@settings(max_examples=300, deadline=None)
+@given(kernel_blocks())
+def test_plane_kernel_matches_brute_force(block):
+    field, rows = block
+    kernel = [[a, b] for a in field.elements() for b in field.elements()
+              if all((a * x + b * y).is_zero() for x, y in rows)]
+    one, zero = field.one(), field.zero()
+    if len(kernel) == field.order ** 2:
+        expected = [[one, zero], [zero, one]]
+    elif len(kernel) == 1:
+        expected = []
+    else:
+        # the line's vector with a 1 at the free coordinate: b = 1, else a = 1
+        assert len(kernel) == field.order
+        expected = ([v for v in kernel if v[1] == one]
+                    or [v for v in kernel if v[0] == one])
+    assert plane_kernel(field, rows) == expected

@@ -6,9 +6,9 @@ from thinlie.dpalgebra import AlgebraElement, Heights, Monomial
 from thinlie.ffield import FieldParams
 from thinlie.liealg import (
     AlgebraDescriptor,
+    Derivation,
     Family,
     anticommutativity_violations,
-    build_derivation,
     closure_violations,
     derivation_power_violations,
     jacobi_violations,
@@ -101,7 +101,7 @@ def test_law_suites_catch_corruption():
 
 
 def test_derivation_closed_form_frozen():
-    d = build_derivation(AZ21, 1)
+    d = Derivation(AZ21, 1)
     assert d.has_closed_form
     assert d.apply(AZ21.basis_element(Monomial(3, 0))) == AZ21.basis_element(
         Monomial(0, 0)
@@ -110,12 +110,12 @@ def test_derivation_closed_form_frozen():
     assert d.apply(AZ21.basis_element(Monomial(0, 2))) == AZ21.basis_element(
         Monomial(6, 2), 2
     )
-    dg = build_derivation(GH21, 1)
+    dg = Derivation(GH21, 1)
     assert dg.apply(GH21.basis_element(Monomial(0, 2))).is_zero()
 
 
 def test_derivation_without_closed_form():
-    d = build_derivation(GH21, 2)
+    d = Derivation(GH21, 2)
     assert not d.has_closed_form
     # (ad y)^9 kills everything when xbound = 9
     for m in GH21.basis:
@@ -126,18 +126,18 @@ def test_derivation_without_closed_form():
 
 def test_realization_and_leibniz():
     for desc in (AZ21, GH21):
-        d = build_derivation(desc, 1)
+        d = Derivation(desc, 1)
         assert realization_violations(d) == []
         assert leibniz_violations(d) == []
 
 
 def test_derivation_power_laws():
-    assert derivation_power_violations(build_derivation(GH21, 1)) == []
-    assert derivation_power_violations(build_derivation(AZ21, 1)) == []
+    assert derivation_power_violations(Derivation(GH21, 1)) == []
+    assert derivation_power_violations(Derivation(AZ21, 1)) == []
 
 
 def test_az_power_law_is_eigenvalue():
-    d = build_derivation(AZ21, 1)
+    d = Derivation(AZ21, 1)
     p = 3
     for m in AZ21.basis:
         v = AZ21.basis_element(m)
@@ -145,7 +145,7 @@ def test_az_power_law_is_eigenvalue():
 
 
 def test_iterated_matches_bracket_composition():
-    d = build_derivation(AZ11, 1)
+    d = Derivation(AZ11, 1)
     y = AZ11.basis_element(Monomial(0, 1))
     v = AZ11.basis_element(Monomial(2, 1))
     manual = v

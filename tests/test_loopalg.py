@@ -211,11 +211,12 @@ def test_covering_matches_line_oracle_random_blocks(block):
     cur = SparseEchelon(field, h)
     cur.insert(u1)
     cur.insert(u2)
+    images = [(alg.bracket(u, X), alg.bracket(u, Y)) for u in cur.basis()]
     nxt = SparseEchelon(field, h)
-    for u in cur.basis():
-        nxt.insert(alg.bracket(u, X))
-        nxt.insert(alg.bracket(u, Y))
-    records = [ComponentRecord(1, cur.rank, cur.basis(), cur),
+    for bx, by in images:
+        nxt.insert(bx)
+        nxt.insert(by)
+    records = [ComponentRecord(1, cur.rank, cur.basis(), cur, images),
                ComponentRecord(2, nxt.rank, nxt.basis(), nxt)]
     assert check_covering(cfg, 1, records) == covering_by_lines(cfg, 1, records)
 
