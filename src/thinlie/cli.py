@@ -27,9 +27,10 @@ from .loopalg import (CheckResult, checks_passed, degree_floor, render_text,
                       run_analysis, verdict_lines)
 
 #: Largest number of divided-power monomials p^(n1+n) a command accepts.
-#: Every command memoizes up to (p^(n1+n))^2 structure constants and
-#: verify's Jacobi sweep visits about (p^(n1+n))^3 / 6 triples: verify
-#: takes about 7 s at 243 monomials, and 70 times that at 1000.
+#: Every command builds its structure-constant table from all
+#: (p^(n1+n))^2 ordered pairs.  verify takes about 0.3 s at 243 monomials,
+#: 2 to 3.5 s at 729 and 21 s at 961 (p = 31, most brackets nonzero) on a
+#: 2-vCPU Xeon.
 MAX_MONOMIALS = 1000
 
 

@@ -94,12 +94,26 @@ def _prem(a: list[int], f: list[int], p: int) -> list[int]:
     return _ptrim(a)
 
 
+def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    # quotient and remainder of a by the nonzero polynomial b
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        lead = a[-1] * inv % p
+        shift = len(a) - len(b)
+        quot[shift] = lead
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - lead * bi) % p
+        a.pop()
+        _ptrim(a)
+    return _ptrim(quot), a
+
+
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        inv = pow(b[-1], p - 2, p)
-        monic = [c * inv % p for c in b]
-        a, b = b, _prem(a, monic, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     return a
 
 
@@ -285,9 +299,24 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """Inverse by the extended Euclidean algorithm on F_p[t]."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.params.order - 2)
+        params = self.params
+        p = params.p
+        if params.m == 1:
+            return FieldElement(params, (pow(self.coeffs[0], -1, p),))
+        # invariant: s_k * self = r_k mod the modulus
+        r0, r1 = list(params.modulus), _ptrim(list(self.coeffs))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quot, rem = _pdivmod(r0, r1, p)
+            step = itertools.zip_longest(s0, _pmul(quot, s1, p), fillvalue=0)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _ptrim([(x - y) % p for x, y in step])
+        inv = pow(r1[0], -1, p)
+        out = [c * inv % p for c in s1]
+        return FieldElement(params, tuple(out + [0] * (params.m - len(out))))
 
     def __truediv__(self, other):
         o = self._coerce(other)

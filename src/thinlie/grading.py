@@ -114,20 +114,19 @@ class GradingSpec:
 def monomial_grading_violations(descriptor: AlgebraDescriptor, spec: GradingSpec) -> list:
     """Monomial pairs whose bracket leaves the degree class of the degree sum.
 
-    Works on the integer structure constants, so it covers any heights,
+    Works on the integer structure-constant table, so it covers any heights,
     including configurations without a label chart.  Empty list means the
     monomial basis realizes the grading.
     """
-    deg = {m: spec.degree_of_monomial(m) for m in descriptor.basis}
+    basis = descriptor.basis
+    deg = [spec.degree_of_monomial(m) for m in basis]
     violations = []
-    for a in descriptor.basis:
-        for b in descriptor.basis:
-            out = descriptor.bracket_mono(a, b)
-            if out is None or out[0] % spec.p == 0:
-                continue
-            if deg[out[1]] != (deg[a] + deg[b]) % spec.N:
-                violations.append((a, b))
-    return violations
+    for ia, row in enumerate(descriptor.table):
+        for ib, (c, k) in row.items():
+            if c % spec.p and deg[k] != (deg[ia] + deg[ib]) % spec.N:
+                violations.append((ia, ib))
+    violations.sort()
+    return [(basis[ia], basis[ib]) for ia, ib in violations]
 
 
 @dataclasses.dataclass

@@ -4,9 +4,11 @@ GradedHamiltonian is the algebra spanned by all height-bounded monomials
 except the constant and the top monomial xbar*ybar (dimension p^(n1+n2) - 2);
 AlbertZassenhaus keeps every monomial (dimension p^(n1+n2)) and deviates from
 the plain Poisson rule only on brackets of two pure y-monomials, which pick up
-a factor xbar.  Structure constants live in the prime field and are memoized
-per descriptor.  Also defines the distinguished nilpotent-or-semisimple
-derivation (ad y)^(p^s) with its closed form when n1 = s + 1.
+a factor xbar.  Structure constants live in the prime field; each descriptor
+keeps them in one integer table keyed by basis index, built on first use.
+Also defines the distinguished nilpotent-or-semisimple derivation
+(ad y)^(p^s) with its closed form when n1 = s + 1, and the exhaustive law
+checks, which sweep that table sparsely.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class AlgebraDescriptor:
             self.excluded = frozenset()
         self.basis = [m for m in heights.monomials() if m not in self.excluded]
         self._index = {m: k for k, m in enumerate(self.basis)}
-        self._table: dict[tuple[Monomial, Monomial], tuple[int, Monomial] | None] = {}
+        self._rows: list[dict[int, tuple[int, int]]] | None = None
 
     @property
     def dim(self) -> int:
@@ -60,15 +62,42 @@ class AlgebraDescriptor:
             raise ValueError(f"{mono} is not a basis monomial of this algebra")
         return AlgebraElement.from_monomial(self.field, self.heights, mono, coeff)
 
+    @property
+    def table(self) -> list[dict[int, tuple[int, int]]]:
+        """Structure constants by basis index: table[i][j] = (c, k) when
+        [basis[i], basis[j]] = c basis[k] with c != 0 mod p.
+
+        Zero brackets have no entry.  Built on first use from
+        `_bracket_mono_raw` over every ordered pair, so its overflow and
+        top-monomial errors fire here.
+        """
+        if self._rows is None:
+            basis, index, raw = self.basis, self._index, self._bracket_mono_raw
+            rows = []
+            for a in basis:
+                row = {}
+                for jb, b in enumerate(basis):
+                    hit = raw(a, b)
+                    if hit is not None:
+                        c, mono = hit
+                        k = index.get(mono)
+                        if k is None:
+                            raise ArithmeticError(
+                                f"bracket {a},{b} lands outside the basis on {mono}")
+                        row[jb] = (c, k)
+                rows.append(row)
+            self._rows = rows
+        return self._rows
+
     def bracket_mono(self, a: Monomial, b: Monomial):
         """Bracket of two basis monomials: (int coefficient, Monomial) or None."""
-        key = (a, b)
-        try:
-            return self._table[key]
-        except KeyError:
-            out = self._bracket_mono_raw(a, b)
-            self._table[key] = out
-            return out
+        index = self._index
+        if a not in index or b not in index:
+            raise ValueError(f"{a}, {b}: not both basis monomials of this algebra")
+        hit = self.table[index[a]].get(index[b])
+        if hit is None:
+            return None
+        return hit[0], self.basis[hit[1]]
 
     def _bracket_mono_raw(self, a: Monomial, b: Monomial):
         h = self.heights
@@ -109,20 +138,27 @@ class AlgebraDescriptor:
         return c, mono
 
     def bracket(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-        """Lie bracket, bilinear over the monomial structure constants."""
+        """Lie bracket, bilinear over the structure-constant table."""
+        index = self._index
+        terms = []
         for w in (u, v):
             if w.field != self.field or w.heights != self.heights:
                 raise ValueError("element does not live in this algebra")
-            for m in w.terms:
-                if m not in self._index:
-                    raise ValueError(f"element supported outside the basis: {m}")
+            try:
+                terms.append([(index[m], c) for m, c in w.terms.items()])
+            except KeyError as e:
+                raise ValueError(
+                    f"element supported outside the basis: {e.args[0]}") from None
+        rows, basis = self.table, self.basis
         out = {}
-        for m1, c1 in u.terms.items():
-            for m2, c2 in v.terms.items():
-                hit = self.bracket_mono(m1, m2)
+        for i1, c1 in terms[0]:
+            row = rows[i1]
+            for i2, c2 in terms[1]:
+                hit = row.get(i2)
                 if hit is None:
                     continue
-                k, mono = hit
+                k, t = hit
+                mono = basis[t]
                 c = c1 * c2 * k
                 acc = out.get(mono)
                 c = c if acc is None else acc + c
@@ -220,30 +256,32 @@ class Derivation:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive law checks over the integer structure-constant tables
+# exhaustive law checks over the integer structure-constant table
+#
+# Each sweep visits only the pairs or triples where the table has an entry
+# in some term of the law; every other one has both sides zero.  Violations
+# are listed in basis order, as a dense sweep over all pairs or triples
+# would find them.
 
 def anticommutativity_violations(desc: AlgebraDescriptor) -> list:
-    """[u,v] = -[v,u] and [u,u] = 0 over all basis monomial pairs."""
+    """[u,v] = -[v,u] and [u,u] = 0 over all basis monomial pairs.
+
+    Diagonal violations come first, then pairs (a, b) with a before b.
+    """
     p = desc.heights.p
+    rows, basis = desc.table, desc.basis
+    diag = [basis[i] for i, row in enumerate(rows) if i in row]
     bad = []
-    basis = desc.basis
-    for a in basis:
-        if desc.bracket_mono(a, a) is not None:
-            bad.append((a, a))
-    for idx, a in enumerate(basis):
-        for b in basis[idx + 1:]:
-            ab = desc.bracket_mono(a, b)
-            ba = desc.bracket_mono(b, a)
-            if ab is None and ba is None:
-                continue
-            if (
-                ab is None
-                or ba is None
-                or ab[1] != ba[1]
-                or (ab[0] + ba[0]) % p != 0
-            ):
-                bad.append((a, b))
-    return bad
+    for i, row in enumerate(rows):
+        for j, ab in row.items():
+            if j > i:
+                ba = rows[j].get(i)
+                if ba is None or ab[1] != ba[1] or (ab[0] + ba[0]) % p:
+                    bad.append((i, j))
+            elif j < i and i not in rows[j]:
+                bad.append((j, i))
+    bad.sort()
+    return [(a, a) for a in diag] + [(basis[i], basis[j]) for i, j in bad]
 
 
 def jacobi_violations(desc: AlgebraDescriptor) -> list:
@@ -251,37 +289,43 @@ def jacobi_violations(desc: AlgebraDescriptor) -> list:
 
     Together with bilinearity and the anticommutativity check this covers
     every triple: permutations only flip the sign of the cyclic sum and
-    repeated entries vanish identically.
+    repeated entries vanish identically.  For a < b < c the cyclic sum
+    [[a,b],c] + [[b,c],a] + [[c,a],b] is accumulated from the chains of two
+    table entries that make up its terms, grouped by a: [[a,b],c] from row
+    a, [[b,c],a] from the entries of column a, [[c,a],b] from the pairs
+    (c, a).  A triple that no chain reaches has an empty sum.
     """
     p = desc.heights.p
-    basis = desc.basis
-    table = desc.bracket_mono
+    rows, basis = desc.table, desc.basis
+    n = len(rows)
+    into = [[] for _ in range(n)]  # into[m]: (u, v, c), u < v, table[u][v] = (c, m)
+    column = [[] for _ in range(n)]  # column[w]: every u with an entry table[u][w]
+    for u, row in enumerate(rows):
+        for v, (c, m) in row.items():
+            if u < v:
+                into[m].append((u, v, c))
+            column[v].append(u)
     bad = []
-
-    def step(u, v, w, acc):
-        uv = table(u, v)
-        if uv is None:
-            return
-        c, m = uv
-        mw = table(m, w)
-        if mw is None:
-            return
-        c2, m2 = mw
-        acc[m2] = (acc.get(m2, 0) + c * c2) % p
-
-    n = len(basis)
-    for ia in range(n):
-        a = basis[ia]
-        for ib in range(ia + 1, n):
-            b = basis[ib]
-            for ic in range(ib + 1, n):
-                c = basis[ic]
-                acc: dict = {}
-                step(a, b, c, acc)
-                step(b, c, a, acc)
-                step(c, a, b, acc)
-                if any(v % p for v in acc.values()):
-                    bad.append((a, b, c))
+    for a in range(n):
+        sums: dict = {}  # (b, c, target) -> coefficient of the cyclic sum
+        for b, (c1, m) in rows[a].items():  # [[a, b], c]
+            if b > a:
+                for c, (c2, m2) in rows[m].items():
+                    if c > b:
+                        sums[b, c, m2] = sums.get((b, c, m2), 0) + c1 * c2
+        for m in column[a]:  # [[b, c], a]
+            c2, m2 = rows[m][a]
+            for b, c, c1 in into[m]:
+                if b > a:
+                    sums[b, c, m2] = sums.get((b, c, m2), 0) + c1 * c2
+        for c in column[a]:  # [[c, a], b]
+            if c > a:
+                c1, m = rows[c][a]
+                for b, (c2, m2) in rows[m].items():
+                    if a < b < c:
+                        sums[b, c, m2] = sums.get((b, c, m2), 0) + c1 * c2
+        failing = {(b, c) for (b, c, _m2), v in sums.items() if v % p}
+        bad.extend((basis[a], basis[b], basis[c]) for b, c in sorted(failing))
     return bad
 
 
@@ -289,36 +333,67 @@ def closure_violations(desc: AlgebraDescriptor) -> list:
     """Every bracket of basis monomials is supported on the basis.
 
     For GradedHamiltonian this also certifies that the unprojected Poisson
-    rule never produces the excluded top monomial with nonzero coefficient.
+    rule never produces the excluded top monomial with nonzero coefficient;
+    the only partner b of a with a.i + b.i - 1, a.j + b.j - 1 at the top is
+    (xbar + 1 - a.i, ybar + 1 - a.j), read off in closed form.
     """
     h = desc.heights
     p = h.p
-    bad = []
-    for a in desc.basis:
-        for b in desc.basis:
-            if desc.family is Family.GRADED_HAMILTONIAN:
-                ix, jy = a.i + b.i - 1, a.j + b.j - 1
-                if (ix, jy) == h.top and poisson_coeff(p, a.i, a.j, b.i, b.j) != 0:
-                    bad.append((a, b))
-                    continue
-            hit = desc.bracket_mono(a, b)
-            if hit is not None and hit[1] not in desc._index:
-                bad.append((a, b))
-    return bad
+    rows, basis, n = desc.table, desc.basis, desc.dim
+    bad = {(i, j) for i, row in enumerate(rows)
+           for j, (_c, k) in row.items() if not 0 <= k < n}
+    if desc.family is Family.GRADED_HAMILTONIAN:
+        for i, a in enumerate(basis):
+            j = desc._index.get(Monomial(h.xbound - a.i, h.ybound - a.j))
+            if j is not None and poisson_coeff(p, a.i, a.j, *basis[j]) != 0:
+                bad.add((i, j))
+    return [(basis[i], basis[j]) for i, j in sorted(bad)]
 
 
 def leibniz_violations(deriv: Derivation) -> list:
-    """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs."""
+    """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs.
+
+    The images D(basis[i]) are computed once, as integer vectors over the
+    basis index.  For each a only the partners b that give some side a term
+    are compared: an entry table[a][b], an entry table[k][b] with k in the
+    support of Da, or an entry table[a][k] with k in the support of Db.
+    """
     desc = deriv.descriptor
+    p = desc.heights.p
+    rows, basis, index = desc.table, desc.basis, desc._index
+    images = []
+    for m in basis:
+        image = deriv.apply(desc.basis_element(m))
+        images.append({index[t]: c.as_int() for t, c in image.terms.items()})
+    preimages = [[] for _ in basis]  # preimages[k]: every b with k in the support of Db
+    for b, image in enumerate(images):
+        for k in image:
+            preimages[k].append(b)
     bad = []
-    elems = {m: desc.basis_element(m) for m in desc.basis}
-    images = {m: deriv.apply(elems[m]) for m in desc.basis}
-    for a in desc.basis:
-        for b in desc.basis:
-            lhs = deriv.apply(desc.bracket(elems[a], elems[b]))
-            rhs = desc.bracket(images[a], elems[b]) + desc.bracket(elems[a], images[b])
-            if lhs != rhs:
-                bad.append((a, b))
+    for a, row in enumerate(rows):
+        da = images[a]
+        partners = set(row)
+        for k in da:
+            partners.update(rows[k])
+        for k in row:
+            partners.update(preimages[k])
+        for b in sorted(partners):
+            diff = {}
+            hit = row.get(b)
+            if hit is not None:
+                c, t = hit
+                for k, d in images[t].items():
+                    diff[k] = c * d
+            for k, d in da.items():
+                hit = rows[k].get(b)
+                if hit is not None:
+                    diff[hit[1]] = diff.get(hit[1], 0) - d * hit[0]
+            for k, d in images[b].items():
+                hit = row.get(k)
+                if hit is not None:
+                    diff[hit[1]] = diff.get(hit[1], 0) - d * hit[0]
+            if any(v % p for v in diff.values()):
+                bad.append((basis[a], basis[b]))
     return bad
 
 

@@ -1,0 +1,98 @@
+"""Dense reference sweeps for the law checks of `thinlie.liealg` and the
+monomial grading check of `thinlie.grading`.
+
+These visit every triple and every pair, with no sparsity argument, and
+read the structure constants only through the public `bracket_mono`,
+`bracket` and `Derivation.apply`.  The sparse sweeps must return the same
+violation lists, in the same order.
+"""
+
+from thinlie.grading import GradingSpec
+from thinlie.liealg import AlgebraDescriptor, Derivation
+
+
+def dense_anticommutativity_violations(desc: AlgebraDescriptor) -> list:
+    """[u,v] = -[v,u] and [u,u] = 0 over all basis monomial pairs."""
+    p = desc.heights.p
+    bad = []
+    basis = desc.basis
+    for a in basis:
+        if desc.bracket_mono(a, a) is not None:
+            bad.append((a, a))
+    for idx, a in enumerate(basis):
+        for b in basis[idx + 1:]:
+            ab = desc.bracket_mono(a, b)
+            ba = desc.bracket_mono(b, a)
+            if ab is None and ba is None:
+                continue
+            if (
+                ab is None
+                or ba is None
+                or ab[1] != ba[1]
+                or (ab[0] + ba[0]) % p != 0
+            ):
+                bad.append((a, b))
+    return bad
+
+
+def dense_jacobi_violations(desc: AlgebraDescriptor) -> list:
+    """Jacobi identity over all strictly sorted basis monomial triples."""
+    p = desc.heights.p
+    basis = desc.basis
+    table = desc.bracket_mono
+    bad = []
+
+    def step(u, v, w, acc):
+        uv = table(u, v)
+        if uv is None:
+            return
+        c, m = uv
+        mw = table(m, w)
+        if mw is None:
+            return
+        c2, m2 = mw
+        acc[m2] = (acc.get(m2, 0) + c * c2) % p
+
+    n = len(basis)
+    for ia in range(n):
+        a = basis[ia]
+        for ib in range(ia + 1, n):
+            b = basis[ib]
+            for ic in range(ib + 1, n):
+                c = basis[ic]
+                acc: dict = {}
+                step(a, b, c, acc)
+                step(b, c, a, acc)
+                step(c, a, b, acc)
+                if any(v % p for v in acc.values()):
+                    bad.append((a, b, c))
+    return bad
+
+
+def element_leibniz_violations(deriv: Derivation) -> list:
+    """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs, on elements."""
+    desc = deriv.descriptor
+    bad = []
+    elems = {m: desc.basis_element(m) for m in desc.basis}
+    images = {m: deriv.apply(elems[m]) for m in desc.basis}
+    for a in desc.basis:
+        for b in desc.basis:
+            lhs = deriv.apply(desc.bracket(elems[a], elems[b]))
+            rhs = desc.bracket(images[a], elems[b]) + desc.bracket(elems[a], images[b])
+            if lhs != rhs:
+                bad.append((a, b))
+    return bad
+
+
+def dense_monomial_grading_violations(desc: AlgebraDescriptor, spec: GradingSpec) -> list:
+    """Monomial pairs whose bracket leaves the degree class of the degree sum."""
+    deg = {m: spec.degree_of_monomial(m) for m in desc.basis}
+    violations = []
+    for a in desc.basis:
+        for b in desc.basis:
+            out = desc.bracket_mono(a, b)
+            if out is None or out[0] % spec.p == 0:
+                continue
+            if deg[out[1]] != (deg[a] + deg[b]) % spec.N:
+                violations.append((a, b))
+    return violations

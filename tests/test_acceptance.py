@@ -12,6 +12,11 @@ import json
 import math
 import time
 
+from oracles import (
+    dense_anticommutativity_violations,
+    dense_jacobi_violations,
+    element_leibniz_violations,
+)
 from thinlie.cli import main
 from thinlie.dpalgebra import Heights
 from thinlie.ffield import FieldParams, lucas_binomial
@@ -311,6 +316,14 @@ def test_criterion_11_oracle_equivalences():
     for name in ("big p3 n1", "prime p5 pi2"):
         desc, _raw, closed, cfg = switched_jobs()[name]
         assert verify_product_tables(desc, closed, cfg) == [], name
+    # the sparse law sweeps agree with the dense ones that visit every
+    # pair and triple
+    for family, field, h, _dim in AXIOM_CONFIGS:
+        desc = descriptor(family, field, h)
+        deriv = Derivation(desc, h.n1 - 1)
+        assert anticommutativity_violations(desc) == dense_anticommutativity_violations(desc)
+        assert jacobi_violations(desc) == dense_jacobi_violations(desc)
+        assert leibniz_violations(deriv) == element_leibniz_violations(deriv)
 
 
 # frozen from the output of the line-enumerating covering check
@@ -360,3 +373,48 @@ def test_criterion_13_big_field_p7_stretch():
     for name, c in doc["checks"].items():
         if not c.get("informational"):
             assert c["pass"], name
+
+
+VERIFY_243_CHECKS = ("dimension", "anticommutativity", "jacobi", "closure",
+                     "leibniz", "derivation_power", "realization",
+                     "monomial_grading")
+
+
+def verify_243_text(n1, n2, s):
+    return "".join(
+        [f"params p=3 n1={n1} n2={n2} s={s} family=albert-zassenhaus "
+         "field=3^1:0,1 pi=1 sigma=1\n", "dimension 243\n"]
+        + [f"check {name}: pass\n" for name in VERIFY_243_CHECKS]
+        + ["overall: pass\n"])
+
+
+def verify_243_json(n1, n2, s):
+    doc = {
+        "command": "verify",
+        "params": {"p": 3, "n1": n1, "n2": n2, "s": s,
+                   "family": "albert-zassenhaus", "field": "3^1:0,1",
+                   "pi": "1", "sigma": "1"},
+        "dimension": 243,
+        "checks": {name: {"pass": True} for name in VERIFY_243_CHECKS},
+        "overall": True,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_criterion_14_verify_dim_243():
+    """The benchmark's verify jobs: exhaustive laws at dimension 243.
+
+    Stdout is compared byte for byte with the output of the dense sweeps
+    (frozen before the sparse ones replaced them).
+    """
+    start = time.monotonic()
+    for n2, n1 in ((2, 3), (3, 2)):
+        args = ["verify", "--family", "albert-zassenhaus", "--p", "3",
+                "--n", str(n2), "--n1", str(n1)]
+        for fmt, expected in (("text", verify_243_text), ("json", verify_243_json)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(args + ["--format", fmt])
+            assert code == 0
+            assert buf.getvalue() == expected(n1, n2, n1 - 1)
+    assert time.monotonic() - start < 10

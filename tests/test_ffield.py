@@ -21,6 +21,11 @@ F3 = FieldParams.prime(3)
 F5 = FieldParams.prime(5)
 # F_27 presented with t^3 = t + 1
 F27 = FieldParams(3, 3, (2, 2, 0, 1))
+# t^3 + t + 1 has no root in F_5
+F125 = FieldParams(5, 3, (1, 1, 0, 1))
+# t^p - t - 1, the big fields of the paper's p = 5 and p = 7 runs
+F3125 = FieldParams(5, 5, (4, 4, 0, 0, 0, 1))
+F7_7 = FieldParams(7, 7, (6, 6, 0, 0, 0, 0, 0, 1))
 
 
 def test_is_prime():
@@ -126,6 +131,29 @@ def test_order_and_fermat():
     for x in F27.elements():
         if not x.is_zero():
             assert x ** 26 == F27.one()
+
+
+def test_inverse_small_fields_exhaustive():
+    for field in (F3, F5, F27, F125):
+        for x in field.elements():
+            if x.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+            else:
+                assert x * x.inverse() == field.one(), (field, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F3125, F7_7]), st.data())
+def test_inverse_big_fields(field, data):
+    coeffs = data.draw(st.lists(st.integers(0, field.p - 1),
+                                min_size=field.m, max_size=field.m))
+    x = field.element(coeffs)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert x * x.inverse() == field.one()
 
 
 def test_in_prime_field_and_as_int():

@@ -1,9 +1,18 @@
 """Lie brackets of both families, the step derivation, and the law checkers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    dense_anticommutativity_violations,
+    dense_jacobi_violations,
+    dense_monomial_grading_violations,
+    element_leibniz_violations,
+)
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial
 from thinlie.ffield import FieldParams
+from thinlie.grading import GradingCase, GradingSpec, monomial_grading_violations
 from thinlie.liealg import (
     AlgebraDescriptor,
     Derivation,
@@ -18,6 +27,8 @@ from thinlie.liealg import (
 )
 
 F3 = FieldParams.prime(3)
+F5 = FieldParams.prime(5)
+F27 = FieldParams(3, 3, (2, 2, 0, 1))
 GH11 = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F3, Heights(3, 1, 1))
 AZ11 = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 1, 1))
 GH21 = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F3, Heights(3, 2, 1))
@@ -72,6 +83,8 @@ def test_bracket_rejects_foreign_support():
         GH11.bracket(stray, GH11.basis_element(Monomial(1, 0)))
     with pytest.raises(ValueError):
         GH11.basis_element(Monomial(2, 2))
+    with pytest.raises(ValueError):
+        GH11.bracket_mono(Monomial(0, 0), Monomial(1, 0))
 
 
 def test_project():
@@ -92,12 +105,117 @@ def test_law_suites_empty():
         assert closure_violations(desc) == []
 
 
+def test_table_matches_bracket_mono_raw():
+    for desc in (GH11, AZ11, GH21, AZ21):
+        for i, a in enumerate(desc.basis):
+            for j, b in enumerate(desc.basis):
+                raw = desc._bracket_mono_raw(a, b)
+                hit = desc.table[i].get(j)
+                if raw is None:
+                    assert hit is None
+                else:
+                    assert hit == (raw[0], desc.basis.index(raw[1]))
+
+
 def test_law_suites_catch_corruption():
     desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F3, Heights(3, 1, 1))
     a, b = Monomial(1, 0), Monomial(0, 1)
-    desc.bracket_mono(a, b)
-    desc._table[(a, b)] = (1, Monomial(1, 1))  # plant a bad structure constant
+    # plant a bad structure constant where the true bracket [x, y] is zero
+    index = desc.basis.index
+    desc.table[index(a)][index(b)] = (1, index(Monomial(1, 1)))
     assert anticommutativity_violations(desc) == [(b, a)]
+    desc.table[index(a)][index(b)] = (1, desc.dim)  # a target past the basis
+    assert closure_violations(desc) == [(a, b)]
+
+
+def test_closure_finds_every_top_pair(monkeypatch):
+    """With every Poisson coefficient forced nonzero, closure reports each
+    pair whose unprojected bracket lands on the top monomial, in order."""
+    for desc in (GH11, GH21):
+        desc.table
+        h = desc.heights
+        top_pairs = [(a, b) for a in desc.basis for b in desc.basis
+                     if (a.i + b.i - 1, a.j + b.j - 1) == h.top]
+        assert top_pairs
+        monkeypatch.setattr("thinlie.liealg.poisson_coeff", lambda *args: 1)
+        assert closure_violations(desc) == top_pairs
+        monkeypatch.undo()
+
+
+def planted_descriptor(family, heights, data):
+    """A fresh descriptor with one to three structure constants overwritten,
+    each at a pair whose true bracket is zero or at one where it is not."""
+    desc = AlgebraDescriptor(family, F3, heights)
+    n = desc.dim
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    zero = [ij for ij in pairs if ij[1] not in desc.table[ij[0]]]
+    nonzero = [ij for ij in pairs if ij[1] in desc.table[ij[0]]]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.sampled_from(zero if data.draw(st.booleans()) else nonzero))
+        desc.table[i][j] = (data.draw(st.integers(1, 2)), data.draw(st.integers(0, n - 1)))
+    return desc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(Family.GRADED_HAMILTONIAN, Heights(3, 1, 1)),
+                        (Family.ALBERT_ZASSENHAUS, Heights(3, 1, 1)),
+                        (Family.GRADED_HAMILTONIAN, Heights(3, 2, 1)),
+                        (Family.ALBERT_ZASSENHAUS, Heights(3, 2, 1))]),
+       st.data())
+def test_sparse_sweeps_match_oracles_on_planted_constants(config, data):
+    family, heights = config
+    desc = planted_descriptor(family, heights, data)
+    assert anticommutativity_violations(desc) == dense_anticommutativity_violations(desc)
+    assert jacobi_violations(desc) == dense_jacobi_violations(desc)
+    case = (GradingCase.PRESWITCH_AZ if family is Family.ALBERT_ZASSENHAUS
+            else GradingCase.PRESWITCH_GH)
+    spec = GradingSpec(case, heights, heights.n1 - 1, 1)
+    assert (monomial_grading_violations(desc, spec)
+            == dense_monomial_grading_violations(desc, spec))
+    for s in (0, 1):
+        deriv = Derivation(desc, s)
+        assert leibniz_violations(deriv) == element_leibniz_violations(deriv)
+
+
+def test_planted_row_out_of_key_order():
+    """Entries planted into a row in descending order are still reported in
+    basis order."""
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
+    spec = GradingSpec(GradingCase.PRESWITCH_AZ, desc.heights, 1, 1)
+    deg = [spec.degree_of_monomial(m) for m in desc.basis]
+    row = desc.table[0]
+    free = [j for j in range(desc.dim) if j not in row]
+    for j in sorted(free[:2], reverse=True):
+        k = next(k for k in range(desc.dim) if deg[k] != (deg[0] + deg[j]) % spec.N)
+        row[j] = (1, k)
+    found = monomial_grading_violations(desc, spec)
+    assert len(found) == 2
+    assert found == dense_monomial_grading_violations(desc, spec)
+    assert anticommutativity_violations(desc) == dense_anticommutativity_violations(desc)
+
+
+def random_element(desc, data):
+    field = desc.field
+    coeff = st.lists(st.integers(0, field.p - 1), min_size=field.m,
+                     max_size=field.m).filter(any)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(desc.basis), coeff),
+                               min_size=2, max_size=6, unique_by=lambda t: t[0]))
+    return AlgebraElement(field, desc.heights, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([
+    AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F5, Heights(5, 1, 1)),
+    AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F5, Heights(5, 1, 1)),
+    AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, Heights(3, 2, 1)),
+    AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F27, Heights(3, 1, 2)),
+]), st.data())
+def test_laws_on_random_elements(desc, data):
+    u, v, w = (random_element(desc, data) for _ in range(3))
+    br = desc.bracket
+    assert br(u, u).is_zero()
+    assert br(u, v) == -br(v, u)
+    assert (br(br(u, v), w) + br(br(v, w), u) + br(br(w, u), v)).is_zero()
 
 
 def test_derivation_closed_form_frozen():
