@@ -81,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, required=True, help="odd prime")
         sp.add_argument("--n", type=int, required=True, help="second exponent height")
         sp.add_argument("--s", type=int, default=None, help="derivation step")
-        sp.add_argument("--n1", type=int, default=None,
-                        help="first exponent height (defaults per command)")
+        if name == "verify":
+            sp.add_argument("--n1", type=int, default=None,
+                            help="first exponent height (default: --n)")
         sp.add_argument("--family", choices=[f.value for f in Family], default=None)
         sp.add_argument("--case",
                         choices=["preswitch", "big-field", "prime-field"],
@@ -91,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coefficient field as p^m:c0,...,cm")
         sp.add_argument("--pi", default=None, help="switching parameter pi")
         sp.add_argument("--sigma", default=None, help="switching parameter sigma")
-        sp.add_argument("--max-degree", type=int, default=None)
+        if name == "analyze":
+            sp.add_argument("--max-degree", type=int, default=None)
         sp.add_argument("--format", choices=["text", "json"], default="text",
                         dest="fmt")
         sp.add_argument("--allow-negative-control", action="store_true")
@@ -136,9 +138,7 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
         s = ns.s if ns.s is not None else 1
         if s < 0:
             raise UsageError("s must be >= 0")
-        n1 = ns.n1 if ns.n1 is not None else s + 1
-        if n1 != s + 1:
-            raise UsageError("graded runs need n1 = s + 1")
+        n1 = s + 1
     if p ** (n1 + n) > MAX_MONOMIALS:
         raise UsageError(f"p^(n1+n) = {p}^{n1 + n} monomials exceed the "
                          f"budget of {MAX_MONOMIALS}")
@@ -178,11 +178,12 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
         raise UsageError("the prime-field case needs pi in the prime subfield")
     pi_hat = pi.as_int() if pi.in_prime_field() else 0
 
-    if ns.max_degree is not None and ns.max_degree < 1:
+    max_degree = getattr(ns, "max_degree", None)  # an analyze option
+    if max_degree is not None and max_degree < 1:
         raise UsageError("max-degree must be positive")
 
     return RunConfig(command, p, n, s, n1, family, case, field, pi, sigma,
-                     pi_hat, ns.max_degree, ns.fmt, ns.allow_negative_control)
+                     pi_hat, max_degree, ns.fmt, ns.allow_negative_control)
 
 
 def _emit(rc: RunConfig, params: dict, checks: dict, extra: dict, text_head: list):

@@ -88,6 +88,25 @@ def mono_mul(h: Heights, a: Monomial, b: Monomial):
     return c, Monomial(i, j)
 
 
+def accumulate(terms: dict, pairs, p: int = 0) -> dict:
+    """Add (key, coefficient) pairs into terms, dropping zero sums; returns
+    terms.  Coefficients are FieldElements, or ints reduced mod p if p is
+    given.  Every sparse sum of the package, on elements or on the integer
+    tables, runs through this one loop."""
+    get, pop = terms.get, terms.pop
+    for key, c in pairs:
+        acc = get(key)
+        if acc is not None:
+            c = acc + c
+        if p:
+            c %= p
+        if c:
+            terms[key] = c
+        else:
+            pop(key, None)
+    return terms
+
+
 class AlgebraElement:
     """Sparse element of the divided power algebra over a fixed field."""
 
@@ -98,21 +117,12 @@ class AlgebraElement:
             raise ValueError("field and heights disagree on p")
         self.field = field
         self.heights = heights
-        clean: dict[Monomial, FieldElement] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for mono, coeff in items:
-            mono = Monomial(*mono)
+        pairs = [(Monomial(*mono), field.element(c)) for mono, c in items]
+        for mono, _c in pairs:
             if not heights.contains(mono):
                 raise ValueError(f"monomial {mono} out of bounds for heights {heights}")
-            c = field.element(coeff)
-            if not c.is_zero():
-                acc = clean.get(mono)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    clean.pop(mono, None)
-                else:
-                    clean[mono] = c
-        self.terms = clean
+        self.terms = accumulate({}, pairs)
 
     @classmethod
     def _make(cls, field, heights, terms: dict) -> "AlgebraElement":
@@ -152,14 +162,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = out.get(mono)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+        out = accumulate(dict(self.terms), other.terms.items())
         return AlgebraElement._make(self.field, self.heights, out)
 
     def __neg__(self):
@@ -181,21 +184,16 @@ class AlgebraElement:
     def __mul__(self, other):
         """Associative divided-power product, bilinear over mono_mul."""
         self._check_compatible(other)
-        out: dict[Monomial, FieldElement] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                hit = mono_mul(self.heights, m1, m2)
-                if hit is None:
-                    continue
-                k, mono = hit
-                c = c1 * c2 * k
-                acc = out.get(mono)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = c
-        return AlgebraElement._make(self.field, self.heights, out)
+        h = self.heights
+
+        def products():
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    hit = mono_mul(h, m1, m2)
+                    if hit is not None:
+                        yield hit[1], c1 * c2 * hit[0]
+
+        return AlgebraElement._make(self.field, h, accumulate({}, products()))
 
     def __eq__(self, other):
         return (
@@ -279,13 +277,18 @@ class SparseEchelon:
         self.rows: dict[Monomial, AlgebraElement] = {}
 
     def reduce(self, v: AlgebraElement) -> AlgebraElement:
-        while v.terms:
-            lead = min(v.terms)
+        """v minus the row multiples that clear its leading pivots, in one dict."""
+        if v.field != self.field or v.heights != self.heights:
+            raise ValueError("algebra element field/heights mismatch")
+        terms = dict(v.terms)
+        while terms:
+            lead = min(terms)
             row = self.rows.get(lead)
             if row is None:
-                return v
-            v = v - row.scale(v.terms[lead])
-        return v
+                break
+            c = -terms[lead]
+            accumulate(terms, ((m, c * x) for m, x in row.terms.items()))
+        return AlgebraElement._make(self.field, self.heights, terms)
 
     def insert(self, v: AlgebraElement) -> bool:
         """Add v to the span; True iff the rank grew."""
@@ -298,7 +301,9 @@ class SparseEchelon:
             row = self.rows[key]
             c = row.terms.get(lead)
             if c is not None:
-                self.rows[key] = row - v.scale(c)
+                c = -c
+                terms = accumulate(dict(row.terms), ((m, c * x) for m, x in v.terms.items()))
+                self.rows[key] = AlgebraElement._make(self.field, self.heights, terms)
         self.rows[lead] = v
         return True
 

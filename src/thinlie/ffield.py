@@ -11,6 +11,7 @@ every modulus passes, and the kernel of a two-column linear system.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -38,12 +39,14 @@ def factorial_mod(k: int, p: int) -> int:
     return out
 
 
+@functools.cache
 def lucas_binomial(n: int, k: int, p: int) -> int:
     """Binomial coefficient C(n, k) mod p.
 
     C(n, k) = 0 for k < 0, and for 0 <= n < k.  A negative upper index is
     resolved through C(n, k) = (-1)^k C(k - n - 1, k) before the digit-wise
-    product over base-p digits is taken.
+    product over base-p digits is taken.  Memoised, since a structure-constant
+    table asks for a few hundred binomials some 10^5 times.
     """
     if k < 0:
         return 0
@@ -337,10 +340,10 @@ class FieldElement:
         return out
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def in_prime_field(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

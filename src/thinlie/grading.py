@@ -337,14 +337,12 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
     monos = descriptor.basis
     elems = {m: descriptor.basis_element(m) for m in monos}
     deg = {m: spec.degree_of_monomial(m) for m in monos}
-    images = {m: deriv.apply(elems[m]) for m in monos}
 
     d = None
-    for m in monos:
-        img = images[m]
-        if img.is_zero():
+    for m, image in zip(monos, deriv.table):
+        if not image:
             continue
-        degs = {deg[t] for t in img.support()}
+        degs = {deg[monos[k]] for k in image}
         if len(degs) != 1:
             raise ValueError(
                 f"hypothesis failure: derivation image of {m} is not homogeneous"

@@ -6,16 +6,18 @@ AlbertZassenhaus keeps every monomial (dimension p^(n1+n2)) and deviates from
 the plain Poisson rule only on brackets of two pure y-monomials, which pick up
 a factor xbar.  Structure constants live in the prime field; each descriptor
 keeps them in one integer table keyed by basis index, built on first use.
-Also defines the distinguished nilpotent-or-semisimple derivation
-(ad y)^(p^s) with its closed form when n1 = s + 1, and the exhaustive law
-checks, which sweep that table sparsely.
+The distinguished nilpotent-or-semisimple derivation D = (ad y)^(p^s) is a
+second such table, in closed form when n1 = s + 1.  Brackets and D run
+through the one accumulate loop of `dpalgebra`, and the exhaustive law
+checks sweep both tables sparsely.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 
-from .dpalgebra import AlgebraElement, Heights, Monomial
+from .dpalgebra import AlgebraElement, Heights, Monomial, accumulate
 from .ffield import FieldParams, lucas_binomial
 
 
@@ -47,7 +49,6 @@ class AlgebraDescriptor:
             self.excluded = frozenset()
         self.basis = [m for m in heights.monomials() if m not in self.excluded]
         self._index = {m: k for k, m in enumerate(self.basis)}
-        self._rows: list[dict[int, tuple[int, int]]] | None = None
 
     @property
     def dim(self) -> int:
@@ -62,7 +63,7 @@ class AlgebraDescriptor:
             raise ValueError(f"{mono} is not a basis monomial of this algebra")
         return AlgebraElement.from_monomial(self.field, self.heights, mono, coeff)
 
-    @property
+    @functools.cached_property
     def table(self) -> list[dict[int, tuple[int, int]]]:
         """Structure constants by basis index: table[i][j] = (c, k) when
         [basis[i], basis[j]] = c basis[k] with c != 0 mod p.
@@ -71,23 +72,21 @@ class AlgebraDescriptor:
         `_bracket_mono_raw` over every ordered pair, so its overflow and
         top-monomial errors fire here.
         """
-        if self._rows is None:
-            basis, index, raw = self.basis, self._index, self._bracket_mono_raw
-            rows = []
-            for a in basis:
-                row = {}
-                for jb, b in enumerate(basis):
-                    hit = raw(a, b)
-                    if hit is not None:
-                        c, mono = hit
-                        k = index.get(mono)
-                        if k is None:
-                            raise ArithmeticError(
-                                f"bracket {a},{b} lands outside the basis on {mono}")
-                        row[jb] = (c, k)
-                rows.append(row)
-            self._rows = rows
-        return self._rows
+        basis, index, raw = self.basis, self._index, self._bracket_mono_raw
+        rows = []
+        for a in basis:
+            row = {}
+            for jb, b in enumerate(basis):
+                hit = raw(a, b)
+                if hit is not None:
+                    c, mono = hit
+                    k = index.get(mono)
+                    if k is None:
+                        raise ArithmeticError(
+                            f"bracket {a},{b} lands outside the basis on {mono}")
+                    row[jb] = (c, k)
+            rows.append(row)
+        return rows
 
     def bracket_mono(self, a: Monomial, b: Monomial):
         """Bracket of two basis monomials: (int coefficient, Monomial) or None."""
@@ -137,36 +136,31 @@ class AlgebraDescriptor:
                     f"bracket {a},{b} produced the excluded top monomial")
         return c, mono
 
+    def _indexed(self, w: AlgebraElement) -> list:
+        """(basis index, coefficient) pairs of w; ValueError off the basis."""
+        if w.field != self.field or w.heights != self.heights:
+            raise ValueError("element does not live in this algebra")
+        index = self._index
+        try:
+            return [(index[m], c) for m, c in w.terms.items()]
+        except KeyError as e:
+            raise ValueError(
+                f"element supported outside the basis: {e.args[0]}") from None
+
     def bracket(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
         """Lie bracket, bilinear over the structure-constant table."""
-        index = self._index
-        terms = []
-        for w in (u, v):
-            if w.field != self.field or w.heights != self.heights:
-                raise ValueError("element does not live in this algebra")
-            try:
-                terms.append([(index[m], c) for m, c in w.terms.items()])
-            except KeyError as e:
-                raise ValueError(
-                    f"element supported outside the basis: {e.args[0]}") from None
+        left, right = self._indexed(u), self._indexed(v)
         rows, basis = self.table, self.basis
-        out = {}
-        for i1, c1 in terms[0]:
-            row = rows[i1]
-            for i2, c2 in terms[1]:
-                hit = row.get(i2)
-                if hit is None:
-                    continue
-                k, t = hit
-                mono = basis[t]
-                c = c1 * c2 * k
-                acc = out.get(mono)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = c
-        return AlgebraElement._make(self.field, self.heights, out)
+
+        def products():
+            for i1, c1 in left:
+                row = rows[i1]
+                for i2, c2 in right:
+                    hit = row.get(i2)
+                    if hit is not None:
+                        yield basis[hit[1]], c1 * c2 * hit[0]
+
+        return AlgebraElement._make(self.field, self.heights, accumulate({}, products()))
 
     def project(self, v: AlgebraElement) -> AlgebraElement:
         """Restrict an ambient element onto the basis span.
@@ -188,13 +182,16 @@ class AlgebraDescriptor:
 
 
 class Derivation:
-    """The derivation (ad y)^(p^s), ad y = bracket with y on the left.
+    """The derivation D = (ad y)^(p^s), ad y = bracket with y on the left.
 
-    For n1 = s + 1 a closed form is available: writing a monomial as
-    x^(a p^s + r) y^(j+1) with 0 <= r < p^s, the image keeps (r, j) and either
-    lowers a by one (a > 0, coefficient 1) or, in AlbertZassenhaus, wraps a to
-    p - 1 with coefficient -j (a = 0; zero in GradedHamiltonian).  Both
-    realizations are exposed so they can be checked against each other.
+    D is a second integer table beside the structure constants, table[i] =
+    {k: c} for D basis[i] = sum of c basis[k], that apply runs through the
+    same accumulate loop as the bracket.  For n1 = s + 1 it is built in
+    closed form: writing a monomial as x^(a p^s + r) y^(j+1), 0 <= r < p^s,
+    the image keeps (r, j) and either lowers a by one (a > 0, coefficient 1)
+    or, in AlbertZassenhaus, wraps a to p - 1 with coefficient -j (a = 0;
+    zero in GradedHamiltonian).  Otherwise it is the row of y composed p^s
+    times, the realization the closed form is checked against.
     """
 
     def __init__(self, descriptor: AlgebraDescriptor, s: int):
@@ -203,56 +200,56 @@ class Derivation:
         self.descriptor = descriptor
         self.s = s
         self.has_closed_form = descriptor.heights.n1 == s + 1
-        self._y = descriptor.basis_element(Monomial(0, 1))
 
-    def apply_mono(self, m: Monomial):
-        """Closed-form image of a basis monomial: (int, Monomial) or None."""
-        if not self.has_closed_form:
-            raise ValueError("closed form needs n1 = s + 1")
-        h = self.descriptor.heights
-        p = h.p
-        ps = p ** self.s
-        a, r = divmod(m.i, ps)
-        if a > 0:
-            tgt = Monomial(m.i - ps, m.j)
-            if tgt in self.descriptor.excluded:
-                return None
-            return 1, tgt
-        if self.descriptor.family is Family.GRADED_HAMILTONIAN:
-            return None
-        c = -(m.j - 1) % p
-        if c == 0:
-            return None
-        return c, Monomial((p - 1) * ps + r, m.j)
+    @functools.cached_property
+    def table(self) -> list[dict[int, int]]:
+        """Image of each basis vector by basis index, built on first use."""
+        build = _closed_form_table if self.has_closed_form else iterated_table
+        return build(self.descriptor, self.s)
 
     def apply(self, v: AlgebraElement) -> AlgebraElement:
-        if not self.has_closed_form:
-            return self.apply_iterated(v)
-        out = {}
-        for mono, coeff in v.terms.items():
-            hit = self.apply_mono(mono)
-            if hit is None:
-                continue
-            k, tgt = hit
-            c = coeff * k
-            acc = out.get(tgt)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                out.pop(tgt, None)
-            else:
-                out[tgt] = c
+        table, basis = self.table, self.descriptor.basis
+        terms = self.descriptor._indexed(v)
+        out = accumulate({}, ((basis[k], c * d) for i, c in terms for k, d in table[i].items()))
         return AlgebraElement._make(v.field, v.heights, out)
-
-    def apply_iterated(self, v: AlgebraElement) -> AlgebraElement:
-        """p^s-fold bracket with y; independent of the closed form."""
-        for _ in range(self.descriptor.heights.p ** self.s):
-            v = self.descriptor.bracket(self._y, v)
-        return v
 
     def apply_power(self, v: AlgebraElement, k: int) -> AlgebraElement:
         for _ in range(k):
             v = self.apply(v)
         return v
+
+
+def _closed_form_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
+    """The table of (ad y)^(p^s) from its closed form, for n1 = s + 1."""
+    p, ps, index = desc.heights.p, desc.heights.p ** s, desc._index
+    rows = []
+    for m in desc.basis:
+        if m.i >= ps:
+            k, c = index.get(Monomial(m.i - ps, m.j)), 1
+        else:
+            k = index.get(Monomial((p - 1) * ps + m.i, m.j))
+            c = 0 if desc.family is Family.GRADED_HAMILTONIAN else -(m.j - 1) % p
+        rows.append({k: c} if k is not None and c else {})
+    return rows
+
+
+def iterated_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
+    """The table of (ad y)^(p^s): the row of y in desc.table composed p^s times."""
+    p, row = desc.heights.p, desc.table[desc._index[Monomial(0, 1)]]
+    ad_y = [{row[j][1]: row[j][0]} if j in row else {} for j in range(desc.dim)]
+    return _table_power(ad_y, p ** s, p)
+
+
+def _table_power(table: list, k: int, p: int) -> list[dict[int, int]]:
+    """Rows of table^k: each basis vector followed k times through the table."""
+    rows = []
+    for i in range(len(table)):
+        vec = {i: 1}
+        for _ in range(k):
+            vec = accumulate({}, ((t, c * d) for j, c in vec.items()
+                                  for t, d in table[j].items()), p)
+        rows.append(vec)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +302,28 @@ def jacobi_violations(desc: AlgebraDescriptor) -> list:
             if u < v:
                 into[m].append((u, v, c))
             column[v].append(u)
-    bad = []
-    for a in range(n):
-        sums: dict = {}  # (b, c, target) -> coefficient of the cyclic sum
+
+    def cyclic_terms(a):  # ((b, c, target), coefficient) over every b, c > a
         for b, (c1, m) in rows[a].items():  # [[a, b], c]
             if b > a:
                 for c, (c2, m2) in rows[m].items():
                     if c > b:
-                        sums[b, c, m2] = sums.get((b, c, m2), 0) + c1 * c2
+                        yield (b, c, m2), c1 * c2
         for m in column[a]:  # [[b, c], a]
             c2, m2 = rows[m][a]
             for b, c, c1 in into[m]:
                 if b > a:
-                    sums[b, c, m2] = sums.get((b, c, m2), 0) + c1 * c2
+                    yield (b, c, m2), c1 * c2
         for c in column[a]:  # [[c, a], b]
             if c > a:
                 c1, m = rows[c][a]
                 for b, (c2, m2) in rows[m].items():
                     if a < b < c:
-                        sums[b, c, m2] = sums.get((b, c, m2), 0) + c1 * c2
-        failing = {(b, c) for (b, c, _m2), v in sums.items() if v % p}
+                        yield (b, c, m2), c1 * c2
+
+    bad = []
+    for a in range(n):
+        failing = {(b, c) for b, c, _m2 in accumulate({}, cyclic_terms(a), p)}
         bad.extend((basis[a], basis[b], basis[c]) for b, c in sorted(failing))
     return bad
 
@@ -353,47 +352,44 @@ def closure_violations(desc: AlgebraDescriptor) -> list:
 def leibniz_violations(deriv: Derivation) -> list:
     """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs.
 
-    The images D(basis[i]) are computed once, as integer vectors over the
-    basis index.  For each a only the partners b that give some side a term
-    are compared: an entry table[a][b], an entry table[k][b] with k in the
-    support of Da, or an entry table[a][k] with k in the support of Db.
+    Reads the images D(basis[i]) from the derivation table.  For each a only
+    the partners b that give some side a term are compared: an entry
+    table[a][b], an entry table[k][b] with k in the support of Da, or an
+    entry table[a][k] with k in the support of Db.
     """
     desc = deriv.descriptor
     p = desc.heights.p
-    rows, basis, index = desc.table, desc.basis, desc._index
-    images = []
-    for m in basis:
-        image = deriv.apply(desc.basis_element(m))
-        images.append({index[t]: c.as_int() for t, c in image.terms.items()})
+    rows, basis, images = desc.table, desc.basis, deriv.table
     preimages = [[] for _ in basis]  # preimages[k]: every b with k in the support of Db
     for b, image in enumerate(images):
         for k in image:
             preimages[k].append(b)
+
+    def defect(a, b):  # the terms of D[a,b] - [Da,b] - [a,Db]
+        row = rows[a]
+        hit = row.get(b)
+        if hit is not None:
+            c, t = hit
+            for k, d in images[t].items():
+                yield k, c * d
+        for k, d in images[a].items():
+            hit = rows[k].get(b)
+            if hit is not None:
+                yield hit[1], -d * hit[0]
+        for k, d in images[b].items():
+            hit = row.get(k)
+            if hit is not None:
+                yield hit[1], -d * hit[0]
+
     bad = []
     for a, row in enumerate(rows):
-        da = images[a]
         partners = set(row)
-        for k in da:
+        for k in images[a]:
             partners.update(rows[k])
         for k in row:
             partners.update(preimages[k])
-        for b in sorted(partners):
-            diff = {}
-            hit = row.get(b)
-            if hit is not None:
-                c, t = hit
-                for k, d in images[t].items():
-                    diff[k] = c * d
-            for k, d in da.items():
-                hit = rows[k].get(b)
-                if hit is not None:
-                    diff[hit[1]] = diff.get(hit[1], 0) - d * hit[0]
-            for k, d in images[b].items():
-                hit = row.get(k)
-                if hit is not None:
-                    diff[hit[1]] = diff.get(hit[1], 0) - d * hit[0]
-            if any(v % p for v in diff.values()):
-                bad.append((basis[a], basis[b]))
+        bad.extend((basis[a], basis[b]) for b in sorted(partners)
+                   if accumulate({}, defect(a, b), p))
     return bad
 
 
@@ -403,36 +399,31 @@ def derivation_power_violations(deriv: Derivation) -> list:
     GradedHamiltonian with n1 = s+1: D^p = 0.  AlbertZassenhaus with
     n1 = s+1: D^p is diagonal with eigenvalue -j on y-exponent j+1, and
     consequently D^(p^2) = D^p.  Other (s, n1) carry no claimed power law,
-    so the check is vacuous there.
+    so the check is vacuous there.  The powers are integer tables: D^p
+    follows the derivation table p times, D^(p^2) follows D^p p times.
     """
     desc = deriv.descriptor
     if not deriv.has_closed_form:
         return []
     p = desc.heights.p
+    dp = _table_power(deriv.table, p, p)
+    if desc.family is Family.GRADED_HAMILTONIAN:
+        return [(m, "D^p != 0") for m, row in zip(desc.basis, dp) if row]
+    dpp = _table_power(dp, p, p)
     bad = []
-    for m in desc.basis:
-        v = desc.basis_element(m)
-        dp = deriv.apply_power(v, p)
-        if desc.family is Family.GRADED_HAMILTONIAN:
-            if not dp.is_zero():
-                bad.append((m, "D^p != 0"))
-            continue
-        expected = v.scale(-(m.j - 1))
-        if dp != expected:
+    for i, m in enumerate(desc.basis):
+        c = -(m.j - 1) % p
+        if dp[i] != ({i: c} if c else {}):
             bad.append((m, "D^p eigenvalue"))
-        if deriv.apply_power(dp, p * p - p) != dp:
+        if dpp[i] != dp[i]:
             bad.append((m, "D^(p^2) != D^p"))
     return bad
 
 
 def realization_violations(deriv: Derivation) -> list:
-    """Closed-form vs iterated-ad realization on every basis monomial."""
+    """Closed-form vs iterated-ad derivation table on every basis monomial."""
     if not deriv.has_closed_form:
         return []
     desc = deriv.descriptor
-    bad = []
-    for m in desc.basis:
-        v = desc.basis_element(m)
-        if deriv.apply(v) != deriv.apply_iterated(v):
-            bad.append(m)
-    return bad
+    iterated = iterated_table(desc, deriv.s)
+    return [m for m, closed, it in zip(desc.basis, deriv.table, iterated) if closed != it]

@@ -3,12 +3,15 @@ monomial grading check of `thinlie.grading`.
 
 These visit every triple and every pair, with no sparsity argument, and
 read the structure constants only through the public `bracket_mono`,
-`bracket` and `Derivation.apply`.  The sparse sweeps must return the same
-violation lists, in the same order.
+`bracket` and `Derivation.apply`.  The derivation references work on
+elements: they apply D one step at a time, and realize (ad y)^(p^s) by
+bracketing with y p^s times.  The sparse and integer sweeps must return the
+same violation lists, in the same order.
 """
 
+from thinlie.dpalgebra import Monomial
 from thinlie.grading import GradingSpec
-from thinlie.liealg import AlgebraDescriptor, Derivation
+from thinlie.liealg import AlgebraDescriptor, Derivation, Family
 
 
 def dense_anticommutativity_violations(desc: AlgebraDescriptor) -> list:
@@ -81,6 +84,46 @@ def element_leibniz_violations(deriv: Derivation) -> list:
             rhs = desc.bracket(images[a], elems[b]) + desc.bracket(elems[a], images[b])
             if lhs != rhs:
                 bad.append((a, b))
+    return bad
+
+
+def element_derivation_power_violations(deriv: Derivation) -> list:
+    """D^p = 0 (GH) or D^p = -j on y-exponent j+1 and D^(p^2) = D^p (AZ),
+    applying D to elements p and p^2 times; vacuous without the closed form."""
+    desc = deriv.descriptor
+    if not deriv.has_closed_form:
+        return []
+    p = desc.heights.p
+    bad = []
+    for m in desc.basis:
+        v = desc.basis_element(m)
+        dp = deriv.apply_power(v, p)
+        if desc.family is Family.GRADED_HAMILTONIAN:
+            if not dp.is_zero():
+                bad.append((m, "D^p != 0"))
+            continue
+        if dp != v.scale(-(m.j - 1)):
+            bad.append((m, "D^p eigenvalue"))
+        if deriv.apply_power(dp, p * p - p) != dp:
+            bad.append((m, "D^(p^2) != D^p"))
+    return bad
+
+
+def element_realization_violations(deriv: Derivation) -> list:
+    """D against p^s brackets with y on the left, on every basis element;
+    vacuous without the closed form."""
+    desc = deriv.descriptor
+    if not deriv.has_closed_form:
+        return []
+    y = desc.basis_element(Monomial(0, 1))
+    bad = []
+    for m in desc.basis:
+        v = desc.basis_element(m)
+        w = v
+        for _ in range(desc.heights.p ** deriv.s):
+            w = desc.bracket(y, w)
+        if deriv.apply(v) != w:
+            bad.append(m)
     return bad
 
 

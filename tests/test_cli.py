@@ -138,8 +138,6 @@ def test_usage_errors(capsys):
         ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
          "--pi", "0"),
         ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
-         "--s", "1", "--n1", "3"),
-        ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
          "--field", "5^1:0,1"),
         ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
          "--pi", "t"),
@@ -154,6 +152,20 @@ def test_usage_errors(capsys):
         code, _, err = run(capsys, *args)
         assert code == 2, args
         assert err.startswith("error:"), args
+    # n1 is s + 1 in the graded commands and only analyze bounds the degree,
+    # so argparse refuses these options elsewhere
+    for args, flag in [
+        (("analyze", "--case", "big-field", "--p", "3", "--n", "1",
+          "--s", "1", "--n1", "3"), "--n1"),
+        (("switch", "--case", "big-field", "--p", "3", "--n", "1",
+          "--n1", "3"), "--n1"),
+        (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
+          "--max-degree", "50"), "--max-degree"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == 2, args
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, args
 
 
 def test_runtime_failure_is_exit_one(capsys):

@@ -8,9 +8,11 @@ from oracles import (
     dense_anticommutativity_violations,
     dense_jacobi_violations,
     dense_monomial_grading_violations,
+    element_derivation_power_violations,
     element_leibniz_violations,
+    element_realization_violations,
 )
-from thinlie.dpalgebra import AlgebraElement, Heights, Monomial
+from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, mono_mul
 from thinlie.ffield import FieldParams
 from thinlie.grading import GradingCase, GradingSpec, monomial_grading_violations
 from thinlie.liealg import (
@@ -20,6 +22,7 @@ from thinlie.liealg import (
     anticommutativity_violations,
     closure_violations,
     derivation_power_violations,
+    iterated_table,
     jacobi_violations,
     leibniz_violations,
     poisson_coeff,
@@ -175,6 +178,48 @@ def test_sparse_sweeps_match_oracles_on_planted_constants(config, data):
     for s in (0, 1):
         deriv = Derivation(desc, s)
         assert leibniz_violations(deriv) == element_leibniz_violations(deriv)
+        assert realization_violations(deriv) == element_realization_violations(deriv)
+        assert derivation_power_violations(deriv) == element_derivation_power_violations(deriv)
+
+
+def admissible_descriptor(data):
+    """A fresh descriptor for random (family, p, n1, n2) over F_p, at most 125
+    monomials, with one random constant planted in the row of y half the
+    time."""
+    p = data.draw(st.sampled_from([3, 5]))
+    n1, n2 = data.draw(st.sampled_from(
+        [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1), (2, 1), (1, 2)]))
+    family = data.draw(st.sampled_from(list(Family)))
+    desc = AlgebraDescriptor(family, FieldParams.prime(p), Heights(p, n1, n2))
+    if data.draw(st.booleans()):
+        n = desc.dim
+        iy = desc.basis.index(Monomial(0, 1))
+        desc.table[iy][data.draw(st.integers(0, n - 1))] = (
+            data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1)))
+    return desc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_derivation_sweeps_match_element_oracles(data):
+    """The integer D-power and realization sweeps against the element
+    references, with and without the closed form (s = n1 - 1 or not), on
+    true tables and with a constant planted in the closed-form table."""
+    desc = admissible_descriptor(data)
+    deriv = Derivation(desc, data.draw(st.integers(0, desc.heights.n1)))
+    if deriv.has_closed_form and data.draw(st.booleans()):
+        n, p = desc.dim, desc.heights.p
+        deriv.table[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = (
+            data.draw(st.integers(1, p - 1)))
+    assert realization_violations(deriv) == element_realization_violations(deriv)
+    assert derivation_power_violations(deriv) == element_derivation_power_violations(deriv)
+    if not deriv.has_closed_form:
+        y = desc.basis_element(Monomial(0, 1))
+        for i, m in enumerate(desc.basis):
+            w = desc.basis_element(m)
+            for _ in range(desc.heights.p ** deriv.s):
+                w = desc.bracket(y, w)
+            assert deriv.apply(desc.basis_element(m)) == w
 
 
 def test_planted_row_out_of_key_order():
@@ -221,15 +266,34 @@ def test_laws_on_random_elements(desc, data):
 def test_derivation_closed_form_frozen():
     d = Derivation(AZ21, 1)
     assert d.has_closed_form
+    index = AZ21.basis.index
+    assert d.table[index(Monomial(3, 0))] == {index(Monomial(0, 0)): 1}
     assert d.apply(AZ21.basis_element(Monomial(3, 0))) == AZ21.basis_element(
         Monomial(0, 0)
     )
     # wrap-around with coefficient -(j-1) on x^(0)y^(j)
+    assert d.table[index(Monomial(0, 2))] == {index(Monomial(6, 2)): 2}
     assert d.apply(AZ21.basis_element(Monomial(0, 2))) == AZ21.basis_element(
         Monomial(6, 2), 2
     )
+    # ... which vanishes on y^(1) and on y^(4) alike, as -(j-1) = 0 mod p
+    az12 = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 1, 2))
+    dz = Derivation(az12, 0)
+    assert dz.table[az12.basis.index(Monomial(0, 1))] == {}
+    assert dz.table[az12.basis.index(Monomial(0, 4))] == {}
     dg = Derivation(GH21, 1)
+    assert dg.table[GH21.basis.index(Monomial(0, 2))] == {}
     assert dg.apply(GH21.basis_element(Monomial(0, 2))).is_zero()
+    # the image x^(0)y^(0) of x^(3)y^(0) is excluded from GH and dropped
+    assert dg.table[GH21.basis.index(Monomial(3, 0))] == {}
+
+
+def test_derivation_rejects_foreign_support():
+    stray = AlgebraElement.from_monomial(F3, GH21.heights, Monomial(0, 0))
+    with pytest.raises(ValueError):
+        Derivation(GH21, 1).apply(stray)
+    with pytest.raises(ValueError):
+        Derivation(GH21, 0).apply(stray)
 
 
 def test_derivation_without_closed_form():
@@ -264,9 +328,93 @@ def test_az_power_law_is_eigenvalue():
 
 def test_iterated_matches_bracket_composition():
     d = Derivation(AZ11, 1)
+    assert not d.has_closed_form
     y = AZ11.basis_element(Monomial(0, 1))
-    v = AZ11.basis_element(Monomial(2, 1))
-    manual = v
-    for _ in range(3):
-        manual = AZ11.bracket(y, manual)
-    assert d.apply_iterated(v) == manual
+    index = AZ11.basis.index
+    iterated = iterated_table(AZ11, 1)
+    for i, m in enumerate(AZ11.basis):
+        manual = AZ11.basis_element(m)
+        for _ in range(3):
+            manual = AZ11.bracket(y, manual)
+        expected = {index(t): c.as_int() for t, c in manual.terms.items()}
+        assert d.table[i] == iterated[i] == expected
+    # with xbound = 3, (ad y)^3 is the diagonal D^p of the s = 0 closed form
+    assert d.table[index(Monomial(2, 2))] == {index(Monomial(2, 2)): 2}
+    assert d.table[index(Monomial(2, 1))] == {}
+    assert d.apply(AZ11.basis_element(Monomial(2, 2))) == AZ11.basis_element(
+        Monomial(2, 2), 2)
+
+
+def dense_sum(desc, pairs):
+    """Coordinates over every monomial of the heights of a sum of
+    (monomial, coefficient) pairs."""
+    vec = {m: desc.field.zero() for m in desc.heights.monomials()}
+    for m, c in pairs:
+        vec[m] = vec[m] + c
+    return vec
+
+
+def leading(vec):
+    return min((m for m, x in vec.items() if not x.is_zero()), default=None)
+
+
+def dense_reduce(desc, rows, vec):
+    """Clear the leading pivots of a coordinate vector, one at a time."""
+    while (lead := leading(vec)) in rows:
+        vec = dense_sum(desc, [*vec.items(), *((m, -vec[lead] * x) for m, x in rows[lead].items())])
+    return vec
+
+
+def assert_is_dense_sum(desc, w, pairs):
+    assert not any(c.is_zero() for c in w.terms.values())
+    assert {m: w.coeff(m) for m in desc.heights.monomials()} == dense_sum(desc, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([
+    AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F5, Heights(5, 1, 1)),
+    AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F5, Heights(5, 1, 1)),
+    AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, Heights(3, 2, 1)),
+    AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F27, Heights(3, 1, 2)),
+]), st.data())
+def test_kernel_results_are_dense_sums(desc, data):
+    """+, -, scale, *, bracket, Derivation.apply and SparseEchelon.insert and
+    reduce store no zero coefficient and agree with coordinate-vector sums."""
+    field = desc.field
+    u, v = random_element(desc, data), random_element(desc, data)
+    if data.draw(st.booleans()):  # make some sums cancel
+        v = v + (-u).scale(data.draw(st.sampled_from(list(field.elements()))))
+    c = data.draw(st.sampled_from(list(field.elements())))
+    U, V = u.terms.items(), v.terms.items()
+    assert_is_dense_sum(desc, u + v, [*U, *V])
+    assert_is_dense_sum(desc, u - v, [*U, *((m, -x) for m, x in V)])
+    assert_is_dense_sum(desc, u.scale(c), [(m, x * c) for m, x in U])
+    h = desc.heights
+    assert_is_dense_sum(desc, u * v, [
+        (hit[1], x * y * hit[0]) for a, x in U for b, y in V
+        if (hit := mono_mul(h, a, b)) is not None])
+    assert_is_dense_sum(desc, desc.bracket(u, v), [
+        (hit[1], x * y * hit[0]) for a, x in U for b, y in V
+        if (hit := desc.bracket_mono(a, b)) is not None])
+    deriv = Derivation(desc, desc.heights.n1 - 1)
+    assert_is_dense_sum(desc, deriv.apply(u), [
+        (desc.basis[k], x * d) for a, x in U
+        for k, d in deriv.table[desc.basis.index(a)].items()])
+    ech = SparseEchelon(field, h)
+    mirror = {}  # the same inserts on coordinate vectors, by pivot
+    for w in [u, v] + [random_element(desc, data) for _ in range(data.draw(st.integers(0, 3)))]:
+        vec = dense_reduce(desc, mirror, dense_sum(desc, w.terms.items()))
+        lead = leading(vec)
+        assert ech.insert(w) == (lead is not None)
+        if lead is not None:
+            vec = {m: x / vec[lead] for m, x in vec.items()}
+            for key, row in list(mirror.items()):
+                mirror[key] = dense_sum(desc, [*row.items(),
+                                               *((m, -row[lead] * x) for m, x in vec.items())])
+            mirror[lead] = vec
+        assert ech.rows.keys() == mirror.keys()
+        for key, row in ech.rows.items():
+            assert_is_dense_sum(desc, row, mirror[key].items())
+    w = random_element(desc, data)
+    assert_is_dense_sum(desc, ech.reduce(w),
+                        dense_reduce(desc, mirror, dense_sum(desc, w.terms.items())).items())

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "thinlie").glob("*.py"))
@@ -14,4 +15,22 @@ def test_no_assert_statements():
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_stdlib_only():
+    """The package imports nothing outside the standard library: every
+    import is relative or names a standard module."""
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
