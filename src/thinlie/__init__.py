@@ -6,8 +6,8 @@ from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
 from .ffield import FieldElement, FieldParams, lucas_binomial
 from .grading import (GradedBasis, GradingCase, GradingSpec, Label, SwitchConfig,
                       build_closed_basis, check_graded, laguerre_apply,
-                      monomial_grading_violations, switch_grading,
-                      verify_product_tables)
+                      monomial_grading_violations, switch_checks,
+                      switch_grading, verify_product_tables)
 from .liealg import AlgebraDescriptor, Derivation, Family
 from .loopalg import (CheckResult, ComponentRecord, DiamondRecord, LoopConfig,
                       PatternParams, ThinReport, centralizer_chain,
@@ -48,6 +48,7 @@ __all__ = [
     "monomial_grading_violations",
     "render_text",
     "run_analysis",
+    "switch_checks",
     "switch_grading",
     "verify_pattern",
     "verify_product_tables",

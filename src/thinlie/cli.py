@@ -17,8 +17,8 @@ import sys
 from .dpalgebra import Heights
 from .ffield import FieldParams
 from .grading import (GradedBasis, GradingCase, GradingSpec, SwitchConfig,
-                      build_closed_basis, check_graded, monomial_grading_violations,
-                      switch_grading, verify_product_tables)
+                      build_closed_basis, monomial_grading_violations, switch_checks,
+                      switch_grading)
 from .liealg import (AlgebraDescriptor, Derivation, Family,
                      anticommutativity_violations, closure_violations,
                      derivation_power_violations, jacobi_violations,
@@ -272,8 +272,6 @@ def cmd_switch(rc: RunConfig):
     raw = switch_grading(desc, pre, deriv, cfg)
     closed = build_closed_basis(desc, out_spec, cfg)
 
-    link_bad = [lab.text() for lab in closed.labels
-                if closed.vectors[lab] != raw.vectors[lab].scale(closed.scalars[lab])]
     serialized = closed.serialize()
     parsed = GradedBasis.parse(desc, out_spec, serialized)
     round_trip = (parsed.labels == closed.labels
@@ -281,21 +279,15 @@ def cmd_switch(rc: RunConfig):
                   and parsed.vectors == closed.vectors
                   and parsed.scalars == closed.scalars)
 
+    graded_raw, graded_closed, link_bad, tables = switch_checks(desc, raw, closed, cfg)
     checks = {}
-    graded_raw = check_graded(desc, raw)
-    checks["graded_raw"] = CheckResult(
-        "graded_raw", not graded_raw,
-        _violation_payload([(a.text(), b.text(), w.text()) for a, b, w in graded_raw]))
-    graded_closed = check_graded(desc, closed)
-    checks["graded_closed"] = CheckResult(
-        "graded_closed", not graded_closed,
-        _violation_payload([(a.text(), b.text(), w.text()) for a, b, w in graded_closed]))
-    checks["scalar_link"] = CheckResult(
-        "scalar_link", not link_bad, _violation_payload(link_bad))
-    tables = verify_product_tables(desc, closed, cfg)
-    checks["product_tables"] = CheckResult(
-        "product_tables", not tables,
-        _violation_payload([(a.text(), b.text()) for a, b in tables]))
+    for name, violations in (
+        ("graded_raw", [(a.text(), b.text(), w.text()) for a, b, w in graded_raw]),
+        ("graded_closed", [(a.text(), b.text(), w.text()) for a, b, w in graded_closed]),
+        ("scalar_link", [lab.text() for lab in link_bad]),
+        ("product_tables", [(a.text(), b.text()) for a, b in tables]),
+    ):
+        checks[name] = CheckResult(name, not violations, _violation_payload(violations))
     checks["serialization_roundtrip"] = CheckResult(
         "serialization_roundtrip", round_trip, None)
 

@@ -27,7 +27,7 @@ from .ffield import (
     falling_binomial,
     lucas_binomial,
 )
-from .liealg import AlgebraDescriptor, Derivation, Family
+from .liealg import AlgebraDescriptor, Derivation, table_power
 
 
 class GradingCase(enum.Enum):
@@ -335,7 +335,6 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
     field = descriptor.field
     p = field.p
     monos = descriptor.basis
-    elems = {m: descriptor.basis_element(m) for m in monos}
     deg = {m: spec.degree_of_monomial(m) for m in monos}
 
     d = None
@@ -344,49 +343,38 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
             continue
         degs = {deg[monos[k]] for k in image}
         if len(degs) != 1:
-            raise ValueError(
-                f"hypothesis failure: derivation image of {m} is not homogeneous"
-            )
+            raise ValueError(f"hypothesis failure: derivation image of {m} is not homogeneous")
         dd = (degs.pop() - deg[m]) % spec.N
         if d is None:
             d = dd
         elif dd != d:
-            raise ValueError("hypothesis failure: derivation is not graded of one degree")
+            raise ValueError(f"hypothesis failure: derivation is not graded of one "
+                             f"degree: it moves {m} by {dd}, earlier monomials by {d}")
     if d is None:
         # zero derivation: identity switching
         return build_closed_basis(descriptor, spec, None)
     if (p * d) % spec.N != 0:
         raise ValueError(f"hypothesis failure: N = {spec.N} does not divide p*d = {p * d}")
 
-    dpow = {m: deriv.apply_power(elems[m], p) for m in monos}
-    if all(v.is_zero() for v in dpow.values()):
+    dp = table_power(deriv.table, p, p)
+    if not any(dp):
         alphas = {m: field.zero() for m in monos}
     else:
         if not cfg.eigen_compatible():
             raise ValueError("hypothesis failure: (pi^p - pi) sigma^p != 1")
-        lam = cfg.lam
-        factor = lam ** ((p - 1) * p)
-        lam_p = lam ** p
+        factor = cfg.lam ** ((p - 1) * p)
+        lam_p = cfg.lam ** p
         alphas = {}
-        for m in monos:
-            v = dpow[m]
-            if deriv.apply_power(v, p * p - p) != v.scale(factor):
-                raise ValueError(
-                    "hypothesis failure: D^(p^2) != lam^((p-1)p) D^p"
-                )
-            if v.is_zero():
-                a_lab = 0
-            else:
-                if v.support() != [m]:
-                    raise ValueError(
-                        "hypothesis failure: D^p is not diagonal on the monomial basis"
-                    )
-                try:
-                    a_lab = (v.coeff(m) / lam_p).as_int()
-                except ValueError:
-                    raise ValueError(
-                        "hypothesis failure: D^p eigenvalue is not a*lam^p with a in F_p"
-                    ) from None
+        for i, (m, row, row2) in enumerate(zip(monos, dp, table_power(dp, p, p))):
+            if {k: factor * c for k, c in row.items()} != {
+                    k: field.element(c) for k, c in row2.items()}:
+                raise ValueError(f"hypothesis failure: D^(p^2) != lam^((p-1)p) D^p on {m}")
+            if row.keys() - {i}:
+                raise ValueError(f"hypothesis failure: D^p is not diagonal on the monomial "
+                                 f"basis: D^p {m} has support {sorted(monos[k] for k in row)}")
+            # a nonzero eigenvalue c of D^p lies in F_p, so D^(p^2) = c D^p
+            # above forces lam^((p-1)p) = 1, lam in F_p and c / lam^p in F_p
+            a_lab = (field.element(row[i]) / lam_p).as_int() if row else 0
             alphas[m] = field.element(a_lab) * cfg.pi
 
     out_case = (
@@ -397,16 +385,13 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
     out_spec = GradingSpec(out_case, spec.heights, spec.s, spec.pi_residue)
     labels = list(out_spec.labels())
     vectors, scalars = {}, {}
-    switched = {
-        m: laguerre_apply(alphas[m], deriv, elems[m], scale=cfg.lam) for m in monos
-    }
     for lab in labels:
         mono = out_spec.monomial_of_label(lab)
         if mono in descriptor.excluded:
-            vectors[lab] = descriptor.zero()
-            scalars[lab] = field.zero()
+            vectors[lab], scalars[lab] = descriptor.zero(), field.zero()
         else:
-            vectors[lab] = switched[mono]
+            vectors[lab] = laguerre_apply(alphas[mono], deriv, descriptor.basis_element(mono),
+                                          scale=cfg.lam)
             scalars[lab] = field.one()
     degrees = {lab: out_spec.degree_of_label(lab) for lab in labels}
     basis = GradedBasis(out_spec, field, labels, vectors, degrees, scalars)
@@ -414,88 +399,113 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
     return basis
 
 
-def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis) -> list:
-    """All bracket pairs land in the degree class of the degree sum.
+def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
+                 cfg: SwitchConfig | None = None) -> tuple[list, list]:
+    """Bracket each ordered pair of active labels once, for two checks.
 
-    Returns one (label, label, stray) triple per offending ordered pair,
-    where stray is the bracket component outside the span of the target
-    degree class.  Empty list means the basis realizes a grading.
+    Grading: a nonzero bracket is reduced against the echelon of the degree
+    class of the degree sum, and a nonzero remainder (the stray) is recorded
+    as (label, label, stray); none means the basis realizes a grading.
+    Product tables, only when cfg is given: a bracket that differs from the
+    prediction of `_product_rule` is recorded as (label, label).  Brackets
+    are not kept.  Returns (strays, misses).
     """
+    spec = basis.spec
+    rule = _product_rule(basis, cfg) if cfg is not None else None
     by_deg: dict[int, SparseEchelon] = {}
-    for lab in basis.active_labels:
-        ech = by_deg.setdefault(basis.degrees[lab], SparseEchelon(basis.field, basis.spec.heights))
-        ech.insert(basis.vectors[lab])
-    N = basis.spec.N
     active = basis.active_labels
-    violations = []
+    for lab in active:
+        ech = by_deg.setdefault(basis.degrees[lab], SparseEchelon(basis.field, spec.heights))
+        ech.insert(basis.vectors[lab])
+    strays, misses = [], []
     for la in active:
-        va = basis.vectors[la]
+        va, da = basis.vectors[la], basis.degrees[la]
         for lb in active:
             w = descriptor.bracket(va, basis.vectors[lb])
+            if rule is not None:
+                predicted = rule(la, lb)
+                if predicted is None or w != predicted:
+                    misses.append((la, lb))
             if w.is_zero():
                 continue
-            tgt = (basis.degrees[la] + basis.degrees[lb]) % N
-            ech = by_deg.get(tgt)
+            ech = by_deg.get((da + basis.degrees[lb]) % spec.N)
             stray = ech.reduce(w) if ech is not None else w
             if not stray.is_zero():
-                violations.append((la, lb, stray))
-    return violations
+                strays.append((la, lb, stray))
+    return strays, misses
 
 
 def verify_product_tables(descriptor: AlgebraDescriptor, basis: GradedBasis,
                           cfg: SwitchConfig) -> list:
-    """Re-derive every bracket of switched basis vectors from the closed rules.
+    """The (label, label) misses of the closed product rules, by `check_graded`."""
+    return check_graded(descriptor, basis, cfg)[1]
+
+
+def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
+    """The bracket of two switched basis vectors, predicted by the closed rules.
 
     For labels (j,k,a), (l,h,b) the bracket is predicted as a single scaled
     basis vector: coefficient C(k+h+1,h)C(j+l+1,j) - C(k+h+1,k)C(j+l+1,l) at
     label (j+l, k+h, a+b) when k and h are not both -1, and
     sigma*(C(j+l+1,j) beta - C(j+l+1,l) alpha) at (j+l, p^s-2, a+b-1) when
     k = h = -1, with alpha, beta the generalized-power exponents of the two
-    labels.  Out-of-range targets must come with coefficient zero; the label
-    index a is reduced mod p.  Pairs range over active labels only: the zero
-    placeholders are not basis vectors, and as bracket targets they are
-    covered by the coefficient vanishing (top) or by the constant projection
-    (bottom).  Returns offending (label, label) pairs.
+    labels.  Out-of-range targets must come with coefficient zero (else the
+    rule gives None); the label index a is reduced mod p.  Pairs range over
+    active labels only: the zero placeholders are not basis vectors, and as
+    bracket targets they are covered by the coefficient vanishing (top) or
+    by the constant projection (bottom).
     """
-    spec = basis.spec
+    spec, field = basis.spec, basis.field
     if spec.case not in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD):
         raise ValueError("product tables exist for the switched cases only")
-    field = basis.field
-    p = field.p
-    q, ps = spec.q, spec.step
+    p, q, ps = field.p, spec.q, spec.step
 
     def expo(j: int, a: int) -> FieldElement:
         if spec.case is GradingCase.BIG_FIELD:
             return -field.element(j) * cfg.pi + a
         return field.element(a)
 
-    def predicted(jj: int, kk: int, aa: int, coeff: FieldElement):
-        if coeff.is_zero():
+    def rule(la: Label, lb: Label):
+        (j, k, a), (l, h, b) = la, lb
+        jj = j + l
+        if k == -1 and h == -1:
+            c = cfg.sigma * (field.element(lucas_binomial(jj + 1, j, p)) * expo(l, b)
+                             - field.element(lucas_binomial(jj + 1, l, p)) * expo(j, a))
+            kk, aa = ps - 2, a + b - 1
+        else:
+            c = field.element(
+                lucas_binomial(k + h + 1, h, p) * lucas_binomial(jj + 1, j, p)
+                - lucas_binomial(k + h + 1, k, p) * lucas_binomial(jj + 1, l, p))
+            kk, aa = k + h, a + b
+        if c.is_zero():
             return AlgebraElement.zero(field, spec.heights)
         if not (-1 <= jj <= q - 2 and -1 <= kk <= ps - 2):
             return None  # nonzero coefficient at an impossible label
-        return basis.vectors[Label(jj, kk, aa % p)].scale(coeff)
+        return basis.vectors[Label(jj, kk, aa % p)].scale(c)
 
-    violations = []
-    active = basis.active_labels
-    for la in active:
-        j, k, a = la
-        va = basis.vectors[la]
-        for lb in active:
-            l, h, b = lb
-            lhs = descriptor.bracket(va, basis.vectors[lb])
-            if k == -1 and h == -1:
-                c = cfg.sigma * (
-                    field.element(lucas_binomial(j + l + 1, j, p)) * expo(l, b)
-                    - field.element(lucas_binomial(j + l + 1, l, p)) * expo(j, a)
-                )
-                rhs = predicted(j + l, ps - 2, a + b - 1, c)
-            else:
-                c = field.element(
-                    lucas_binomial(k + h + 1, h, p) * lucas_binomial(j + l + 1, j, p)
-                    - lucas_binomial(k + h + 1, k, p) * lucas_binomial(j + l + 1, l, p)
-                )
-                rhs = predicted(j + l, k + h, a + b, c)
-            if rhs is None or lhs != rhs:
-                violations.append((la, lb))
-    return violations
+    return rule
+
+
+def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,
+                  closed: GradedBasis, cfg: SwitchConfig) -> tuple[list, list, list, list]:
+    """graded_raw, graded_closed, scalar_link and product_tables violations
+    from one `check_graded` sweep of the closed basis.
+
+    scalar_link lists the labels whose closed vector is not the raw one
+    times the closed scalar.  If there are none and both bases share spec,
+    labels, degrees and active labels, each active closed vector is s times
+    the raw one, s != 0.  `SparseEchelon.insert` scales rows to a unit lead
+    and `reduce` commutes with scalars, so the raw echelons hold the same
+    rows and each raw stray is the closed one over s_a s_b, in the same
+    order.  Otherwise the raw basis is swept on its own.
+    """
+    link = [lab for lab in closed.labels
+            if closed.vectors[lab] != raw.vectors[lab].scale(closed.scalars[lab])]
+    strays, misses = check_graded(descriptor, closed, cfg)
+    if not link and (raw.spec, raw.labels, raw.degrees, raw.active_labels) == (
+            closed.spec, closed.labels, closed.degrees, closed.active_labels):
+        s = closed.scalars
+        raw_strays = [(la, lb, w.scale((s[la] * s[lb]).inverse())) for la, lb, w in strays]
+    else:
+        raw_strays = check_graded(descriptor, raw)[0]
+    return raw_strays, strays, link, misses

@@ -213,11 +213,6 @@ class Derivation:
         out = accumulate({}, ((basis[k], c * d) for i, c in terms for k, d in table[i].items()))
         return AlgebraElement._make(v.field, v.heights, out)
 
-    def apply_power(self, v: AlgebraElement, k: int) -> AlgebraElement:
-        for _ in range(k):
-            v = self.apply(v)
-        return v
-
 
 def _closed_form_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
     """The table of (ad y)^(p^s) from its closed form, for n1 = s + 1."""
@@ -237,10 +232,10 @@ def iterated_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
     """The table of (ad y)^(p^s): the row of y in desc.table composed p^s times."""
     p, row = desc.heights.p, desc.table[desc._index[Monomial(0, 1)]]
     ad_y = [{row[j][1]: row[j][0]} if j in row else {} for j in range(desc.dim)]
-    return _table_power(ad_y, p ** s, p)
+    return table_power(ad_y, p ** s, p)
 
 
-def _table_power(table: list, k: int, p: int) -> list[dict[int, int]]:
+def table_power(table: list, k: int, p: int) -> list[dict[int, int]]:
     """Rows of table^k: each basis vector followed k times through the table."""
     rows = []
     for i in range(len(table)):
@@ -406,10 +401,10 @@ def derivation_power_violations(deriv: Derivation) -> list:
     if not deriv.has_closed_form:
         return []
     p = desc.heights.p
-    dp = _table_power(deriv.table, p, p)
+    dp = table_power(deriv.table, p, p)
     if desc.family is Family.GRADED_HAMILTONIAN:
         return [(m, "D^p != 0") for m, row in zip(desc.basis, dp) if row]
-    dpp = _table_power(dp, p, p)
+    dpp = table_power(dp, p, p)
     bad = []
     for i, m in enumerate(desc.basis):
         c = -(m.j - 1) % p

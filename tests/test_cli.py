@@ -1,11 +1,13 @@
 """End-to-end command line behavior: flags, defaults, outputs, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from thinlie.cli import build_parser, main, materialize, standard_modulus
 from thinlie.ffield import FieldParams
+from thinlie.liealg import AlgebraDescriptor
 from thinlie.loopalg import ThinReport
 
 
@@ -76,6 +78,49 @@ def test_switch_json_carries_basis(capsys):
     assert doc["params"]["N"] == 18
     assert doc["basis"].count("\n") == 27
     assert doc["overall"] is True
+
+
+# exit code and sha256 of stdout, frozen from the implementation that swept
+# the brackets once per check
+SWITCH_FROZEN = {
+    "big p3 n1": (("--case", "big-field", "--p", "3", "--n", "1", "--s", "1"), 0,
+                  "74876f0421c42fc0099e0aa5c236be0e1d5ec0fe3a190b14d76fead57b9c0ada",
+                  "b75904f7c0fa16477b8abc42051c2825a0f349f65edb72e4a15aee61253adb30"),
+    "big p3 n2": (("--case", "big-field", "--p", "3", "--n", "2", "--s", "1"), 0,
+                  "6c46fedf94fcc13cf9b50aca7e025d7cff494935ecdfacf3e65ee44570f6db32",
+                  "29a7bef8e8dcca9c3984375e7a60396819bb7be3aae14f35e9227e19b3fa4bf5"),
+    "prime p3 pi2": (("--case", "prime-field", "--p", "3", "--n", "1", "--pi", "2"), 0,
+                     "9a9c1724c7a5f74738b4bbd0dc83fffd3d316d21874212b1659c4d1f0997387d",
+                     "59cf3f9fdda56949fb7db6fbb3e89b4d78fa92294dbfd99e2935ef4b59d5bb4e"),
+    "prime p5 pi2": (("--case", "prime-field", "--p", "5", "--n", "1", "--s", "1",
+                      "--pi", "2"), 0,
+                     "87c9ed70d901aafa68baa2ab0c27c59ec6a4291c4bfcf04939751b43efb934ee",
+                     "275232ada7cf982a79237e02bef3e6ca99fa5905d935efc17d5595996d6936ce"),
+    "prime p3 n2 pi0": (("--case", "prime-field", "--p", "3", "--n", "2", "--s", "1",
+                         "--pi", "0", "--allow-negative-control"), 0,
+                        "471f98aa4b7b327e5c2c3f1bf87b1fcd34aee71893aad5a40c56cb5e0b0f2e25",
+                        "050858493553b7d6268eeb2cf8afc086843551b49b15c3bc12ba1cdb47359dbf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWITCH_FROZEN))
+def test_switch_stdout_frozen(capsys, name):
+    args, code, text_sha, json_sha = SWITCH_FROZEN[name]
+    for fmt, digest in (("text", text_sha), ("json", json_sha)):
+        got, out, err = run(capsys, "switch", *args, "--format", fmt)
+        assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, ""), fmt
+
+
+def test_switch_brackets_each_pair_once(capsys, monkeypatch):
+    calls, bracket = [], AlgebraDescriptor.bracket
+
+    def counted(self, u, v):
+        calls.append(1)
+        return bracket(self, u, v)
+    monkeypatch.setattr(AlgebraDescriptor, "bracket", counted)
+    code, _, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1")
+    assert code == 0
+    assert len(calls) == 27 ** 2
 
 
 def test_analyze_text_frozen(capsys):

@@ -1,7 +1,10 @@
 """Cyclic gradings, grading switching, closed bases and product tables."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thinlie.cli import standard_modulus
 from thinlie.dpalgebra import Heights, Monomial
 from thinlie.ffield import FieldParams
 from thinlie.grading import (
@@ -14,6 +17,7 @@ from thinlie.grading import (
     check_graded,
     laguerre_apply,
     monomial_grading_violations,
+    switch_checks,
     switch_grading,
     verify_product_tables,
 )
@@ -131,6 +135,43 @@ def test_switch_hypothesis_failures():
         switch_grading(AZ, BIG, deriv, big_config())
 
 
+def planted_switch(rows):
+    """switch_grading on AZ over F_27 with rows of the derivation table replaced."""
+    deriv = Derivation(AZ, 1)
+    index = AZ.basis.index
+    for m, image in rows.items():
+        deriv.table[index(m)] = {index(k): c for k, c in image.items()}
+    switch_grading(AZ, PRE_AZ, deriv, big_config())
+
+
+def test_switch_hypothesis_failures_name_the_monomial():
+    m00, m60, m52, m22, m82 = (Monomial(0, 0), Monomial(6, 0), Monomial(5, 2),
+                               Monomial(2, 2), Monomial(8, 2))
+    # D moves every monomial by degree 6; the identity row moves x^(4)y^(1) by 0
+    with pytest.raises(ValueError, match=r"not graded of one degree: it moves "
+                       r"Monomial\(i=4, j=1\) by 0, earlier monomials by 6"):
+        planted_switch({Monomial(4, 1): {Monomial(4, 1): 1}})
+    # x^(6) and x^(5)y^(2) share a degree; with the wrap of the x^(5)y^(2)
+    # cycle set to 1, D^p is 1 + N on (1, x^(8)y^(2)) and D^(p^2) = 1
+    with pytest.raises(ValueError, match=r"D\^\(p\^2\) != lam\^\(\(p-1\)p\) D\^p "
+                       r"on Monomial\(i=0, j=0\)"):
+        planted_switch({m00: {m60: 1, m52: 1}, m22: {m82: 1}})
+    # with the wrap at -1, D^p is diagonalizable but not diagonal
+    with pytest.raises(ValueError, match=r"D\^p is not diagonal on the monomial basis: "
+                       r"D\^p Monomial\(i=0, j=0\) has support "
+                       r"\[Monomial\(i=0, j=0\), Monomial\(i=8, j=2\)\]"):
+        planted_switch({m00: {m60: 1, m52: 1}})
+
+
+def test_sigma_outside_prime_field_fails_at_d_p2():
+    # (pi^p - pi) sigma^p = 1 holds, but lam^((p-1)p) != 1 while D^p has
+    # eigenvalues in F_p, so no eigenvalue a*lam^p can leave F_p
+    cfg = SwitchConfig(F27, F27.parse_element("t^2+t"), F27.parse_element("2t^2+t"), 1)
+    assert cfg.eigen_compatible()
+    with pytest.raises(ValueError, match=r"D\^\(p\^2\) .* on Monomial\(i=0, j=0\)"):
+        switch_grading(AZ, PRE_AZ, Derivation(AZ, 1), cfg)
+
+
 def test_zero_derivation_switches_identically():
     spec = GradingSpec(GradingCase.PRESWITCH_GH, H21, 1, pi_residue=1)
     deriv = Derivation(GH, 2)  # (ad y)^9 = 0 at xbound 9
@@ -144,13 +185,17 @@ def test_zero_derivation_switches_identically():
 def test_check_graded():
     cfg = big_config()
     closed = build_closed_basis(AZ, BIG, cfg)
-    assert check_graded(AZ, closed) == []
+    assert check_graded(AZ, closed) == check_graded(AZ, closed, cfg) == ([], [])
     deriv = Derivation(AZ, 1)
-    assert check_graded(AZ, switch_grading(AZ, PRE_AZ, deriv, cfg)) == []
-    # planting a vector of the wrong degree is caught
+    assert check_graded(AZ, switch_grading(AZ, PRE_AZ, deriv, cfg)) == ([], [])
+    # planting a vector of the wrong degree is caught by both checks
     l1, l2 = Label(-1, 0, 0), Label(0, -1, 0)
     closed.vectors[l1], closed.vectors[l2] = closed.vectors[l2], closed.vectors[l1]
-    assert check_graded(AZ, closed) != []
+    strays, misses = check_graded(AZ, closed, cfg)
+    assert strays and misses
+    # a zero bracket where the rules predict a nonzero one is a miss too
+    assert any(AZ.bracket(closed.vectors[a], closed.vectors[b]).is_zero() for a, b in misses)
+    assert check_graded(AZ, closed) == (strays, [])
 
 
 def test_product_tables():
@@ -201,3 +246,92 @@ def test_validate_rank_rejects_dependence():
     closed.vectors[Label(0, 0, 1)] = closed.vectors[Label(0, 0, 2)]
     with pytest.raises(ValueError):
         closed.validate_rank(AZ)
+
+
+def switched(case, p, n, s, pi, sigma=1):
+    """(descriptor, raw, closed, cfg) of one switch, as `thinlie switch` builds them."""
+    h = Heights(p, s + 1, n)
+    if case is GradingCase.BIG_FIELD:
+        field = FieldParams(p, p, standard_modulus(p))
+        family, pre_case, pihat = Family.ALBERT_ZASSENHAUS, GradingCase.PRESWITCH_AZ, 0
+        pi = field.gen() + pi
+    else:
+        field = FieldParams.prime(p)
+        family, pre_case, pihat = Family.GRADED_HAMILTONIAN, GradingCase.PRESWITCH_GH, pi
+    desc = AlgebraDescriptor(family, field, h)
+    cfg = SwitchConfig(field, sigma, pi, s)
+    raw = switch_grading(desc, GradingSpec(pre_case, h, s, pihat), Derivation(desc, s), cfg)
+    closed = build_closed_basis(desc, GradingSpec(case, h, s, pihat), cfg)
+    return desc, raw, closed, cfg
+
+
+def swap_labels(raw, closed, l1, l2):
+    """Exchange the vectors (and closed scalars) of two labels in both bases;
+    the scalar link survives, the grading does not."""
+    for basis in (raw, closed):
+        basis.vectors[l1], basis.vectors[l2] = basis.vectors[l2], basis.vectors[l1]
+    closed.scalars[l1], closed.scalars[l2] = closed.scalars[l2], closed.scalars[l1]
+
+
+def counting_brackets(desc):
+    """Wrap desc.bracket; the returned list grows by one per call."""
+    calls, bracket = [], desc.bracket
+
+    def counted(u, v):
+        calls.append(1)
+        return bracket(u, v)
+    desc.bracket = counted
+    return calls
+
+
+# (p, n, s) with p^(s+1+n) <= 125 monomials
+SMALL_SHAPES = [(3, n, s) for s in range(3) for n in range(1, 4 - s)] + [
+    (5, 1, 0), (5, 2, 0), (5, 1, 1)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.booleans(), st.data())
+def test_raw_grading_follows_from_closed(shape, big, data):
+    """closed = raw x scalar on every label of admissible switches (big
+    field: pi = t + c; prime field: pi in 1..p-1), and the graded_raw that
+    switch_checks derives from the closed sweep equals a direct raw sweep,
+    also after swapping two labels in both bases."""
+    p, n, s = shape
+    if big:
+        case, pi, sigma = GradingCase.BIG_FIELD, data.draw(st.integers(0, p - 1)), 1
+    else:
+        case = GradingCase.PRIME_FIELD
+        pi, sigma = data.draw(st.integers(1, p - 1)), data.draw(st.integers(1, p - 1))
+    desc, raw, closed, cfg = switched(case, p, n, s, pi, sigma)
+    for lab in closed.labels:
+        assert closed.vectors[lab] == raw.vectors[lab].scale(closed.scalars[lab])
+    active = closed.active_labels
+    if data.draw(st.booleans()):
+        l1, l2 = data.draw(st.lists(st.sampled_from(active), min_size=2, max_size=2,
+                                    unique=True))
+        swap_labels(raw, closed, l1, l2)
+    graded_raw, graded_closed, link, _tables = switch_checks(desc, raw, closed, cfg)
+    assert link == [] and bool(graded_closed) == bool(graded_raw)
+    assert graded_raw == check_graded(desc, raw)[0]
+
+
+def test_switch_checks_planted_swap_and_broken_link():
+    desc, raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
+    calls = counting_brackets(desc)
+    assert switch_checks(desc, raw, closed, cfg) == ([], [], [], [])
+    assert len(calls) == 27 ** 2
+    # a swap keeps the link: the raw strays still come from the one sweep
+    l1, l2 = Label(-1, 0, 0), Label(0, -1, 0)
+    swap_labels(raw, closed, l1, l2)
+    calls.clear()
+    graded_raw, graded_closed, link, tables = switch_checks(desc, raw, closed, cfg)
+    assert len(calls) == 27 ** 2
+    assert link == [] and tables and graded_closed
+    assert graded_raw == check_graded(desc, raw)[0] != graded_closed
+    # a corrupted scalar breaks the link and forces a sweep of the raw basis
+    closed.scalars[Label(0, 0, 1)] = closed.scalars[Label(0, 0, 1)] * 2
+    calls.clear()
+    graded_raw, graded_closed, link, _tables = switch_checks(desc, raw, closed, cfg)
+    assert len(calls) == 2 * 27 ** 2
+    assert link == [Label(0, 0, 1)]
+    assert graded_raw == check_graded(desc, raw)[0]
