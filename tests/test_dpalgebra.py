@@ -24,6 +24,10 @@ from thinlie.ffield import FieldParams
 
 F3 = FieldParams.prime(3)
 F27 = FieldParams(3, 3, (2, 2, 0, 1))
+F3125 = FieldParams(5, 5, (4, 4, 0, 0, 0, 1))
+# t^2 = -1, and t^2 = 2t + 1 (a reduction of t^m with several terms)
+F9 = FieldParams.parse_spec("3^2:1,0,1")
+F9B = FieldParams.parse_spec("3^2:2,1,1")
 H11 = Heights(3, 1, 1)
 H21 = Heights(3, 2, 1)
 
@@ -225,3 +229,19 @@ def test_overflow_check_survives_optimize():
     lines = out.stdout.splitlines()
     assert lines[0] == "debug False"
     assert lines[1].startswith("raised overflowing product")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F3, F27, F3125, F9, F9B]), st.data())
+def test_element_text_round_trip(field, data):
+    """text() and parse_element invert each other over prime and extension
+    fields, including moduli whose reduction of t^m has several terms."""
+    heights = Heights(field.p, 2, 1)
+    coeff = st.lists(st.integers(0, field.p - 1), min_size=field.m, max_size=field.m)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(list(heights.monomials())), coeff),
+                               max_size=6))
+    v = AlgebraElement(field, heights, terms)
+    back = parse_element(field, heights, v.text())
+    assert back == v
+    assert back.text() == v.text()
+    assert parse_element(field, heights, "0") == AlgebraElement.zero(field, heights)

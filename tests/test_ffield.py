@@ -26,6 +26,9 @@ F125 = FieldParams(5, 3, (1, 1, 0, 1))
 # t^p - t - 1, the big fields of the paper's p = 5 and p = 7 runs
 F3125 = FieldParams(5, 5, (4, 4, 0, 0, 0, 1))
 F7_7 = FieldParams(7, 7, (6, 6, 0, 0, 0, 0, 0, 1))
+# t^2 = -1, and t^2 = 2t + 1 (a reduction of t^m with several terms)
+F9 = FieldParams.parse_spec("3^2:1,0,1")
+F9B = FieldParams.parse_spec("3^2:2,1,1")
 
 
 def test_is_prime():
@@ -236,3 +239,37 @@ def test_plane_kernel_matches_brute_force(block):
         expected = ([v for v in kernel if v[1] == one]
                     or [v for v in kernel if v[0] == one])
     assert plane_kernel(field, rows) == expected
+
+
+@st.composite
+def random_fields(draw):
+    """F_p[t]/(f) for p in {3, 5, 7}, m <= 4 and a random monic irreducible f."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    m = draw(st.integers(1, 4))
+    tail = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
+                .filter(lambda tail: is_irreducible(p, tail + [1])))
+    return FieldParams(p, m, tuple(tail) + (1,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_fields(), st.data())
+def test_field_axioms_under_random_moduli(field, data):
+    x, y, z = (data.draw(field_elements(field)) for _ in range(3))
+    zero, one = field.zero(), field.one()
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x + y == y + x and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x - x == zero and x + (-x) == zero
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert x * x.inverse() == one
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F27, F3125, F9, F9B]), st.data())
+def test_element_text_round_trip(field, data):
+    x = data.draw(field_elements(field))
+    assert field.parse_element(str(x)) == x
+    assert str(field.parse_element(str(x))) == str(x)
