@@ -4,8 +4,14 @@ Monomials are written x^(i)y^(j) with 0 <= i < p^n1 and 0 <= j < p^n2 and
 multiply by x^(i)y^(j) * x^(k)y^(l) = C(i+k, i) C(j+l, j) x^(i+k)y^(j+l).
 Whenever an exponent would overflow its height the binomial coefficient is 0
 mod p (a base-p carry), so overflowing products are the zero element; this is
-checked rather than assumed.  Elements are sparse monomial-to-coefficient
-maps over an explicit finite field and every operation returns a new element.
+checked rather than assumed.
+
+Elements live over an explicit finite field F_{p^m} = F_p[t]/(f) and every
+operation returns a new element.  A coefficient is kept as its m prime-field
+coordinates, one per power of t: an element is a sparse map from
+(monomial, r) to the integer coefficient of t^r, so sums and products run on
+integers mod p through `accumulate`.  A product of two coefficients lands on
+powers t^(r+s) up to 2m - 2, which `fold` reduces once by the modulus.
 """
 
 from __future__ import annotations
@@ -88,18 +94,17 @@ def mono_mul(h: Heights, a: Monomial, b: Monomial):
     return c, Monomial(i, j)
 
 
-def accumulate(terms: dict, pairs, p: int = 0) -> dict:
-    """Add (key, coefficient) pairs into terms, dropping zero sums; returns
-    terms.  Coefficients are FieldElements, or ints reduced mod p if p is
-    given.  Every sparse sum of the package, on elements or on the integer
-    tables, runs through this one loop."""
+def accumulate(terms: dict, pairs, p: int) -> dict:
+    """Add (key, coefficient) pairs into terms, integers reduced mod p,
+    dropping zero sums; returns terms.  Every sparse sum of the package runs
+    through this one loop: on the integer tables, and on the F_p coordinates
+    of algebra elements, keyed (monomial, r) for the coefficient of t^r."""
     get, pop = terms.get, terms.pop
     for key, c in pairs:
         acc = get(key)
         if acc is not None:
-            c = acc + c
-        if p:
-            c %= p
+            c += acc
+        c %= p
         if c:
             terms[key] = c
         else:
@@ -107,22 +112,61 @@ def accumulate(terms: dict, pairs, p: int = 0) -> dict:
     return terms
 
 
-class AlgebraElement:
-    """Sparse element of the divided power algebra over a fixed field."""
+def fold(terms: dict, field: FieldParams) -> dict:
+    """Reduce the keys (key, e) with m <= e <= 2m - 2 of a coordinate sum
+    by the modulus, t^e = sum of field.t_powers[e]; in place, returns terms.
 
-    __slots__ = ("field", "heights", "terms")
+    A product of two coordinate vectors over F_{p^m} lands on powers up to
+    2m - 2; summing it first and folding once costs one pass per key."""
+    m = field.m
+    high = [(key, terms.pop(key)) for key in [k for k in terms if k[1] >= m]]
+    if high:
+        powers = field.t_powers
+        accumulate(terms, (((mono, r), c * f) for (mono, e), c in high
+                           for r, f in powers[e]), field.p)
+    return terms
+
+
+def _times(terms: dict, coords: list, field: FieldParams) -> dict:
+    """Coordinates of c times an element, for c != 0 given by its nonzero
+    coordinates (r, c_r)."""
+    p = field.p
+    if len(coords) == 1 and coords[0][0] == 0:
+        x = coords[0][1]
+        return {key: v * x % p for key, v in terms.items()}
+    return fold(accumulate({}, (((mono, r + s), x * v) for (mono, s), v in terms.items()
+                                for r, x in coords), p), field)
+
+
+def _nonzero_coords(c: FieldElement) -> list:
+    return [(r, x) for r, x in enumerate(c.coeffs) if x]
+
+
+class AlgebraElement:
+    """Sparse element of the divided power algebra over F_{p^m}.
+
+    terms maps (monomial, r) to the coefficient of t^r in the monomial's
+    F_{p^m} coefficient, an integer in [1, p); absent keys are zero, so
+    equal elements have equal terms.  FieldElements appear only at the
+    boundary: coeff, items, scale by a field element, text and parsing.
+    """
+
+    __slots__ = ("field", "heights", "terms", "_by_index")
 
     def __init__(self, field: FieldParams, heights: Heights, terms=()):
         if field.p != heights.p:
             raise ValueError("field and heights disagree on p")
         self.field = field
         self.heights = heights
+        self._by_index = None
         items = terms.items() if isinstance(terms, dict) else terms
-        pairs = [(Monomial(*mono), field.element(c)) for mono, c in items]
-        for mono, _c in pairs:
+        pairs = []
+        for mono, c in items:
+            mono = Monomial(*mono)
             if not heights.contains(mono):
                 raise ValueError(f"monomial {mono} out of bounds for heights {heights}")
-        self.terms = accumulate({}, pairs)
+            pairs += [((mono, r), x) for r, x in _nonzero_coords(field.element(c))]
+        self.terms = accumulate({}, pairs, field.p)
 
     @classmethod
     def _make(cls, field, heights, terms: dict) -> "AlgebraElement":
@@ -131,6 +175,7 @@ class AlgebraElement:
         out.field = field
         out.heights = heights
         out.terms = terms
+        out._by_index = None
         return out
 
     @classmethod
@@ -151,49 +196,75 @@ class AlgebraElement:
     def __bool__(self):
         return bool(self.terms)
 
+    def by_monomial(self) -> dict:
+        """{monomial: [(r, coordinate), ...]} over the support."""
+        out = {}
+        for (mono, r), c in self.terms.items():
+            out.setdefault(mono, []).append((r, c))
+        return out
+
     def items(self):
-        return sorted(self.terms.items())
+        """(monomial, FieldElement) pairs in monomial order."""
+        field = self.field
+        out = []
+        for mono, coords in sorted(self.by_monomial().items()):
+            dense = [0] * field.m
+            for r, c in coords:
+                dense[r] = c
+            out.append((mono, FieldElement(field, dense)))
+        return out
 
     def support(self):
-        return sorted(self.terms)
+        return sorted({mono for mono, _r in self.terms})
 
     def coeff(self, mono) -> FieldElement:
-        return self.terms.get(Monomial(*mono), self.field.zero())
+        mono = Monomial(*mono)
+        get = self.terms.get
+        return FieldElement(self.field, [get((mono, r), 0) for r in range(self.field.m)])
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = accumulate(dict(self.terms), other.terms.items())
+        out = accumulate(dict(self.terms), other.terms.items(), self.field.p)
         return AlgebraElement._make(self.field, self.heights, out)
 
     def __neg__(self):
+        p = self.field.p
         return AlgebraElement._make(
-            self.field, self.heights, {m: -c for m, c in self.terms.items()}
-        )
+            self.field, self.heights, {key: p - c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "AlgebraElement":
-        c = self.field.element(c)
-        if c.is_zero():
+        """c times self, for c an integer or a field element."""
+        if isinstance(c, int):
+            c %= self.field.p
+            coords = [(0, c)] if c else []
+        else:
+            coords = _nonzero_coords(self.field.element(c))
+        if not coords:
             return AlgebraElement.zero(self.field, self.heights)
-        return AlgebraElement._make(
-            self.field, self.heights, {m: x * c for m, x in self.terms.items()}
-        )
+        return AlgebraElement._make(self.field, self.heights,
+                                    _times(self.terms, coords, self.field))
 
     def __mul__(self, other):
         """Associative divided-power product, bilinear over mono_mul."""
         self._check_compatible(other)
         h = self.heights
+        right = other.by_monomial().items()
 
         def products():
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
+            for m1, cs1 in self.by_monomial().items():
+                for m2, cs2 in right:
                     hit = mono_mul(h, m1, m2)
                     if hit is not None:
-                        yield hit[1], c1 * c2 * hit[0]
+                        c, mono = hit
+                        for r, x in cs1:
+                            for s, y in cs2:
+                                yield (mono, r + s), c * x * y
 
-        return AlgebraElement._make(self.field, h, accumulate({}, products()))
+        terms = fold(accumulate({}, products(), h.p), self.field)
+        return AlgebraElement._make(self.field, h, terms)
 
     def __eq__(self, other):
         return (
@@ -204,7 +275,7 @@ class AlgebraElement:
         )
 
     def __hash__(self):
-        return hash((self.field, self.heights, tuple(self.items())))
+        return hash((self.field, self.heights, frozenset(self.terms.items())))
 
     def text(self) -> str:
         if not self.terms:
@@ -254,8 +325,8 @@ def generalized_power(field: FieldParams, heights: Heights, sigma: FieldElement,
     sig_pow = field.one()
     for i in range(p):
         c = falling_binomial(alpha, i) * factorial_mod(i, p) * sig_pow
-        if not c.is_zero():
-            terms[Monomial(i * ps, 0)] = c
+        for r, x in _nonzero_coords(c):
+            terms[Monomial(i * ps, 0), r] = x
         sig_pow = sig_pow * sigma
     return AlgebraElement._make(field, heights, terms)
 
@@ -280,30 +351,37 @@ class SparseEchelon:
         """v minus the row multiples that clear its leading pivots, in one dict."""
         if v.field != self.field or v.heights != self.heights:
             raise ValueError("algebra element field/heights mismatch")
+        field = self.field
+        p, m = field.p, field.m
         terms = dict(v.terms)
         while terms:
-            lead = min(terms)
+            lead = min(terms)[0]
             row = self.rows.get(lead)
             if row is None:
                 break
-            c = -terms[lead]
-            accumulate(terms, ((m, c * x) for m, x in row.terms.items()))
-        return AlgebraElement._make(self.field, self.heights, terms)
+            c = [(r, p - x) for r in range(m) if (x := terms.get((lead, r)))]
+            accumulate(terms, _times(row.terms, c, field).items(), p)
+        return AlgebraElement._make(field, self.heights, terms)
 
     def insert(self, v: AlgebraElement) -> bool:
-        """Add v to the span; True iff the rank grew."""
+        """Add v to the span; True iff the rank grew.
+
+        The leading F_{p^m} coefficient is gathered from its coordinates and
+        inverted as a FieldElement."""
         v = self.reduce(v)
         if v.is_zero():
             return False
-        lead = min(v.terms)
-        v = v.scale(v.terms[lead].inverse())
-        for key in list(self.rows):
-            row = self.rows[key]
-            c = row.terms.get(lead)
-            if c is not None:
-                c = -c
-                terms = accumulate(dict(row.terms), ((m, c * x) for m, x in v.terms.items()))
-                self.rows[key] = AlgebraElement._make(self.field, self.heights, terms)
+        field = self.field
+        p, m = field.p, field.m
+        lead = min(v.terms)[0]
+        v = v.scale(v.coeff(lead).inverse())
+        lead_keys = [(lead, r) for r in range(m)]
+        for key, row in list(self.rows.items()):
+            if row.terms.keys().isdisjoint(lead_keys):
+                continue
+            c = [(r, p - row.terms[k]) for r, k in enumerate(lead_keys) if k in row.terms]
+            terms = accumulate(dict(row.terms), _times(v.terms, c, field).items(), p)
+            self.rows[key] = AlgebraElement._make(field, self.heights, terms)
         self.rows[lead] = v
         return True
 

@@ -207,6 +207,17 @@ class FieldParams:
     def order(self) -> int:
         return self.p ** self.m
 
+    @functools.cached_property
+    def t_powers(self) -> list[tuple[tuple[int, int], ...]]:
+        """Coordinates of t^e mod the modulus for 0 <= e <= 2m - 2, as
+        (r, coefficient) pairs with nonzero coefficient: every power a
+        product of two coordinate vectors reaches."""
+        out = []
+        for e in range(2 * self.m - 1):
+            red = _prem([0] * e + [1], list(self.modulus), self.p)
+            out.append(tuple((r, c) for r, c in enumerate(red) if c))
+        return out
+
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
             if value.params != self:

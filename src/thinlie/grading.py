@@ -407,28 +407,35 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
     class of the degree sum, and a nonzero remainder (the stray) is recorded
     as (label, label, stray); none means the basis realizes a grading.
     Product tables, only when cfg is given: a bracket that differs from the
-    prediction of `_product_rule` is recorded as (label, label).  Brackets
-    are not kept.  Returns (strays, misses).
+    prediction of `_product_rule` is recorded as (label, label).  A bracket
+    equal to its prediction c v_L with L of the degree sum needs no
+    reduction: v_L is a row of that echelon's span.  Brackets are not kept.
+    Returns (strays, misses).
     """
     spec = basis.spec
     rule = _product_rule(basis, cfg) if cfg is not None else None
     by_deg: dict[int, SparseEchelon] = {}
     active = basis.active_labels
+    vectors, degrees = basis.vectors, basis.degrees
     for lab in active:
-        ech = by_deg.setdefault(basis.degrees[lab], SparseEchelon(basis.field, spec.heights))
-        ech.insert(basis.vectors[lab])
+        ech = by_deg.setdefault(degrees[lab], SparseEchelon(basis.field, spec.heights))
+        ech.insert(vectors[lab])
     strays, misses = [], []
+    N = spec.N
     for la in active:
-        va, da = basis.vectors[la], basis.degrees[la]
+        va, da = vectors[la], degrees[la]
         for lb in active:
-            w = descriptor.bracket(va, basis.vectors[lb])
+            w = descriptor.bracket(va, vectors[lb])
+            target = (da + degrees[lb]) % N
             if rule is not None:
-                predicted = rule(la, lb)
+                predicted, lab = rule(la, lb)
                 if predicted is None or w != predicted:
                     misses.append((la, lb))
+                elif lab is not None and degrees[lab] == target:
+                    continue
             if w.is_zero():
                 continue
-            ech = by_deg.get((da + basis.degrees[lb]) % spec.N)
+            ech = by_deg.get(target)
             stray = ech.reduce(w) if ech is not None else w
             if not stray.is_zero():
                 strays.append((la, lb, stray))
@@ -449,11 +456,17 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
     label (j+l, k+h, a+b) when k and h are not both -1, and
     sigma*(C(j+l+1,j) beta - C(j+l+1,l) alpha) at (j+l, p^s-2, a+b-1) when
     k = h = -1, with alpha, beta the generalized-power exponents of the two
-    labels.  Out-of-range targets must come with coefficient zero (else the
-    rule gives None); the label index a is reduced mod p.  Pairs range over
-    active labels only: the zero placeholders are not basis vectors, and as
-    bracket targets they are covered by the coefficient vanishing (top) or
-    by the constant projection (bottom).
+    labels.  The rule returns (prediction, L), L the label scaled, or None
+    for L when the coefficient vanishes.  Out-of-range targets must come
+    with coefficient zero (else the prediction is None); the label index a
+    is reduced mod p.  Pairs range over active labels only: the zero
+    placeholders are not basis vectors, and as bracket targets they are
+    covered by the coefficient vanishing (top) or by the constant
+    projection (bottom).
+
+    The first coefficient is an integer; the second is an F_p-combination
+    of sigma*alpha over the labels, computed once per (j, a) and combined
+    coordinate-wise, so predicting a pair multiplies no field elements.
     """
     spec, field = basis.spec, basis.field
     if spec.case not in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD):
@@ -465,23 +478,28 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
             return -field.element(j) * cfg.pi + a
         return field.element(a)
 
+    sigma_expo = {(j, a): (cfg.sigma * expo(j, a)).coeffs
+                  for j in range(-1, q - 1) for a in range(p)}
+    zero = AlgebraElement.zero(field, spec.heights)
+
     def rule(la: Label, lb: Label):
         (j, k, a), (l, h, b) = la, lb
         jj = j + l
         if k == -1 and h == -1:
-            c = cfg.sigma * (field.element(lucas_binomial(jj + 1, j, p)) * expo(l, b)
-                             - field.element(lucas_binomial(jj + 1, l, p)) * expo(j, a))
+            cj, cl = lucas_binomial(jj + 1, j, p), lucas_binomial(jj + 1, l, p)
+            c = field.element([cj * y - cl * x for x, y in
+                               zip(sigma_expo[j, a], sigma_expo[l, b])])
             kk, aa = ps - 2, a + b - 1
         else:
-            c = field.element(
-                lucas_binomial(k + h + 1, h, p) * lucas_binomial(jj + 1, j, p)
-                - lucas_binomial(k + h + 1, k, p) * lucas_binomial(jj + 1, l, p))
+            c = (lucas_binomial(k + h + 1, h, p) * lucas_binomial(jj + 1, j, p)
+                 - lucas_binomial(k + h + 1, k, p) * lucas_binomial(jj + 1, l, p)) % p
             kk, aa = k + h, a + b
-        if c.is_zero():
-            return AlgebraElement.zero(field, spec.heights)
+        if not c:
+            return zero, None
         if not (-1 <= jj <= q - 2 and -1 <= kk <= ps - 2):
-            return None  # nonzero coefficient at an impossible label
-        return basis.vectors[Label(jj, kk, aa % p)].scale(c)
+            return None, None  # nonzero coefficient at an impossible label
+        lab = Label(jj, kk, aa % p)
+        return basis.vectors[lab].scale(c), lab
 
     return rule
 

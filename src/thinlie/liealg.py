@@ -8,8 +8,11 @@ a factor xbar.  Structure constants live in the prime field; each descriptor
 keeps them in one integer table keyed by basis index, built on first use.
 The distinguished nilpotent-or-semisimple derivation D = (ad y)^(p^s) is a
 second such table, in closed form when n1 = s + 1.  Brackets and D run
-through the one accumulate loop of `dpalgebra`, and the exhaustive law
-checks sweep both tables sparsely.
+on the integer coordinates of elements (one per power of t, see
+`dpalgebra`) through its one accumulate loop: a bracket over F_{p^m} is the
+table read once per pair of coordinates, keyed (monomial, r + s), then
+folded once by the modulus.  The exhaustive law checks sweep both tables
+sparsely.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 
-from .dpalgebra import AlgebraElement, Heights, Monomial, accumulate
+from .dpalgebra import AlgebraElement, Heights, Monomial, accumulate, fold
 from .ffield import FieldParams, lucas_binomial
 
 
@@ -137,30 +140,47 @@ class AlgebraDescriptor:
         return c, mono
 
     def _indexed(self, w: AlgebraElement) -> list:
-        """(basis index, coefficient) pairs of w; ValueError off the basis."""
+        """(basis index, [(r, coordinate), ...]) per monomial of w;
+        ValueError off the basis.  Kept on w, which never changes, so a
+        sweep indexes each of its vectors once, not once per partner."""
+        index = self._index
+        cache = w._by_index
+        if cache is not None and cache[0] is index:
+            return cache[1]
         if w.field != self.field or w.heights != self.heights:
             raise ValueError("element does not live in this algebra")
-        index = self._index
         try:
-            return [(index[m], c) for m, c in w.terms.items()]
+            out = [(index[m], coords) for m, coords in w.by_monomial().items()]
         except KeyError as e:
             raise ValueError(
                 f"element supported outside the basis: {e.args[0]}") from None
+        w._by_index = (index, out)
+        return out
 
     def bracket(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-        """Lie bracket, bilinear over the structure-constant table."""
+        """Lie bracket, bilinear over the structure-constant table.
+
+        Each table hit [basis[i1], basis[i2]] = c basis[k] multiplies the
+        coordinates of the two coefficients, t^r times t^s onto key
+        (basis[k], r + s); the sum is folded by the modulus once."""
         left, right = self._indexed(u), self._indexed(v)
         rows, basis = self.table, self.basis
 
         def products():
-            for i1, c1 in left:
+            for i1, cs1 in left:
                 row = rows[i1]
-                for i2, c2 in right:
+                for i2, cs2 in right:
                     hit = row.get(i2)
                     if hit is not None:
-                        yield basis[hit[1]], c1 * c2 * hit[0]
+                        c, k = hit
+                        mono = basis[k]
+                        for r, x in cs1:
+                            cx = c * x
+                            for s, y in cs2:
+                                yield (mono, r + s), cx * y
 
-        return AlgebraElement._make(self.field, self.heights, accumulate({}, products()))
+        terms = fold(accumulate({}, products(), self.field.p), self.field)
+        return AlgebraElement._make(self.field, self.heights, terms)
 
     def project(self, v: AlgebraElement) -> AlgebraElement:
         """Restrict an ambient element onto the basis span.
@@ -170,10 +190,10 @@ class AlgebraDescriptor:
         """
         if not self.excluded:
             return v
-        terms = dict(v.terms)
-        terms.pop(self.heights.unit, None)
-        if self.heights.top in terms:
+        unit, top = self.heights.unit, self.heights.top
+        if any(mono == top for mono, _r in v.terms):
             raise ValueError("projection would discard a top-monomial term")
+        terms = {key: c for key, c in v.terms.items() if key[0] != unit}
         return AlgebraElement._make(self.field, self.heights, terms)
 
     def __repr__(self):
@@ -208,9 +228,11 @@ class Derivation:
         return build(self.descriptor, self.s)
 
     def apply(self, v: AlgebraElement) -> AlgebraElement:
+        """D v: each coordinate of v times the integer table row of its monomial."""
         table, basis = self.table, self.descriptor.basis
         terms = self.descriptor._indexed(v)
-        out = accumulate({}, ((basis[k], c * d) for i, c in terms for k, d in table[i].items()))
+        out = accumulate({}, (((basis[k], r), x * d) for i, coords in terms
+                              for k, d in table[i].items() for r, x in coords), v.field.p)
         return AlgebraElement._make(v.field, v.heights, out)
 
 

@@ -1,15 +1,23 @@
 """Dense reference sweeps for the law checks of `thinlie.liealg` and the
-monomial grading check of `thinlie.grading`.
+monomial grading check of `thinlie.grading`, and FieldElement references
+for the coordinate kernels of `thinlie.dpalgebra` and `thinlie.liealg`.
 
-These visit every triple and every pair, with no sparsity argument, and
+The sweeps visit every triple and every pair, with no sparsity argument, and
 read the structure constants only through the public `bracket_mono`,
 `bracket` and `Derivation.apply`.  The derivation references work on
 elements: they apply D one step at a time (`apply_power`), and realize
 (ad y)^(p^s) by bracketing with y p^s times.  The sparse and integer
 sweeps must return the same violation lists, in the same order.
+
+The kernel references (`bracket`, `apply`, `scale`, `Echelon`) keep each
+coefficient as one FieldElement, {monomial: FieldElement} with no zero
+value, and multiply in the field; the package keeps the F_p coordinates of
+each coefficient and multiplies integers, so the two must agree on every
+element.
 """
 
 from thinlie.dpalgebra import AlgebraElement, Monomial
+from thinlie.ffield import FieldElement
 from thinlie.grading import GradingSpec
 from thinlie.liealg import AlgebraDescriptor, Derivation, Family
 
@@ -146,3 +154,70 @@ def dense_monomial_grading_violations(desc: AlgebraDescriptor, spec: GradingSpec
             if deg[out[1]] != (deg[a] + deg[b]) % spec.N:
                 violations.append((a, b))
     return violations
+
+
+def _add(terms: dict, mono, c: FieldElement):
+    c = terms[mono] + c if mono in terms else c
+    if c.is_zero():
+        terms.pop(mono, None)
+    else:
+        terms[mono] = c
+
+
+def bracket(desc: AlgebraDescriptor, u: AlgebraElement, v: AlgebraElement) -> dict:
+    """[u, v], term by term over `bracket_mono`, with FieldElement products."""
+    terms: dict = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            hit = desc.bracket_mono(a, b)
+            if hit is not None:
+                _add(terms, hit[1], x * y * hit[0])
+    return terms
+
+
+def apply(deriv: Derivation, v: AlgebraElement) -> dict:
+    """D v from the rows of the derivation table, with FieldElement products."""
+    desc = deriv.descriptor
+    terms: dict = {}
+    for a, x in v.items():
+        for k, d in deriv.table[desc.basis.index(a)].items():
+            _add(terms, desc.basis[k], x * d)
+    return terms
+
+
+def scale(v: AlgebraElement, c: FieldElement) -> dict:
+    return {m: x * c for m, x in v.items() if not (x * c).is_zero()}
+
+
+class Echelon:
+    """`SparseEchelon` on {monomial: FieldElement} rows, by the same steps:
+    reduce clears leading pivots one at a time; insert scales the new row
+    to a unit lead and clears that pivot from the older rows."""
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def reduce(self, v) -> dict:
+        terms = dict(v.items()) if isinstance(v, AlgebraElement) else dict(v)
+        while terms and (lead := min(terms)) in self.rows:
+            c = -terms[lead]
+            for m, x in self.rows[lead].items():
+                _add(terms, m, c * x)
+        return terms
+
+    def insert(self, v) -> bool:
+        terms = self.reduce(v)
+        if not terms:
+            return False
+        lead = min(terms)
+        inv = terms[lead].inverse()
+        terms = {m: x * inv for m, x in terms.items()}
+        for key, row in self.rows.items():
+            if lead in row:
+                c = -row[lead]
+                row = dict(row)
+                for m, x in terms.items():
+                    _add(row, m, c * x)
+                self.rows[key] = row
+        self.rows[lead] = terms
+        return True

@@ -182,7 +182,7 @@ def test_echelon_basis_is_reduced():
     v = elem(F3, H11, ((0, 1), 2), ((1, 0), 1))
     ech.insert(v)
     (row,) = ech.basis()
-    lead = min(row.terms)
+    lead = row.support()[0]
     assert row.coeff(lead) == F3.one()
 
 

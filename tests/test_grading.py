@@ -1,11 +1,14 @@
 """Cyclic gradings, grading switching, closed bases and product tables."""
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinlie.cli import standard_modulus
-from thinlie.dpalgebra import Heights, Monomial
+from thinlie.dpalgebra import Heights, Monomial, SparseEchelon
 from thinlie.ffield import FieldParams
 from thinlie.grading import (
     GradedBasis,
@@ -196,6 +199,13 @@ def test_check_graded():
     # a zero bracket where the rules predict a nonzero one is a miss too
     assert any(AZ.bracket(closed.vectors[a], closed.vectors[b]).is_zero() for a, b in misses)
     assert check_graded(AZ, closed) == (strays, [])
+    # a wrong degree on one label: every bracket still equals its prediction
+    # c v_L, but v_L no longer lies in the echelon of the degree sum
+    closed = build_closed_basis(AZ, BIG, cfg)
+    closed.degrees[l1] = (closed.degrees[l1] + 1) % BIG.N
+    strays, misses = check_graded(AZ, closed, cfg)
+    assert strays and misses == []
+    assert check_graded(AZ, closed) == (strays, [])
 
 
 def test_product_tables():
@@ -315,6 +325,30 @@ def test_raw_grading_follows_from_closed(shape, big, data):
     assert graded_raw == check_graded(desc, raw)[0]
 
 
+def stray_digest(strays) -> str:
+    return hashlib.sha256("\n".join(f"{a.text()} {b.text()} {w.text()}"
+                                     for a, b, w in strays).encode()).hexdigest()
+
+
+def test_passing_sweep_reduces_nothing(monkeypatch):
+    """On a passing switch every bracket equals its predicted c v_L with L of
+    the degree sum, so the sweep itself calls SparseEchelon.reduce never."""
+    desc, raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
+    calls, reduce = [], SparseEchelon.reduce
+
+    def counted(self, v):
+        if sys._getframe(1).f_code is check_graded.__code__:
+            calls.append(1)
+        return reduce(self, v)
+    monkeypatch.setattr(SparseEchelon, "reduce", counted)
+    assert switch_checks(desc, raw, closed, cfg) == ([], [], [], [])
+    assert calls == []
+    # the raw basis has no predictions, so its own sweep reduces every
+    # nonzero bracket
+    assert check_graded(desc, raw) == ([], [])
+    assert calls
+
+
 def test_switch_checks_planted_swap_and_broken_link():
     desc, raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
     calls = counting_brackets(desc)
@@ -328,6 +362,12 @@ def test_switch_checks_planted_swap_and_broken_link():
     assert len(calls) == 27 ** 2
     assert link == [] and tables and graded_closed
     assert graded_raw == check_graded(desc, raw)[0] != graded_closed
+    # the strays the FieldElement sweep reported, 96 pairs each
+    assert (len(graded_closed), len(graded_raw), len(tables)) == (96, 96, 118)
+    assert stray_digest(graded_closed) == (
+        "cc9d61ffe127d718e0979af91a060c0edaacc6e659bf22f64e12c4b6336516ac")
+    assert stray_digest(graded_raw) == (
+        "0c6be39110450faff59bfd71ab785f513d3feea4dcdc6f096c5822cce159a893")
     # a corrupted scalar breaks the link and forces a sweep of the raw basis
     closed.scalars[Label(0, 0, 1)] = closed.scalars[Label(0, 0, 1)] * 2
     calls.clear()

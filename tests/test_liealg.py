@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     apply_power,
     dense_anticommutativity_violations,
@@ -33,6 +34,10 @@ from thinlie.liealg import (
 F3 = FieldParams.prime(3)
 F5 = FieldParams.prime(5)
 F27 = FieldParams(3, 3, (2, 2, 0, 1))
+F3125 = FieldParams(5, 5, (4, 4, 0, 0, 0, 1))
+F7_7 = FieldParams(7, 7, (6, 6, 0, 0, 0, 0, 0, 1))
+# t^2 = 2t + 1: the fold of t^2 by the modulus has two terms
+F9 = FieldParams.parse_spec("3^2:2,1,1")
 GH11 = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F3, Heights(3, 1, 1))
 AZ11 = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 1, 1))
 GH21 = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F3, Heights(3, 2, 1))
@@ -337,7 +342,7 @@ def test_iterated_matches_bracket_composition():
         manual = AZ11.basis_element(m)
         for _ in range(3):
             manual = AZ11.bracket(y, manual)
-        expected = {index(t): c.as_int() for t, c in manual.terms.items()}
+        expected = {index(t): c.as_int() for t, c in manual.items()}
         assert d.table[i] == iterated[i] == expected
     # with xbound = 3, (ad y)^3 is the diagonal D^p of the s = 0 closed form
     assert d.table[index(Monomial(2, 2))] == {index(Monomial(2, 2)): 2}
@@ -367,7 +372,7 @@ def dense_reduce(desc, rows, vec):
 
 
 def assert_is_dense_sum(desc, w, pairs):
-    assert not any(c.is_zero() for c in w.terms.values())
+    assert all(0 < c < desc.field.p for c in w.terms.values())
     assert {m: w.coeff(m) for m in desc.heights.monomials()} == dense_sum(desc, pairs)
 
 
@@ -377,6 +382,8 @@ def assert_is_dense_sum(desc, w, pairs):
     AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F5, Heights(5, 1, 1)),
     AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, Heights(3, 2, 1)),
     AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F27, Heights(3, 1, 2)),
+    AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3125, Heights(5, 1, 1)),
+    AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F9, Heights(3, 2, 1)),
 ]), st.data())
 def test_kernel_results_are_dense_sums(desc, data):
     """+, -, scale, *, bracket, Derivation.apply and SparseEchelon.insert and
@@ -386,7 +393,7 @@ def test_kernel_results_are_dense_sums(desc, data):
     if data.draw(st.booleans()):  # make some sums cancel
         v = v + (-u).scale(data.draw(st.sampled_from(list(field.elements()))))
     c = data.draw(st.sampled_from(list(field.elements())))
-    U, V = u.terms.items(), v.terms.items()
+    U, V = u.items(), v.items()
     assert_is_dense_sum(desc, u + v, [*U, *V])
     assert_is_dense_sum(desc, u - v, [*U, *((m, -x) for m, x in V)])
     assert_is_dense_sum(desc, u.scale(c), [(m, x * c) for m, x in U])
@@ -404,7 +411,7 @@ def test_kernel_results_are_dense_sums(desc, data):
     ech = SparseEchelon(field, h)
     mirror = {}  # the same inserts on coordinate vectors, by pivot
     for w in [u, v] + [random_element(desc, data) for _ in range(data.draw(st.integers(0, 3)))]:
-        vec = dense_reduce(desc, mirror, dense_sum(desc, w.terms.items()))
+        vec = dense_reduce(desc, mirror, dense_sum(desc, w.items()))
         lead = leading(vec)
         assert ech.insert(w) == (lead is not None)
         if lead is not None:
@@ -418,4 +425,47 @@ def test_kernel_results_are_dense_sums(desc, data):
             assert_is_dense_sum(desc, row, mirror[key].items())
     w = random_element(desc, data)
     assert_is_dense_sum(desc, ech.reduce(w),
-                        dense_reduce(desc, mirror, dense_sum(desc, w.terms.items())).items())
+                        dense_reduce(desc, mirror, dense_sum(desc, w.items())).items())
+
+
+def field_element(field, data):
+    return field.element(data.draw(st.lists(st.integers(0, field.p - 1),
+                                            min_size=field.m, max_size=field.m)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([
+    AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F5, Heights(5, 1, 1)),
+    AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, Heights(3, 2, 1)),
+    AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F9, Heights(3, 1, 2)),
+    AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3125, Heights(5, 1, 1)),
+    AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F7_7, Heights(7, 1, 1)),
+]), st.data())
+def test_kernels_match_field_element_oracle(desc, data):
+    """bracket, Derivation.apply, scale, SparseEchelon.insert and reduce on
+    integer coordinates equal the FieldElement references of `oracles`."""
+    field = desc.field
+    u, v = random_element(desc, data), random_element(desc, data)
+    c = field_element(field, data)
+    assert dict(desc.bracket(u, v).items()) == oracles.bracket(desc, u, v)
+    deriv = Derivation(desc, desc.heights.n1 - 1)
+    assert dict(deriv.apply(u).items()) == oracles.apply(deriv, u)
+    assert dict(u.scale(c).items()) == oracles.scale(u, c)
+    ech, mirror = SparseEchelon(field, desc.heights), oracles.Echelon()
+    for w in [u, v, u + v.scale(c)] + [random_element(desc, data)
+                                       for _ in range(data.draw(st.integers(0, 3)))]:
+        assert ech.insert(w) == mirror.insert(w)
+        assert {k: dict(row.items()) for k, row in ech.rows.items()} == mirror.rows
+    w = random_element(desc, data)
+    assert dict(ech.reduce(w).items()) == mirror.reduce(w)
+
+
+def test_index_cache_is_per_algebra():
+    """The basis indexing an element keeps for one algebra is not reused by
+    another algebra on the same heights, whose basis indexes differ."""
+    terms = [(Monomial(1, 0), 1), (Monomial(0, 2), 2), (Monomial(2, 1), 1)]
+    u, v = AlgebraElement(F3, GH21.heights, terms), GH21.basis_element(Monomial(1, 1))
+    fresh = GH21.bracket(AlgebraElement(F3, GH21.heights, terms), v)
+    assert not fresh.is_zero()
+    AZ21.bracket(u, AZ21.basis_element(Monomial(1, 1)))
+    assert GH21.bracket(u, v) == fresh

@@ -168,7 +168,7 @@ class ActionAlgebra:
 
     def bracket(self, u, v):
         out = AlgebraElement.zero(self.field, self.heights)
-        for mono, c in u.terms.items():
+        for mono, c in u.items():
             out = out + self.images[mono, v is self.X].scale(c)
         return out
 
