@@ -149,6 +149,8 @@ class AlgebraElement:
     F_{p^m} coefficient, an integer in [1, p); absent keys are zero, so
     equal elements have equal terms.  FieldElements appear only at the
     boundary: coeff, items, scale by a field element, text and parsing.
+    _by_index holds the basis indexing `AlgebraDescriptor._indexed` last
+    made of the element, which never changes once built.
     """
 
     __slots__ = ("field", "heights", "terms", "_by_index")
@@ -205,14 +207,7 @@ class AlgebraElement:
 
     def items(self):
         """(monomial, FieldElement) pairs in monomial order."""
-        field = self.field
-        out = []
-        for mono, coords in sorted(self.by_monomial().items()):
-            dense = [0] * field.m
-            for r, c in coords:
-                dense[r] = c
-            out.append((mono, FieldElement(field, dense)))
-        return out
+        return [(mono, self.coeff(mono)) for mono in self.support()]
 
     def support(self):
         return sorted({mono for mono, _r in self.terms})
