@@ -143,7 +143,8 @@ def test_switch_field_multiplies_linear_in_dim(capsys, monkeypatch):
     rules, fewer times than there are basis vectors: brackets, scalings and
     echelon steps run on integer coordinates (the FieldElement sweep made
     6245 products at dim 27 and 45 201 at dim 81)."""
-    counts, sweeping, mul = [], [False], FieldElement.__mul__
+    counts, sweeping = [], [False]
+    mul, switch_checks = FieldElement.__mul__, cli.switch_checks
 
     def counted(self, other):
         if sweeping[0]:
@@ -156,7 +157,6 @@ def test_switch_field_multiplies_linear_in_dim(capsys, monkeypatch):
             return switch_checks(*args)
         finally:
             sweeping[0] = False
-    switch_checks = cli.switch_checks
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     monkeypatch.setattr(FieldElement, "__rmul__", counted)
     monkeypatch.setattr(cli, "switch_checks", swept)
