@@ -467,6 +467,8 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
     The first coefficient is an integer; the second is an F_p-combination
     of sigma*alpha over the labels, computed once per (j, a) and combined
     coordinate-wise, so predicting a pair multiplies no field elements.
+    The binomials are read from two tables built once per rule, by (j, l)
+    and by (k, h).
     """
     spec, field = basis.spec, basis.field
     if spec.case not in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD):
@@ -482,17 +484,23 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
                   for j in range(-1, q - 1) for a in range(p)}
     zero = AlgebraElement.zero(field, spec.heights)
 
+    def binomials(top: int) -> list[list[tuple[int, int]]]:
+        """(C(u+v+1, u), C(u+v+1, v)) mod p at [u+1][v+1], -1 <= u, v <= top."""
+        return [[(lucas_binomial(u + v + 1, u, p), lucas_binomial(u + v + 1, v, p))
+                 for v in range(-1, top + 1)] for u in range(-1, top + 1)]
+    by_jl, by_kh = binomials(q - 2), binomials(ps - 2)
+
     def rule(la: Label, lb: Label):
         (j, k, a), (l, h, b) = la, lb
         jj = j + l
+        cj, cl = by_jl[j + 1][l + 1]
         if k == -1 and h == -1:
-            cj, cl = lucas_binomial(jj + 1, j, p), lucas_binomial(jj + 1, l, p)
             c = field.element([cj * y - cl * x for x, y in
                                zip(sigma_expo[j, a], sigma_expo[l, b])])
             kk, aa = ps - 2, a + b - 1
         else:
-            c = (lucas_binomial(k + h + 1, h, p) * lucas_binomial(jj + 1, j, p)
-                 - lucas_binomial(k + h + 1, k, p) * lucas_binomial(jj + 1, l, p)) % p
+            ck, ch = by_kh[k + 1][h + 1]
+            c = (ch * cj - ck * cl) % p
             kk, aa = k + h, a + b
         if not c:
             return zero, None

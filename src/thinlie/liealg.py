@@ -5,14 +5,19 @@ except the constant and the top monomial xbar*ybar (dimension p^(n1+n2) - 2);
 AlbertZassenhaus keeps every monomial (dimension p^(n1+n2)) and deviates from
 the plain Poisson rule only on brackets of two pure y-monomials, which pick up
 a factor xbar.  Structure constants live in the prime field; each descriptor
-keeps them in one integer table keyed by basis index, built on first use.
+keeps them in one integer table keyed by basis index, built on first use
+from per-axis binomial tables: a Poisson constant is a 2x2 determinant of
+an x-exponent factor pair and a y-exponent factor pair.
 The distinguished nilpotent-or-semisimple derivation D = (ad y)^(p^s) is a
 second such table, in closed form when n1 = s + 1.  Brackets and D run
 on the integer coordinates of elements (one per power of t, see
 `dpalgebra`) through its one accumulate loop: a bracket over F_{p^m} is the
 table read once per pair of coordinates, keyed (monomial, r + s), then
 folded once by the modulus.  The exhaustive law checks sweep both tables
-sparsely.
+sparsely.  Jacobi is first decided by a certificate: on an anticommutative
+table it holds iff ad_g is a derivation for each g of a few monomials that
+generate the algebra; only when the certificate fails does the sweep over
+chained triples list the failing triples.
 """
 
 from __future__ import annotations
@@ -35,6 +40,28 @@ def poisson_coeff(p: int, i: int, j: int, k: int, l: int) -> int:
         lucas_binomial(i + k - 1, i, p) * lucas_binomial(j + l - 1, j - 1, p)
         - lucas_binomial(i + k - 1, i - 1, p) * lucas_binomial(j + l - 1, j, p)
     ) % p
+
+
+def _axis_factors(bound: int, p: int) -> list[list[tuple[int, int, int, int]]]:
+    """The binomials of one exponent axis in the Poisson constants.
+
+    out[e] lists (f, C(g, e), C(g, e - 1), g) mod p, g = e + f - 1, for every
+    partner exponent f < bound with g >= 0 and the two binomials not both
+    zero.  With (X0, X1) the pair of x exponents (i, k) and (Y0, Y1) that of
+    y exponents (j, l), `poisson_coeff` is X0 Y1 - X1 Y0; the pairs left
+    out give zero.  AlbertZassenhaus's pure-y constant C(g, l) - C(g, j) is
+    Y1 - Y0, as C(g, l) = C(g, j - 1) for g = j + l - 1 >= 0.
+    """
+    out = []
+    for e in range(bound):
+        row = []
+        for f in range(max(0, 1 - e), bound):
+            g = e + f - 1
+            b0, b1 = lucas_binomial(g, e, p), lucas_binomial(g, e - 1, p)
+            if b0 or b1:
+                row.append((f, b0, b1, g))
+        out.append(row)
+    return out
 
 
 class AlgebraDescriptor:
@@ -71,23 +98,51 @@ class AlgebraDescriptor:
         """Structure constants by basis index: table[i][j] = (c, k) when
         [basis[i], basis[j]] = c basis[k] with c != 0 mod p.
 
-        Zero brackets have no entry.  Built on first use from
-        `_bracket_mono_raw` over every ordered pair, so its overflow and
-        top-monomial errors fire here.
+        Zero brackets have no entry.  Built on first use, entry for entry
+        the rule of `_bracket_mono_raw`, from two per-axis tables: the
+        Poisson constant of x^(i)y^(j), x^(k)y^(l) is the determinant
+        X0 Y1 - X1 Y0 of the x factors (X0, X1) of (i, k) and the y factors
+        (Y0, Y1) of (j, l), see `_axis_factors`, and AlbertZassenhaus's
+        pure-y constant is Y1 - Y0.  A nonzero constant past the heights or,
+        in GradedHamiltonian, on the top monomial raises ArithmeticError.
         """
-        basis, index, raw = self.basis, self._index, self._bracket_mono_raw
+        h = self.heights
+        p, xb, yb, n = h.p, h.xbound, h.ybound, self.dim
+        # x^(i)y^(j) has basis index i*yb + j - shift: GH drops the constant,
+        # the first monomial, and the top, the last
+        shift = 1 if self.family is Family.GRADED_HAMILTONIAN else 0
+        xs, ys = _axis_factors(xb, p), _axis_factors(yb, p)
+
+        def overflow(a, b, c):
+            return ArithmeticError(f"overflowing bracket {a},{b} has coefficient {c}")
+
         rows = []
-        for a in basis:
+        for a in self.basis:
             row = {}
-            for jb, b in enumerate(basis):
-                hit = raw(a, b)
-                if hit is not None:
-                    c, mono = hit
-                    k = index.get(mono)
-                    if k is None:
+            yrow = ys[a.j]
+            if a.i == 0 and self.family is Family.ALBERT_ZASSENHAUS:
+                # exceptional rule on pure y-monomials, lands on xbar*y^(j+l-1)
+                for l, y0, y1, jy in yrow:
+                    c = (y1 - y0) % p
+                    if c:
+                        if jy >= yb:
+                            raise overflow(a, Monomial(0, l), c)
+                        row[l] = (c, (xb - 1) * yb + jy)
+            for k, x0, x1, ix in xs[a.i]:
+                kb, kt = k * yb - shift, ix * yb - shift
+                for l, y0, y1, jy in yrow:
+                    c = (x0 * y1 - x1 * y0) % p
+                    if not c or not 0 <= kb + l < n:  # zero, or b not in the basis
+                        continue
+                    if ix >= xb or jy >= yb:
+                        raise overflow(a, Monomial(k, l), c)
+                    t = kt + jy
+                    if t < 0:
+                        continue  # the constant, which acts as zero in GH
+                    if t == n:
                         raise ArithmeticError(
-                            f"bracket {a},{b} lands outside the basis on {mono}")
-                    row[jb] = (c, k)
+                            f"bracket {a},{Monomial(k, l)} produced the excluded top monomial")
+                    row[kb + l] = (c, t)
             rows.append(row)
         return rows
 
@@ -303,7 +358,96 @@ def jacobi_violations(desc: AlgebraDescriptor) -> list:
 
     Together with bilinearity and the anticommutativity check this covers
     every triple: permutations only flip the sign of the cyclic sum and
-    repeated entries vanish identically.  For a < b < c the cyclic sum
+    repeated entries vanish identically.
+
+    A certificate decides the identity first.  In an anticommutative
+    algebra Jacobi says that every ad_a is a derivation, and the a with
+    ad_a a derivation form a subalgebra, as ad_[a,b] = [ad_a, ad_b] once
+    ad_a is one (Jacobson, Lie Algebras).  So when the table is
+    anticommutative, `monomial_generators` finds generators and ad_g is a
+    derivation for each of them (`_ad_is_derivation`), no triple fails and
+    the list is empty.  Otherwise `_jacobi_sweep` lists the failing triples.
+    """
+    if not anticommutativity_violations(desc):
+        gens = monomial_generators(desc)
+        if gens is not None and all(_ad_is_derivation(desc, g) for g in gens):
+            return []
+    return _jacobi_sweep(desc)
+
+
+def monomial_generators(desc: AlgebraDescriptor) -> list[int] | None:
+    """Basis indexes of monomials that generate the algebra, or None.
+
+    A bracket of basis monomials is a scalar times one basis monomial, so
+    the subalgebra generated by some monomials is spanned by those reached
+    from them through nonzero table entries.  Candidates are the monomials
+    of exponent sum at most 1, whose ad lowers exponents (x and y act as
+    divided-power derivatives), then the basis monomials no other one
+    bounds exponent-wise, from which the lowering reaches the rest; each
+    candidate not yet reached becomes a generator.  Returns None when the
+    candidates reach only part of the basis.  Assumes an anticommutative
+    table, so each unordered pair is read from one row.
+    """
+    basis, rows = desc.basis, desc.table
+    last = {m.i: m for m in basis}  # the largest j at each i, basis order
+    maximal, j = [], -1
+    for i in sorted(last, reverse=True):  # maximal: no larger i reaches its j
+        if last[i].j > j:
+            maximal.append(desc._index[last[i]])
+            j = last[i].j
+    low = [k for k, m in enumerate(basis) if m.i + m.j <= 1]
+    reached, done, gens = [False] * len(rows), [False] * len(rows), []
+    for g in low + maximal:
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g], stack = True, [g]
+        while stack:  # each pair is read when its later member is taken
+            u = stack.pop()
+            done[u] = True
+            for v, (_c, k) in rows[u].items():
+                if done[v] and not reached[k]:
+                    reached[k] = True
+                    stack.append(k)
+    return gens if all(reached) else None
+
+
+def _ad_is_derivation(desc: AlgebraDescriptor, g: int) -> bool:
+    """[g,[a,b]] = [[g,a],b] + [a,[g,b]] for every pair of basis monomials.
+
+    Row by row: for each a the defect is summed over b, keyed (b, target),
+    from rows a, g and [g, a].  Assumes an anticommutative table, under
+    which the defect is antisymmetric in (a, b), so only b > a is summed.
+    """
+    p = desc.heights.p
+    rows = desc.table
+    row_g = rows[g]
+
+    def defect(a, row):
+        for b, (c1, m) in row.items():  # [g, [a, b]]
+            if b > a:
+                hit = row_g.get(m)
+                if hit is not None:
+                    yield (b, hit[1]), c1 * hit[0]
+        hit = row_g.get(a)  # -[[g, a], b]
+        if hit is not None:
+            c1, ga = hit
+            for b, (c2, t) in rows[ga].items():
+                if b > a:
+                    yield (b, t), -c1 * c2
+        for b, (c1, gb) in row_g.items():  # -[a, [g, b]]
+            if b > a:
+                hit = row.get(gb)
+                if hit is not None:
+                    yield (b, hit[1]), -c1 * hit[0]
+
+    return not any(accumulate({}, defect(a, row), p) for a, row in enumerate(rows))
+
+
+def _jacobi_sweep(desc: AlgebraDescriptor) -> list:
+    """The failing strictly sorted triples of `jacobi_violations`, by chains.
+
+    For a < b < c the cyclic sum
     [[a,b],c] + [[b,c],a] + [[c,a],b] is accumulated from the chains of two
     table entries that make up its terms, grouped by a: [[a,b],c] from row
     a, [[b,c],a] from the entries of column a, [[c,a],b] from the pairs

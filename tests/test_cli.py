@@ -9,11 +9,11 @@ import sys
 import pytest
 
 import thinlie
-from thinlie import cli
+from thinlie import cli, liealg
 from thinlie.cli import build_parser, main, materialize, standard_modulus
-from thinlie.dpalgebra import accumulate
+from thinlie.dpalgebra import Heights, Monomial, accumulate
 from thinlie.ffield import FieldElement, FieldParams
-from thinlie.liealg import AlgebraDescriptor
+from thinlie.liealg import AlgebraDescriptor, Family
 from thinlie.loopalg import ThinReport
 
 
@@ -124,6 +124,57 @@ def test_switch_stdout_frozen(capsys, name):
     for fmt, digest in (("text", text_sha), ("json", json_sha)):
         got, out, err = run(capsys, "switch", *args, "--format", fmt)
         assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, ""), fmt
+
+
+# exit code and sha256 of stdout, frozen from the implementation that
+# built the table from every ordered pair and swept every chained triple
+VERIFY_FROZEN = {
+    "az p3 n2 n1 3": (("--family", "albert-zassenhaus", "--p", "3", "--n", "2", "--n1", "3"), 0,
+                      "7d3ae1a8578c76fdb6743ec27c6753fef0744d27a8794ac80db16449f388e4cf",
+                      "8857ed7ce979bbeb40aa0095a3d2658078fa5bc50df3103c0455c014ce4822e9"),
+    "az p3 n3 n1 2": (("--family", "albert-zassenhaus", "--p", "3", "--n", "3", "--n1", "2"), 0,
+                      "ebe01304d99c75fc4e9db782343b91a7099fee01be3453316cccb3d4c08c65bc",
+                      "f835b30a4965af76e96e6ce2e35d1e7eced437fcefda69b2ad77f84fae6cd8d6"),
+    "gh p3 n2": (("--family", "graded-hamiltonian", "--p", "3", "--n", "2"), 0,
+                 "42ef79a6948c30b64d00f229fb90e242209a3e85701a857a7066ba06db099421",
+                 "42d3b840731d0a49d75c58f2f6b25e5c826a983e46c8554448acceaf2984507e"),
+    "az p5 n1": (("--family", "albert-zassenhaus", "--p", "5", "--n", "1"), 0,
+                 "0d7cee5ff23b8d6bb63211604bf80c474b462ba0b843feee992e1c914ac457d4",
+                 "33b0a52eaed84b92ac7bd1bb0cec7d1263bba309be320b3d950335791e4fa589"),
+    # n1 = 2 != s + 1: D is the iterated row of y, with no power law
+    "az p3 n1 n1 2 s0": (("--family", "albert-zassenhaus", "--p", "3", "--n", "1",
+                          "--n1", "2", "--s", "0"), 0,
+                         "7daa79ec94213cfc89f486a2912e935ac16c2714a665dfb0522af493ab6c6af2",
+                         "4c88670d0b82f817dd3a9bedf35ee7ed8299ad296f279b42d95ff8a1e042fe2e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_FROZEN))
+def test_verify_stdout_frozen(capsys, name):
+    args, code, text_sha, json_sha = VERIFY_FROZEN[name]
+    for fmt, digest in (("text", text_sha), ("json", json_sha)):
+        got, out, err = run(capsys, "verify", *args, "--format", fmt)
+        assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, ""), fmt
+
+
+def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatch):
+    """The chained-triple sweep runs zero times on a true algebra, and once
+    on a planted anticommutative Jacobi failure."""
+    calls, sweep = [], liealg._jacobi_sweep
+
+    def counted(desc):
+        calls.append(1)
+        return sweep(desc)
+    monkeypatch.setattr(liealg, "_jacobi_sweep", counted)
+    code, _, _ = run(capsys, "verify", "--family", "albert-zassenhaus",
+                     "--p", "3", "--n", "2", "--n1", "3")
+    assert (code, len(calls)) == (0, 0)
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, FieldParams.prime(3), Heights(3, 2, 1))
+    a, b = desc._index[Monomial(1, 1)], desc._index[Monomial(2, 1)]
+    desc.table[a][b], desc.table[b][a] = (1, a), (2, a)  # [xy, x^(2)y] = xy
+    assert liealg.anticommutativity_violations(desc) == []
+    assert len(liealg.jacobi_violations(desc)) == 25
+    assert len(calls) == 1
 
 
 def test_switch_brackets_each_pair_once(capsys, monkeypatch):

@@ -27,6 +27,7 @@ from thinlie.liealg import (
     iterated_table,
     jacobi_violations,
     leibniz_violations,
+    monomial_generators,
     poisson_coeff,
     realization_violations,
 )
@@ -115,15 +116,28 @@ def test_law_suites_empty():
 
 
 def test_table_matches_bracket_mono_raw():
-    for desc in (GH11, AZ11, GH21, AZ21):
-        for i, a in enumerate(desc.basis):
-            for j, b in enumerate(desc.basis):
-                raw = desc._bracket_mono_raw(a, b)
-                hit = desc.table[i].get(j)
-                if raw is None:
-                    assert hit is None
-                else:
-                    assert hit == (raw[0], desc.basis.index(raw[1]))
+    """The table built from per-axis binomials is the raw rule entry for
+    entry, rows in basis order."""
+    for family in Family:
+        for p, n1, n2 in [(3, 1, 1), (3, 2, 1), (3, 3, 2), (3, 2, 3), (5, 2, 1), (5, 1, 2)]:
+            desc = AlgebraDescriptor(family, FieldParams.prime(p), Heights(p, n1, n2))
+            for i, a in enumerate(desc.basis):
+                expected = {}
+                for j, b in enumerate(desc.basis):
+                    raw = desc._bracket_mono_raw(a, b)
+                    if raw is not None:
+                        expected[j] = (raw[0], desc._index[raw[1]])
+                assert list(desc.table[i].items()) == list(expected.items()), (desc, a)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_table_refuses_nonzero_overflow(family, monkeypatch):
+    """With C(n, k) faked to k + 1, the Poisson constant of x^(i)y^(j),
+    x^(k)y^(l) is j - i, nonzero on some pair whose exponents overflow."""
+    monkeypatch.setattr("thinlie.liealg.lucas_binomial", lambda n, k, p: (k + 1) % p)
+    desc = AlgebraDescriptor(family, F3, Heights(3, 1, 1))
+    with pytest.raises(ArithmeticError, match="overflowing bracket"):
+        desc.table
 
 
 def test_law_suites_catch_corruption():
@@ -226,6 +240,47 @@ def test_derivation_sweeps_match_element_oracles(data):
             for _ in range(desc.heights.p ** deriv.s):
                 w = desc.bracket(y, w)
             assert deriv.apply(desc.basis_element(m)) == w
+
+
+def drop_brackets_onto(desc, m):
+    """Delete every table entry with target index m."""
+    for row in desc.table:
+        for j in [j for j, (_c, k) in row.items() if k == m]:
+            del row[j]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_jacobi_certificate_matches_oracle_on_anticommutative_plantings(data):
+    """On random (family, p, n1, n2) with at most 81 monomials, plantings
+    that keep the table anticommutative reach the generator certificate:
+    constants planted as [a, b] = c e_k with [b, a] = -c e_k, and every
+    bracket onto one monomial set to zero, which can leave the candidate
+    generators generating only part of the algebra."""
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n1, n2 = data.draw(st.sampled_from(
+        [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1)]))
+    family = data.draw(st.sampled_from(list(Family)))
+    desc = AlgebraDescriptor(family, FieldParams.prime(p), Heights(p, n1, n2))
+    n, rows = desc.dim, desc.table
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c, k = data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j], rows[j][i] = (c, k), (-c % p, k)
+    if data.draw(st.booleans()):
+        drop_brackets_onto(desc, data.draw(st.integers(0, n - 1)))
+    assert anticommutativity_violations(desc) == []
+    assert jacobi_violations(desc) == dense_jacobi_violations(desc)
+
+
+def test_generation_fails_without_brackets_onto_a_monomial():
+    """With no bracket landing on x^(1)y^(1), no candidate generates it."""
+    for desc in (AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F3, Heights(3, 2, 1)),
+                 AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))):
+        assert monomial_generators(desc) is not None
+        drop_brackets_onto(desc, desc._index[Monomial(1, 1)])
+        assert monomial_generators(desc) is None
+        assert jacobi_violations(desc) == dense_jacobi_violations(desc) != []
 
 
 def test_planted_row_out_of_key_order():
