@@ -219,9 +219,10 @@ def cmd_verify(rc: RunConfig):
     expected_dim = rc.p ** (rc.n1 + rc.n) - (
         2 if rc.family is Family.GRADED_HAMILTONIAN else 0
     )
+    anticommutativity = anticommutativity_violations(desc)
     suites = (
-        ("anticommutativity", anticommutativity_violations(desc)),
-        ("jacobi", jacobi_violations(desc)),
+        ("anticommutativity", anticommutativity),
+        ("jacobi", jacobi_violations(desc, anticommutativity)),
         ("closure", closure_violations(desc)),
         ("leibniz", leibniz_violations(deriv)),
         ("derivation_power", derivation_power_violations(deriv)),

@@ -118,12 +118,12 @@ def monomial_grading_violations(descriptor: AlgebraDescriptor, spec: GradingSpec
     including configurations without a label chart.  Empty list means the
     monomial basis realizes the grading.
     """
-    basis = descriptor.basis
+    basis, n = descriptor.basis, spec.N
     deg = [spec.degree_of_monomial(m) for m in basis]
     violations = []
     for ia, row in enumerate(descriptor.table):
-        for ib, (c, k) in row.items():
-            if c % spec.p and deg[k] != (deg[ia] + deg[ib]) % spec.N:
+        for ib, (_c, k) in row.items():
+            if deg[k] != (deg[ia] + deg[ib]) % n:
                 violations.append((ia, ib))
     violations.sort()
     return [(basis[ia], basis[ib]) for ia, ib in violations]

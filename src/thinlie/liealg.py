@@ -14,10 +14,12 @@ on the integer coordinates of elements (one per power of t, see
 `dpalgebra`) through its one accumulate loop: a bracket over F_{p^m} is the
 table read once per pair of coordinates, keyed (monomial, r + s), then
 folded once by the modulus.  The exhaustive law checks sweep both tables
-sparsely.  Jacobi is first decided by a certificate: on an anticommutative
-table it holds iff ad_g is a derivation for each g of a few monomials that
-generate the algebra; only when the certificate fails does the sweep over
-chained triples list the failing triples.
+sparsely.  One row-wise kernel, `_derivation_defects`, sums the defect of
+a derivation table and serves two laws: Leibniz for D, and the Jacobi
+certificate: on an anticommutative table Jacobi holds iff ad_g is a
+derivation for each g of a few monomials that generate the algebra.  Only
+when the certificate fails does the sweep over chained triples list the
+failing triples.
 """
 
 from __future__ import annotations
@@ -265,8 +267,8 @@ class Derivation:
     closed form: writing a monomial as x^(a p^s + r) y^(j+1), 0 <= r < p^s,
     the image keeps (r, j) and either lowers a by one (a > 0, coefficient 1)
     or, in AlbertZassenhaus, wraps a to p - 1 with coefficient -j (a = 0;
-    zero in GradedHamiltonian).  Otherwise it is the row of y composed p^s
-    times, the realization the closed form is checked against.
+    zero in GradedHamiltonian).  Otherwise it is s successive p-th powers of
+    the row of y, the realization the closed form is checked against.
     """
 
     def __init__(self, descriptor: AlgebraDescriptor, s: int):
@@ -305,11 +307,24 @@ def _closed_form_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
     return rows
 
 
+def ad_table(desc: AlgebraDescriptor, g: int) -> list[dict[int, int]]:
+    """ad basis[g] as a derivation table: row g of desc.table, by partner."""
+    row = desc.table[g]
+    return [{row[j][1]: row[j][0]} if j in row else {} for j in range(desc.dim)]
+
+
 def iterated_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
-    """The table of (ad y)^(p^s): the row of y in desc.table composed p^s times."""
-    p, row = desc.heights.p, desc.table[desc._index[Monomial(0, 1)]]
-    ad_y = [{row[j][1]: row[j][0]} if j in row else {} for j in range(desc.dim)]
-    return table_power(ad_y, p ** s, p)
+    """The table of (ad y)^(p^s): s successive p-th powers of ad y.
+
+    A power equal to the one before is a fixed point of the p-th power map,
+    so every later power equals it too and the loop stops there."""
+    p, power = desc.heights.p, ad_table(desc, desc._index[Monomial(0, 1)])
+    for _ in range(s):
+        nxt = table_power(power, p, p)
+        if nxt == power:
+            break
+        power = nxt
+    return power
 
 
 def table_power(table: list, k: int, p: int) -> list[dict[int, int]]:
@@ -353,7 +368,7 @@ def anticommutativity_violations(desc: AlgebraDescriptor) -> list:
     return [(a, a) for a in diag] + [(basis[i], basis[j]) for i, j in bad]
 
 
-def jacobi_violations(desc: AlgebraDescriptor) -> list:
+def jacobi_violations(desc: AlgebraDescriptor, anticommutativity: list | None = None) -> list:
     """Jacobi identity over all strictly sorted basis monomial triples.
 
     Together with bilinearity and the anticommutativity check this covers
@@ -364,13 +379,19 @@ def jacobi_violations(desc: AlgebraDescriptor) -> list:
     algebra Jacobi says that every ad_a is a derivation, and the a with
     ad_a a derivation form a subalgebra, as ad_[a,b] = [ad_a, ad_b] once
     ad_a is one (Jacobson, Lie Algebras).  So when the table is
-    anticommutative, `monomial_generators` finds generators and ad_g is a
-    derivation for each of them (`_ad_is_derivation`), no triple fails and
-    the list is empty.  Otherwise `_jacobi_sweep` lists the failing triples.
+    anticommutative, `monomial_generators` finds generators and
+    `_derivation_defects` finds no defect of `ad_table` for each of them,
+    no triple fails and the list is empty.  Otherwise `_jacobi_sweep` lists
+    the failing triples.  `anticommutativity` is the list
+    `anticommutativity_violations` returns, computed here when not given.
     """
-    if not anticommutativity_violations(desc):
+    if anticommutativity is None:
+        anticommutativity = anticommutativity_violations(desc)
+    if not anticommutativity:
         gens = monomial_generators(desc)
-        if gens is not None and all(_ad_is_derivation(desc, g) for g in gens):
+        if gens is not None and all(
+                next(_derivation_defects(desc, ad_table(desc, g), half=True), None) is None
+                for g in gens):
             return []
     return _jacobi_sweep(desc)
 
@@ -412,36 +433,43 @@ def monomial_generators(desc: AlgebraDescriptor) -> list[int] | None:
     return gens if all(reached) else None
 
 
-def _ad_is_derivation(desc: AlgebraDescriptor, g: int) -> bool:
-    """[g,[a,b]] = [[g,a],b] + [a,[g,b]] for every pair of basis monomials.
+def _derivation_defects(desc: AlgebraDescriptor, images: list, half: bool = False):
+    """(a, sorted b) for every a where D[a,b] = [Da,b] + [a,Db] fails.
 
-    Row by row: for each a the defect is summed over b, keyed (b, target),
-    from rows a, g and [g, a].  Assumes an anticommutative table, under
-    which the defect is antisymmetric in (a, b), so only b > a is summed.
+    D is the derivation table images (images[i] = {k: d} for D basis[i] =
+    sum of d basis[k]).  Row by row, the defect D[a,b] - [Da,b] - [a,Db] is
+    summed over every b at once, keyed (b, target), from three sources: the
+    entries of row a, the rows of the support of Da, and, for each entry
+    [a, k] of row a, the b with k in the support of Db.  Any other b has
+    all three sides zero.  With half, only b > a is summed, which suffices
+    when the defect is antisymmetric in (a, b), as for ad_g on an
+    anticommutative table.
     """
     p = desc.heights.p
     rows = desc.table
-    row_g = rows[g]
+    preimages = [[] for _ in rows]  # preimages[k]: (b, d), d basis[k] a term of Db
+    for b, image in enumerate(images):
+        for k, d in image.items():
+            preimages[k].append((b, d))
 
-    def defect(a, row):
-        for b, (c1, m) in row.items():  # [g, [a, b]]
-            if b > a:
-                hit = row_g.get(m)
-                if hit is not None:
-                    yield (b, hit[1]), c1 * hit[0]
-        hit = row_g.get(a)  # -[[g, a], b]
-        if hit is not None:
-            c1, ga = hit
-            for b, (c2, t) in rows[ga].items():
-                if b > a:
-                    yield (b, t), -c1 * c2
-        for b, (c1, gb) in row_g.items():  # -[a, [g, b]]
-            if b > a:
-                hit = row.get(gb)
-                if hit is not None:
-                    yield (b, hit[1]), -c1 * hit[0]
+    def defect(a, row, lo):
+        for b, (c, t) in row.items():  # D[a, b]
+            if b > lo:
+                for k, d in images[t].items():
+                    yield (b, k), c * d
+        for k, d in images[a].items():  # -[Da, b]
+            for b, (c, t) in rows[k].items():
+                if b > lo:
+                    yield (b, t), -d * c
+        for k, (c, t) in row.items():  # -[a, Db]
+            for b, d in preimages[k]:
+                if b > lo:
+                    yield (b, t), -d * c
 
-    return not any(accumulate({}, defect(a, row), p) for a, row in enumerate(rows))
+    for a, row in enumerate(rows):
+        failing = {b for b, _t in accumulate({}, defect(a, row, a if half else -1), p)}
+        if failing:
+            yield a, sorted(failing)
 
 
 def _jacobi_sweep(desc: AlgebraDescriptor) -> list:
@@ -513,45 +541,12 @@ def closure_violations(desc: AlgebraDescriptor) -> list:
 def leibniz_violations(deriv: Derivation) -> list:
     """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs.
 
-    Reads the images D(basis[i]) from the derivation table.  For each a only
-    the partners b that give some side a term are compared: an entry
-    table[a][b], an entry table[k][b] with k in the support of Da, or an
-    entry table[a][k] with k in the support of Db.
+    The defect of the derivation table, summed row by row by
+    `_derivation_defects`.
     """
-    desc = deriv.descriptor
-    p = desc.heights.p
-    rows, basis, images = desc.table, desc.basis, deriv.table
-    preimages = [[] for _ in basis]  # preimages[k]: every b with k in the support of Db
-    for b, image in enumerate(images):
-        for k in image:
-            preimages[k].append(b)
-
-    def defect(a, b):  # the terms of D[a,b] - [Da,b] - [a,Db]
-        row = rows[a]
-        hit = row.get(b)
-        if hit is not None:
-            c, t = hit
-            for k, d in images[t].items():
-                yield k, c * d
-        for k, d in images[a].items():
-            hit = rows[k].get(b)
-            if hit is not None:
-                yield hit[1], -d * hit[0]
-        for k, d in images[b].items():
-            hit = row.get(k)
-            if hit is not None:
-                yield hit[1], -d * hit[0]
-
-    bad = []
-    for a, row in enumerate(rows):
-        partners = set(row)
-        for k in images[a]:
-            partners.update(rows[k])
-        for k in row:
-            partners.update(preimages[k])
-        bad.extend((basis[a], basis[b]) for b in sorted(partners)
-                   if accumulate({}, defect(a, b), p))
-    return bad
+    basis = deriv.descriptor.basis
+    return [(basis[a], basis[b])
+            for a, bs in _derivation_defects(deriv.descriptor, deriv.table) for b in bs]
 
 
 def derivation_power_violations(deriv: Derivation) -> list:

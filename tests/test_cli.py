@@ -158,8 +158,9 @@ def test_verify_stdout_frozen(capsys, name):
 
 
 def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatch):
-    """The chained-triple sweep runs zero times on a true algebra, and once
-    on a planted anticommutative Jacobi failure."""
+    """The chained-triple sweep runs zero times on a true algebra, once on a
+    planted anticommutative Jacobi failure, and straight away, without the
+    certificate, when the anticommutativity list passed in is not empty."""
     calls, sweep = [], liealg._jacobi_sweep
 
     def counted(desc):
@@ -172,9 +173,44 @@ def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatc
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, FieldParams.prime(3), Heights(3, 2, 1))
     a, b = desc._index[Monomial(1, 1)], desc._index[Monomial(2, 1)]
     desc.table[a][b], desc.table[b][a] = (1, a), (2, a)  # [xy, x^(2)y] = xy
-    assert liealg.anticommutativity_violations(desc) == []
-    assert len(liealg.jacobi_violations(desc)) == 25
+    anticommutativity = liealg.anticommutativity_violations(desc)
+    assert anticommutativity == []
+    assert len(liealg.jacobi_violations(desc, anticommutativity)) == 25
     assert len(calls) == 1
+    monkeypatch.setattr(liealg, "monomial_generators", None)  # the certificate would call it
+    desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, FieldParams.prime(3), Heights(3, 1, 1))
+    assert liealg.jacobi_violations(desc, [(desc.basis[0], desc.basis[0])]) == []
+    assert len(calls) == 2
+
+
+def test_verify_checks_anticommutativity_once(capsys, monkeypatch):
+    """cmd_verify passes its anticommutativity list to jacobi_violations
+    instead of computing it a second time there."""
+    calls, check = [], liealg.anticommutativity_violations
+
+    def counted(desc):
+        calls.append(1)
+        return check(desc)
+    monkeypatch.setattr(liealg, "anticommutativity_violations", counted)
+    monkeypatch.setattr(cli, "anticommutativity_violations", counted)
+    code, out, _ = run(capsys, "verify", "--family", "albert-zassenhaus",
+                       "--p", "3", "--n", "2", "--n1", "3")
+    assert (code, len(calls)) == (0, 1)
+    assert "check jacobi: pass" in out.splitlines()
+
+
+def test_verify_large_s_finishes(capsys):
+    """D = (ad y)^(p^s) is built from s successive p-th powers that stop at
+    a fixed point, so a huge s costs no more than a small one.  Here the
+    powers of ad y are fixed from s = 1 on, so the checks agree with s = 3."""
+    args = ("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1")
+    code, small, _ = run(capsys, *args, "--s", "3")
+    assert code == 0
+    for s in ("40", "100000"):
+        code, out, err = run(capsys, *args, "--s", s)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == small.splitlines()[1:]
+        assert f" s={s} " in out.splitlines()[0]
 
 
 def test_switch_brackets_each_pair_once(capsys, monkeypatch):

@@ -242,6 +242,29 @@ def test_derivation_sweeps_match_element_oracles(data):
             assert deriv.apply(desc.basis_element(m)) == w
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_leibniz_matches_element_oracle_on_planted_derivation_entries(data):
+    """On random admissible (family, p, n1, n2, s) with at most 81 monomials,
+    one to three entries of the derivation table overwritten or deleted, so
+    the images are neither the closed form nor a power of ad y: the
+    row-wise defect sums list the pairs the element sweep finds, in order."""
+    p = data.draw(st.sampled_from([3, 5]))
+    n1, n2 = data.draw(st.sampled_from(
+        [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1)]))
+    desc = AlgebraDescriptor(data.draw(st.sampled_from(list(Family))),
+                             FieldParams.prime(p), Heights(p, n1, n2))
+    deriv = Derivation(desc, data.draw(st.integers(0, n1)))
+    n = desc.dim
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = deriv.table[data.draw(st.integers(0, n - 1))]
+        if row and data.draw(st.booleans()):
+            del row[data.draw(st.sampled_from(sorted(row)))]
+        else:
+            row[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, p - 1))
+    assert leibniz_violations(deriv) == element_leibniz_violations(deriv)
+
+
 def drop_brackets_onto(desc, m):
     """Delete every table entry with target index m."""
     for row in desc.table:

@@ -1,10 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "thinlie").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "thinlie").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -34,3 +37,17 @@ def test_stdlib_only():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_trace_targets_resolve():
+    """Every function the benchmark's tracer wraps still exists under the
+    name it looks up, so renaming or deleting one fails here too."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.SPANS + tracing.COUNTERS
+    assert targets
+    missing = [f"{module}:{path}" for _name, module, path in targets
+               if tracing._resolve(importlib.import_module(module), path) is None]
+    assert missing == []
