@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import re
 from typing import NamedTuple
 
@@ -27,7 +28,8 @@ from .ffield import (
     falling_binomial,
     lucas_binomial,
 )
-from .liealg import AlgebraDescriptor, Derivation, table_power
+from .liealg import (AlgebraDescriptor, Derivation, anticommutativity_violations,
+                     table_power)
 
 
 class GradingCase(enum.Enum):
@@ -400,46 +402,97 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
 
 
 def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
-                 cfg: SwitchConfig | None = None) -> tuple[list, list]:
-    """Bracket each ordered pair of active labels once, for two checks.
+                 cfg: SwitchConfig | None = None,
+                 anticommutativity: list | None = None) -> tuple[list, list]:
+    """Bracket each unordered pair of active labels once, for two checks on
+    both orders of the pair.
 
     Grading: a nonzero bracket is reduced against the echelon of the degree
     class of the degree sum, and a nonzero remainder (the stray) is recorded
     as (label, label, stray); none means the basis realizes a grading.
     Product tables, only when cfg is given: a bracket that differs from the
-    prediction of `_product_rule` is recorded as (label, label).  A bracket
-    equal to its prediction c v_L with L of the degree sum needs no
-    reduction: v_L is a row of that echelon's span.  Brackets are not kept.
+    prediction (c, L) of `_product_rule`, c v_L, is recorded as
+    (label, label).  A bracket equal to its prediction with L of the degree
+    sum needs no reduction: v_L is a row of that echelon's span.  Brackets
+    are not kept, and c v_L is built once per (L, c).
+
+    `anticommutativity` is the list `anticommutativity_violations` returns,
+    computed here when not given.  When it is empty the table constants,
+    which lie in F_p with p odd, give [v_b, v_a] = -[v_a, v_b] for all
+    vectors, so the reversed order of a pair needs no bracket.  If the rule
+    also predicts (-c, L) for it, the reversed order misses iff the first
+    does, is exempt from reduction iff the first is, and its stray is the
+    first one negated, as `SparseEchelon.reduce` commutes with scalars.
+    Otherwise the reversed order is checked on its own, on -[v_a, v_b] or,
+    for a table that is not anticommutative, on the bracket [v_b, v_a].
+    Both lists come in the order of the ordered pairs of active labels.
     Returns (strays, misses).
     """
-    spec = basis.spec
+    spec, field = basis.spec, basis.field
+    if anticommutativity is None:
+        anticommutativity = anticommutativity_violations(descriptor)
     rule = _product_rule(basis, cfg) if cfg is not None else None
     by_deg: dict[int, SparseEchelon] = {}
     active = basis.active_labels
     vectors, degrees = basis.vectors, basis.degrees
     for lab in active:
-        ech = by_deg.setdefault(degrees[lab], SparseEchelon(basis.field, spec.heights))
+        ech = by_deg.setdefault(degrees[lab], SparseEchelon(field, spec.heights))
         ech.insert(vectors[lab])
+    p, N = field.p, spec.N
+
+    @functools.cache
+    def negated(c: tuple) -> tuple:
+        return tuple(-x % p for x in c)
+
+    @functools.cache
+    def predicted(c: tuple, lab):
+        """Terms of c v_L: empty for c = 0, None for c != 0 without a label."""
+        if lab is None:
+            return None if any(c) else {}
+        return vectors[lab].scale(field.element(c)).terms
+
     strays, misses = [], []
-    N = spec.N
-    for la in active:
+    for ia, la in enumerate(active):
         va, da = vectors[la], degrees[la]
-        for lb in active:
-            w = descriptor.bracket(va, vectors[lb])
+        for ib in range(ia, len(active)):
+            lb = active[ib]
+            vb = vectors[lb]
+            w = descriptor.bracket(va, vb)
             target = (da + degrees[lb]) % N
-            if rule is not None:
-                predicted, lab = rule(la, lb)
-                if predicted is None or w != predicted:
-                    misses.append((la, lb))
-                elif lab is not None and degrees[lab] == target:
+            forward = rule(la, lb) if rule is not None else None
+            orders = [(ia, ib, w, forward)]
+            mirrored = False
+            if ia != ib:
+                backward = rule(lb, la) if rule is not None else None
+                if anticommutativity:
+                    orders.append((ib, ia, descriptor.bracket(vb, va), backward))
+                elif forward is None or (backward[1] == forward[1]
+                                         and backward[0] == negated(forward[0])):
+                    mirrored = True
+                else:
+                    orders.append((ib, ia, -w, backward))
+            for i, j, wij, rule_ij in orders:
+                if rule_ij is not None:
+                    c, lab = rule_ij
+                    terms = predicted(c, lab)
+                    if terms is None or wij.terms != terms:
+                        misses.append((i, j))
+                        if mirrored:
+                            misses.append((j, i))
+                    elif lab is not None and degrees[lab] == target:
+                        continue
+                if wij.is_zero():
                     continue
-            if w.is_zero():
-                continue
-            ech = by_deg.get(target)
-            stray = ech.reduce(w) if ech is not None else w
-            if not stray.is_zero():
-                strays.append((la, lb, stray))
-    return strays, misses
+                ech = by_deg.get(target)
+                stray = ech.reduce(wij) if ech is not None else wij
+                if not stray.is_zero():
+                    strays.append((i, j, stray))
+                    if mirrored:
+                        strays.append((j, i, -stray))
+    strays.sort(key=lambda t: t[:2])
+    misses.sort()
+    return ([(active[i], active[j], stray) for i, j, stray in strays],
+            [(active[i], active[j]) for i, j in misses])
 
 
 def verify_product_tables(descriptor: AlgebraDescriptor, basis: GradedBasis,
@@ -452,23 +505,25 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
     """The bracket of two switched basis vectors, predicted by the closed rules.
 
     For labels (j,k,a), (l,h,b) the bracket is predicted as a single scaled
-    basis vector: coefficient C(k+h+1,h)C(j+l+1,j) - C(k+h+1,k)C(j+l+1,l) at
-    label (j+l, k+h, a+b) when k and h are not both -1, and
-    sigma*(C(j+l+1,j) beta - C(j+l+1,l) alpha) at (j+l, p^s-2, a+b-1) when
-    k = h = -1, with alpha, beta the generalized-power exponents of the two
-    labels.  The rule returns (prediction, L), L the label scaled, or None
-    for L when the coefficient vanishes.  Out-of-range targets must come
-    with coefficient zero (else the prediction is None); the label index a
-    is reduced mod p.  Pairs range over active labels only: the zero
-    placeholders are not basis vectors, and as bracket targets they are
-    covered by the coefficient vanishing (top) or by the constant
-    projection (bottom).
+    basis vector c v_L: c = C(k+h+1,h)C(j+l+1,j) - C(k+h+1,k)C(j+l+1,l) at
+    L = (j+l, k+h, a+b) when k and h are not both -1, and
+    c = sigma*(C(j+l+1,j) beta - C(j+l+1,l) alpha) at L = (j+l, p^s-2, a+b-1)
+    when k = h = -1, with alpha, beta the generalized-power exponents of the
+    two labels.  The rule returns (c, L), c as the tuple of its m F_p
+    coordinates; L is None when c = 0, the bracket predicted to vanish.  An
+    out-of-range target must come with c = 0; else L is None with c != 0,
+    no prediction, and the pair is a miss.  The label index a is reduced
+    mod p.  Exchanging the two labels negates c and keeps L; `check_graded`
+    tests this per pair rather than assuming it.  Pairs range over active
+    labels only: the zero placeholders are not basis vectors, and as
+    bracket targets they are covered by the coefficient vanishing (top) or
+    by the constant projection (bottom).
 
     The first coefficient is an integer; the second is an F_p-combination
     of sigma*alpha over the labels, computed once per (j, a) and combined
-    coordinate-wise, so predicting a pair multiplies no field elements.
-    The binomials are read from two tables built once per rule, by (j, l)
-    and by (k, h).
+    coordinate-wise, so predicting a pair multiplies no field elements and
+    builds no algebra element.  The binomials are read from two tables
+    built once per rule, by (j, l) and by (k, h).
     """
     spec, field = basis.spec, basis.field
     if spec.case not in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD):
@@ -482,7 +537,9 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
 
     sigma_expo = {(j, a): (cfg.sigma * expo(j, a)).coeffs
                   for j in range(-1, q - 1) for a in range(p)}
-    zero = AlgebraElement.zero(field, spec.heights)
+    in_prime_field = [(c,) + (0,) * (field.m - 1) for c in range(p)]
+    label_at = [[[Label(j, k, a) for a in range(p)] for k in range(-1, ps - 1)]
+                for j in range(-1, q - 1)]
 
     def binomials(top: int) -> list[list[tuple[int, int]]]:
         """(C(u+v+1, u), C(u+v+1, v)) mod p at [u+1][v+1], -1 <= u, v <= top."""
@@ -495,19 +552,16 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
         jj = j + l
         cj, cl = by_jl[j + 1][l + 1]
         if k == -1 and h == -1:
-            c = field.element([cj * y - cl * x for x, y in
-                               zip(sigma_expo[j, a], sigma_expo[l, b])])
+            c = tuple((cj * y - cl * x) % p for x, y in
+                      zip(sigma_expo[j, a], sigma_expo[l, b]))
             kk, aa = ps - 2, a + b - 1
         else:
             ck, ch = by_kh[k + 1][h + 1]
-            c = (ch * cj - ck * cl) % p
+            c = in_prime_field[(ch * cj - ck * cl) % p]
             kk, aa = k + h, a + b
-        if not c:
-            return zero, None
-        if not (-1 <= jj <= q - 2 and -1 <= kk <= ps - 2):
-            return None, None  # nonzero coefficient at an impossible label
-        lab = Label(jj, kk, aa % p)
-        return basis.vectors[lab].scale(c), lab
+        if not any(c) or not (-1 <= jj <= q - 2 and -1 <= kk <= ps - 2):
+            return c, None
+        return c, label_at[jj + 1][kk + 1][aa % p]
 
     return rule
 
@@ -523,15 +577,17 @@ def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,
     the raw one, s != 0.  `SparseEchelon.insert` scales rows to a unit lead
     and `reduce` commutes with scalars, so the raw echelons hold the same
     rows and each raw stray is the closed one over s_a s_b, in the same
-    order.  Otherwise the raw basis is swept on its own.
+    order.  Otherwise the raw basis is swept on its own.  Anticommutativity
+    of the table is computed once, here, for every sweep.
     """
     link = [lab for lab in closed.labels
             if closed.vectors[lab] != raw.vectors[lab].scale(closed.scalars[lab])]
-    strays, misses = check_graded(descriptor, closed, cfg)
+    anticommutativity = anticommutativity_violations(descriptor)
+    strays, misses = check_graded(descriptor, closed, cfg, anticommutativity)
     if not link and (raw.spec, raw.labels, raw.degrees, raw.active_labels) == (
             closed.spec, closed.labels, closed.degrees, closed.active_labels):
         s = closed.scalars
         raw_strays = [(la, lb, w.scale((s[la] * s[lb]).inverse())) for la, lb, w in strays]
     else:
-        raw_strays = check_graded(descriptor, raw)[0]
+        raw_strays = check_graded(descriptor, raw, anticommutativity=anticommutativity)[0]
     return raw_strays, strays, link, misses

@@ -1,5 +1,5 @@
 """Dense reference sweeps for the law checks of `thinlie.liealg` and the
-monomial grading check of `thinlie.grading`, and FieldElement references
+grading checks of `thinlie.grading`, and FieldElement references
 for the coordinate kernels of `thinlie.dpalgebra` and `thinlie.liealg`.
 
 The sweeps visit every triple and every pair, with no sparsity argument, and
@@ -9,6 +9,11 @@ elements: they apply D one step at a time (`apply_power`), and realize
 (ad y)^(p^s) by bracketing with y p^s times.  The sparse and integer
 sweeps must return the same violation lists, in the same order.
 
+`ordered_check_graded` is the sweep of `thinlie.grading.check_graded` over
+every ordered pair of active labels, bracketing each order on its own and
+building each product-rule prediction c v_L afresh; the sweep over
+unordered pairs must return the same strays and misses, in the same order.
+
 The kernel references (`bracket`, `apply`, `scale`, `Echelon`) keep each
 coefficient as one FieldElement, {monomial: FieldElement} with no zero
 value, and multiply in the field; the package keeps the F_p coordinates of
@@ -16,9 +21,10 @@ each coefficient and multiplies integers, so the two must agree on every
 element.
 """
 
-from thinlie.dpalgebra import AlgebraElement, Monomial
+from thinlie import grading
+from thinlie.dpalgebra import AlgebraElement, Monomial, SparseEchelon
 from thinlie.ffield import FieldElement
-from thinlie.grading import GradingSpec
+from thinlie.grading import GradedBasis, GradingSpec
 from thinlie.liealg import AlgebraDescriptor, Derivation, Family
 
 
@@ -154,6 +160,40 @@ def dense_monomial_grading_violations(desc: AlgebraDescriptor, spec: GradingSpec
             if deg[out[1]] != (deg[a] + deg[b]) % spec.N:
                 violations.append((a, b))
     return violations
+
+
+def ordered_check_graded(desc: AlgebraDescriptor, basis: GradedBasis, cfg=None) -> tuple[list, list]:
+    """(strays, misses) of `check_graded`, one bracket per ordered pair."""
+    spec, field = basis.spec, basis.field
+    rule = grading._product_rule(basis, cfg) if cfg is not None else None
+    by_deg: dict = {}
+    active = basis.active_labels
+    vectors, degrees = basis.vectors, basis.degrees
+    for lab in active:
+        ech = by_deg.setdefault(degrees[lab], SparseEchelon(field, spec.heights))
+        ech.insert(vectors[lab])
+    strays, misses = [], []
+    for la in active:
+        for lb in active:
+            w = desc.bracket(vectors[la], vectors[lb])
+            target = (degrees[la] + degrees[lb]) % spec.N
+            if rule is not None:
+                c, lab = rule(la, lb)
+                if lab is not None:
+                    predicted = vectors[lab].scale(field.element(c))
+                else:
+                    predicted = None if any(c) else desc.zero()
+                if predicted is None or w != predicted:
+                    misses.append((la, lb))
+                elif lab is not None and degrees[lab] == target:
+                    continue
+            if w.is_zero():
+                continue
+            ech = by_deg.get(target)
+            stray = ech.reduce(w) if ech is not None else w
+            if not stray.is_zero():
+                strays.append((la, lb, stray))
+    return strays, misses
 
 
 def _add(terms: dict, mono, c: FieldElement):

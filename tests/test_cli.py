@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import thinlie
-from thinlie import cli, liealg
+from thinlie import cli, grading, liealg
 from thinlie.cli import build_parser, main, materialize, standard_modulus
 from thinlie.dpalgebra import Heights, Monomial, accumulate
 from thinlie.ffield import FieldElement, FieldParams
@@ -228,7 +228,26 @@ def test_switch_brackets_each_pair_once(capsys, monkeypatch):
     monkeypatch.setattr(AlgebraDescriptor, "bracket", counted)
     code, _, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1")
     assert code == 0
-    assert len(calls) == 27 ** 2
+    assert len(calls) == 27 * 28 // 2
+
+
+def test_switch_checks_anticommutativity_once(capsys, monkeypatch):
+    """One switch run computes anticommutativity once, also when the
+    scalar link fails and the raw basis is swept on its own."""
+    calls, check = [], liealg.anticommutativity_violations
+
+    def counted(desc):
+        calls.append(1)
+        return check(desc)
+    for module in (liealg, grading, cli):
+        monkeypatch.setattr(module, "anticommutativity_violations", counted)
+    for extra, code in (((), 0), (("--pi", "2t", "--sigma", "2"), 1)):
+        calls.clear()
+        got, out, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1",
+                          *extra)
+        assert got == code
+        assert ("check scalar_link: FAIL" in out) == bool(extra)
+        assert len(calls) == 1, extra
 
 
 def test_switch_field_multiplies_linear_in_dim(capsys, monkeypatch):

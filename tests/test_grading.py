@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ordered_check_graded
+from thinlie import grading
 from thinlie.cli import standard_modulus
 from thinlie.dpalgebra import Heights, Monomial, SparseEchelon
 from thinlie.ffield import FieldParams
@@ -24,7 +26,7 @@ from thinlie.grading import (
     switch_grading,
     verify_product_tables,
 )
-from thinlie.liealg import AlgebraDescriptor, Derivation, Family
+from thinlie.liealg import AlgebraDescriptor, Derivation, Family, anticommutativity_violations
 
 F3 = FieldParams.prime(3)
 F27 = FieldParams(3, 3, (2, 2, 0, 1))
@@ -353,13 +355,13 @@ def test_switch_checks_planted_swap_and_broken_link():
     desc, raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
     calls = counting_brackets(desc)
     assert switch_checks(desc, raw, closed, cfg) == ([], [], [], [])
-    assert len(calls) == 27 ** 2
+    assert len(calls) == 27 * 28 // 2
     # a swap keeps the link: the raw strays still come from the one sweep
     l1, l2 = Label(-1, 0, 0), Label(0, -1, 0)
     swap_labels(raw, closed, l1, l2)
     calls.clear()
     graded_raw, graded_closed, link, tables = switch_checks(desc, raw, closed, cfg)
-    assert len(calls) == 27 ** 2
+    assert len(calls) == 27 * 28 // 2
     assert link == [] and tables and graded_closed
     assert graded_raw == check_graded(desc, raw)[0] != graded_closed
     # the strays the FieldElement sweep reported, 96 pairs each
@@ -372,6 +374,82 @@ def test_switch_checks_planted_swap_and_broken_link():
     closed.scalars[Label(0, 0, 1)] = closed.scalars[Label(0, 0, 1)] * 2
     calls.clear()
     graded_raw, graded_closed, link, _tables = switch_checks(desc, raw, closed, cfg)
-    assert len(calls) == 2 * 27 ** 2
+    assert len(calls) == 2 * (27 * 28 // 2)
     assert link == [Label(0, 0, 1)]
     assert graded_raw == check_graded(desc, raw)[0]
+    # a table that is not anticommutative is bracketed in both orders
+    desc, raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
+    break_anticommutativity(desc, 0)
+    calls = counting_brackets(desc)
+    switch_checks(desc, raw, closed, cfg)
+    assert len(calls) == 27 ** 2
+
+
+def break_anticommutativity(desc, which: int):
+    """Double the constant of one table entry [b_i, b_j], i < j, picked by
+    `which`, so that [b_i, b_j] != -[b_j, b_i]."""
+    p = desc.heights.p
+    entries = [(i, j) for i, row in enumerate(desc.table) for j in row if j > i]
+    i, j = entries[which % len(entries)]
+    c, k = desc.table[i][j]
+    desc.table[i][j] = (2 * c % p, k)
+    assert anticommutativity_violations(desc) == [(desc.basis[i], desc.basis[j])]
+
+
+def perturbed_rule(pair):
+    """`_product_rule` with the coefficient of one ordered pair shifted by 1,
+    so that its reversed order fails the (-c, L) test."""
+    product_rule = grading._product_rule
+
+    def build(basis, cfg):
+        rule, p = product_rule(basis, cfg), basis.field.p
+
+        def shifted(la, lb):
+            c, lab = rule(la, lb)
+            if (la, lb) == pair:
+                c = ((c[0] + 1) % p,) + c[1:]
+            return c, lab
+        return shifted
+    return build
+
+
+CORRUPTIONS = ["none", "swap", "degree", "scale", "table", "rule"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.booleans(), st.sampled_from(CORRUPTIONS),
+       st.data())
+def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
+    """check_graded over unordered pairs returns the strays and misses of
+    the sweep over ordered pairs, in the same order, with and without the
+    product rules: on admissible switches, after swapping two labels,
+    putting one label in a wrong degree, scaling one vector by 2, breaking
+    anticommutativity at one table entry (both orders bracketed) or
+    shifting the rule's coefficient on one ordered pair (the (-c, L) test
+    fails and the reversed order is compared in full)."""
+    p, n, s = shape
+    if big:
+        case, pi, sigma = GradingCase.BIG_FIELD, data.draw(st.integers(0, p - 1)), 1
+    else:
+        case = GradingCase.PRIME_FIELD
+        pi, sigma = data.draw(st.integers(1, p - 1)), data.draw(st.integers(1, p - 1))
+    desc, raw, closed, cfg = switched(case, p, n, s, pi, sigma)
+    active = closed.active_labels
+    l1, l2 = data.draw(st.lists(st.sampled_from(active), min_size=2, max_size=2,
+                                unique=True))
+    if corruption == "swap":
+        swap_labels(raw, closed, l1, l2)
+    elif corruption == "degree":
+        closed.degrees[l1] = (closed.degrees[l1] + 1) % closed.spec.N
+    elif corruption == "scale":
+        closed.vectors[l1] = closed.vectors[l1].scale(2)
+    elif corruption == "table":
+        break_anticommutativity(desc, data.draw(st.integers(0, 10 ** 6)))
+    with pytest.MonkeyPatch.context() as mp:
+        if corruption == "rule":
+            mp.setattr(grading, "_product_rule", perturbed_rule((l1, l2)))
+        strays, misses = check_graded(desc, closed, cfg)
+        assert (strays, misses) == ordered_check_graded(desc, closed, cfg)
+        assert check_graded(desc, raw) == ordered_check_graded(desc, raw)
+    if corruption == "rule":
+        assert (l1, l2) in misses
