@@ -416,8 +416,12 @@ def perturbed_rule(pair):
 CORRUPTIONS = ["none", "swap", "degree", "scale", "table", "rule"]
 
 
+# the ordered sweep brackets dim^2 pairs, so the oracle test stops at 81
+ORACLE_SHAPES = [(p, n, s) for p, n, s in SMALL_SHAPES if p ** (s + 1 + n) <= 81]
+
+
 @settings(max_examples=12, deadline=None)
-@given(st.sampled_from(SMALL_SHAPES), st.booleans(), st.sampled_from(CORRUPTIONS),
+@given(st.sampled_from(ORACLE_SHAPES), st.booleans(), st.sampled_from(CORRUPTIONS),
        st.data())
 def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
     """check_graded over unordered pairs returns the strays and misses of
