@@ -466,8 +466,8 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
                 backward = rule(lb, la) if rule is not None else None
                 if anticommutativity:
                     orders.append((ib, ia, descriptor.bracket(vb, va), backward))
-                elif forward is None or (backward[1] == forward[1]
-                                         and backward[0] == negated(forward[0])):
+                elif rule is None or (backward[1] == forward[1]
+                                      and backward[0] == negated(forward[0])):
                     mirrored = True
                 else:
                     orders.append((ib, ia, -w, backward))
