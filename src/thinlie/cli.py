@@ -309,8 +309,8 @@ def _generators(spec: GradingSpec, basis: GradedBasis):
 
 
 def cmd_analyze(rc: RunConfig):
-    desc = AlgebraDescriptor(rc.family, rc.field, rc.heights)
     if rc.case == "preswitch":
+        desc = AlgebraDescriptor(rc.family, rc.field, rc.heights)
         spec = _preswitch_spec(rc)
         cfg = None
     else:

@@ -1,17 +1,19 @@
 """Divided power algebra in two variables with bounded exponent heights.
 
-Monomials are written x^(i)y^(j) with 0 <= i < p^n1 and 0 <= j < p^n2 and
-multiply by x^(i)y^(j) * x^(k)y^(l) = C(i+k, i) C(j+l, j) x^(i+k)y^(j+l).
-Whenever an exponent would overflow its height the binomial coefficient is 0
-mod p (a base-p carry), so overflowing products are the zero element; this is
-checked rather than assumed.
+Monomials are written x^(i)y^(j) with 0 <= i < p^n1 and 0 <= j < p^n2; the
+algebra multiplies them by x^(i)y^(j) * x^(k)y^(l) = C(i+k, i) C(j+l, j)
+x^(i+k)y^(j+l).  The package needs no general product: the one it uses,
+a generalized power times a monomial, is a shift of exponents (see
+`grading.build_closed_basis`), and the product itself is kept in the tests
+as the reference that shift is checked against.
 
 Elements live over an explicit finite field F_{p^m} = F_p[t]/(f) and every
 operation returns a new element.  A coefficient is kept as its m prime-field
 coordinates, one per power of t: an element is a sparse map from
-(monomial, r) to the integer coefficient of t^r, so sums and products run on
-integers mod p through `accumulate`.  A product of two coefficients lands on
-powers t^(r+s) up to 2m - 2, which `fold` reduces once by the modulus.
+(monomial, r) to the integer coefficient of t^r, so sums and products of
+coefficients run on integers mod p through `accumulate`.  A product of two
+coefficients lands on powers t^(r+s) up to 2m - 2, which `fold` reduces
+once by the modulus.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ffield import FieldElement, FieldParams, factorial_mod, falling_binomial, is_prime, lucas_binomial
+from .ffield import FieldElement, FieldParams, factorial_mod, falling_binomial, is_prime
 
 
 class Monomial(NamedTuple):
@@ -73,25 +75,6 @@ class Heights:
         for i in range(self.xbound):
             for j in range(self.ybound):
                 yield Monomial(i, j)
-
-
-def mono_mul(h: Heights, a: Monomial, b: Monomial):
-    """Product of two monomials: (coefficient mod p, monomial) or None if zero.
-
-    Exponent overflow forces the coefficient to vanish mod p; both facts are
-    checked against each other.
-    """
-    p = h.p
-    i, j = a.i + b.i, a.j + b.j
-    c = lucas_binomial(i, a.i, p) * lucas_binomial(j, a.j, p) % p
-    if i >= h.xbound or j >= h.ybound:
-        if c != 0:
-            raise ArithmeticError(
-                f"overflowing product {a} * {b} has nonzero coefficient {c}")
-        return None
-    if c == 0:
-        return None
-    return c, Monomial(i, j)
 
 
 def accumulate(terms: dict, pairs, p: int) -> dict:
@@ -241,25 +224,6 @@ class AlgebraElement:
             return AlgebraElement.zero(self.field, self.heights)
         return AlgebraElement._make(self.field, self.heights,
                                     _times(self.terms, coords, self.field))
-
-    def __mul__(self, other):
-        """Associative divided-power product, bilinear over mono_mul."""
-        self._check_compatible(other)
-        h = self.heights
-        right = other.by_monomial().items()
-
-        def products():
-            for m1, cs1 in self.by_monomial().items():
-                for m2, cs2 in right:
-                    hit = mono_mul(h, m1, m2)
-                    if hit is not None:
-                        c, mono = hit
-                        for r, x in cs1:
-                            for s, y in cs2:
-                                yield (mono, r + s), c * x * y
-
-        terms = fold(accumulate({}, products(), h.p), self.field)
-        return AlgebraElement._make(self.field, h, terms)
 
     def __eq__(self, other):
         return (

@@ -261,9 +261,14 @@ def build_closed_basis(descriptor: AlgebraDescriptor, spec: GradingSpec,
     """Closed-form graded basis for any of the four cases.
 
     Pre-switch cases attach plain monomials to labels.  The switched cases
-    attach (1 + sigma x^(p^s))^alpha x^(k+1) y^(j+1) with alpha = -j pi + a
-    over the big field and alpha = a over the prime field, recording the
-    scalar that relates each vector to the raw Laguerre switching output.
+    attach (1 + sigma x^(p^s))^alpha x^(k+1) y^(j+1), with alpha = -j pi + a
+    over the big field and alpha = a over the prime field (`_label_exponent`),
+    recording the scalar that relates each vector to the raw Laguerre
+    switching output.  alpha, the scalar and the power
+    depend on (j, a) only, so each is computed once per (j, a), and each
+    label's vector is that series shifted: x^(i p^s) goes to
+    x^(i p^s + k + 1) y^(j + 1) with its coefficient, the product
+    coefficient C(i p^s + k + 1, k + 1) being 1 by Lucas as k + 1 < p^s.
     Excluded monomials of the GradedHamiltonian family become zero
     placeholders (and constant terms are projected away).
     """
@@ -271,53 +276,66 @@ def build_closed_basis(descriptor: AlgebraDescriptor, spec: GradingSpec,
     h = descriptor.heights
     p = field.p
     ps = spec.step
-    if spec.case in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD) and cfg is None:
-        raise ValueError("switched cases need a SwitchConfig")
-    top_label = Label(spec.q - 2, ps - 2, p - 1)
     labels = list(spec.labels())
     vectors, scalars = {}, {}
-    for lab in labels:
-        j, k, a = lab
-        mono = spec.monomial_of_label(lab)
-        if spec.case in (GradingCase.PRESWITCH_AZ, GradingCase.PRESWITCH_GH):
+    if spec.case in (GradingCase.PRESWITCH_AZ, GradingCase.PRESWITCH_GH):
+        for lab in labels:
+            mono = spec.monomial_of_label(lab)
             if mono in descriptor.excluded:
                 vec = descriptor.zero()
             else:
                 vec = descriptor.basis_element(mono)
             scalars[lab] = field.zero() if vec.is_zero() else field.one()
             vectors[lab] = vec
-            continue
-        if spec.case is GradingCase.BIG_FIELD:
-            alpha = -field.element(j) * cfg.pi + a
-            scalar = _big_field_scalar(field, cfg, j, a)
-        else:
-            alpha = field.element(a)
-            scalar = field.element(factorial_mod(a, p)) * cfg.sigma ** a
-        if descriptor.excluded and lab == top_label:
-            # the closed form would need the excluded top monomial
-            vec = descriptor.zero()
-        else:
-            power = generalized_power(field, h, cfg.sigma, alpha, spec.s)
-            vec = power * AlgebraElement.from_monomial(field, h, Monomial(k + 1, j + 1))
-            vec = descriptor.project(vec)
-        vectors[lab] = vec
-        scalars[lab] = field.zero() if vec.is_zero() else scalar
+    else:
+        if cfg is None:
+            raise ValueError("switched cases need a SwitchConfig")
+        top_label = Label(spec.q - 2, ps - 2, p - 1)
+        for j in range(-1, spec.q - 1):
+            for a in range(p):
+                alpha = _label_exponent(spec, cfg, j, a)
+                scalar = _closed_scalar(spec, cfg, j, a, alpha)
+                series = generalized_power(field, h, cfg.sigma, alpha, spec.s).terms
+                for k in range(-1, ps - 1):
+                    lab = Label(j, k, a)
+                    if descriptor.excluded and lab == top_label:
+                        # the closed form would need the excluded top monomial
+                        vec = descriptor.zero()
+                    else:
+                        vec = descriptor.project(AlgebraElement._make(field, h, {
+                            (Monomial(mono.i + k + 1, j + 1), r): c
+                            for (mono, r), c in series.items()}))
+                    vectors[lab] = vec
+                    scalars[lab] = field.zero() if vec.is_zero() else scalar
     degrees = {lab: spec.degree_of_label(lab) for lab in labels}
     basis = GradedBasis(spec, field, labels, vectors, degrees, scalars)
     basis.validate_rank(descriptor)
     return basis
 
 
-def _big_field_scalar(field: FieldParams, cfg: SwitchConfig, j: int, a: int) -> FieldElement:
+def _label_exponent(spec: GradingSpec, cfg: SwitchConfig, j: int, a: int) -> FieldElement:
+    """alpha(j, a), the exponent of the closed form at the labels (j, k, a):
+    -j pi + a over the big field, a over the prime field."""
+    if spec.case is GradingCase.BIG_FIELD:
+        return -cfg.field.element(j) * cfg.pi + a
+    return cfg.field.element(a)
+
+
+def _closed_scalar(spec: GradingSpec, cfg: SwitchConfig, j: int, a: int,
+                   alpha: FieldElement) -> FieldElement:
+    """a! sigma^a, times C(alpha, a) / C(alpha - a + p - 1, p - 1) over the
+    big field: the closed vector at (j, k, a) over the raw one, for every k."""
+    field = cfg.field
     p = field.p
-    base = -field.element(j) * cfg.pi
-    den = falling_binomial(base + (p - 1), p - 1)
+    scalar = field.element(factorial_mod(a, p)) * cfg.sigma ** a
+    if spec.case is GradingCase.PRIME_FIELD:
+        return scalar
+    den = falling_binomial(alpha - a + (p - 1), p - 1)
     if den.is_zero():
         raise ValueError(
             f"closed-basis scalar undefined at j={j}: C(-j pi + p - 1, p - 1) = 0"
         )
-    num = falling_binomial(base + a, a)
-    return field.element(factorial_mod(a, p)) * cfg.sigma ** a * num / den
+    return scalar * falling_binomial(alpha, a) / den
 
 
 def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
@@ -365,7 +383,6 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
         if not cfg.eigen_compatible():
             raise ValueError("hypothesis failure: (pi^p - pi) sigma^p != 1")
         factor = cfg.lam ** ((p - 1) * p)
-        lam_p = cfg.lam ** p
         alphas = {}
         for i, (m, row, row2) in enumerate(zip(monos, dp, table_power(dp, p, p))):
             if {k: factor * c for k, c in row.items()} != {
@@ -374,10 +391,15 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
             if row.keys() - {i}:
                 raise ValueError(f"hypothesis failure: D^p is not diagonal on the monomial "
                                  f"basis: D^p {m} has support {sorted(monos[k] for k in row)}")
-            # a nonzero eigenvalue c of D^p lies in F_p, so D^(p^2) = c D^p
-            # above forces lam^((p-1)p) = 1, lam in F_p and c / lam^p in F_p
-            a_lab = (field.element(row[i]) / lam_p).as_int() if row else 0
-            alphas[m] = field.element(a_lab) * cfg.pi
+            # D^p is c in F_p on m.  The series runs in lam D, whose p-th
+            # power is lam^p c on m, and the Laguerre parameter of that
+            # eigenvalue solves alpha^p - alpha = lam^p c: alpha = c pi does,
+            # as c^p = c and pi^p - pi = sigma^(-p) = lam^p.  For the D of
+            # AlbertZassenhaus, c = -j on y^(j+1), so alpha is -j pi, the
+            # closed form's exponent at a = 0, for every sigma.  graded_raw
+            # sweeps this basis without reading the closed forms, so its
+            # passing is independent evidence.
+            alphas[m] = field.element(row.get(i, 0)) * cfg.pi
 
     out_case = (
         GradingCase.BIG_FIELD
@@ -530,12 +552,7 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
         raise ValueError("product tables exist for the switched cases only")
     p, q, ps = field.p, spec.q, spec.step
 
-    def expo(j: int, a: int) -> FieldElement:
-        if spec.case is GradingCase.BIG_FIELD:
-            return -field.element(j) * cfg.pi + a
-        return field.element(a)
-
-    sigma_expo = {(j, a): (cfg.sigma * expo(j, a)).coeffs
+    sigma_expo = {(j, a): (cfg.sigma * _label_exponent(spec, cfg, j, a)).coeffs
                   for j in range(-1, q - 1) for a in range(p)}
     in_prime_field = [(c,) + (0,) * (field.m - 1) for c in range(p)]
     label_at = [[[Label(j, k, a) for a in range(p)] for k in range(-1, ps - 1)]

@@ -72,7 +72,8 @@ class ComponentRecord:
 
     images holds ([u, X], [u, Y]) for each basis vector u, in the order of
     vectors; expand_loop fills it for every component it brackets, that is
-    every one but the last.
+    every one but the last.  double_images holds the double brackets of a
+    line component once `_double_brackets` has computed them.
     """
 
     degree: int
@@ -80,6 +81,7 @@ class ComponentRecord:
     vectors: list = dataclasses.field(repr=False)
     echelon: SparseEchelon | None = dataclasses.field(repr=False)
     images: list = dataclasses.field(default_factory=list, repr=False)
+    double_images: tuple | None = dataclasses.field(default=None, repr=False)
 
 
 @dataclasses.dataclass
@@ -349,6 +351,17 @@ def _scalar_ratio(v: AlgebraElement, w: AlgebraElement):
     return c if v == w.scale(c) else None
 
 
+def _double_brackets(cfg: LoopConfig, rec: ComponentRecord) -> tuple:
+    """[V,X,X], [V,X,Y], [V,Y,X], [V,Y,Y] for V spanning the line component
+    rec, bracketed from its images once and kept on rec."""
+    if rec.double_images is None:
+        desc, X, Y = cfg.alg, cfg.X, cfg.Y
+        vx, vy = rec.images[0]
+        rec.double_images = (desc.bracket(vx, X), desc.bracket(vx, Y),
+                             desc.bracket(vy, X), desc.bracket(vy, Y))
+    return rec.double_images
+
+
 def classify_component(cfg: LoopConfig, i: int, records: list) -> DiamondRecord:
     """Diamond record for the slot at degree i.
 
@@ -361,15 +374,12 @@ def classify_component(cfg: LoopConfig, i: int, records: list) -> DiamondRecord:
     """
     if i == 1:
         return DiamondRecord(1, "first", None)
-    desc, X, Y = cfg.alg, cfg.X, cfg.Y
     prev, cur = records[i - 2], records[i - 1]
     if prev.dim != 1:
         return DiamondRecord(i, "anomaly", f"component {i - 1} has dimension {prev.dim}")
-    vx, vy = prev.images[0]
-    vxx, vxy = desc.bracket(vx, X), desc.bracket(vx, Y)
-    vyx, vyy = desc.bracket(vy, X), desc.bracket(vy, Y)
+    vxx, vxy, vyx, vyy = _double_brackets(cfg, prev)
     if cur.dim == 1:
-        if vy.is_zero():
+        if prev.images[0][1].is_zero():  # [V,Y] = 0
             return DiamondRecord(i, "fake", 1)
         if vxy.is_zero() and vxx.is_zero():
             return DiamondRecord(i, "fake", 0)
@@ -394,7 +404,7 @@ def classify_component(cfg: LoopConfig, i: int, records: list) -> DiamondRecord:
     if total.is_zero():
         return DiamondRecord(i, "genuine", INFINITY)
     mu = alpha / total
-    if mu == desc.field.zero() or mu == desc.field.one():
+    if mu == cfg.alg.field.zero() or mu == cfg.alg.field.one():
         return DiamondRecord(i, "anomaly", f"two-dimensional slot computes type {mu}")
     return DiamondRecord(i, "genuine", mu)
 
@@ -515,10 +525,7 @@ def normalization_check(cfg: LoopConfig, records: list) -> CheckResult:
     if prev.dim != 1:
         return CheckResult("normalization", False,
                            {"reason": f"component {q - 1} has dimension {prev.dim}"})
-    desc, X, Y = cfg.alg, cfg.X, cfg.Y
-    vx, vy = prev.images[0]
-    vxx, vxy = desc.bracket(vx, X), desc.bracket(vx, Y)
-    vyx, vyy = desc.bracket(vy, X), desc.bracket(vy, Y)
+    vxx, vxy, vyx, vyy = _double_brackets(cfg, prev)
     problems = {}
     if not vxx.is_zero():
         problems["[V,X,X]"] = vxx.text()

@@ -19,11 +19,17 @@ coefficient as one FieldElement, {monomial: FieldElement} with no zero
 value, and multiply in the field; the package keeps the F_p coordinates of
 each coefficient and multiplies integers, so the two must agree on every
 element.
+
+`product` is the divided-power product of two elements, bilinear over
+`mono_mul`.  The package has no product: `grading.build_closed_basis`
+shifts the exponents of a generalized power instead of multiplying it by a
+monomial, and `product` is the reference for that shift and for the group
+law of `generalized_power`.
 """
 
 from thinlie import grading
-from thinlie.dpalgebra import AlgebraElement, Monomial, SparseEchelon
-from thinlie.ffield import FieldElement
+from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
+from thinlie.ffield import FieldElement, lucas_binomial
 from thinlie.grading import GradedBasis, GradingSpec
 from thinlie.liealg import AlgebraDescriptor, Derivation, Family
 
@@ -261,3 +267,34 @@ class Echelon:
                 self.rows[key] = row
         self.rows[lead] = terms
         return True
+
+
+def mono_mul(h: Heights, a: Monomial, b: Monomial):
+    """Product of two monomials: (coefficient mod p, monomial) or None if zero.
+
+    Exponent overflow forces the coefficient to vanish mod p (a base-p
+    carry); both facts are checked against each other.
+    """
+    p = h.p
+    i, j = a.i + b.i, a.j + b.j
+    c = lucas_binomial(i, a.i, p) * lucas_binomial(j, a.j, p) % p
+    if i >= h.xbound or j >= h.ybound:
+        if c != 0:
+            raise ArithmeticError(
+                f"overflowing product {a} * {b} has nonzero coefficient {c}")
+        return None
+    if c == 0:
+        return None
+    return c, Monomial(i, j)
+
+
+def product(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
+    """The divided-power product u v, term by term over `mono_mul`, with
+    FieldElement products."""
+    terms: dict = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            hit = mono_mul(u.heights, a, b)
+            if hit is not None:
+                _add(terms, hit[1], x * y * hit[0])
+    return AlgebraElement(u.field, u.heights, terms)

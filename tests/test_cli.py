@@ -1,18 +1,26 @@
 """End-to-end command line behavior: flags, defaults, outputs, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thinlie
 from thinlie import cli, grading, liealg
 from thinlie.cli import build_parser, main, materialize, standard_modulus
 from thinlie.dpalgebra import Heights, Monomial, accumulate
 from thinlie.ffield import FieldElement, FieldParams
+from thinlie.grading import Label
 from thinlie.liealg import AlgebraDescriptor, Family
 from thinlie.loopalg import ThinReport
 
@@ -21,6 +29,30 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples() -> list:
+    """(argv, shown lines) of each `$ thinlie ...` line in README.md's sh blocks."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for chunk in re.split(r"^\$ thinlie ", block, flags=re.M)[1:]:
+            command, *shown = chunk.rstrip("\n").split("\n")
+            examples.append((shlex.split(command), shown))
+    return examples
+
+
+def test_readme_examples(capsys):
+    """Each README example exits 0 and prints the lines shown, in order,
+    with `...` standing for any run of skipped lines."""
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["verify", "switch", "analyze"]
+    for argv, shown in examples:
+        pattern = "".join(r"(?:.*\n)*?" if line == "..." else re.escape(line) + "\n"
+                          for line in shown)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert re.fullmatch(pattern, out), argv
 
 
 def test_standard_modulus():
@@ -115,12 +147,12 @@ SWITCH_FROZEN = {
                          "--pi", "0", "--allow-negative-control"), 0,
                         "471f98aa4b7b327e5c2c3f1bf87b1fcd34aee71893aad5a40c56cb5e0b0f2e25",
                         "050858493553b7d6268eeb2cf8afc086843551b49b15c3bc12ba1cdb47359dbf"),
-    # the scalar link fails here, so the raw basis is swept on its own and
-    # graded_raw lists 240 strays: this pins their order end to end
+    # sigma != 1 on the eigenvalue route, frozen once the raw switch took
+    # alpha = c pi (c the eigenvalue of D^p); c sigma^p pi failed graded_raw
     "big p3 n1 pi2t sigma2": (("--case", "big-field", "--p", "3", "--n", "1",
-                               "--pi", "2t", "--sigma", "2"), 1,
-                              "20ebe74af1bb57fe1eab6b8109456db3b3aaf5a4fe4d59cdadba6fb73fab55b0",
-                              "b7b97e57a1c5af05c5e149c934e35f8fad71241ec38f94bae362ebd9fc140d4b"),
+                               "--pi", "2t", "--sigma", "2"), 0,
+                              "1c2e250c0563db209c23b60f1039bd9549809cf39fe5ad712c80a95fe1ec7f48",
+                              "a657d39db6c9faef835131c35e07052dfdd85605db39e337fc31bfa396c9b48f"),
 }
 
 
@@ -233,21 +265,52 @@ def test_switch_brackets_each_pair_once(capsys, monkeypatch):
 
 def test_switch_checks_anticommutativity_once(capsys, monkeypatch):
     """One switch run computes anticommutativity once, also when the
-    scalar link fails and the raw basis is swept on its own."""
+    scalar link fails and the raw basis is swept on its own: a closed
+    scalar doubled at one label breaks the link."""
     calls, check = [], liealg.anticommutativity_violations
+    build, broken = cli.build_closed_basis, [False]
 
     def counted(desc):
         calls.append(1)
         return check(desc)
+
+    def closed_basis(*args):
+        closed = build(*args)
+        if broken[0]:
+            lab = Label(0, 0, 1)
+            closed.scalars[lab] = closed.scalars[lab] * 2
+        return closed
     for module in (liealg, grading, cli):
         monkeypatch.setattr(module, "anticommutativity_violations", counted)
-    for extra, code in (((), 0), (("--pi", "2t", "--sigma", "2"), 1)):
+    monkeypatch.setattr(cli, "build_closed_basis", closed_basis)
+    for broken[0], code in ((False, 0), (True, 1)):
         calls.clear()
-        got, out, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1",
-                          *extra)
+        got, out, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1")
         assert got == code
-        assert ("check scalar_link: FAIL" in out) == bool(extra)
-        assert len(calls) == 1, extra
+        assert ("check scalar_link: FAIL" in out) == broken[0]
+        assert len(calls) == 1, broken[0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([3, 5]), st.data())
+def test_switch_and_analyze_pass_for_every_sigma(p, data):
+    """Over F_p[t]/(t^p - t - 1), sigma in F_p^* and pi = sigma^-1 t + c,
+    c in F_p, are the p roots of (pi^p - pi) sigma^p = 1: at s = 0 and
+    n = 1, switch (which sweeps the raw Laguerre basis) and analyze pass
+    every check, the informational one included."""
+    field = FieldParams(p, p, standard_modulus(p))
+    sigma = data.draw(st.integers(1, p - 1))
+    c = data.draw(st.integers(0, p - 1))
+    pi = field.element(sigma).inverse() * field.gen() + c
+    args = ("--case", "big-field", "--p", str(p), "--n", "1", "--s", "0",
+            "--pi", str(pi), "--sigma", str(sigma))
+    for command in ("switch", "analyze"):
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+            code = main([command, *args])
+        checks = [line for line in buf.getvalue().splitlines() if line.startswith("check ")]
+        assert (code, err.getvalue()) == (0, ""), (command, args)
+        assert checks and all(": pass" in line for line in checks), (command, args)
 
 
 def test_switch_field_multiplies_linear_in_dim(capsys, monkeypatch):
@@ -308,6 +371,21 @@ def test_analyze_json_round_trips(capsys):
     assert rep.passed
     assert rep.params["N"] == 18
     assert rep.to_json() == out
+
+
+def test_analyze_builds_one_descriptor(capsys, monkeypatch):
+    """analyze builds the algebra descriptor once, switched or not."""
+    calls, init = [], AlgebraDescriptor.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        init(self, *args)
+    monkeypatch.setattr(AlgebraDescriptor, "__init__", counted)
+    for args in (("--case", "big-field"),
+                 ("--case", "preswitch", "--family", "albert-zassenhaus")):
+        calls.clear()
+        code, _, _ = run(capsys, "analyze", *args, "--p", "3", "--n", "1")
+        assert (code, len(calls)) == (0, 1), args
 
 
 def test_analyze_preswitch(capsys):

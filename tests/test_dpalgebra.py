@@ -1,4 +1,5 @@
-"""Divided power algebra: monomial products, sparse elements, echelon spans."""
+"""Divided power algebra: sparse elements, generalized powers, echelon spans,
+and the reference product of `oracles`."""
 
 import os
 import subprocess
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 
 import thinlie
 
+from oracles import mono_mul, product
 from thinlie.dpalgebra import (
     AlgebraElement,
     Heights,
     Monomial,
     SparseEchelon,
     generalized_power,
-    mono_mul,
     parse_element,
 )
 from thinlie.ffield import FieldParams
@@ -88,13 +89,13 @@ def test_add_sub_scale():
 
 def test_product_is_divided_power():
     x = elem(F3, H11, ((1, 0), 1))
-    assert x * x == AlgebraElement.from_monomial(F3, H11, (2, 0), 2)
-    assert (x * x).coeff((2, 0)) == F3.element(2)
-    assert (x * x * x).is_zero()
+    assert product(x, x) == AlgebraElement.from_monomial(F3, H11, (2, 0), 2)
+    assert product(x, x).coeff((2, 0)) == F3.element(2)
+    assert product(product(x, x), x).is_zero()
     one = elem(F3, H11, ((0, 0), 1))
     for m in H11.monomials():
         v = AlgebraElement.from_monomial(F3, H11, m)
-        assert one * v == v
+        assert product(one, v) == v
 
 
 def test_product_associative_small():
@@ -103,7 +104,7 @@ def test_product_associative_small():
     for u in vs[:5]:
         for v in vs[:5]:
             for w in vs[:5]:
-                assert (u * v) * w == u * (v * w)
+                assert product(product(u, v), w) == product(u, product(v, w))
 
 
 def test_text_and_parse_round_trip():
@@ -129,9 +130,8 @@ def test_generalized_power_group_law():
     sigma = t + 1
     for alpha in (F27.zero(), F27.one(), t, t ** 2 + 2):
         for beta in (F27.one(), t):
-            lhs = generalized_power(F27, H21, sigma, alpha, 1) * generalized_power(
-                F27, H21, sigma, beta, 1
-            )
+            lhs = product(generalized_power(F27, H21, sigma, alpha, 1),
+                          generalized_power(F27, H21, sigma, beta, 1))
             assert lhs == generalized_power(F27, H21, sigma, alpha + beta, 1)
 
 
@@ -211,13 +211,19 @@ def test_echelon_equality_is_span_equality(orders, extra):
 
 
 def test_overflow_check_survives_optimize():
-    """python -O drops asserts; the overflow check must still raise."""
+    """python -O drops asserts; the structure-constant table's overflow
+    check must still raise.  With the binomials replaced by k + 1 mod p,
+    brackets past the heights get nonzero constants."""
     script = textwrap.dedent("""
-        import thinlie.dpalgebra as dp
-        dp.lucas_binomial = lambda n, k, p: 1
+        from thinlie import liealg
+        from thinlie.dpalgebra import Heights
+        from thinlie.ffield import FieldParams
+        liealg.lucas_binomial = lambda n, k, p: (k + 1) % p
         print("debug", __debug__)
+        desc = liealg.AlgebraDescriptor(liealg.Family.ALBERT_ZASSENHAUS,
+                                        FieldParams.prime(3), Heights(3, 1, 1))
         try:
-            dp.mono_mul(dp.Heights(3, 1, 1), dp.Monomial(2, 0), dp.Monomial(1, 0))
+            desc.table
         except ArithmeticError as e:
             print("raised", e)
     """)
@@ -228,7 +234,7 @@ def test_overflow_check_survives_optimize():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "debug False"
-    assert lines[1].startswith("raised overflowing product")
+    assert lines[1].startswith("raised overflowing bracket")
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,13 +4,13 @@ import hashlib
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import ordered_check_graded
+from oracles import ordered_check_graded, product
 from thinlie import grading
 from thinlie.cli import standard_modulus
-from thinlie.dpalgebra import Heights, Monomial, SparseEchelon
+from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, generalized_power
 from thinlie.ffield import FieldParams
 from thinlie.grading import (
     GradedBasis,
@@ -118,6 +118,66 @@ def test_closed_basis_excluded_top():
     assert gh.vectors[top].is_zero()
     assert gh.scalars[top].is_zero()
     assert len(gh.active_labels) == GH.dim
+
+
+def nonzero_element(field, data):
+    """A random nonzero element of field, drawn by its coordinates."""
+    coords = st.lists(st.integers(0, field.p - 1), min_size=field.m, max_size=field.m)
+    return field.element(data.draw(coords.filter(any)))
+
+
+# (p, s, n) of the shift property: p in {3, 5}, s in {0, 1}
+SHIFT_SHAPES = [(3, 0, 1), (3, 0, 2), (3, 1, 1), (3, 1, 2), (5, 0, 1), (5, 1, 1)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(SHIFT_SHAPES), st.booleans(), st.data())
+def test_closed_vectors_are_shifted_powers(shape, big, data):
+    """Each closed vector at (j, k, a) is the generalized power at alpha =
+    -j pi + a (big field) or a (prime field) times x^(k+1) y^(j+1), the
+    product taken by the reference of `oracles`, then projected; random
+    sigma and pi, on the configurations where build_closed_basis succeeds."""
+    p, s, n = shape
+    h = Heights(p, s + 1, n)
+    if big:
+        field = FieldParams(p, p, standard_modulus(p))
+        desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, field, h)
+        case = GradingCase.BIG_FIELD
+    else:
+        field = FieldParams.prime(p)
+        desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, field, h)
+        case = GradingCase.PRIME_FIELD
+    sigma, pi = nonzero_element(field, data), nonzero_element(field, data)
+    spec = GradingSpec(case, h, s, pi.as_int() if pi.in_prime_field() else 0)
+    try:
+        closed = build_closed_basis(desc, spec, SwitchConfig(field, sigma, pi, s))
+    except ValueError:
+        assume(False)
+    for lab in closed.labels:
+        j, k, a = lab
+        if desc.excluded and lab == Label(spec.q - 2, spec.step - 2, p - 1):
+            assert closed.vectors[lab].is_zero()  # it would need the top monomial
+            continue
+        alpha = -field.element(j) * pi + a if big else field.element(a)
+        mono = AlgebraElement.from_monomial(field, h, Monomial(k + 1, j + 1))
+        expected = product(generalized_power(field, h, sigma, alpha, s), mono)
+        assert closed.vectors[lab] == desc.project(expected), lab
+
+
+def test_closed_basis_builds_one_power_per_series(monkeypatch):
+    """build_closed_basis computes the generalized power once per (j, a),
+    q p times: 27 at p = 3, n = 2, s = 2, where there are 243 labels."""
+    calls, power = [], grading.generalized_power
+
+    def counted(*args):
+        calls.append(1)
+        return power(*args)
+    monkeypatch.setattr(grading, "generalized_power", counted)
+    h = Heights(3, 3, 2)
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, h)
+    closed = build_closed_basis(desc, GradingSpec(GradingCase.BIG_FIELD, h, 2),
+                                SwitchConfig(F27, F27.one(), F27.gen(), 2))
+    assert (len(closed.labels), len(calls)) == (243, 27)
 
 
 def test_switch_matches_closed_form_up_to_scalar():
