@@ -153,6 +153,20 @@ SWITCH_FROZEN = {
                                "--pi", "2t", "--sigma", "2"), 0,
                               "1c2e250c0563db209c23b60f1039bd9549809cf39fe5ad712c80a95fe1ec7f48",
                               "a657d39db6c9faef835131c35e07052dfdd85605db39e337fc31bfa396c9b48f"),
+    # the benchmark's switch-big243 variants, frozen from the pair sweep
+    # before the generator certificate replaced it on passing runs
+    "big p3 n2 s2 pi t+0": (("--case", "big-field", "--p", "3", "--n", "2", "--s", "2",
+                             "--pi", "t+0"), 0,
+                            "40e99ddd596bd9f66e0d1de816be8f8d30ab26ab880e266040130ef297d26fd1",
+                            "80f722bb4bac7dd0f396a4bdfffdb9da32c6d6d2de9f07b26748e3332c14b834"),
+    "big p3 n2 s2 pi t+1": (("--case", "big-field", "--p", "3", "--n", "2", "--s", "2",
+                             "--pi", "t+1"), 0,
+                            "575491bb0521e8412ecc8d602d4e2672eb04e12a3d3d6d8244697be9614e7ba8",
+                            "0ee106730db3a354b2fc9d5c30bd726e906494c9bad878e756d8173cd80380f3"),
+    "big p3 n2 s2 pi t+2": (("--case", "big-field", "--p", "3", "--n", "2", "--s", "2",
+                             "--pi", "t+2"), 0,
+                            "66c5dff0c6df3122cada500ac9d845c007faec2e076259aa460e6871e075a64a",
+                            "658d6ef48520c5e87934798b05e4b2068b79c41756e8bb569d094a50be617d97"),
 }
 
 
