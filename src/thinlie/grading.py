@@ -28,8 +28,8 @@ from .ffield import (
     falling_binomial,
     lucas_binomial,
 )
-from .liealg import (AlgebraDescriptor, Derivation, anticommutativity_violations,
-                     table_power)
+from .liealg import (AlgebraDescriptor, Derivation, ad_table, anticommutativity_violations,
+                     derivation_defects, jacobi_certificate, table_generators, table_power)
 
 
 class GradingCase(enum.Enum):
@@ -426,34 +426,135 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
 def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
                  cfg: SwitchConfig | None = None,
                  anticommutativity: list | None = None) -> tuple[list, list]:
-    """Bracket each unordered pair of active labels once, for two checks on
-    both orders of the pair.
+    """Grading and product-table violations of the brackets of active labels.
 
     Grading: a nonzero bracket is reduced against the echelon of the degree
     class of the degree sum, and a nonzero remainder (the stray) is recorded
     as (label, label, stray); none means the basis realizes a grading.
     Product tables, only when cfg is given: a bracket that differs from the
     prediction (c, L) of `_product_rule`, c v_L, is recorded as
-    (label, label).  A bracket equal to its prediction with L of the degree
-    sum needs no reduction: v_L is a row of that echelon's span.  Brackets
-    are not kept, and c v_L is built once per (L, c).
+    (label, label).  Returns (strays, misses), both in the order of the
+    ordered pairs of active labels.
 
+    When cfg is given and the table is anticommutative, `_rules_certified`
+    tries to prove from the two degree-1 generators that every pair obeys
+    its rule with L of the degree sum, and then both lists are empty.  When
+    it cannot, or without cfg, `_pair_sweep` brackets every unordered pair.
     `anticommutativity` is the list `anticommutativity_violations` returns,
-    computed here when not given.  When it is empty the table constants,
-    which lie in F_p with p odd, give [v_b, v_a] = -[v_a, v_b] for all
-    vectors, so the reversed order of a pair needs no bracket.  If the rule
-    also predicts (-c, L) for it, the reversed order misses iff the first
-    does, is exempt from reduction iff the first is, and its stray is the
-    first one negated, as `SparseEchelon.reduce` commutes with scalars.
-    Otherwise the reversed order is checked on its own, on -[v_a, v_b] or,
-    for a table that is not anticommutative, on the bracket [v_b, v_a].
-    Both lists come in the order of the ordered pairs of active labels.
-    Returns (strays, misses).
+    computed here when not given.
     """
-    spec, field = basis.spec, basis.field
     if anticommutativity is None:
         anticommutativity = anticommutativity_violations(descriptor)
     rule = _product_rule(basis, cfg) if cfg is not None else None
+    if rule is not None and not anticommutativity and _rules_certified(descriptor, basis, rule):
+        return [], []
+    return _pair_sweep(descriptor, basis, rule, anticommutativity)
+
+
+@functools.cache
+def _negated(c: tuple, p: int) -> tuple:
+    return tuple(-x % p for x in c)
+
+
+def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis, rule) -> bool:
+    """Whether every bracket of two active basis vectors is c v_L, for the
+    rule's (c, L) with L of the degree sum, by a generator certificate.
+
+    Let T be the structure-constant table, T' the rule table on the active
+    labels and phi(e_L) = v_L.  The a with phi[a,x]' = [phi a, phi x] for
+    every x and ad_a a derivation of T' form a subalgebra of T' when T'
+    is anticommutative and T is a Lie algebra: expand [[a,b]',x]' by
+    ad_a, apply phi through a and b, and recombine by Jacobi in T (the
+    argument of `liealg.jacobi_violations`, Jacobson, Lie Algebras).  So
+    the rules hold on every pair once they hold on generators of T'.
+    Seven exact checks, in order, any failure returning False:
+
+    1. T' is built from one rule call per ordered pair, in the coordinate
+       layers `derivation_defects` takes, by active index; an entry onto a
+       placeholder is zero, and a nonzero c without a label fails;
+    2. T' is anticommutative;
+    3. deg L is the degree sum (mod N) on every entry;
+    4. `jacobi_certificate` holds on T (anticommutative, as checked by
+       the caller);
+    5. the degree-1 labels, X and Y, generate T' (`table_generators`);
+    6. ad_g is a derivation of T' for each generator g, by
+       `derivation_defects`;
+    7. [v_g, v_x] = c v_L for each generator g and active x: 2 x dim
+       brackets.
+
+    No echelon is built: a bracket c v_L with L of the degree sum lies in
+    the span of that degree's vectors, so it has no stray.
+    """
+    field, vectors, degrees, N = basis.field, basis.vectors, basis.degrees, basis.spec.N
+    p = field.p
+    active = basis.active_labels
+    n = len(active)
+    index = {lab: i for i, lab in enumerate(active)}
+    deg = [degrees[lab] for lab in active]
+    candidates = [a for a, d in enumerate(deg) if d == 1]
+    entry = [[(x, t) for t in range(n)] for x in range(p)]  # shared (x, t) tuples
+    layers = [[{} for _ in active] for _ in range(field.m)]
+    predicted = {a: {} for a in candidates}  # rows[a] as (c, L) for step 7
+    for a, la in enumerate(active):
+        rows, kept = [layer[a] for layer in layers], predicted.get(a)
+        for b, lb in enumerate(active):
+            c, lab = rule(la, lb)
+            if lab is None:
+                if any(c):
+                    return False
+                continue
+            t = index.get(lab)
+            if t is None:
+                continue
+            for row, x in zip(rows, c):
+                if x:
+                    row[b] = entry[x][t]
+            if kept is not None:
+                kept[b] = (c, t)
+    for layer in layers:
+        for a, row in enumerate(layer):
+            for b, (x, t) in row.items():
+                if layer[b].get(a) != entry[-x % p][t] or deg[t] != (deg[a] + deg[b]) % N:
+                    return False
+    if not jacobi_certificate(descriptor):
+        return False
+    gens = table_generators(layers, candidates)
+    if gens is None:
+        return False
+    for g in gens:
+        ad = [ad_table(layer, g) for layer in layers]
+        if next(derivation_defects(layers, ad, field, half=True), None) is not None:
+            return False
+    for g in gens:
+        vg, row = vectors[active[g]], predicted[g]
+        for b, lb in enumerate(active):
+            c, t = row.get(b, (None, None))
+            terms = vectors[active[t]].scale(field.element(c)).terms if c else {}
+            if descriptor.bracket(vg, vectors[lb]).terms != terms:
+                return False
+    return True
+
+
+def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, rule,
+                anticommutativity: list) -> tuple[list, list]:
+    """`check_graded` by bracketing each unordered pair of active labels
+    once, for both checks on both orders of the pair; rule is the
+    `_product_rule` of cfg, or None without product tables.
+
+    A bracket equal to its prediction with L of the degree sum needs no
+    reduction: v_L is a row of that echelon's span.  Brackets are not
+    kept, and c v_L is built once per (L, c).
+
+    When `anticommutativity` is empty the table constants, which lie in
+    F_p with p odd, give [v_b, v_a] = -[v_a, v_b] for all vectors, so the
+    reversed order of a pair needs no bracket.  If the rule also predicts
+    (-c, L) for it, the reversed order misses iff the first does, is
+    exempt from reduction iff the first is, and its stray is the first one
+    negated, as `SparseEchelon.reduce` commutes with scalars.  Otherwise
+    the reversed order is checked on its own, on -[v_a, v_b] or, for a
+    table that is not anticommutative, on the bracket [v_b, v_a].
+    """
+    spec, field = basis.spec, basis.field
     by_deg: dict[int, SparseEchelon] = {}
     active = basis.active_labels
     vectors, degrees = basis.vectors, basis.degrees
@@ -461,10 +562,6 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
         ech = by_deg.setdefault(degrees[lab], SparseEchelon(field, spec.heights))
         ech.insert(vectors[lab])
     p, N = field.p, spec.N
-
-    @functools.cache
-    def negated(c: tuple) -> tuple:
-        return tuple(-x % p for x in c)
 
     @functools.cache
     def predicted(c: tuple, lab):
@@ -489,7 +586,7 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
                 if anticommutativity:
                     orders.append((ib, ia, descriptor.bracket(vb, va), backward))
                 elif rule is None or (backward[1] == forward[1]
-                                      and backward[0] == negated(forward[0])):
+                                      and backward[0] == _negated(forward[0], p)):
                     mirrored = True
                 else:
                     orders.append((ib, ia, -w, backward))
@@ -572,11 +669,16 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
             c = tuple((cj * y - cl * x) % p for x, y in
                       zip(sigma_expo[j, a], sigma_expo[l, b]))
             kk, aa = ps - 2, a + b - 1
+            if not any(c):
+                return c, None
         else:
             ck, ch = by_kh[k + 1][h + 1]
-            c = in_prime_field[(ch * cj - ck * cl) % p]
+            x = (ch * cj - ck * cl) % p
+            c = in_prime_field[x]
+            if not x:
+                return c, None
             kk, aa = k + h, a + b
-        if not any(c) or not (-1 <= jj <= q - 2 and -1 <= kk <= ps - 2):
+        if not (-1 <= jj <= q - 2 and -1 <= kk <= ps - 2):
             return c, None
         return c, label_at[jj + 1][kk + 1][aa % p]
 

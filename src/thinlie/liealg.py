@@ -14,7 +14,7 @@ on the integer coordinates of elements (one per power of t, see
 `dpalgebra`) through its one accumulate loop: a bracket over F_{p^m} is the
 table read once per pair of coordinates, keyed (monomial, r + s), then
 folded once by the modulus.  The exhaustive law checks sweep both tables
-sparsely.  One row-wise kernel, `_derivation_defects`, sums the defect of
+sparsely.  One row-wise kernel, `derivation_defects`, sums the defect of
 a derivation table and serves two laws: Leibniz for D, and the Jacobi
 certificate: on an anticommutative table Jacobi holds iff ad_g is a
 derivation for each g of a few monomials that generate the algebra.  Only
@@ -307,10 +307,11 @@ def _closed_form_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
     return rows
 
 
-def ad_table(desc: AlgebraDescriptor, g: int) -> list[dict[int, int]]:
-    """ad basis[g] as a derivation table: row g of desc.table, by partner."""
-    row = desc.table[g]
-    return [{row[j][1]: row[j][0]} if j in row else {} for j in range(desc.dim)]
+def ad_table(table: list, g: int) -> list[dict[int, int]]:
+    """ad e_g as a derivation table: row g of a structure-constant table
+    (such as `AlgebraDescriptor.table`), by partner."""
+    row = table[g]
+    return [{row[j][1]: row[j][0]} if j in row else {} for j in range(len(table))]
 
 
 def iterated_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
@@ -318,7 +319,7 @@ def iterated_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
 
     A power equal to the one before is a fixed point of the p-th power map,
     so every later power equals it too and the loop stops there."""
-    p, power = desc.heights.p, ad_table(desc, desc._index[Monomial(0, 1)])
+    p, power = desc.heights.p, ad_table(desc.table, desc._index[Monomial(0, 1)])
     for _ in range(s):
         nxt = table_power(power, p, p)
         if nxt == power:
@@ -379,37 +380,40 @@ def jacobi_violations(desc: AlgebraDescriptor, anticommutativity: list | None = 
     algebra Jacobi says that every ad_a is a derivation, and the a with
     ad_a a derivation form a subalgebra, as ad_[a,b] = [ad_a, ad_b] once
     ad_a is one (Jacobson, Lie Algebras).  So when the table is
-    anticommutative, `monomial_generators` finds generators and
-    `_derivation_defects` finds no defect of `ad_table` for each of them,
-    no triple fails and the list is empty.  Otherwise `_jacobi_sweep` lists
-    the failing triples.  `anticommutativity` is the list
-    `anticommutativity_violations` returns, computed here when not given.
+    anticommutative and `jacobi_certificate` holds, no triple fails and the
+    list is empty.  Otherwise `_jacobi_sweep` lists the failing triples.
+    `anticommutativity` is the list `anticommutativity_violations` returns,
+    computed here when not given.
     """
     if anticommutativity is None:
         anticommutativity = anticommutativity_violations(desc)
-    if not anticommutativity:
-        gens = monomial_generators(desc)
-        if gens is not None and all(
-                next(_derivation_defects(desc, ad_table(desc, g), half=True), None) is None
-                for g in gens):
-            return []
+    if not anticommutativity and jacobi_certificate(desc):
+        return []
     return _jacobi_sweep(desc)
+
+
+def jacobi_certificate(desc: AlgebraDescriptor) -> bool:
+    """`monomial_generators` finds generators and `derivation_defects`
+    finds no defect of `ad_table` for each of them.  On an anticommutative
+    table this proves the Jacobi identity; its failure proves nothing."""
+    gens = monomial_generators(desc)
+    return gens is not None and all(
+        next(derivation_defects([desc.table], [ad_table(desc.table, g)], desc.field,
+                                half=True),
+             None) is None
+        for g in gens)
 
 
 def monomial_generators(desc: AlgebraDescriptor) -> list[int] | None:
     """Basis indexes of monomials that generate the algebra, or None.
 
-    A bracket of basis monomials is a scalar times one basis monomial, so
-    the subalgebra generated by some monomials is spanned by those reached
-    from them through nonzero table entries.  Candidates are the monomials
-    of exponent sum at most 1, whose ad lowers exponents (x and y act as
-    divided-power derivatives), then the basis monomials no other one
-    bounds exponent-wise, from which the lowering reaches the rest; each
-    candidate not yet reached becomes a generator.  Returns None when the
-    candidates reach only part of the basis.  Assumes an anticommutative
-    table, so each unordered pair is read from one row.
+    Candidates are the monomials of exponent sum at most 1, whose ad
+    lowers exponents (x and y act as divided-power derivatives), then the
+    basis monomials no other one bounds exponent-wise, from which the
+    lowering reaches the rest; `table_generators` walks the table from
+    them.  Assumes an anticommutative table.
     """
-    basis, rows = desc.basis, desc.table
+    basis = desc.basis
     last = {m.i: m for m in basis}  # the largest j at each i, basis order
     maximal, j = [], -1
     for i in sorted(last, reverse=True):  # maximal: no larger i reaches its j
@@ -417,8 +421,25 @@ def monomial_generators(desc: AlgebraDescriptor) -> list[int] | None:
             maximal.append(desc._index[last[i]])
             j = last[i].j
     low = [k for k, m in enumerate(basis) if m.i + m.j <= 1]
-    reached, done, gens = [False] * len(rows), [False] * len(rows), []
-    for g in low + maximal:
+    return table_generators([desc.table], low + maximal)
+
+
+def table_generators(rows: list, candidates: list) -> list[int] | None:
+    """The candidates that generate the algebra of a table, or None.
+
+    rows holds the table in coordinate layers, as `derivation_defects`
+    takes it (one layer for an integer table): rows[r][u] = {v: (x, k)}
+    for [e_u, e_v] = c e_k, x != 0 the t^r coordinate of c.  A bracket of
+    basis vectors is a scalar times one basis vector, so the subalgebra
+    generated by some basis vectors is spanned by those reached from them
+    through entries.  Each candidate not yet reached becomes a generator.
+    Returns None when the candidates reach only part of the basis.
+    Assumes an anticommutative table, so each unordered pair is read from
+    one row.
+    """
+    n = len(rows[0])
+    reached, done, gens = [False] * n, [False] * n, []
+    for g in candidates:
         if reached[g]:
             continue
         gens.append(g)
@@ -426,50 +447,67 @@ def monomial_generators(desc: AlgebraDescriptor) -> list[int] | None:
         while stack:  # each pair is read when its later member is taken
             u = stack.pop()
             done[u] = True
-            for v, (_c, k) in rows[u].items():
-                if done[v] and not reached[k]:
-                    reached[k] = True
-                    stack.append(k)
+            for layer in rows:
+                for v, (_x, k) in layer[u].items():
+                    if done[v] and not reached[k]:
+                        reached[k] = True
+                        stack.append(k)
     return gens if all(reached) else None
 
 
-def _derivation_defects(desc: AlgebraDescriptor, images: list, half: bool = False):
+def derivation_defects(rows: list, images: list, field: FieldParams, half: bool = False):
     """(a, sorted b) for every a where D[a,b] = [Da,b] + [a,Db] fails.
 
-    D is the derivation table images (images[i] = {k: d} for D basis[i] =
-    sum of d basis[k]).  Row by row, the defect D[a,b] - [Da,b] - [a,Db] is
-    summed over every b at once, keyed (b, target), from three sources: the
-    entries of row a, the rows of the support of Da, and, for each entry
-    [a, k] of row a, the b with k in the support of Db.  Any other b has
-    all three sides zero.  With half, only b > a is summed, which suffices
-    when the defect is antisymmetric in (a, b), as for ad_g on an
-    anticommutative table.
+    Both tables come in coordinate layers over field = F_{p^m}, layer r
+    holding the integer coefficients of t^r: rows[r][a] = {b: (x, t)}
+    for the bracket [a, b] = c e_t, x the t^r coordinate of c, and
+    images[s][i] = {k: y} for the derivation D e_i = sum of d e_k, y the
+    t^s coordinate of d; zero coordinates have no entry.  The integer
+    tables of an algebra are the case m = 1, one layer each.  Row by row,
+    the defect D[a,b] - [Da,b] - [a,Db] is summed over every b at once,
+    keyed (b, target, r + s), from three sources: the entries of row a,
+    each read once for D[a,b] and for the b with its partner in the
+    support of Db, and the rows of the support of Da.  Any other b has all
+    three sides zero.  What is left of the sum is folded by the modulus.
+    With half, only b > a is summed, which suffices when the defect is
+    antisymmetric in (a, b), as for ad_g on an anticommutative table.
     """
-    p = desc.heights.p
-    rows = desc.table
-    preimages = [[] for _ in rows]  # preimages[k]: (b, d), d basis[k] a term of Db
-    for b, image in enumerate(images):
-        for k, d in image.items():
-            preimages[k].append((b, d))
+    p, n = field.p, len(rows[0])
+    # terms[i]: (k, s, y) over the coordinates of D e_i, read once per entry
+    terms = [[(k, s, y) for s, layer in enumerate(images) for k, y in layer[i].items()]
+             for i in range(n)]
+    preimages = [[] for _ in range(n)]  # preimages[k]: (b, s, -y), e_k a term of D e_b
+    for b, image in enumerate(terms):
+        for k, s, y in image:
+            preimages[k].append((b, s, -y))
+    # per row layer r, both lists with the power r + s of the product
+    shifted = [([[(k, r + s, y) for k, s, y in image] for image in terms],
+                [[(b, r + s, y) for b, s, y in pre] for pre in preimages])
+               for r in range(len(rows))]
 
-    def defect(a, row, lo):
-        for b, (c, t) in row.items():  # D[a, b]
-            if b > lo:
-                for k, d in images[t].items():
-                    yield (b, k), c * d
-        for k, d in images[a].items():  # -[Da, b]
-            for b, (c, t) in rows[k].items():
-                if b > lo:
-                    yield (b, t), -d * c
-        for k, (c, t) in row.items():  # -[a, Db]
-            for b, d in preimages[k]:
-                if b > lo:
-                    yield (b, t), -d * c
+    def defect(a, lo):
+        for layer, (image, before) in zip(rows, shifted):
+            for k, (x, t) in layer[a].items():
+                if k > lo:  # D[a, k]
+                    for c, e, y in image[t]:
+                        yield (k, c, e), x * y
+                for b, e, y in before[k]:  # -[a, Db]
+                    if b > lo:
+                        yield (b, t, e), x * y
+        for k, s, y in terms[a]:  # -[Da, b]
+            y = -y
+            for r, layer in enumerate(rows):
+                e = r + s
+                for b, (x, t) in layer[k].items():
+                    if b > lo:
+                        yield (b, t, e), x * y
 
-    for a, row in enumerate(rows):
-        failing = {b for b, _t in accumulate({}, defect(a, row, a if half else -1), p)}
-        if failing:
-            yield a, sorted(failing)
+    for a in range(n):
+        left = accumulate({}, defect(a, a if half else -1), p)
+        if left:
+            left = fold({((b, t), e): c for (b, t, e), c in left.items()}, field)
+        if left:
+            yield a, sorted({b for (b, _t), _e in left})
 
 
 def _jacobi_sweep(desc: AlgebraDescriptor) -> list:
@@ -542,11 +580,12 @@ def leibniz_violations(deriv: Derivation) -> list:
     """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs.
 
     The defect of the derivation table, summed row by row by
-    `_derivation_defects`.
+    `derivation_defects`.
     """
     basis = deriv.descriptor.basis
     return [(basis[a], basis[b])
-            for a, bs in _derivation_defects(deriv.descriptor, deriv.table) for b in bs]
+            for a, bs in derivation_defects([deriv.descriptor.table], [deriv.table],
+                                               deriv.descriptor.field) for b in bs]
 
 
 def derivation_power_violations(deriv: Derivation) -> list:

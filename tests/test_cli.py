@@ -266,15 +266,20 @@ def test_verify_large_s_finishes(capsys):
 
 
 def test_switch_brackets_each_pair_once(capsys, monkeypatch):
+    """A passing switch brackets each generator X, Y with every basis
+    vector once, 2 x dim brackets (the pair sweep took dim(dim+1)/2: 378 at
+    dim 27 and 3321 at dim 81)."""
     calls, bracket = [], AlgebraDescriptor.bracket
 
     def counted(self, u, v):
         calls.append(1)
         return bracket(self, u, v)
     monkeypatch.setattr(AlgebraDescriptor, "bracket", counted)
-    code, _, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1")
-    assert code == 0
-    assert len(calls) == 27 * 28 // 2
+    for n, dim in (("1", 27), ("2", 81)):
+        calls.clear()
+        code, _, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", n)
+        assert code == 0
+        assert len(calls) == 2 * dim, n
 
 
 def test_switch_checks_anticommutativity_once(capsys, monkeypatch):

@@ -356,6 +356,27 @@ def counting_brackets(desc):
     return calls
 
 
+def spying_sweep(mp, calls=()):
+    """Wrap `grading._pair_sweep`; the returned list gets, per sweep, how
+    many entries `calls` (see `counting_brackets`) gained inside it."""
+    sweeps, sweep = [], grading._pair_sweep
+
+    def spied(*args):
+        before = len(calls)
+        out = sweep(*args)
+        sweeps.append(len(calls) - before)
+        return out
+    mp.setattr(grading, "_pair_sweep", spied)
+    return sweeps
+
+
+def degree_one_pair(closed) -> bool:
+    """Whether both degree-1 labels X and Y are active.  GH at s = 0 puts
+    one of them on an excluded monomial when pi = -1 or 2 pi = -1 mod p;
+    there the certificate has no generators and the pair sweep runs."""
+    return sum(closed.degrees[lab] == 1 for lab in closed.active_labels) == 2
+
+
 # (p, n, s) with p^(s+1+n) <= 125 monomials
 SMALL_SHAPES = [(3, n, s) for s in range(3) for n in range(1, 4 - s)] + [
     (5, 1, 0), (5, 2, 0), (5, 1, 1)]
@@ -366,8 +387,9 @@ SMALL_SHAPES = [(3, n, s) for s in range(3) for n in range(1, 4 - s)] + [
 def test_raw_grading_follows_from_closed(shape, big, data):
     """closed = raw x scalar on every label of admissible switches (big
     field: pi = t + c; prime field: pi in 1..p-1), and the graded_raw that
-    switch_checks derives from the closed sweep equals a direct raw sweep,
-    also after swapping two labels in both bases."""
+    switch_checks derives from the closed check equals a direct raw sweep,
+    also after swapping two labels in both bases.  Unswapped, the switch
+    passes without entering the pair sweep wherever X and Y exist."""
     p, n, s = shape
     if big:
         case, pi, sigma = GradingCase.BIG_FIELD, data.draw(st.integers(0, p - 1)), 1
@@ -378,13 +400,19 @@ def test_raw_grading_follows_from_closed(shape, big, data):
     for lab in closed.labels:
         assert closed.vectors[lab] == raw.vectors[lab].scale(closed.scalars[lab])
     active = closed.active_labels
-    if data.draw(st.booleans()):
+    swapped = data.draw(st.booleans())
+    if swapped:
         l1, l2 = data.draw(st.lists(st.sampled_from(active), min_size=2, max_size=2,
                                     unique=True))
         swap_labels(raw, closed, l1, l2)
-    graded_raw, graded_closed, link, _tables = switch_checks(desc, raw, closed, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        sweeps = spying_sweep(mp)
+        graded_raw, graded_closed, link, _tables = switch_checks(desc, raw, closed, cfg)
     assert link == [] and bool(graded_closed) == bool(graded_raw)
     assert graded_raw == check_graded(desc, raw)[0]
+    if not swapped:  # the generator certificate alone passes the unplanted switch
+        assert (graded_closed, _tables) == ([], [])
+        assert len(sweeps) == int(not degree_one_pair(closed))
 
 
 def stray_digest(strays) -> str:
@@ -393,35 +421,36 @@ def stray_digest(strays) -> str:
 
 
 def test_passing_sweep_reduces_nothing(monkeypatch):
-    """On a passing switch every bracket equals its predicted c v_L with L of
-    the degree sum, so the sweep itself calls SparseEchelon.reduce never."""
+    """On a passing switch the generator certificate proves every rule, so
+    switch_checks builds no echelon and reduces nothing; the raw basis has
+    no predictions, so its own sweep reduces every nonzero bracket."""
     desc, raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
-    calls, reduce = [], SparseEchelon.reduce
-
-    def counted(self, v):
-        if sys._getframe(1).f_code is check_graded.__code__:
-            calls.append(1)
-        return reduce(self, v)
-    monkeypatch.setattr(SparseEchelon, "reduce", counted)
+    calls = []
+    for name in ("insert", "reduce"):
+        def counted(self, v, method=getattr(SparseEchelon, name), name=name):
+            calls.append(name)
+            return method(self, v)
+        monkeypatch.setattr(SparseEchelon, name, counted)
     assert switch_checks(desc, raw, closed, cfg) == ([], [], [], [])
     assert calls == []
-    # the raw basis has no predictions, so its own sweep reduces every
-    # nonzero bracket
     assert check_graded(desc, raw) == ([], [])
-    assert calls
+    assert "reduce" in calls
 
 
-def test_switch_checks_planted_swap_and_broken_link():
+def test_switch_checks_planted_swap_and_broken_link(monkeypatch):
     desc, raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
     calls = counting_brackets(desc)
+    sweeps = spying_sweep(monkeypatch, calls)
     assert switch_checks(desc, raw, closed, cfg) == ([], [], [], [])
-    assert len(calls) == 27 * 28 // 2
-    # a swap keeps the link: the raw strays still come from the one sweep
+    assert (len(calls), sweeps) == (2 * 27, [])
+    # a swap keeps the link: the raw strays still come from the one sweep,
+    # after the certificate found a generator bracket off its rule
     l1, l2 = Label(-1, 0, 0), Label(0, -1, 0)
     swap_labels(raw, closed, l1, l2)
     calls.clear()
     graded_raw, graded_closed, link, tables = switch_checks(desc, raw, closed, cfg)
-    assert len(calls) == 27 * 28 // 2
+    assert sweeps == [27 * 28 // 2]
+    assert 0 < len(calls) - sweeps[0] <= 2 * 27
     assert link == [] and tables and graded_closed
     assert graded_raw == check_graded(desc, raw)[0] != graded_closed
     # the strays the FieldElement sweep reported, 96 pairs each
@@ -433,16 +462,20 @@ def test_switch_checks_planted_swap_and_broken_link():
     # a corrupted scalar breaks the link and forces a sweep of the raw basis
     closed.scalars[Label(0, 0, 1)] = closed.scalars[Label(0, 0, 1)] * 2
     calls.clear()
+    sweeps.clear()
     graded_raw, graded_closed, link, _tables = switch_checks(desc, raw, closed, cfg)
-    assert len(calls) == 2 * (27 * 28 // 2)
+    assert sweeps == [27 * 28 // 2] * 2
+    assert 0 < len(calls) - sum(sweeps) <= 2 * 27
     assert link == [Label(0, 0, 1)]
     assert graded_raw == check_graded(desc, raw)[0]
-    # a table that is not anticommutative is bracketed in both orders
+    # a table that is not anticommutative has no certificate and is
+    # bracketed in both orders
     desc, raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
     break_anticommutativity(desc, 0)
     calls = counting_brackets(desc)
+    sweeps = spying_sweep(monkeypatch, calls)
     switch_checks(desc, raw, closed, cfg)
-    assert len(calls) == 27 ** 2
+    assert (len(calls), sweeps) == (27 ** 2, [27 ** 2])
 
 
 def break_anticommutativity(desc, which: int):
@@ -473,7 +506,55 @@ def perturbed_rule(pair):
     return build
 
 
-CORRUPTIONS = ["none", "swap", "degree", "scale", "table", "rule"]
+def break_jacobi(desc, which: int, avoid: set):
+    """Double the constant of one table entry [b_i, b_j], i < j, and of
+    [b_j, b_i], picked by `which` among the pairs of basis indexes outside
+    avoid: the table stays anticommutative, and the brackets of vectors
+    supported outside avoid never read the change."""
+    p = desc.heights.p
+    entries = [(i, j) for i, row in enumerate(desc.table) for j in row
+               if i < j and not {i, j} & avoid]
+    i, j = entries[which % len(entries)]
+    for u, v in ((i, j), (j, i)):
+        c, k = desc.table[u][v]
+        desc.table[u][v] = (2 * c % p, k)
+    assert anticommutativity_violations(desc) == []
+
+
+def doubled_rule(pair):
+    """`_product_rule` with the coefficient doubled on both orders of one
+    pair: the rule table stays anticommutative, graded and generated."""
+    product_rule = grading._product_rule
+
+    def build(basis, cfg):
+        rule, p = product_rule(basis, cfg), basis.field.p
+
+        def doubled(la, lb):
+            c, lab = rule(la, lb)
+            if {la, lb} == set(pair):
+                c = tuple(2 * x % p for x in c)
+            return c, lab
+        return doubled
+    return build
+
+
+def unreached_rule(label):
+    """`_product_rule` with every bracket onto one label predicted zero, so
+    that no bracket of other labels reaches it."""
+    product_rule = grading._product_rule
+
+    def build(basis, cfg):
+        rule, zero = product_rule(basis, cfg), (0,) * basis.field.m
+
+        def unreached(la, lb):
+            c, lab = rule(la, lb)
+            return (zero, None) if lab == label else (c, lab)
+        return unreached
+    return build
+
+
+CORRUPTIONS = ["none", "swap", "degree", "scale", "table", "rule", "rule pair", "jacobi",
+               "unreached"]
 
 
 # the ordered sweep brackets dim^2 pairs, so the oracle test stops at 81
@@ -484,13 +565,21 @@ ORACLE_SHAPES = [(p, n, s) for p, n, s in SMALL_SHAPES if p ** (s + 1 + n) <= 81
 @given(st.sampled_from(ORACLE_SHAPES), st.booleans(), st.sampled_from(CORRUPTIONS),
        st.data())
 def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
-    """check_graded over unordered pairs returns the strays and misses of
-    the sweep over ordered pairs, in the same order, with and without the
-    product rules: on admissible switches, after swapping two labels,
-    putting one label in a wrong degree, scaling one vector by 2, breaking
-    anticommutativity at one table entry (both orders bracketed) or
-    shifting the rule's coefficient on one ordered pair (the (-c, L) test
-    fails and the reversed order is compared in full)."""
+    """check_graded returns the strays and misses of the sweep over ordered
+    pairs, in the same order, with and without the product rules: on
+    admissible switches, after swapping two labels, putting one label in a
+    wrong degree, scaling one vector by 2, breaking anticommutativity at
+    one table entry (both orders bracketed) or shifting the rule's
+    coefficient on one ordered pair (the (-c, L) test fails and the
+    reversed order is compared in full).
+
+    Each planting must also reach the pair sweep, and the unplanted switch
+    must not, which makes each licensing step of the generator certificate
+    load-bearing: doubling the rule on both orders of a pair away from X
+    and Y is caught by the derivation step alone, doubling a table entry
+    away from the supports of v_X and v_Y (anticommutative, not Jacobi) by
+    the Jacobi certificate alone, and a label no rule reaches breaks
+    generation."""
     p, n, s = shape
     if big:
         case, pi, sigma = GradingCase.BIG_FIELD, data.draw(st.integers(0, p - 1)), 1
@@ -501,6 +590,9 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
     active = closed.active_labels
     l1, l2 = data.draw(st.lists(st.sampled_from(active), min_size=2, max_size=2,
                                 unique=True))
+    generators = [lab for lab in active if closed.degrees[lab] == 1]
+    others = [lab for lab in active if lab not in generators]
+    product_rule = None
     if corruption == "swap":
         swap_labels(raw, closed, l1, l2)
     elif corruption == "degree":
@@ -509,11 +601,32 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
         closed.vectors[l1] = closed.vectors[l1].scale(2)
     elif corruption == "table":
         break_anticommutativity(desc, data.draw(st.integers(0, 10 ** 6)))
+    elif corruption == "rule":
+        product_rule = perturbed_rule((l1, l2))
+    elif corruption == "rule pair":
+        rule = grading._product_rule(closed, cfg)
+        pairs = [(a, b) for a in others for b in others
+                 if a < b and rule(a, b)[1] in closed.active_labels]
+        assume(pairs)
+        product_rule = doubled_rule(data.draw(st.sampled_from(pairs)))
+    elif corruption == "jacobi":
+        avoid = {desc._index[m] for lab in generators
+                 for m in closed.vectors[lab].by_monomial()}
+        break_jacobi(desc, data.draw(st.integers(0, 10 ** 6)), avoid)
+    elif corruption == "unreached":
+        product_rule = unreached_rule(data.draw(st.sampled_from(others)))
     with pytest.MonkeyPatch.context() as mp:
-        if corruption == "rule":
-            mp.setattr(grading, "_product_rule", perturbed_rule((l1, l2)))
+        if product_rule is not None:
+            mp.setattr(grading, "_product_rule", product_rule)
+        sweeps = spying_sweep(mp)
         strays, misses = check_graded(desc, closed, cfg)
         assert (strays, misses) == ordered_check_graded(desc, closed, cfg)
+        assert len(sweeps) == int(corruption != "none" or not degree_one_pair(closed))
+        blind = {"rule pair": ("derivation_defects", lambda *args, **kwargs: iter(())),
+                 "jacobi": ("jacobi_certificate", lambda desc: True)}.get(corruption)
+        if blind and degree_one_pair(closed):
+            mp.setattr(grading, *blind)
+            assert check_graded(desc, closed, cfg) == ([], []) != (strays, misses)
         assert check_graded(desc, raw) == ordered_check_graded(desc, raw)
     if corruption == "rule":
         assert (l1, l2) in misses
