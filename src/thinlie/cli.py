@@ -18,7 +18,7 @@ from .dpalgebra import Heights
 from .ffield import FieldParams
 from .grading import (GradedBasis, GradingCase, GradingSpec, SwitchConfig,
                       build_closed_basis, monomial_grading_violations, switch_checks,
-                      switch_grading)
+                      switch_grading, switch_hypotheses)
 from .liealg import (AlgebraDescriptor, Derivation, Family,
                      anticommutativity_violations, closure_violations,
                      derivation_power_violations, jacobi_violations,
@@ -314,10 +314,14 @@ def cmd_analyze(rc: RunConfig):
         spec = _preswitch_spec(rc)
         cfg = None
     else:
-        desc, _pre, spec, cfg = _switched_setup(rc)
+        desc, pre, spec, cfg = _switched_setup(rc)
     floor = degree_floor(spec)
     if rc.max_degree is not None and rc.max_degree < floor:
         raise UsageError(f"max-degree must be at least 2N + q = {floor}")
+    if cfg is not None:
+        # the switch behind the closed basis: refuse its hypothesis failures
+        # as `switch` does, before any report
+        switch_hypotheses(desc, pre, Derivation(desc, rc.s), cfg)
     basis = build_closed_basis(desc, spec, cfg)
     X, Y = _generators(spec, basis)
     report = run_analysis(desc, basis, X, Y, rc.max_degree, cfg,

@@ -338,15 +338,16 @@ def _closed_scalar(spec: GradingSpec, cfg: SwitchConfig, j: int, a: int,
     return scalar * falling_binomial(alpha, a) / den
 
 
-def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
-                   deriv: Derivation, cfg: SwitchConfig) -> GradedBasis:
-    """Produce the switched graded basis from a pre-switch monomial grading.
+def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
+                      deriv: Derivation, cfg: SwitchConfig) -> dict | None:
+    """Verify the switching hypotheses on the integer derivation table.
 
-    Verifies the switching hypotheses explicitly: the derivation is graded
-    of a single degree d with N | pd, and either D^p = 0 (truncated
-    exponential route) or D^(p^2) = lam^((p-1)p) D^p with D^p diagonal on
-    monomials and (pi^p - pi) sigma^p = 1 (Laguerre route, one operator per
-    eigenvalue label).  A zero derivation returns the original grading.
+    The derivation is graded of a single degree d with N | pd, and either
+    D^p = 0 (truncated exponential route) or D^(p^2) = lam^((p-1)p) D^p
+    with D^p diagonal on monomials and (pi^p - pi) sigma^p = 1 (Laguerre
+    route, one operator per eigenvalue label).  A failure raises
+    ValueError("hypothesis failure: ...") naming what broke.  Returns the
+    Laguerre parameter of each monomial, or None for a zero derivation.
     """
     if spec.case not in (GradingCase.PRESWITCH_AZ, GradingCase.PRESWITCH_GH):
         raise ValueError("switching starts from a pre-switch monomial grading")
@@ -371,36 +372,49 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
             raise ValueError(f"hypothesis failure: derivation is not graded of one "
                              f"degree: it moves {m} by {dd}, earlier monomials by {d}")
     if d is None:
-        # zero derivation: identity switching
-        return build_closed_basis(descriptor, spec, None)
+        return None
     if (p * d) % spec.N != 0:
         raise ValueError(f"hypothesis failure: N = {spec.N} does not divide p*d = {p * d}")
 
     dp = table_power(deriv.table, p, p)
     if not any(dp):
-        alphas = {m: field.zero() for m in monos}
-    else:
-        if not cfg.eigen_compatible():
-            raise ValueError("hypothesis failure: (pi^p - pi) sigma^p != 1")
-        factor = cfg.lam ** ((p - 1) * p)
-        alphas = {}
-        for i, (m, row, row2) in enumerate(zip(monos, dp, table_power(dp, p, p))):
-            if {k: factor * c for k, c in row.items()} != {
-                    k: field.element(c) for k, c in row2.items()}:
-                raise ValueError(f"hypothesis failure: D^(p^2) != lam^((p-1)p) D^p on {m}")
-            if row.keys() - {i}:
-                raise ValueError(f"hypothesis failure: D^p is not diagonal on the monomial "
-                                 f"basis: D^p {m} has support {sorted(monos[k] for k in row)}")
-            # D^p is c in F_p on m.  The series runs in lam D, whose p-th
-            # power is lam^p c on m, and the Laguerre parameter of that
-            # eigenvalue solves alpha^p - alpha = lam^p c: alpha = c pi does,
-            # as c^p = c and pi^p - pi = sigma^(-p) = lam^p.  For the D of
-            # AlbertZassenhaus, c = -j on y^(j+1), so alpha is -j pi, the
-            # closed form's exponent at a = 0, for every sigma.  graded_raw
-            # sweeps this basis without reading the closed forms, so its
-            # passing is independent evidence.
-            alphas[m] = field.element(row.get(i, 0)) * cfg.pi
+        return {m: field.zero() for m in monos}
+    if not cfg.eigen_compatible():
+        raise ValueError("hypothesis failure: (pi^p - pi) sigma^p != 1")
+    factor = cfg.lam ** ((p - 1) * p)
+    alphas = {}
+    for i, (m, row, row2) in enumerate(zip(monos, dp, table_power(dp, p, p))):
+        if {k: factor * c for k, c in row.items()} != {
+                k: field.element(c) for k, c in row2.items()}:
+            raise ValueError(f"hypothesis failure: D^(p^2) != lam^((p-1)p) D^p on {m}")
+        if row.keys() - {i}:
+            raise ValueError(f"hypothesis failure: D^p is not diagonal on the monomial "
+                             f"basis: D^p {m} has support {sorted(monos[k] for k in row)}")
+        # D^p is c in F_p on m.  The series runs in lam D, whose p-th
+        # power is lam^p c on m, and the Laguerre parameter of that
+        # eigenvalue solves alpha^p - alpha = lam^p c: alpha = c pi does,
+        # as c^p = c and pi^p - pi = sigma^(-p) = lam^p.  For the D of
+        # AlbertZassenhaus, c = -j on y^(j+1), so alpha is -j pi, the
+        # closed form's exponent at a = 0, for every sigma.  graded_raw
+        # sweeps this basis without reading the closed forms, so its
+        # passing is independent evidence.
+        alphas[m] = field.element(row.get(i, 0)) * cfg.pi
+    return alphas
 
+
+def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
+                   deriv: Derivation, cfg: SwitchConfig) -> GradedBasis:
+    """Produce the switched graded basis from a pre-switch monomial grading.
+
+    Verifies the switching hypotheses first (`switch_hypotheses`), then
+    applies one Laguerre series per monomial.  A zero derivation returns
+    the original grading.
+    """
+    alphas = switch_hypotheses(descriptor, spec, deriv, cfg)
+    if alphas is None:
+        # zero derivation: identity switching
+        return build_closed_basis(descriptor, spec, None)
+    field = descriptor.field
     out_case = (
         GradingCase.BIG_FIELD
         if spec.case is GradingCase.PRESWITCH_AZ

@@ -19,7 +19,9 @@ a derivation table and serves two laws: Leibniz for D, and the Jacobi
 certificate: on an anticommutative table Jacobi holds iff ad_g is a
 derivation for each g of a few monomials that generate the algebra.  Only
 when the certificate fails does the sweep over chained triples list the
-failing triples.
+failing triples.  The kernel and the generator walk take a table over
+F_{p^m} as m integer layers, one per power of t, so `grading` runs them on
+the switched product rules too; an integer table is the one-layer case.
 """
 
 from __future__ import annotations

@@ -474,6 +474,19 @@ def test_usage_errors(capsys):
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, args
 
 
+def test_analyze_refuses_incompatible_switches_as_switch_does(capsys):
+    """analyze checks the switching hypotheses before it builds the closed
+    basis, so an incompatible (pi, sigma) exits 1 with the hypothesis
+    failure of switch and prints no report (it used to stop on an
+    undefined closed-basis scalar, or report FAIL lines)."""
+    refusal = (1, "", "error: hypothesis failure: (pi^p - pi) sigma^p != 1\n")
+    for extra in (("--pi", "1"), ("--pi", "t", "--sigma", "2"),
+                  ("--pi", "0", "--allow-negative-control")):
+        for command in ("switch", "analyze"):
+            got = run(capsys, command, "--case", "big-field", "--p", "3", "--n", "1", *extra)
+            assert got == refusal, (command, extra)
+
+
 def test_runtime_failure_is_exit_one(capsys):
     code, _, err = run(capsys, "switch", "--case", "big-field",
                        "--p", "3", "--n", "1", "--sigma", "t")
