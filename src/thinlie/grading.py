@@ -382,9 +382,11 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
     if not cfg.eigen_compatible():
         raise ValueError("hypothesis failure: (pi^p - pi) sigma^p != 1")
     factor = cfg.lam ** ((p - 1) * p)
+    scaled = [factor * c for c in range(p)]  # lam^((p-1)p) c for the entries c of D^p
+    alpha_of = [field.element(c) * cfg.pi for c in range(p)]
     alphas = {}
     for i, (m, row, row2) in enumerate(zip(monos, dp, table_power(dp, p, p))):
-        if {k: factor * c for k, c in row.items()} != {
+        if {k: scaled[c] for k, c in row.items()} != {
                 k: field.element(c) for k, c in row2.items()}:
             raise ValueError(f"hypothesis failure: D^(p^2) != lam^((p-1)p) D^p on {m}")
         if row.keys() - {i}:
@@ -398,7 +400,7 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
         # closed form's exponent at a = 0, for every sigma.  graded_raw
         # sweeps this basis without reading the closed forms, so its
         # passing is independent evidence.
-        alphas[m] = field.element(row.get(i, 0)) * cfg.pi
+        alphas[m] = alpha_of[row.get(i, 0)]
     return alphas
 
 
@@ -465,11 +467,6 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
     return _pair_sweep(descriptor, basis, rule, anticommutativity)
 
 
-@functools.cache
-def _negated(c: tuple, p: int) -> tuple:
-    return tuple(-x % p for x in c)
-
-
 def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis, rule) -> bool:
     """Whether every bracket of two active basis vectors is c v_L, for the
     rule's (c, L) with L of the degree sum, by a generator certificate.
@@ -508,9 +505,9 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis, rule) ->
     candidates = [a for a, d in enumerate(deg) if d == 1]
     entry = [[(x, t) for t in range(n)] for x in range(p)]  # shared (x, t) tuples
     layers = [[{} for _ in active] for _ in range(field.m)]
-    predicted = {a: {} for a in candidates}  # rows[a] as (c, L) for step 7
+    rule_rows = {a: {} for a in candidates}  # {b: (c, L)} for step 7
     for a, la in enumerate(active):
-        rows, kept = [layer[a] for layer in layers], predicted.get(a)
+        rows, kept = [layer[a] for layer in layers], rule_rows.get(a)
         for b, lb in enumerate(active):
             c, lab = rule(la, lb)
             if lab is None:
@@ -540,7 +537,7 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis, rule) ->
         if next(derivation_defects(layers, ad, field, half=True), None) is not None:
             return False
     for g in gens:
-        vg, row = vectors[active[g]], predicted[g]
+        vg, row = vectors[active[g]], rule_rows[g]
         for b, lb in enumerate(active):
             c, t = row.get(b, (None, None))
             terms = vectors[active[t]].scale(field.element(c)).terms if c else {}
@@ -578,6 +575,10 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, rule,
     p, N = field.p, spec.N
 
     @functools.cache
+    def negated(c: tuple) -> tuple:
+        return tuple(-x % p for x in c)
+
+    @functools.cache
     def predicted(c: tuple, lab):
         """Terms of c v_L: empty for c = 0, None for c != 0 without a label."""
         if lab is None:
@@ -600,7 +601,7 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, rule,
                 if anticommutativity:
                     orders.append((ib, ia, descriptor.bracket(vb, va), backward))
                 elif rule is None or (backward[1] == forward[1]
-                                      and backward[0] == _negated(forward[0], p)):
+                                      and backward[0] == negated(forward[0])):
                     mirrored = True
                 else:
                     orders.append((ib, ia, -w, backward))
@@ -702,7 +703,7 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
 def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,
                   closed: GradedBasis, cfg: SwitchConfig) -> tuple[list, list, list, list]:
     """graded_raw, graded_closed, scalar_link and product_tables violations
-    from one `check_graded` sweep of the closed basis.
+    from one `check_graded` of the closed basis.
 
     scalar_link lists the labels whose closed vector is not the raw one
     times the closed scalar.  If there are none and both bases share spec,
@@ -711,7 +712,7 @@ def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,
     and `reduce` commutes with scalars, so the raw echelons hold the same
     rows and each raw stray is the closed one over s_a s_b, in the same
     order.  Otherwise the raw basis is swept on its own.  Anticommutativity
-    of the table is computed once, here, for every sweep.
+    of the table is computed once, here, for every check.
     """
     link = [lab for lab in closed.labels
             if closed.vectors[lab] != raw.vectors[lab].scale(closed.scalars[lab])]

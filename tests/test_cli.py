@@ -477,8 +477,8 @@ def test_usage_errors(capsys):
 def test_analyze_refuses_incompatible_switches_as_switch_does(capsys):
     """analyze checks the switching hypotheses before it builds the closed
     basis, so an incompatible (pi, sigma) exits 1 with the hypothesis
-    failure of switch and prints no report (it used to stop on an
-    undefined closed-basis scalar, or report FAIL lines)."""
+    failure of switch and prints no report, instead of stopping on an
+    undefined closed-basis scalar (pi = 1) or reporting FAIL lines."""
     refusal = (1, "", "error: hypothesis failure: (pi^p - pi) sigma^p != 1\n")
     for extra in (("--pi", "1"), ("--pi", "t", "--sigma", "2"),
                   ("--pi", "0", "--allow-negative-control")):
