@@ -491,8 +491,8 @@ def derivation_defects(rows: list, images: list, field: FieldParams, half: bool 
         for layer, (image, before) in zip(rows, shifted):
             for k, (x, t) in layer[a].items():
                 if k > lo:  # D[a, k]
-                    for c, e, y in image[t]:
-                        yield (k, c, e), x * y
+                    for u, e, y in image[t]:
+                        yield (k, u, e), x * y
                 for b, e, y in before[k]:  # -[a, Db]
                     if b > lo:
                         yield (b, t, e), x * y
