@@ -224,7 +224,7 @@ def cmd_verify(rc: RunConfig):
         ("anticommutativity", anticommutativity),
         ("jacobi", jacobi_violations(desc, anticommutativity)),
         ("closure", closure_violations(desc)),
-        ("leibniz", leibniz_violations(deriv)),
+        ("leibniz", leibniz_violations(deriv, anticommutativity)),
         ("derivation_power", derivation_power_violations(deriv)),
         ("realization", realization_violations(deriv)),
         ("monomial_grading", monomial_grading_violations(desc, _preswitch_spec(rc))),

@@ -19,7 +19,7 @@ import functools
 import re
 from typing import NamedTuple
 
-from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
+from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
 from .dpalgebra import generalized_power, parse_element
 from .ffield import (
     FieldElement,
@@ -189,6 +189,13 @@ class GradedBasis:
         return [lab for lab in self.labels if not self.vectors[lab].is_zero()]
 
     def validate_rank(self, descriptor: AlgebraDescriptor):
+        """ValueError unless the active vectors are dim many and independent.
+
+        Only the rank is needed, so each vector is reduced and stored with a
+        unit lead, without clearing that lead from the rows before it
+        (`SparseEchelon.insert` does): rows whose leads are distinct and
+        minimal in their supports reduce every vector of their span to zero.
+        """
         active = self.active_labels
         if len(active) != descriptor.dim:
             raise ValueError(
@@ -196,8 +203,11 @@ class GradedBasis:
             )
         ech = SparseEchelon(self.field, self.spec.heights)
         for lab in active:
-            if not ech.insert(self.vectors[lab]):
+            v = ech.reduce(self.vectors[lab])
+            if v.is_zero():
                 raise ValueError(f"basis vector at label {lab} is dependent")
+            lead = min(v.terms)[0]
+            ech.rows[lead] = v.scale(v.coeff(lead).inverse())
 
     def serialize(self) -> str:
         lines = []
@@ -237,23 +247,39 @@ def laguerre_apply(alpha, deriv: Derivation, v: AlgebraElement, scale=None) -> A
 
     Computes sum_{k=0}^{p-1} C(alpha + p - 1, p - 1 - k) (-1)^k / k! times
     (scale*D)^k v.  With alpha = 0 the coefficients collapse to 1/k! and
-    the operator is the truncated exponential of scale*D.
+    the operator is the truncated exponential of scale*D.  The coefficients
+    come from `_laguerre_coefficients`, which `switch_grading` calls once
+    per eigenvalue of D^p rather than once per monomial.
     """
     field = v.field
-    p = field.p
-    alpha = field.element(alpha)
     lam = field.one() if scale is None else field.element(scale)
-    out = AlgebraElement.zero(field, v.heights)
-    w = v
+    return _laguerre_series(_laguerre_coefficients(field.element(alpha), lam), deriv, v)
+
+
+def _laguerre_coefficients(alpha: FieldElement, lam: FieldElement) -> list:
+    """C(alpha + p - 1, p - 1 - k) (-1)^k / k! lam^k for k < p: the
+    coefficient of D^k in the Laguerre series of lam D at alpha."""
+    field = alpha.params
+    p = field.p
+    coeffs, lam_k = [], field.one()
     for k in range(p):
         c = falling_binomial(alpha + (p - 1), p - 1 - k)
-        c = c * field.element(pow(factorial_mod(k, p), -1, p))
-        if k % 2:
-            c = -c
-        out = out + w.scale(c)
-        if k < p - 1:
-            w = deriv.apply(w).scale(lam)
-    return out
+        c = c * field.element(pow(factorial_mod(k, p), -1, p)) * lam_k
+        coeffs.append(-c if k % 2 else c)
+        lam_k = lam_k * lam
+    return coeffs
+
+
+def _laguerre_series(coeffs: list, deriv: Derivation, v: AlgebraElement) -> AlgebraElement:
+    """sum_k coeffs[k] D^k v, summed in one coordinate dict."""
+    terms, w = {}, v
+    for k, c in enumerate(coeffs):
+        if k:
+            w = deriv.apply(w)
+        if w.is_zero():
+            break
+        accumulate(terms, w.scale(c).terms.items(), v.field.p)
+    return AlgebraElement._make(v.field, v.heights, terms)
 
 
 def build_closed_basis(descriptor: AlgebraDescriptor, spec: GradingSpec,
@@ -409,8 +435,10 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
     """Produce the switched graded basis from a pre-switch monomial grading.
 
     Verifies the switching hypotheses first (`switch_hypotheses`), then
-    applies one Laguerre series per monomial.  A zero derivation returns
-    the original grading.
+    applies one Laguerre series per monomial.  The series' coefficients
+    depend on the monomial only through its eigenvalue under D^p, so they
+    are computed once per eigenvalue, at most p times.  A zero derivation
+    returns the original grading.
     """
     alphas = switch_hypotheses(descriptor, spec, deriv, cfg)
     if alphas is None:
@@ -424,14 +452,19 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
     )
     out_spec = GradingSpec(out_case, spec.heights, spec.s, spec.pi_residue)
     labels = list(out_spec.labels())
+    lam = cfg.lam
+    series = {}  # Laguerre coefficients by parameter, one per eigenvalue of D^p
     vectors, scalars = {}, {}
     for lab in labels:
         mono = out_spec.monomial_of_label(lab)
         if mono in descriptor.excluded:
             vectors[lab], scalars[lab] = descriptor.zero(), field.zero()
         else:
-            vectors[lab] = laguerre_apply(alphas[mono], deriv, descriptor.basis_element(mono),
-                                          scale=cfg.lam)
+            alpha = alphas[mono]
+            coeffs = series.get(alpha)
+            if coeffs is None:
+                coeffs = series[alpha] = _laguerre_coefficients(alpha, lam)
+            vectors[lab] = _laguerre_series(coeffs, deriv, descriptor.basis_element(mono))
             scalars[lab] = field.one()
     degrees = {lab: out_spec.degree_of_label(lab) for lab in labels}
     basis = GradedBasis(out_spec, field, labels, vectors, degrees, scalars)
@@ -447,8 +480,8 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
     Grading: a nonzero bracket is reduced against the echelon of the degree
     class of the degree sum, and a nonzero remainder (the stray) is recorded
     as (label, label, stray); none means the basis realizes a grading.
-    Product tables, only when cfg is given: a bracket that differs from the
-    prediction (c, L) of `_product_rule`, c v_L, is recorded as
+    Product tables, only when cfg is given: a bracket that differs from its
+    prediction c v_L in the rule table of `_product_rule` is recorded as
     (label, label).  Returns (strays, misses), both in the order of the
     ordered pairs of active labels.
 
@@ -456,20 +489,48 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
     tries to prove from the two degree-1 generators that every pair obeys
     its rule with L of the degree sum, and then both lists are empty.  When
     it cannot, or without cfg, `_pair_sweep` brackets every unordered pair.
-    `anticommutativity` is the list `anticommutativity_violations` returns,
-    computed here when not given.
+    Both read the one rule table.  `anticommutativity` is the list
+    `anticommutativity_violations` returns, computed here when not given.
     """
     if anticommutativity is None:
         anticommutativity = anticommutativity_violations(descriptor)
-    rule = _product_rule(basis, cfg) if cfg is not None else None
-    if rule is not None and not anticommutativity and _rules_certified(descriptor, basis, rule):
+    table = _product_rule(basis, cfg) if cfg is not None else None
+    if table is not None and not anticommutativity and _rules_certified(descriptor, basis, table):
         return [], []
-    return _pair_sweep(descriptor, basis, rule, anticommutativity)
+    return _pair_sweep(descriptor, basis, table, anticommutativity)
 
 
-def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis, rule) -> bool:
+class RuleTable(NamedTuple):
+    """The closed product rules T' on the active labels, by active index.
+
+    layers[r][a] = {b: (x, t)} when the rules predict [v_a, v_b] = c v_t
+    with x != 0 the t^r coordinate of c: the coordinate layers that
+    `derivation_defects` and `table_generators` take.  A pair with c = 0,
+    or with a zero placeholder as its target, has no entry: either way its
+    bracket is predicted to vanish.  unlabelled = {(a, b): c} holds the
+    pairs whose c != 0 has no target label, which no bracket matches.
+    """
+
+    active: list
+    layers: list
+    unlabelled: dict
+
+    def rule(self, a: int, b: int) -> tuple:
+        """(c, t) for [v_a, v_b] = c v_t, c by its m coordinates; t is None
+        when the bracket is predicted to vanish or c has no target label."""
+        c, t = [], None
+        for layer in self.layers:
+            x, t = layer[a].get(b, (0, t))  # every layer names the same t
+            c.append(x)
+        if t is None:
+            return self.unlabelled.get((a, b), tuple(c)), None
+        return tuple(c), t
+
+
+def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
+                     table: RuleTable) -> bool:
     """Whether every bracket of two active basis vectors is c v_L, for the
-    rule's (c, L) with L of the degree sum, by a generator certificate.
+    rule table's (c, L) with L of the degree sum, by a generator certificate.
 
     Let T be the structure-constant table, T' the rule table on the active
     labels and phi(e_L) = v_L.  The a with phi[a,x]' = [phi a, phi x] for
@@ -480,9 +541,9 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis, rule) ->
     the rules hold on every pair once they hold on generators of T'.
     Seven exact checks, in order, any failure returning False:
 
-    1. T' is built from one rule call per ordered pair, in the coordinate
-       layers `derivation_defects` takes, by active index; an entry onto a
-       placeholder is zero, and a nonzero c without a label fails;
+    1. T' has no unlabelled pair (a nonzero c without a target label);
+       `_product_rule` builds it in the coordinate layers
+       `derivation_defects` takes, entries onto placeholders dropped;
     2. T' is anticommutative;
     3. deg L is the degree sum (mod N) on every entry;
     4. `jacobi_certificate` holds on T (anticommutative, as checked by
@@ -496,40 +557,23 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis, rule) ->
     No echelon is built: a bracket c v_L with L of the degree sum lies in
     the span of that degree's vectors, so it has no stray.
     """
-    field, vectors, degrees, N = basis.field, basis.vectors, basis.degrees, basis.spec.N
+    field, N = basis.field, basis.spec.N
     p = field.p
-    active = basis.active_labels
-    n = len(active)
-    index = {lab: i for i, lab in enumerate(active)}
-    deg = [degrees[lab] for lab in active]
-    candidates = [a for a, d in enumerate(deg) if d == 1]
-    entry = [[(x, t) for t in range(n)] for x in range(p)]  # shared (x, t) tuples
-    layers = [[{} for _ in active] for _ in range(field.m)]
-    rule_rows = {a: {} for a in candidates}  # {b: (c, L)} for step 7
-    for a, la in enumerate(active):
-        rows, kept = [layer[a] for layer in layers], rule_rows.get(a)
-        for b, lb in enumerate(active):
-            c, lab = rule(la, lb)
-            if lab is None:
-                if any(c):
-                    return False
-                continue
-            t = index.get(lab)
-            if t is None:
-                continue
-            for row, x in zip(rows, c):
-                if x:
-                    row[b] = entry[x][t]
-            if kept is not None:
-                kept[b] = (c, t)
+    layers = table.layers
+    vectors = [basis.vectors[lab] for lab in table.active]
+    deg = [basis.degrees[lab] for lab in table.active]
+    if table.unlabelled:
+        return False
     for layer in layers:
         for a, row in enumerate(layer):
             for b, (x, t) in row.items():
-                if layer[b].get(a) != entry[-x % p][t] or deg[t] != (deg[a] + deg[b]) % N:
+                back = layer[b].get(a)
+                if (back is None or back[1] != t or (x + back[0]) % p
+                        or deg[t] != (deg[a] + deg[b]) % N):
                     return False
     if not jacobi_certificate(descriptor):
         return False
-    gens = table_generators(layers, candidates)
+    gens = table_generators(layers, [a for a, d in enumerate(deg) if d == 1])
     if gens is None:
         return False
     for g in gens:
@@ -537,20 +581,20 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis, rule) ->
         if next(derivation_defects(layers, ad, field, half=True), None) is not None:
             return False
     for g in gens:
-        vg, row = vectors[active[g]], rule_rows[g]
-        for b, lb in enumerate(active):
-            c, t = row.get(b, (None, None))
-            terms = vectors[active[t]].scale(field.element(c)).terms if c else {}
-            if descriptor.bracket(vg, vectors[lb]).terms != terms:
+        vg = vectors[g]
+        for b, vb in enumerate(vectors):
+            c, t = table.rule(g, b)
+            terms = vectors[t].scale(field.element(c)).terms if t is not None else {}
+            if descriptor.bracket(vg, vb).terms != terms:
                 return False
     return True
 
 
-def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, rule,
+def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, table: RuleTable | None,
                 anticommutativity: list) -> tuple[list, list]:
     """`check_graded` by bracketing each unordered pair of active labels
-    once, for both checks on both orders of the pair; rule is the
-    `_product_rule` of cfg, or None without product tables.
+    once, for both checks on both orders of the pair; table is the
+    `_product_rule` table of cfg, or None without product tables.
 
     A bracket equal to its prediction with L of the degree sum needs no
     reduction: v_L is a row of that echelon's span.  Brackets are not
@@ -568,36 +612,38 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, rule,
     spec, field = basis.spec, basis.field
     by_deg: dict[int, SparseEchelon] = {}
     active = basis.active_labels
-    vectors, degrees = basis.vectors, basis.degrees
-    for lab in active:
-        ech = by_deg.setdefault(degrees[lab], SparseEchelon(field, spec.heights))
-        ech.insert(vectors[lab])
+    vectors = [basis.vectors[lab] for lab in active]
+    degrees = [basis.degrees[lab] for lab in active]
+    for v, d in zip(vectors, degrees):
+        ech = by_deg.setdefault(d, SparseEchelon(field, spec.heights))
+        ech.insert(v)
     p, N = field.p, spec.N
+    rule = table.rule if table is not None else None
 
     @functools.cache
     def negated(c: tuple) -> tuple:
         return tuple(-x % p for x in c)
 
     @functools.cache
-    def predicted(c: tuple, lab):
-        """Terms of c v_L: empty for c = 0, None for c != 0 without a label."""
-        if lab is None:
+    def predicted(c: tuple, t):
+        """Terms of c v_t: empty for a vanishing prediction, None for c != 0
+        without a label."""
+        if t is None:
             return None if any(c) else {}
-        return vectors[lab].scale(field.element(c)).terms
+        return vectors[t].scale(field.element(c)).terms
 
     strays, misses = [], []
-    for ia, la in enumerate(active):
-        va, da = vectors[la], degrees[la]
+    for ia, va in enumerate(vectors):
+        da = degrees[ia]
         for ib in range(ia, len(active)):
-            lb = active[ib]
-            vb = vectors[lb]
+            vb = vectors[ib]
             w = descriptor.bracket(va, vb)
-            target = (da + degrees[lb]) % N
-            forward = rule(la, lb) if rule is not None else None
+            target = (da + degrees[ib]) % N
+            forward = rule(ia, ib) if rule is not None else None
             orders = [(ia, ib, w, forward)]
             mirrored = False
             if ia != ib:
-                backward = rule(lb, la) if rule is not None else None
+                backward = rule(ib, ia) if rule is not None else None
                 if anticommutativity:
                     orders.append((ib, ia, descriptor.bracket(vb, va), backward))
                 elif rule is None or (backward[1] == forward[1]
@@ -607,13 +653,13 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, rule,
                     orders.append((ib, ia, -w, backward))
             for i, j, wij, rule_ij in orders:
                 if rule_ij is not None:
-                    c, lab = rule_ij
-                    terms = predicted(c, lab)
+                    c, t = rule_ij
+                    terms = predicted(c, t)
                     if terms is None or wij.terms != terms:
                         misses.append((i, j))
                         if mirrored:
                             misses.append((j, i))
-                    elif lab is not None and degrees[lab] == target:
+                    elif t is not None and degrees[t] == target:
                         continue
                 if wij.is_zero():
                     continue
@@ -635,40 +681,50 @@ def verify_product_tables(descriptor: AlgebraDescriptor, basis: GradedBasis,
     return check_graded(descriptor, basis, cfg)[1]
 
 
-def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
-    """The bracket of two switched basis vectors, predicted by the closed rules.
+def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
+    """The brackets of switched basis vectors predicted by the closed rules,
+    as the `RuleTable` of the active labels.
 
     For labels (j,k,a), (l,h,b) the bracket is predicted as a single scaled
     basis vector c v_L: c = C(k+h+1,h)C(j+l+1,j) - C(k+h+1,k)C(j+l+1,l) at
     L = (j+l, k+h, a+b) when k and h are not both -1, and
     c = sigma*(C(j+l+1,j) beta - C(j+l+1,l) alpha) at L = (j+l, p^s-2, a+b-1)
     when k = h = -1, with alpha, beta the generalized-power exponents of the
-    two labels.  The rule returns (c, L), c as the tuple of its m F_p
-    coordinates; L is None when c = 0, the bracket predicted to vanish.  An
-    out-of-range target must come with c = 0; else L is None with c != 0,
-    no prediction, and the pair is a miss.  The label index a is reduced
-    mod p.  Exchanging the two labels negates c and keeps L; `check_graded`
-    tests this per pair rather than assuming it.  Pairs range over active
-    labels only: the zero placeholders are not basis vectors, and as
-    bracket targets they are covered by the coefficient vanishing (top) or
-    by the constant projection (bottom).
+    two labels.  An out-of-range target must come with c = 0; else the pair
+    is unlabelled, with no prediction, and a miss.  The label index a is
+    reduced mod p.  Exchanging the two labels negates c and keeps L;
+    `check_graded` tests this per pair rather than assuming it.  Pairs
+    range over active labels only: the zero placeholders are not basis
+    vectors, and as bracket targets they are covered by the coefficient
+    vanishing (top) or by the constant projection (bottom), so an entry
+    onto one is dropped.
 
-    The first coefficient is an integer; the second is an F_p-combination
-    of sigma*alpha over the labels, computed once per (j, a) and combined
-    coordinate-wise, so predicting a pair multiplies no field elements and
-    builds no algebra element.  The binomials are read from two tables
-    built once per rule, by (j, l) and by (k, h).
+    Each part of a rule is computed once per class it depends on.  Off
+    k = h = -1, c is an integer of (j, l) and (k, h) alone, from two
+    binomial tables built once, by (j, l) and by (k, h): it is computed
+    once per (j, l, k, h) and entered on the p x p block of (a, b) when
+    nonzero.  On k = h = -1, c is an F_p-combination of sigma*alpha,
+    computed once per (j, a) and combined coordinate-wise per (a, b).  So
+    the table costs q p field multiplies and builds no algebra element,
+    and its entries share their (x, t) tuples.
     """
     spec, field = basis.spec, basis.field
     if spec.case not in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD):
         raise ValueError("product tables exist for the switched cases only")
-    p, q, ps = field.p, spec.q, spec.step
-
-    sigma_expo = {(j, a): (cfg.sigma * _label_exponent(spec, cfg, j, a)).coeffs
-                  for j in range(-1, q - 1) for a in range(p)}
-    in_prime_field = [(c,) + (0,) * (field.m - 1) for c in range(p)]
-    label_at = [[[Label(j, k, a) for a in range(p)] for k in range(-1, ps - 1)]
-                for j in range(-1, q - 1)]
+    p, q, ps, m = field.p, spec.q, spec.step, field.m
+    active = basis.active_labels
+    index = {lab: i for i, lab in enumerate(active)}
+    # at[j + 1][k + 1][a]: active index of the label (j, k, a), None at a placeholder
+    at = [[[index.get(Label(j, k, a)) for a in range(p)] for k in range(-1, ps - 1)]
+          for j in range(-1, q - 1)]
+    # rotated[j + 1][k + 1][a][b]: at[j + 1][k + 1][(a + b) % p]
+    rotated = [[[row[a:] + row[:a] for a in range(p)] for row in rows] for rows in at]
+    sigma_expo = [[(cfg.sigma * _label_exponent(spec, cfg, j, a)).coeffs for a in range(p)]
+                  for j in range(-1, q - 1)]
+    entry = [[(x, t) for t in range(len(active))] for x in range(p)]  # shared (x, t) tuples
+    in_prime_field = [(x,) + (0,) * (m - 1) for x in range(p)]
+    layers = [[{} for _ in active] for _ in range(m)]
+    unlabelled = {}
 
     def binomials(top: int) -> list[list[tuple[int, int]]]:
         """(C(u+v+1, u), C(u+v+1, v)) mod p at [u+1][v+1], -1 <= u, v <= top."""
@@ -676,28 +732,55 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig):
                  for v in range(-1, top + 1)] for u in range(-1, top + 1)]
     by_jl, by_kh = binomials(q - 2), binomials(ps - 2)
 
-    def rule(la: Label, lb: Label):
-        (j, k, a), (l, h, b) = la, lb
-        jj = j + l
-        cj, cl = by_jl[j + 1][l + 1]
-        if k == -1 and h == -1:
-            c = tuple((cj * y - cl * x) % p for x, y in
-                      zip(sigma_expo[j, a], sigma_expo[l, b]))
-            kk, aa = ps - 2, a + b - 1
-            if not any(c):
-                return c, None
-        else:
-            ck, ch = by_kh[k + 1][h + 1]
-            x = (ch * cj - ck * cl) % p
-            c = in_prime_field[x]
-            if not x:
-                return c, None
-            kk, aa = k + h, a + b
-        if not (-1 <= jj <= q - 2 and -1 <= kk <= ps - 2):
-            return c, None
-        return c, label_at[jj + 1][kk + 1][aa % p]
-
-    return rule
+    for j in range(-1, q - 1):
+        for l in range(-1, q - 1):
+            cj, cl = by_jl[j + 1][l + 1]
+            if not (cj or cl):
+                continue
+            jj = j + l
+            targets = rotated[jj + 1] if -1 <= jj <= q - 2 else None
+            # k = h = -1: c = sigma (C_j beta - C_l alpha) onto (j + l, p^s - 2, a + b - 1)
+            for a, ia in enumerate(at[j + 1][0]):
+                if ia is None:
+                    continue
+                alpha = sigma_expo[j + 1][a]
+                tgt = targets[ps - 1][(a - 1) % p] if targets else None
+                for b, ib in enumerate(at[l + 1][0]):
+                    if ib is None:
+                        continue
+                    c = tuple((cj * y - cl * x) % p for x, y in zip(alpha, sigma_expo[l + 1][b]))
+                    if not any(c):
+                        continue
+                    if tgt is None:
+                        unlabelled[ia, ib] = c
+                    elif (t := tgt[b]) is not None:
+                        for layer, x in zip(layers, c):
+                            if x:
+                                layer[ia][ib] = entry[x][t]
+            # otherwise: c = C_h C_j - C_k C_l in F_p onto (j + l, k + h, a + b)
+            for k in range(-1, ps - 1):
+                ck_row = by_kh[k + 1]
+                for h in range(0 if k == -1 else -1, ps - 1):
+                    ck, ch = ck_row[h + 1]
+                    x = (ch * cj - ck * cl) % p
+                    if not x:
+                        continue
+                    kk = k + h
+                    tgts = targets[kk + 1] if targets and kk <= ps - 2 else None
+                    partners, ex = at[l + 1][h + 1], entry[x]
+                    for a, ia in enumerate(at[j + 1][k + 1]):
+                        if ia is None:
+                            continue
+                        if tgts is None:
+                            for ib in partners:
+                                if ib is not None:
+                                    unlabelled[ia, ib] = in_prime_field[x]
+                            continue
+                        row = layers[0][ia]
+                        for ib, t in zip(partners, tgts[a]):
+                            if ib is not None and t is not None:
+                                row[ib] = ex[t]
+    return RuleTable(active, layers, unlabelled)
 
 
 def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,

@@ -578,16 +578,25 @@ def closure_violations(desc: AlgebraDescriptor) -> list:
     return [(basis[i], basis[j]) for i, j in sorted(bad)]
 
 
-def leibniz_violations(deriv: Derivation) -> list:
+def leibniz_violations(deriv: Derivation, anticommutativity: list | None = None) -> list:
     """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs.
 
     The defect of the derivation table, summed row by row by
-    `derivation_defects`.
+    `derivation_defects`.  On an anticommutative table the defect
+    D[a,b] - [Da,b] - [a,Db] of any D is antisymmetric in (a, b) and zero
+    on the diagonal, so only the pairs b > a are summed and each failing
+    pair is listed with its mirror.  `anticommutativity` is the list
+    `anticommutativity_violations` returns, computed here when not given.
     """
-    basis = deriv.descriptor.basis
-    return [(basis[a], basis[b])
-            for a, bs in derivation_defects([deriv.descriptor.table], [deriv.table],
-                                               deriv.descriptor.field) for b in bs]
+    desc = deriv.descriptor
+    if anticommutativity is None:
+        anticommutativity = anticommutativity_violations(desc)
+    half = not anticommutativity
+    bad = [(a, b) for a, bs in derivation_defects([desc.table], [deriv.table], desc.field,
+                                                  half=half) for b in bs]
+    if half:
+        bad = sorted(bad + [(b, a) for a, b in bad])
+    return [(desc.basis[a], desc.basis[b]) for a, b in bad]
 
 
 def derivation_power_violations(deriv: Derivation) -> list:

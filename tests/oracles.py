@@ -13,6 +13,8 @@ sweeps must return the same violation lists, in the same order.
 every ordered pair of active labels, bracketing each order on its own and
 building each product-rule prediction c v_L afresh; the sweep over
 unordered pairs must return the same strays and misses, in the same order.
+`product_rule` predicts one pair at a time from Lucas binomials and field
+arithmetic, the reference for the factored rule table the package builds.
 
 The kernel references (`bracket`, `apply`, `scale`, `Echelon`) keep each
 coefficient as one FieldElement, {monomial: FieldElement} with no zero
@@ -30,7 +32,7 @@ law of `generalized_power`.
 from thinlie import grading
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
 from thinlie.ffield import FieldElement, lucas_binomial
-from thinlie.grading import GradedBasis, GradingSpec
+from thinlie.grading import GradedBasis, GradingSpec, Label
 from thinlie.liealg import AlgebraDescriptor, Derivation, Family
 
 
@@ -168,10 +170,48 @@ def dense_monomial_grading_violations(desc: AlgebraDescriptor, spec: GradingSpec
     return violations
 
 
-def ordered_check_graded(desc: AlgebraDescriptor, basis: GradedBasis, cfg=None) -> tuple[list, list]:
-    """(strays, misses) of `check_graded`, one bracket per ordered pair."""
+def product_rule(basis: GradedBasis, cfg):
+    """The closed product rule of `grading._product_rule`, one ordered pair
+    of labels at a time: rule(la, lb) = (c, L) for [v_la, v_lb] = c v_L,
+    c by its m F_p coordinates.  L is None when c = 0, and when the target
+    falls outside the label range (then c must be 0: else no prediction).
+
+    Off k = h = -1, c = C(k+h+1,h)C(j+l+1,j) - C(k+h+1,k)C(j+l+1,l) at
+    L = (j+l, k+h, a+b); on k = h = -1, c = sigma (C(j+l+1,j) beta -
+    C(j+l+1,l) alpha) at L = (j+l, p^s-2, a+b-1), alpha and beta the
+    exponents of the two closed forms.  Each binomial comes from
+    `lucas_binomial` and each coefficient from FieldElement arithmetic.
+    """
     spec, field = basis.spec, basis.field
-    rule = grading._product_rule(basis, cfg) if cfg is not None else None
+    p, q, ps = field.p, spec.q, spec.step
+
+    def exponent(j, a):
+        if spec.case is grading.GradingCase.BIG_FIELD:
+            return -field.element(j) * cfg.pi + a
+        return field.element(a)
+
+    def rule(la, lb):
+        (j, k, a), (l, h, b) = la, lb
+        cj = lucas_binomial(j + l + 1, j, p)
+        cl = lucas_binomial(j + l + 1, l, p)
+        if k == h == -1:
+            c = cfg.sigma * (exponent(l, b) * cj - exponent(j, a) * cl)
+            kk, aa = ps - 2, a + b - 1
+        else:
+            x = (lucas_binomial(k + h + 1, h, p) * cj - lucas_binomial(k + h + 1, k, p) * cl)
+            c = field.element(x % p)
+            kk, aa = k + h, a + b
+        if c.is_zero() or not (-1 <= j + l <= q - 2 and -1 <= kk <= ps - 2):
+            return c.coeffs, None
+        return c.coeffs, Label(j + l, kk, aa % p)
+    return rule
+
+
+def ordered_check_graded(desc: AlgebraDescriptor, basis: GradedBasis, cfg=None) -> tuple[list, list]:
+    """(strays, misses) of `check_graded`, one bracket per ordered pair,
+    with the predictions read from the table of `grading._product_rule`."""
+    spec, field = basis.spec, basis.field
+    table = grading._product_rule(basis, cfg) if cfg is not None else None
     by_deg: dict = {}
     active = basis.active_labels
     vectors, degrees = basis.vectors, basis.degrees
@@ -179,12 +219,13 @@ def ordered_check_graded(desc: AlgebraDescriptor, basis: GradedBasis, cfg=None) 
         ech = by_deg.setdefault(degrees[lab], SparseEchelon(field, spec.heights))
         ech.insert(vectors[lab])
     strays, misses = [], []
-    for la in active:
-        for lb in active:
+    for ia, la in enumerate(active):
+        for ib, lb in enumerate(active):
             w = desc.bracket(vectors[la], vectors[lb])
             target = (degrees[la] + degrees[lb]) % spec.N
-            if rule is not None:
-                c, lab = rule(la, lb)
+            if table is not None:
+                c, t = table.rule(ia, ib)
+                lab = active[t] if t is not None else None
                 if lab is not None:
                     predicted = vectors[lab].scale(field.element(c))
                 else:

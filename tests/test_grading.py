@@ -1,12 +1,13 @@
 """Cyclic gradings, grading switching, closed bases and product tables."""
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import ordered_check_graded, product
+from oracles import Echelon, ordered_check_graded, product, product_rule
 from thinlie import grading
 from thinlie.cli import standard_modulus
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, generalized_power
@@ -120,9 +121,10 @@ def test_closed_basis_excluded_top():
 
 
 def nonzero_element(field, data):
-    """A random nonzero element of field, drawn by its coordinates."""
-    coords = st.lists(st.integers(0, field.p - 1), min_size=field.m, max_size=field.m)
-    return field.element(data.draw(coords.filter(any)))
+    """A random nonzero element of field, by the base-p digits of a number
+    in [1, p^m), so no draw is filtered out."""
+    k = data.draw(st.integers(1, field.p ** field.m - 1))
+    return field.element([k // field.p ** r % field.p for r in range(field.m)])
 
 
 # (p, s, n) of the shift property: p in {3, 5}, s in {0, 1}
@@ -319,6 +321,49 @@ def test_validate_rank_rejects_dependence():
         closed.validate_rank(AZ)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([F3, F27]), st.integers(1, 2), st.data())
+def test_validate_rank_matches_oracle_rank(field, n, data):
+    """validate_rank accepts a basis iff the FieldElement echelon of
+    `oracles` inserts every nonzero vector, and else names the first one
+    that echelon finds dependent.  The vectors are independent rows with
+    distinct leads, each plus random multiples of the vectors before it,
+    over F_3 or F_27; at most one, planted, is only such a combination,
+    dependent (or zero)."""
+    h = Heights(3, 1, n)
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, field, h)
+    spec = GradingSpec(GradingCase.BIG_FIELD, h, 0)
+    labels = list(spec.labels())
+    planted = data.draw(st.sampled_from([None, *range(1, desc.dim)]))
+    vectors = []
+    for i, mono in enumerate(data.draw(st.permutations(desc.basis))):
+        v = desc.basis_element(mono, nonzero_element(field, data))
+        later = [m for m in desc.basis if m > mono]
+        for m in data.draw(st.lists(st.sampled_from(later), max_size=3)) if later else []:
+            v = v + desc.basis_element(m, nonzero_element(field, data))
+        if i == planted:
+            v = desc.zero()
+        for u in data.draw(st.lists(st.sampled_from(vectors), min_size=int(i == planted),
+                                    max_size=3)) if vectors else []:
+            v = v + u.scale(nonzero_element(field, data))
+        vectors.append(v)
+    vectors = dict(zip(labels, vectors))
+    basis = GradedBasis(spec, field, labels, vectors, {lab: 0 for lab in labels},
+                        {lab: field.one() for lab in labels})
+    active = [lab for lab in labels if vectors[lab]]
+    ech = Echelon()
+    dependent = next((lab for lab in active if not ech.insert(vectors[lab])), None)
+    if len(active) != desc.dim:
+        message = f"basis has {len(active)} nonzero vectors, expected {desc.dim}"
+    elif dependent is not None:
+        message = f"basis vector at label {dependent} is dependent"
+    else:
+        basis.validate_rank(desc)
+        return
+    with pytest.raises(ValueError, match=re.escape(message)):
+        basis.validate_rank(desc)
+
+
 def switched(case, p, n, s, pi, sigma=1):
     """(descriptor, raw, closed, cfg) of one switch, as `thinlie switch` builds them."""
     h = Heights(p, s + 1, n)
@@ -414,6 +459,60 @@ def test_raw_grading_follows_from_closed(shape, big, data):
         assert len(sweeps) == int(not degree_one_pair(closed))
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.booleans(), st.data())
+def test_rule_table_matches_pairwise_oracle(shape, big, data):
+    """The factored table of `_product_rule` reads, on every ordered pair of
+    active labels, the (c, L) of the per-pair rule of `oracles`, with L
+    as an active index, and a target on a zero placeholder read as the
+    vanishing prediction; Albert-Zassenhaus over F_(p^p) and Graded
+    Hamiltonian over F_p, with random sigma and pi (compatible or not)."""
+    p, n, s = shape
+    h = Heights(p, s + 1, n)
+    if big:
+        field = FieldParams(p, p, standard_modulus(p))
+        family, case = Family.ALBERT_ZASSENHAUS, GradingCase.BIG_FIELD
+    else:
+        field = FieldParams.prime(p)
+        family, case = Family.GRADED_HAMILTONIAN, GradingCase.PRIME_FIELD
+    desc = AlgebraDescriptor(family, field, h)
+    sigma, pi = nonzero_element(field, data), nonzero_element(field, data)
+    spec = GradingSpec(case, h, s, pi.as_int() if pi.in_prime_field() else 0)
+    cfg = SwitchConfig(field, sigma, pi, s)
+    try:
+        closed = build_closed_basis(desc, spec, cfg)
+    except ValueError:
+        assume(False)
+    table, rule = grading._product_rule(closed, cfg), product_rule(closed, cfg)
+    assert table.active == closed.active_labels
+    index = {lab: i for i, lab in enumerate(table.active)}
+    zero = (0,) * field.m
+    for la, a in index.items():
+        for lb, b in index.items():
+            c, lab = rule(la, lb)
+            if lab is not None and lab not in index:
+                c, lab = zero, None
+            assert table.rule(a, b) == (c, index.get(lab)), (la, lb)
+
+
+def test_switch_grading_computes_coefficients_per_eigenvalue(monkeypatch):
+    """switch_grading computes the Laguerre coefficients once per eigenvalue
+    of D^p, p falling binomials each: at most p^2 calls, where one series
+    per monomial made dim p.  The D of Albert-Zassenhaus has all p
+    eigenvalues, so at p = 3, dim 81 that is 9 calls instead of 243."""
+    calls, falling = [], grading.falling_binomial
+
+    def counted(*args):
+        calls.append(1)
+        return falling(*args)
+    monkeypatch.setattr(grading, "falling_binomial", counted)
+    h = Heights(3, 2, 2)
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, h)
+    switch_grading(desc, GradingSpec(GradingCase.PRESWITCH_AZ, h, 1), Derivation(desc, 1),
+                   big_config())
+    assert (desc.dim, len(calls)) == (81, 3 * 3)
+
+
 def stray_digest(strays) -> str:
     return hashlib.sha256("\n".join(f"{a.text()} {b.text()} {w.text()}"
                                      for a, b, w in strays).encode()).hexdigest()
@@ -487,20 +586,31 @@ def break_anticommutativity(desc, which: int):
     assert anticommutativity_violations(desc) == [(desc.basis[i], desc.basis[j])]
 
 
+def set_rule(table, a, b, c, t):
+    """Make `RuleTable.rule(a, b)` of table read (c, t): the layers carry c
+    onto t, or c != 0 without a target goes to the unlabelled pairs."""
+    for layer, x in zip(table.layers, c):
+        if x and t is not None:
+            layer[a][b] = (x, t)
+        else:
+            layer[a].pop(b, None)
+    if t is None and any(c):
+        table.unlabelled[a, b] = c
+    else:
+        table.unlabelled.pop((a, b), None)
+
+
 def perturbed_rule(pair):
-    """`_product_rule` with the coefficient of one ordered pair shifted by 1,
-    so that its reversed order fails the (-c, L) test."""
+    """`_product_rule` with the coefficient of one ordered pair shifted by 1
+    in its table, so that its reversed order fails the (-c, L) test."""
     product_rule = grading._product_rule
 
     def build(basis, cfg):
-        rule, p = product_rule(basis, cfg), basis.field.p
-
-        def shifted(la, lb):
-            c, lab = rule(la, lb)
-            if (la, lb) == pair:
-                c = ((c[0] + 1) % p,) + c[1:]
-            return c, lab
-        return shifted
+        table, p = product_rule(basis, cfg), basis.field.p
+        a, b = map(table.active.index, pair)
+        c, t = table.rule(a, b)
+        set_rule(table, a, b, ((c[0] + 1) % p,) + c[1:], t)
+        return table
     return build
 
 
@@ -521,33 +631,33 @@ def break_jacobi(desc, which: int, avoid: set):
 
 def doubled_rule(pair):
     """`_product_rule` with the coefficient doubled on both orders of one
-    pair: the rule table stays anticommutative, graded and generated."""
+    pair in its table: the table stays anticommutative, graded and
+    generated."""
     product_rule = grading._product_rule
 
     def build(basis, cfg):
-        rule, p = product_rule(basis, cfg), basis.field.p
-
-        def doubled(la, lb):
-            c, lab = rule(la, lb)
-            if {la, lb} == set(pair):
-                c = tuple(2 * x % p for x in c)
-            return c, lab
-        return doubled
+        table, p = product_rule(basis, cfg), basis.field.p
+        a, b = map(table.active.index, pair)
+        for u, v in ((a, b), (b, a)):
+            c, t = table.rule(u, v)
+            set_rule(table, u, v, tuple(2 * x % p for x in c), t)
+        return table
     return build
 
 
 def unreached_rule(label):
-    """`_product_rule` with every bracket onto one label predicted zero, so
-    that no bracket of other labels reaches it."""
+    """`_product_rule` with every entry onto one label removed from its
+    table, so that no bracket of other labels reaches it."""
     product_rule = grading._product_rule
 
     def build(basis, cfg):
-        rule, zero = product_rule(basis, cfg), (0,) * basis.field.m
-
-        def unreached(la, lb):
-            c, lab = rule(la, lb)
-            return (zero, None) if lab == label else (c, lab)
-        return unreached
+        table = product_rule(basis, cfg)
+        t = table.active.index(label)
+        for layer in table.layers:
+            for row in layer:
+                for b in [b for b, (_x, u) in row.items() if u == t]:
+                    del row[b]
+        return table
     return build
 
 
@@ -569,7 +679,9 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
     wrong degree, scaling one vector by 2, breaking anticommutativity at
     one table entry (both orders bracketed) or shifting the rule's
     coefficient on one ordered pair (the (-c, L) test fails and the
-    reversed order is compared in full).
+    reversed order is compared in full).  The rule plantings edit the
+    table `_product_rule` returns, which both sweeps and the certificate
+    read.
 
     Each planting must also reach the pair sweep, and the unplanted switch
     must not, which makes each licensing step of the generator certificate
@@ -602,9 +714,10 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
     elif corruption == "rule":
         product_rule = perturbed_rule((l1, l2))
     elif corruption == "rule pair":
-        rule = grading._product_rule(closed, cfg)
+        table = grading._product_rule(closed, cfg)
+        index = {lab: i for i, lab in enumerate(table.active)}
         pairs = [(a, b) for a in others for b in others
-                 if a < b and rule(a, b)[1] in closed.active_labels]
+                 if a < b and table.rule(index[a], index[b])[1] is not None]
         assume(pairs)
         product_rule = doubled_rule(data.draw(st.sampled_from(pairs)))
     elif corruption == "jacobi":
