@@ -167,6 +167,16 @@ SWITCH_FROZEN = {
                              "--pi", "t+2"), 0,
                             "66c5dff0c6df3122cada500ac9d845c007faec2e076259aa460e6871e075a64a",
                             "658d6ef48520c5e87934798b05e4b2068b79c41756e8bb569d094a50be617d97"),
+    # GradedHamiltonian at s = 0 with 2 pi = -1 or pi = -1 mod p: one degree-1
+    # label is a placeholder; frozen from the pair sweep that passed them
+    "prime p3 n2 s0 pi1": (("--case", "prime-field", "--p", "3", "--n", "2", "--s", "0",
+                            "--pi", "1"), 0,
+                           "8d312f59f4a2f42767e26b528c24d7659a1b2c7b9fc85f478a93d4d43083f2de",
+                           "cfaad8c06023c4a8e1bf0ae8ded6683829c73617a5a7e748d0d1ec73354772a3"),
+    "prime p5 n1 s0 pi2": (("--case", "prime-field", "--p", "5", "--n", "1", "--s", "0",
+                            "--pi", "2"), 0,
+                           "6cf60afc722ca6a4f019b8059dfd620145ff5dc04afe41c3a461221b60d95b0f",
+                           "789e545be51b73b8ced1af8127f7233c51ecea952adfc098302dea56c09bc35f"),
 }
 
 
