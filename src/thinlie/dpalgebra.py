@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ffield import FieldElement, FieldParams, factorial_mod, falling_binomial, is_prime
+from .ffield import FieldElement, FieldParams, is_prime
 
 
 class Monomial(NamedTuple):
@@ -270,9 +270,11 @@ def generalized_power(field: FieldParams, heights: Heights, sigma: FieldElement,
                       alpha: FieldElement, s: int) -> AlgebraElement:
     """(1 + sigma*x^(p^s))^alpha for a field-element exponent alpha.
 
-    Expands to sum_{i=0}^{p-1} C(alpha, i) i! sigma^i x^(i p^s); requires
-    p^s < p^n1 so every term exists.  In alpha this is a one-parameter group:
-    the product of two such powers is the power at the sum of the exponents.
+    Expands to sum_{i=0}^{p-1} C(alpha, i) i! sigma^i x^(i p^s), whose
+    coefficient (alpha)_i sigma^i, a falling factorial, is the one before
+    times (alpha - i + 1) sigma; requires p^s < p^n1 so every term exists.
+    In alpha this is a one-parameter group: the product of two such powers
+    is the power at the sum of the exponents.
     """
     p = field.p
     ps = p ** s
@@ -280,13 +282,11 @@ def generalized_power(field: FieldParams, heights: Heights, sigma: FieldElement,
         raise ValueError(f"step p^{s} out of range for heights {heights}")
     sigma = field.element(sigma)
     alpha = field.element(alpha)
-    terms = {}
-    sig_pow = field.one()
+    terms, c = {}, field.one()
     for i in range(p):
-        c = falling_binomial(alpha, i) * factorial_mod(i, p) * sig_pow
         for r, x in _nonzero_coords(c):
             terms[Monomial(i * ps, 0), r] = x
-        sig_pow = sig_pow * sigma
+        c = c * (alpha - i) * sigma
     return AlgebraElement._make(field, heights, terms)
 
 

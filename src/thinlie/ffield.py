@@ -5,8 +5,9 @@ stored monic irreducible modulus f, so every element has one canonical
 coefficient vector and equality is literal.  Everything here is exact integer
 arithmetic; no floats, no probabilistic shortcuts.  The module also carries
 the binomial machinery used throughout (Lucas digit binomials, falling
-binomials with a field-element upper index), the irreducibility test
-every modulus passes, and the kernel of a two-column linear system.
+factorials of field elements, in which the switch's coefficients are
+written by Wilson's theorem), the irreducibility test every modulus
+passes, and the kernel of a two-column linear system.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def factorial_mod(k: int, p: int) -> int:
-    """k! mod p for 0 <= k < p."""
-    if not 0 <= k < p:
-        raise ValueError(f"factorial_mod needs 0 <= k < p, got k={k}, p={p}")
-    out = 1
-    for i in range(2, k + 1):
-        out = out * i % p
-    return out
 
 
 def lucas_binomial(n: int, k: int, p: int) -> int:
@@ -427,18 +418,12 @@ def _parse_element(params: FieldParams, text: str) -> FieldElement:
     return params.element(coeffs)
 
 
-def falling_binomial(alpha: FieldElement, i: int) -> FieldElement:
-    """C(alpha, i) = alpha(alpha-1)...(alpha-i+1)/i! for a field element alpha.
-
-    Needs 0 <= i < p so that i! is invertible.
-    """
-    params = alpha.params
-    if not 0 <= i < params.p:
-        raise ValueError(f"falling binomial needs 0 <= i < p, got i={i}")
-    num = params.one()
+def falling_factorial(x: FieldElement, i: int) -> FieldElement:
+    """(x)_i = x(x-1)...(x-i+1) for a field element x and i >= 0."""
+    out = x.params.one()
     for r in range(i):
-        num = num * (alpha - r)
-    return num * params.element(pow(factorial_mod(i, params.p), -1, params.p))
+        out = out * (x - r)
+    return out
 
 
 def plane_kernel(field: FieldParams, rows: list) -> list:

@@ -21,15 +21,10 @@ from typing import NamedTuple
 
 from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
 from .dpalgebra import generalized_power, parse_element
-from .ffield import (
-    FieldElement,
-    FieldParams,
-    factorial_mod,
-    falling_binomial,
-    lucas_binomial,
-)
-from .liealg import (AlgebraDescriptor, Derivation, ad_table, anticommutativity_violations,
-                     derivation_defects, jacobi_certificate, table_generators, table_power)
+from .ffield import FieldElement, FieldParams, falling_factorial, lucas_binomial
+from .liealg import (AlgebraDescriptor, Derivation, ads_are_derivations,
+                     anticommutativity_violations, jacobi_certificate, table_generators,
+                     table_power)
 
 
 class GradingCase(enum.Enum):
@@ -258,14 +253,15 @@ def laguerre_apply(alpha, deriv: Derivation, v: AlgebraElement, scale=None) -> A
 
 def _laguerre_coefficients(alpha: FieldElement, lam: FieldElement) -> list:
     """C(alpha + p - 1, p - 1 - k) (-1)^k / k! lam^k for k < p: the
-    coefficient of D^k in the Laguerre series of lam D at alpha."""
+    coefficient of D^k in the Laguerre series of lam D at alpha.
+
+    That is -(alpha + p - 1)_(p-1-k) lam^k, a falling factorial, since
+    k! (p-1-k)! = -(-1)^k mod p by Wilson's theorem."""
     field = alpha.params
     p = field.p
     coeffs, lam_k = [], field.one()
     for k in range(p):
-        c = falling_binomial(alpha + (p - 1), p - 1 - k)
-        c = c * field.element(pow(factorial_mod(k, p), -1, p)) * lam_k
-        coeffs.append(-c if k % 2 else c)
+        coeffs.append(-falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)
         lam_k = lam_k * lam
     return coeffs
 
@@ -320,7 +316,7 @@ def build_closed_basis(descriptor: AlgebraDescriptor, spec: GradingSpec,
         for j in range(-1, spec.q - 1):
             for a in range(p):
                 alpha = _label_exponent(spec, cfg, j, a)
-                scalar = _closed_scalar(spec, cfg, j, a, alpha)
+                scalar = _closed_scalar(cfg, j, a, alpha)
                 series = generalized_power(field, h, cfg.sigma, alpha, spec.s).terms
                 for k in range(-1, ps - 1):
                     lab = Label(j, k, a)
@@ -347,21 +343,20 @@ def _label_exponent(spec: GradingSpec, cfg: SwitchConfig, j: int, a: int) -> Fie
     return cfg.field.element(a)
 
 
-def _closed_scalar(spec: GradingSpec, cfg: SwitchConfig, j: int, a: int,
-                   alpha: FieldElement) -> FieldElement:
-    """a! sigma^a, times C(alpha, a) / C(alpha - a + p - 1, p - 1) over the
-    big field: the closed vector at (j, k, a) over the raw one, for every k."""
-    field = cfg.field
-    p = field.p
-    scalar = field.element(factorial_mod(a, p)) * cfg.sigma ** a
-    if spec.case is GradingCase.PRIME_FIELD:
-        return scalar
-    den = falling_binomial(alpha - a + (p - 1), p - 1)
+def _closed_scalar(cfg: SwitchConfig, j: int, a: int, alpha: FieldElement) -> FieldElement:
+    """a! sigma^a C(alpha, a) / C(alpha - a + p - 1, p - 1): the closed
+    vector at (j, k, a) over the raw one, for every k.
+
+    In falling factorials that is -(alpha)_a sigma^a / (alpha - a + p - 1)_(p-1),
+    as (p - 1)! = -1 (Wilson).  Over the prime field alpha = a, and it is
+    a! sigma^a."""
+    p = cfg.field.p
+    den = falling_factorial(alpha - a + (p - 1), p - 1)
     if den.is_zero():
         raise ValueError(
             f"closed-basis scalar undefined at j={j}: C(-j pi + p - 1, p - 1) = 0"
         )
-    return scalar * falling_binomial(alpha, a) / den
+    return -falling_factorial(alpha, a) * cfg.sigma ** a / den
 
 
 def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
@@ -486,10 +481,10 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
     ordered pairs of active labels.
 
     When cfg is given and the table is anticommutative, `_rules_certified`
-    tries to prove from the two degree-1 generators that every pair obeys
-    its rule with L of the degree sum, and then both lists are empty.  When
-    it cannot, or without cfg, `_pair_sweep` brackets every unordered pair.
-    Both read the one rule table.  `anticommutativity` is the list
+    decides whether every pair obeys its rule with L of the degree sum, and
+    then both lists are empty.  Only when it fails, or without cfg, does
+    `_pair_sweep` bracket every unordered pair to list the violations.  Both
+    read the one rule table.  `anticommutativity` is the list
     `anticommutativity_violations` returns, computed here when not given.
     """
     if anticommutativity is None:
@@ -538,8 +533,8 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
     is anticommutative and T is a Lie algebra: expand [[a,b]',x]' by
     ad_a, apply phi through a and b, and recombine by Jacobi in T (the
     argument of `liealg.jacobi_violations`, Jacobson, Lie Algebras).  So
-    the rules hold on every pair once they hold on generators of T'.
-    Seven exact checks, in order, any failure returning False:
+    the rules hold on every pair once they hold on any generating set of
+    T'.  Seven exact steps, in order, any failure returning False:
 
     1. T' has no unlabelled pair (a nonzero c without a target label);
        `_product_rule` builds it in the coordinate layers
@@ -548,11 +543,15 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
     3. deg L is the degree sum (mod N) on every entry;
     4. `jacobi_certificate` holds on T (anticommutative, as checked by
        the caller);
-    5. the degree-1 labels, X and Y, generate T' (`table_generators`);
-    6. ad_g is a derivation of T' for each generator g, by
-       `derivation_defects`;
+    5. generators of T' by `table_generators`, from the degree-1 labels
+       first and then every active label in index order, so this step
+       cannot fail: X and Y alone where they generate T', as they do on
+       every admissible switch with both of them active, and otherwise
+       each label they do not reach, in order, as one more generator;
+    6. ad_g is a derivation of T' for each generator g
+       (`ads_are_derivations`);
     7. [v_g, v_x] = c v_L for each generator g and active x: 2 x dim
-       brackets.
+       brackets when X and Y generate.
 
     No echelon is built: a bracket c v_L with L of the degree sum lies in
     the span of that degree's vectors, so it has no stray.
@@ -573,41 +572,40 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
                     return False
     if not jacobi_certificate(descriptor):
         return False
-    gens = table_generators(layers, [a for a, d in enumerate(deg) if d == 1])
-    if gens is None:
+    gens = table_generators(layers, sorted(range(len(deg)), key=lambda a: deg[a] != 1))
+    if not ads_are_derivations(layers, gens, field):
         return False
-    for g in gens:
-        ad = [ad_table(layer, g) for layer in layers]
-        if next(derivation_defects(layers, ad, field, half=True), None) is not None:
-            return False
-    for g in gens:
-        vg = vectors[g]
-        for b, vb in enumerate(vectors):
-            c, t = table.rule(g, b)
-            terms = vectors[t].scale(field.element(c)).terms if t is not None else {}
-            if descriptor.bracket(vg, vb).terms != terms:
-                return False
-    return True
+    predicted = _predictions(vectors, field)
+    return all(descriptor.bracket(vectors[g], vb).terms == predicted(*table.rule(g, b))
+               for g in gens for b, vb in enumerate(vectors))
+
+
+def _predictions(vectors: list, field: FieldParams):
+    """predicted(c, t): the terms of c v_t, c by its coordinates, built once
+    per (c, t); empty for a vanishing prediction (t None, c = 0), None for
+    c != 0 without a label, which no bracket matches."""
+    @functools.cache
+    def predicted(c: tuple, t):
+        if t is None:
+            return None if any(c) else {}
+        return vectors[t].scale(field.element(c)).terms
+    return predicted
 
 
 def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, table: RuleTable | None,
                 anticommutativity: list) -> tuple[list, list]:
-    """`check_graded` by bracketing each unordered pair of active labels
-    once, for both checks on both orders of the pair; table is the
-    `_product_rule` table of cfg, or None without product tables.
-
-    A bracket equal to its prediction with L of the degree sum needs no
-    reduction: v_L is a row of that echelon's span.  Brackets are not
-    kept, and c v_L is built once per (L, c).
+    """The violations of `check_graded`, listed by bracketing each unordered
+    pair of active labels once and checking each of its two orders on its
+    own; table is the `_product_rule` table of cfg, or None without
+    product tables.  It runs only when the certificate fails or cannot
+    apply, so its job is to name the violations.
 
     When `anticommutativity` is empty the table constants, which lie in
     F_p with p odd, give [v_b, v_a] = -[v_a, v_b] for all vectors, so the
-    reversed order of a pair needs no bracket.  If the rule also predicts
-    (-c, L) for it, the reversed order misses iff the first does, is
-    exempt from reduction iff the first is, and its stray is the first one
-    negated, as `SparseEchelon.reduce` commutes with scalars.  Otherwise
-    the reversed order is checked on its own, on -[v_a, v_b] or, for a
-    table that is not anticommutative, on the bracket [v_b, v_a].
+    reversed order is checked on -[v_a, v_b]; otherwise on the bracket
+    [v_b, v_a].  A bracket equal to its prediction with L of the degree sum
+    needs no reduction: v_L is a row of that echelon's span.  Brackets are
+    not kept, and c v_L is built once per (L, c).
     """
     spec, field = basis.spec, basis.field
     by_deg: dict[int, SparseEchelon] = {}
@@ -617,21 +615,8 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, table: RuleTa
     for v, d in zip(vectors, degrees):
         ech = by_deg.setdefault(d, SparseEchelon(field, spec.heights))
         ech.insert(v)
-    p, N = field.p, spec.N
-    rule = table.rule if table is not None else None
-
-    @functools.cache
-    def negated(c: tuple) -> tuple:
-        return tuple(-x % p for x in c)
-
-    @functools.cache
-    def predicted(c: tuple, t):
-        """Terms of c v_t: empty for a vanishing prediction, None for c != 0
-        without a label."""
-        if t is None:
-            return None if any(c) else {}
-        return vectors[t].scale(field.element(c)).terms
-
+    N = spec.N
+    predicted = _predictions(vectors, field)
     strays, misses = [], []
     for ia, va in enumerate(vectors):
         da = degrees[ia]
@@ -639,26 +624,15 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, table: RuleTa
             vb = vectors[ib]
             w = descriptor.bracket(va, vb)
             target = (da + degrees[ib]) % N
-            forward = rule(ia, ib) if rule is not None else None
-            orders = [(ia, ib, w, forward)]
-            mirrored = False
+            orders = [(ia, ib, w)]
             if ia != ib:
-                backward = rule(ib, ia) if rule is not None else None
-                if anticommutativity:
-                    orders.append((ib, ia, descriptor.bracket(vb, va), backward))
-                elif rule is None or (backward[1] == forward[1]
-                                      and backward[0] == negated(forward[0])):
-                    mirrored = True
-                else:
-                    orders.append((ib, ia, -w, backward))
-            for i, j, wij, rule_ij in orders:
-                if rule_ij is not None:
-                    c, t = rule_ij
+                orders.append((ib, ia, descriptor.bracket(vb, va) if anticommutativity else -w))
+            for i, j, wij in orders:
+                if table is not None:
+                    c, t = table.rule(i, j)
                     terms = predicted(c, t)
                     if terms is None or wij.terms != terms:
                         misses.append((i, j))
-                        if mirrored:
-                            misses.append((j, i))
                     elif t is not None and degrees[t] == target:
                         continue
                 if wij.is_zero():
@@ -667,8 +641,6 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, table: RuleTa
                 stray = ech.reduce(wij) if ech is not None else wij
                 if not stray.is_zero():
                     strays.append((i, j, stray))
-                    if mirrored:
-                        strays.append((j, i, -stray))
     strays.sort(key=lambda t: t[:2])
     misses.sort()
     return ([(active[i], active[j], stray) for i, j, stray in strays],

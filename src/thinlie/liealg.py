@@ -395,15 +395,23 @@ def jacobi_violations(desc: AlgebraDescriptor, anticommutativity: list | None = 
 
 
 def jacobi_certificate(desc: AlgebraDescriptor) -> bool:
-    """`monomial_generators` finds generators and `derivation_defects`
-    finds no defect of `ad_table` for each of them.  On an anticommutative
-    table this proves the Jacobi identity; its failure proves nothing."""
+    """`monomial_generators` finds generators and each of them passes
+    `ads_are_derivations`.  On an anticommutative table this proves the
+    Jacobi identity; its failure proves nothing."""
     gens = monomial_generators(desc)
-    return gens is not None and all(
-        next(derivation_defects([desc.table], [ad_table(desc.table, g)], desc.field,
-                                half=True),
-             None) is None
-        for g in gens)
+    return gens is not None and ads_are_derivations([desc.table], gens, desc.field)
+
+
+def ads_are_derivations(rows: list, gens: list, field: FieldParams) -> bool:
+    """Whether ad_g is a derivation of the table for every g in gens.
+
+    rows holds the table in coordinate layers, as `derivation_defects`
+    takes it, and ad_g is `ad_table` of each layer.  Only the pairs b > a
+    are summed: on an anticommutative table the defect of ad_g is
+    antisymmetric in (a, b)."""
+    return all(next(derivation_defects(rows, [ad_table(layer, g) for layer in rows], field,
+                                       half=True), None) is None
+               for g in gens)
 
 
 def monomial_generators(desc: AlgebraDescriptor) -> list[int] | None:

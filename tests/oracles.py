@@ -27,7 +27,13 @@ element.
 shifts the exponents of a generalized power instead of multiplying it by a
 monomial, and `product` is the reference for that shift and for the group
 law of `generalized_power`.
+
+`falling_binomial` is the textbook C(alpha, i) for a field element alpha,
+the reference for the switch's coefficients, which the package writes as
+falling factorials by Wilson's theorem.
 """
+
+import math
 
 from thinlie import grading
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
@@ -339,3 +345,17 @@ def product(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
             if hit is not None:
                 _add(terms, hit[1], x * y * hit[0])
     return AlgebraElement(u.field, u.heights, terms)
+
+
+def falling_binomial(alpha: FieldElement, i: int) -> FieldElement:
+    """C(alpha, i) = alpha(alpha-1)...(alpha-i+1)/i! for a field element alpha.
+
+    Needs 0 <= i < p so that i! is invertible.
+    """
+    params = alpha.params
+    if not 0 <= i < params.p:
+        raise ValueError(f"falling binomial needs 0 <= i < p, got i={i}")
+    num = params.one()
+    for r in range(i):
+        num = num * (alpha - r)
+    return num * params.element(pow(math.factorial(i), -1, params.p))

@@ -188,6 +188,21 @@ def test_switch_stdout_frozen(capsys, name):
         assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, ""), fmt
 
 
+def test_switch_passes_gh_s0_without_the_pair_sweep(capsys, monkeypatch):
+    """Where one degree-1 label is a placeholder, the generator certificate
+    takes the labels X does not reach as further generators, so the frozen
+    GradedHamiltonian s = 0 switches pass without `_pair_sweep`."""
+    calls, sweep = [], grading._pair_sweep
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+    monkeypatch.setattr(grading, "_pair_sweep", counted)
+    for name in ("prime p3 n2 s0 pi1", "prime p5 n1 s0 pi2"):
+        code, _, _ = run(capsys, "switch", *SWITCH_FROZEN[name][0])
+        assert (code, calls) == (0, []), name
+
+
 # exit code and sha256 of stdout, frozen from the implementation that
 # built the table from every ordered pair and swept every chained triple
 VERIFY_FROZEN = {

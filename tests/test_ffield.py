@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import falling_binomial
 from thinlie.ffield import (
     FieldParams,
-    factorial_mod,
-    falling_binomial,
+    falling_factorial,
     is_irreducible,
     is_prime,
     lucas_binomial,
@@ -45,10 +45,6 @@ def test_lucas_matches_factorial_oracle():
 def test_lucas_out_of_range_is_zero():
     assert lucas_binomial(2, 5, 3) == 0
     assert lucas_binomial(9, 3, 3) == 0  # base-3 carry
-
-
-def test_factorial_mod():
-    assert [factorial_mod(k, 5) for k in range(5)] == [1, 1, 2, 1, 4]
 
 
 def mobius(n: int) -> int:
@@ -187,6 +183,14 @@ def test_falling_binomial():
             assert falling_binomial(F5.element(a), i) == F5.element(lucas_binomial(a, i, 5))
     with pytest.raises(ValueError):
         falling_binomial(t, 3)
+    # (x)_i = C(x, i) i!, defined for every i: (t)_3 = t^3 - t = 1 in F_27
+    assert falling_factorial(t, 2) == F27.parse_element("t^2+2t")
+    assert falling_factorial(t, 3) == F27.one()
+    assert falling_factorial(t, 0) == F27.one()
+    for a in range(5):
+        for i in range(5):
+            assert falling_factorial(F5.element(a), i) == (
+                falling_binomial(F5.element(a), i) * math.factorial(i))
 
 
 def test_kernel_frozen():

@@ -1,14 +1,15 @@
 """Cyclic gradings, grading switching, closed bases and product tables."""
 
 import hashlib
+import math
 import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import Echelon, ordered_check_graded, product, product_rule
-from thinlie import grading
+from oracles import Echelon, falling_binomial, ordered_check_graded, product, product_rule
+from thinlie import grading, liealg
 from thinlie.cli import standard_modulus
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, generalized_power
 from thinlie.ffield import FieldParams
@@ -417,7 +418,9 @@ def spying_sweep(mp, calls=()):
 def degree_one_pair(closed) -> bool:
     """Whether both degree-1 labels X and Y are active.  GH at s = 0 puts
     one of them on an excluded monomial when pi = -1 or 2 pi = -1 mod p;
-    there the certificate has no generators and the pair sweep runs."""
+    there the certificate takes further generators, whose brackets can
+    also catch a planting away from X and Y, so the blind checks below
+    need both."""
     return sum(closed.degrees[lab] == 1 for lab in closed.active_labels) == 2
 
 
@@ -433,7 +436,8 @@ def test_raw_grading_follows_from_closed(shape, big, data):
     field: pi = t + c; prime field: pi in 1..p-1), and the graded_raw that
     switch_checks derives from the closed check equals a direct raw sweep,
     also after swapping two labels in both bases.  Unswapped, the switch
-    passes without entering the pair sweep wherever X and Y exist."""
+    passes without entering the pair sweep, also where X or Y is a
+    placeholder."""
     p, n, s = shape
     if big:
         case, pi, sigma = GradingCase.BIG_FIELD, data.draw(st.integers(0, p - 1)), 1
@@ -456,7 +460,7 @@ def test_raw_grading_follows_from_closed(shape, big, data):
     assert graded_raw == check_graded(desc, raw)[0]
     if not swapped:  # the generator certificate alone passes the unplanted switch
         assert (graded_closed, tables) == ([], [])
-        assert len(sweeps) == int(not degree_one_pair(closed))
+        assert sweeps == []
 
 
 @settings(max_examples=12, deadline=None)
@@ -497,20 +501,53 @@ def test_rule_table_matches_pairwise_oracle(shape, big, data):
 
 def test_switch_grading_computes_coefficients_per_eigenvalue(monkeypatch):
     """switch_grading computes the Laguerre coefficients once per eigenvalue
-    of D^p, p falling binomials each: at most p^2 calls, where one series
+    of D^p, p falling factorials each: at most p^2 calls, where one series
     per monomial made dim p.  The D of Albert-Zassenhaus has all p
     eigenvalues, so at p = 3, dim 81 that is 9 calls instead of 243."""
-    calls, falling = [], grading.falling_binomial
+    calls, falling = [], grading.falling_factorial
 
     def counted(*args):
         calls.append(1)
         return falling(*args)
-    monkeypatch.setattr(grading, "falling_binomial", counted)
+    monkeypatch.setattr(grading, "falling_factorial", counted)
     h = Heights(3, 2, 2)
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, h)
     switch_grading(desc, GradingSpec(GradingCase.PRESWITCH_AZ, h, 1), Derivation(desc, 1),
                    big_config())
     assert (desc.dim, len(calls)) == (81, 3 * 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([F27, FieldParams(5, 5, standard_modulus(5))]), st.data())
+def test_switch_coefficients_match_binomial_oracle(field, data):
+    """The switch's three coefficient formulas, written as falling
+    factorials by Wilson's theorem, equal their binomial definitions by
+    `oracles.falling_binomial` over F_27 and F_3125: the Laguerre
+    coefficients, the generalized power and the closed scalar, at a random
+    sigma and a random alpha, half the time in the prime field, where the
+    scalar's denominator can vanish."""
+    p = field.p
+    if data.draw(st.booleans()):
+        alpha = field.element(data.draw(st.integers(0, p - 1)))
+    else:
+        alpha = field.element([data.draw(st.integers(0, p - 1)) for _ in range(field.m)])
+    sigma = nonzero_element(field, data)
+    assert grading._laguerre_coefficients(alpha, sigma) == [
+        falling_binomial(alpha + (p - 1), p - 1 - k) * (-1) ** k
+        * field.element(pow(math.factorial(k), -1, p)) * sigma ** k for k in range(p)]
+    h = Heights(p, 1, 1)
+    assert generalized_power(field, h, sigma, alpha, 0) == AlgebraElement(field, h, [
+        (Monomial(i, 0), falling_binomial(alpha, i) * math.factorial(i) * sigma ** i)
+        for i in range(p)])
+    cfg = SwitchConfig(field, sigma, field.one(), 0)
+    for a in range(p):
+        den = falling_binomial(alpha - a + (p - 1), p - 1)
+        if den.is_zero():
+            with pytest.raises(ValueError, match="closed-basis scalar undefined"):
+                grading._closed_scalar(cfg, 0, a, alpha)
+        else:
+            assert grading._closed_scalar(cfg, 0, a, alpha) == (
+                math.factorial(a) * sigma ** a * falling_binomial(alpha, a) / den)
 
 
 def stray_digest(strays) -> str:
@@ -685,11 +722,12 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
 
     Each planting must also reach the pair sweep, and the unplanted switch
     must not, which makes each licensing step of the generator certificate
-    load-bearing: doubling the rule on both orders of a pair away from X
-    and Y is caught by the derivation step alone, doubling a table entry
-    away from the supports of v_X and v_Y (anticommutative, not Jacobi) by
-    the Jacobi certificate alone, and a label no rule reaches breaks
-    generation."""
+    load-bearing: where X and Y generate, doubling the rule on both orders
+    of a pair away from X and Y is caught by the derivation step alone, and
+    doubling a table entry away from the supports of v_X and v_Y
+    (anticommutative, not Jacobi) by the Jacobi certificate alone.  A label
+    no rule reaches becomes a generator of its own, so a later step, the
+    derivation step or the brackets of the generators, catches it."""
     p, n, s = shape
     if big:
         case, pi, sigma = GradingCase.BIG_FIELD, data.draw(st.integers(0, p - 1)), 1
@@ -732,11 +770,11 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
         sweeps = spying_sweep(mp)
         strays, misses = check_graded(desc, closed, cfg)
         assert (strays, misses) == ordered_check_graded(desc, closed, cfg)
-        assert len(sweeps) == int(corruption != "none" or not degree_one_pair(closed))
-        blind = {"rule pair": ("derivation_defects", lambda *args, **kwargs: iter(())),
-                 "jacobi": ("jacobi_certificate", lambda desc: True)}.get(corruption)
+        assert len(sweeps) == int(corruption != "none")
+        blind = {"rule pair": (liealg, "derivation_defects", lambda *args, **kwargs: iter(())),
+                 "jacobi": (grading, "jacobi_certificate", lambda desc: True)}.get(corruption)
         if blind and degree_one_pair(closed):
-            mp.setattr(grading, *blind)
+            mp.setattr(*blind)
             assert check_graded(desc, closed, cfg) == ([], []) != (strays, misses)
         assert check_graded(desc, raw) == ordered_check_graded(desc, raw)
     if corruption == "rule":
