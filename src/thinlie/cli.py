@@ -22,16 +22,16 @@ from .grading import (GradedBasis, GradingCase, GradingSpec, SwitchConfig,
 from .liealg import (AlgebraDescriptor, Derivation, Family,
                      anticommutativity_violations, closure_violations,
                      derivation_power_violations, jacobi_violations,
-                     leibniz_violations, realization_violations)
+                     leibniz_violations, monomial_generators, realization_violations)
 from .loopalg import (CheckResult, checks_passed, degree_floor, render_text,
                       run_analysis, verdict_lines)
 
 #: Largest number of divided-power monomials p^(n1+n) a command accepts.
 #: Every command builds its structure-constant table over all
 #: (p^(n1+n))^2 ordered pairs, from per-axis binomial tables.  verify takes
-#: about 0.25 s at 243 monomials, 0.5 to 0.8 s at 625 and 729, and 2 to
-#: 2.4 s at 961 (p = 31, most brackets nonzero), one fresh process on a
-#: 2-vCPU Xeon with Python 3.11.
+#: about 0.17 s at 243 monomials, 0.35 s at 625 and 729, and 0.9 s at 961
+#: (p = 31, most brackets nonzero), one fresh process on a 2-vCPU Xeon with
+#: Python 3.11.
 MAX_MONOMIALS = 1000
 
 
@@ -220,13 +220,18 @@ def cmd_verify(rc: RunConfig):
         2 if rc.family is Family.GRADED_HAMILTONIAN else 0
     )
     anticommutativity = anticommutativity_violations(desc)
+    gens = monomial_generators(desc)
+    jacobi = jacobi_violations(desc, anticommutativity, gens)
+    closure = closure_violations(desc)
+    leibniz = leibniz_violations(deriv, anticommutativity, jacobi, gens)
+    lie_derivation = not (anticommutativity or jacobi or leibniz)
     suites = (
         ("anticommutativity", anticommutativity),
-        ("jacobi", jacobi_violations(desc, anticommutativity)),
-        ("closure", closure_violations(desc)),
-        ("leibniz", leibniz_violations(deriv, anticommutativity)),
+        ("jacobi", jacobi),
+        ("closure", closure),
+        ("leibniz", leibniz),
         ("derivation_power", derivation_power_violations(deriv)),
-        ("realization", realization_violations(deriv)),
+        ("realization", realization_violations(deriv, gens if lie_derivation else None)),
         ("monomial_grading", monomial_grading_violations(desc, _preswitch_spec(rc))),
     )
     checks = {}

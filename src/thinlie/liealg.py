@@ -15,11 +15,16 @@ on the integer coordinates of elements (one per power of t, see
 table read once per pair of coordinates, keyed (monomial, r + s), then
 folded once by the modulus.  The exhaustive law checks sweep both tables
 sparsely.  One row-wise kernel, `derivation_defects`, sums the defect of
-a derivation table and serves two laws: Leibniz for D, and the Jacobi
-certificate: on an anticommutative table Jacobi holds iff ad_g is a
-derivation for each g of a few monomials that generate the algebra.  Only
-when the certificate fails does the sweep over chained triples list the
-failing triples.  The kernel and the generator walk take a table over
+a derivation table on the rows it is given and serves two laws: Leibniz
+for D, and the Jacobi certificate: on an anticommutative table Jacobi
+holds iff ad_g is a derivation for each g of a few monomials that
+generate the algebra.  Only when the certificate fails does the sweep
+over chained triples list the failing triples.  The same subalgebra
+argument decides the laws of D once the table is a Lie algebra: Leibniz
+holds iff it holds on the generator rows, and a derivation D equals
+(ad y)^(p^s) iff the two agree on the generators.  Only a failure there
+sums every row, or builds the iterated table, to list the failing
+monomials.  The kernel and the generator walk take a table over
 F_{p^m} as m integer layers, one per power of t, so `grading` runs them on
 the switched product rules too; an integer table is the one-layer case.
 """
@@ -330,10 +335,12 @@ def iterated_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
     return power
 
 
-def table_power(table: list, k: int, p: int) -> list[dict[int, int]]:
-    """Rows of table^k: each basis vector followed k times through the table."""
+def table_power(table: list, k: int, p: int,
+                visit: list | None = None) -> list[dict[int, int]]:
+    """Rows of table^k: each basis vector followed k times through the table,
+    for the basis indexes in visit (every one when visit is None)."""
     rows = []
-    for i in range(len(table)):
+    for i in range(len(table)) if visit is None else visit:
         vec = {i: 1}
         for _ in range(k):
             vec = accumulate({}, ((t, c * d) for j, c in vec.items()
@@ -371,7 +378,8 @@ def anticommutativity_violations(desc: AlgebraDescriptor) -> list:
     return [(a, a) for a in diag] + [(basis[i], basis[j]) for i, j in bad]
 
 
-def jacobi_violations(desc: AlgebraDescriptor, anticommutativity: list | None = None) -> list:
+def jacobi_violations(desc: AlgebraDescriptor, anticommutativity: list | None = None,
+                      gens: list | None = None) -> list:
     """Jacobi identity over all strictly sorted basis monomial triples.
 
     Together with bilinearity and the anticommutativity check this covers
@@ -385,20 +393,22 @@ def jacobi_violations(desc: AlgebraDescriptor, anticommutativity: list | None = 
     anticommutative and `jacobi_certificate` holds, no triple fails and the
     list is empty.  Otherwise `_jacobi_sweep` lists the failing triples.
     `anticommutativity` is the list `anticommutativity_violations` returns,
-    computed here when not given.
+    computed here when not given; `gens` goes to the certificate.
     """
     if anticommutativity is None:
         anticommutativity = anticommutativity_violations(desc)
-    if not anticommutativity and jacobi_certificate(desc):
+    if not anticommutativity and jacobi_certificate(desc, gens):
         return []
     return _jacobi_sweep(desc)
 
 
-def jacobi_certificate(desc: AlgebraDescriptor) -> bool:
+def jacobi_certificate(desc: AlgebraDescriptor, gens: list | None = None) -> bool:
     """`monomial_generators` finds generators and each of them passes
     `ads_are_derivations`.  On an anticommutative table this proves the
-    Jacobi identity; its failure proves nothing."""
-    gens = monomial_generators(desc)
+    Jacobi identity; its failure proves nothing.  `gens` is the list
+    `monomial_generators` returns, computed here when None."""
+    if gens is None:
+        gens = monomial_generators(desc)
     return gens is not None and ads_are_derivations([desc.table], gens, desc.field)
 
 
@@ -465,8 +475,10 @@ def table_generators(rows: list, candidates: list) -> list[int] | None:
     return gens if all(reached) else None
 
 
-def derivation_defects(rows: list, images: list, field: FieldParams, half: bool = False):
-    """(a, sorted b) for every a where D[a,b] = [Da,b] + [a,Db] fails.
+def derivation_defects(rows: list, images: list, field: FieldParams, half: bool = False,
+                       visit: list | None = None):
+    """(a, sorted b) for every a in visit (every basis index when visit is
+    None, in order) where D[a,b] = [Da,b] + [a,Db] fails.
 
     Both tables come in coordinate layers over field = F_{p^m}, layer r
     holding the integer coefficients of t^r: rows[r][a] = {b: (x, t)}
@@ -512,7 +524,7 @@ def derivation_defects(rows: list, images: list, field: FieldParams, half: bool 
                     if b > lo:
                         yield (b, t, e), x * y
 
-    for a in range(n):
+    for a in range(n) if visit is None else visit:
         left = accumulate({}, defect(a, a if half else -1), p)
         if left:
             left = fold({((b, t), e): c for (b, t, e), c in left.items()}, field)
@@ -586,22 +598,39 @@ def closure_violations(desc: AlgebraDescriptor) -> list:
     return [(basis[i], basis[j]) for i, j in sorted(bad)]
 
 
-def leibniz_violations(deriv: Derivation, anticommutativity: list | None = None) -> list:
+def leibniz_violations(deriv: Derivation, anticommutativity: list | None = None,
+                       jacobi: list | None = None, gens: list | None = None) -> list:
     """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs.
 
     The defect of the derivation table, summed row by row by
-    `derivation_defects`.  On an anticommutative table the defect
-    D[a,b] - [Da,b] - [a,Db] of any D is antisymmetric in (a, b) and zero
-    on the diagonal, so only the pairs b > a are summed and each failing
-    pair is listed with its mirror.  `anticommutativity` is the list
-    `anticommutativity_violations` returns, computed here when not given.
+    `derivation_defects`.  On a Lie algebra the a with
+    D[a,b] = [Da,b] + [a,Db] for every b form a subalgebra (Jacobson, Lie
+    Algebras), so once anticommutativity and Jacobi hold, the rows of the
+    generators decide the law: when none of them fails over every b, the
+    list is empty.  Otherwise every row is summed to list the failing
+    pairs.  On an anticommutative table the defect D[a,b] - [Da,b] - [a,Db]
+    of any D is antisymmetric in (a, b) and zero on the diagonal, so there
+    only the pairs b > a are summed and each failing pair is listed with
+    its mirror.  `anticommutativity` and `jacobi` are the lists
+    `anticommutativity_violations` and `jacobi_violations` return, and
+    `gens` the one `monomial_generators` returns, each computed here when
+    needed and not given.
     """
     desc = deriv.descriptor
+    rows, images = [desc.table], [deriv.table]
     if anticommutativity is None:
         anticommutativity = anticommutativity_violations(desc)
     half = not anticommutativity
-    bad = [(a, b) for a, bs in derivation_defects([desc.table], [deriv.table], desc.field,
-                                                  half=half) for b in bs]
+    if half:
+        if gens is None:
+            gens = monomial_generators(desc)
+        if jacobi is None:
+            jacobi = jacobi_violations(desc, anticommutativity, gens)
+        if (not jacobi and gens is not None
+                and next(derivation_defects(rows, images, desc.field, visit=gens), None) is None):
+            return []
+    bad = [(a, b) for a, bs in derivation_defects(rows, images, desc.field, half=half)
+           for b in bs]
     if half:
         bad = sorted(bad + [(b, a) for a, b in bad])
     return [(desc.basis[a], desc.basis[b]) for a, b in bad]
@@ -634,10 +663,25 @@ def derivation_power_violations(deriv: Derivation) -> list:
     return bad
 
 
-def realization_violations(deriv: Derivation) -> list:
-    """Closed-form vs iterated-ad derivation table on every basis monomial."""
+def realization_violations(deriv: Derivation, gens: list | None = None) -> list:
+    """Closed-form vs iterated-ad derivation table on every basis monomial.
+
+    Pass `gens`, generators of the algebra, only when the table is a Lie
+    algebra and D a derivation of it (anticommutativity, Jacobi and Leibniz
+    all hold).  (ad y)^(p^s) is then a derivation too, a p^s-th power of
+    one in characteristic p, and two derivations that agree on generators
+    are equal, as the a on which they agree form a subalgebra.  So D is
+    first compared with ad y applied p^s times to each generator; only a
+    difference there, or no `gens`, builds the iterated table to list
+    every failing monomial.
+    """
     if not deriv.has_closed_form:
         return []
     desc = deriv.descriptor
+    if gens is not None:
+        p, y = desc.heights.p, desc._index[Monomial(0, 1)]
+        power = table_power(ad_table(desc.table, y), p ** deriv.s, p, visit=gens)
+        if all(deriv.table[g] == row for g, row in zip(gens, power)):
+            return []
     iterated = iterated_table(desc, deriv.s)
     return [m for m, closed, it in zip(desc.basis, deriv.table, iterated) if closed != it]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import thinlie
 from thinlie import cli, grading, liealg
 from thinlie.cli import build_parser, main, materialize, standard_modulus
@@ -258,6 +259,52 @@ def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatc
     desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, FieldParams.prime(3), Heights(3, 1, 1))
     assert liealg.jacobi_violations(desc, [(desc.basis[0], desc.basis[0])]) == []
     assert len(calls) == 2
+
+
+def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
+    """A passing verify walks the generators once and runs the Leibniz
+    kernel on their rows only, over every partner b, and realization needs
+    no iterated table.
+    On the planted [xy, x^(2)y] = xy table above, anticommutative but not
+    a Lie algebra, Leibniz sums every row and lists what the element sweep
+    finds."""
+    walks, visited, inside = [], [], []
+    walk, kernel, leibniz = (liealg.monomial_generators, liealg.derivation_defects,
+                             liealg.leibniz_violations)
+
+    def counted_walk(desc):
+        walks.append(walk(desc))
+        return walks[-1]
+
+    def counted_kernel(rows, images, field, half=False, visit=None):
+        if inside:
+            visited.append((len(rows[0]) if visit is None else len(visit), half))
+        return kernel(rows, images, field, half, visit)
+
+    def counted_leibniz(*args):
+        inside.append(1)
+        try:
+            return leibniz(*args)
+        finally:
+            inside.pop()
+    for module in (cli, liealg):
+        monkeypatch.setattr(module, "monomial_generators", counted_walk)
+        monkeypatch.setattr(module, "leibniz_violations", counted_leibniz)
+    monkeypatch.setattr(liealg, "derivation_defects", counted_kernel)
+    with monkeypatch.context() as m:
+        m.setattr(liealg, "iterated_table", None)  # only the full realization comparison reads it
+        code, out, _ = run(capsys, "verify", "--family", "albert-zassenhaus",
+                           "--p", "3", "--n", "2", "--n1", "3")
+    assert (code, len(walks), visited) == (0, 1, [(len(walks[0]), False)])
+    assert "check realization: pass" in out.splitlines()
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, FieldParams.prime(3), Heights(3, 2, 1))
+    a, b = desc._index[Monomial(1, 1)], desc._index[Monomial(2, 1)]
+    desc.table[a][b], desc.table[b][a] = (1, a), (2, a)  # [xy, x^(2)y] = xy
+    jacobi = liealg.jacobi_violations(desc, [])
+    assert len(jacobi) == 25
+    deriv, visited[:] = liealg.Derivation(desc, 1), []
+    assert liealg.leibniz_violations(deriv, [], jacobi) == oracles.element_leibniz_violations(deriv)
+    assert visited == [(desc.dim, True)]
 
 
 def test_verify_checks_anticommutativity_once(capsys, monkeypatch):
@@ -510,6 +557,19 @@ def test_analyze_refuses_incompatible_switches_as_switch_does(capsys):
         for command in ("switch", "analyze"):
             got = run(capsys, command, "--case", "big-field", "--p", "3", "--n", "1", *extra)
             assert got == refusal, (command, extra)
+
+
+def test_analyze_needs_both_degree_one_generators(capsys):
+    """GradedHamiltonian at s = 0 with pi = 1 over F_3 puts the degree-1
+    label Y on an excluded monomial.  switch certifies that basis, but the
+    loop analysis starts from X and Y, so analyze exits 1 before any
+    report."""
+    args = ("--case", "prime-field", "--p", "3", "--n", "1", "--s", "0", "--pi", "1")
+    assert run(capsys, "switch", *args)[0] == 0
+    refusal = (1, "", "error: degree-1 labels [Label(j=-1, k=-1, a=2)] do not split "
+                      "into generators\n")
+    for fmt in ("text", "json"):
+        assert run(capsys, "analyze", *args, "--format", fmt) == refusal, fmt
 
 
 def test_runtime_failure_is_exit_one(capsys):

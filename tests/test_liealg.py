@@ -14,13 +14,14 @@ from oracles import (
     element_leibniz_violations,
     element_realization_violations,
 )
-from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
+from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
 from thinlie.ffield import FieldParams
 from thinlie.grading import GradingCase, GradingSpec, monomial_grading_violations
 from thinlie.liealg import (
     AlgebraDescriptor,
     Derivation,
     Family,
+    ad_table,
     anticommutativity_violations,
     closure_violations,
     derivation_power_violations,
@@ -263,6 +264,43 @@ def test_leibniz_matches_element_oracle_on_planted_derivation_entries(data):
         else:
             row[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, p - 1))
     assert leibniz_violations(deriv) == element_leibniz_violations(deriv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_generator_rows_decide_leibniz_and_realization(data):
+    """On the shapes above, D planted as D + c ad_z, a derivation that is
+    not (ad y)^(p^s) when ad_z != 0, or with one entry changed on a row off
+    the generators: Leibniz, decided on the generator rows with the full
+    kernel as fallback, lists the pairs the element sweep finds, and the
+    realization check, handed the generators once Leibniz passes, lists the
+    rows that differ from `iterated_table`."""
+    p = data.draw(st.sampled_from([3, 5]))
+    n1, n2 = data.draw(st.sampled_from(
+        [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1)]))
+    desc = AlgebraDescriptor(data.draw(st.sampled_from(list(Family))),
+                             FieldParams.prime(p), Heights(p, n1, n2))
+    deriv = Derivation(desc, data.draw(st.integers(0, n1)))
+    n, gens = desc.dim, monomial_generators(desc)
+    plant_ad = data.draw(st.booleans())
+    if plant_ad:
+        z, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, p - 1))
+        for row, ad_row in zip(deriv.table, ad_table(desc.table, z)):
+            accumulate(row, ((k, c * x) for k, x in ad_row.items()), p)
+    else:
+        row = deriv.table[data.draw(st.sampled_from(sorted(set(range(n)) - set(gens))))]
+        k = data.draw(st.integers(0, n - 1))
+        if k in row and data.draw(st.booleans()):
+            del row[k]
+        else:
+            row[k] = data.draw(st.sampled_from([c for c in range(1, p) if c != row.get(k)]))
+    leibniz = leibniz_violations(deriv)
+    assert leibniz == element_leibniz_violations(deriv)
+    assert not (plant_ad and leibniz)
+    differ = [m for m, d, it in zip(desc.basis, deriv.table, iterated_table(desc, deriv.s))
+              if d != it]
+    assert (realization_violations(deriv, None if leibniz else gens)
+            == (differ if deriv.has_closed_form else []))
 
 
 def drop_brackets_onto(desc, m):
