@@ -264,10 +264,9 @@ def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatc
 def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
     """A passing verify walks the generators once and runs the Leibniz
     kernel on their rows only, over every partner b, and realization needs
-    no iterated table.
-    On the planted [xy, x^(2)y] = xy table above, anticommutative but not
-    a Lie algebra, Leibniz sums every row and lists what the element sweep
-    finds."""
+    no iterated table.  On the planted [xy, x^(2)y] = xy table of the
+    Jacobi sweep test, anticommutative but not a Lie algebra, Leibniz sums
+    every row and lists what the element sweep finds."""
     walks, visited, inside = [], [], []
     walk, kernel, leibniz = (liealg.monomial_generators, liealg.derivation_defects,
                              liealg.leibniz_violations)
