@@ -10,9 +10,9 @@ Exit codes: 0 all enabled checks pass, 1 check failure or run error,
 """
 
 import argparse
-import dataclasses
 import json
 import sys
+from typing import NamedTuple
 
 from .dpalgebra import Heights
 from .ffield import FieldParams
@@ -29,9 +29,9 @@ from .loopalg import (CheckResult, checks_passed, degree_floor, render_text,
 #: Largest number of divided-power monomials p^(n1+n) a command accepts.
 #: Every command builds its structure-constant table over all
 #: (p^(n1+n))^2 ordered pairs, from per-axis binomial tables.  verify takes
-#: about 0.17 s at 243 monomials, 0.35 s at 625 and 729, and 0.9 s at 961
-#: (p = 31, most brackets nonzero), one fresh process on a 2-vCPU Xeon with
-#: Python 3.11.
+#: about 0.14 s at 243 monomials, 0.28 s at 625, 0.31 s at 729 and 0.87 s
+#: at 961 (p = 31, most brackets nonzero): medians of fresh processes on a
+#: 2-vCPU Xeon with Python 3.11, of which interpreter start is 0.06 s.
 MAX_MONOMIALS = 1000
 
 
@@ -39,8 +39,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclasses.dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     p: int
     n: int

@@ -19,7 +19,6 @@ once by the modulus.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ffield import FieldElement, FieldParams, is_prime
@@ -33,19 +32,17 @@ class Monomial(NamedTuple):
         return f"x^({self.i})y^({self.j})"
 
 
-@dataclass(frozen=True)
-class Heights:
+class Heights(NamedTuple("Heights", [("p", int), ("n1", int), ("n2", int)])):
     """Exponent bounds (p^n1, p^n2) of the algebra."""
 
-    p: int
-    n1: int
-    n2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError(f"p must be an odd prime >= 3, got {self.p}")
-        if self.n1 < 1 or self.n2 < 1:
+    def __new__(cls, p: int, n1: int, n2: int):
+        if not is_prime(p) or p < 3:
+            raise ValueError(f"p must be an odd prime >= 3, got {p}")
+        if n1 < 1 or n2 < 1:
             raise ValueError("heights must be >= 1")
+        return super().__new__(cls, p, n1, n2)
 
     @property
     def xbound(self) -> int:

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def is_prime(n: int) -> bool:
@@ -155,25 +155,25 @@ def is_irreducible(p: int, coeffs) -> bool:
 _SPEC_RE = re.compile(r"^(\d+)\^(\d+):([\d,]+)$")
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Description of F_{p^m} as F_p[t]/(modulus), modulus monic, low-to-high."""
+class FieldParams(NamedTuple("FieldParams", [("p", int), ("m", int),
+                                              ("modulus", tuple[int, ...])])):
+    """Description of F_{p^m} as F_p[t]/(modulus), modulus monic, low-to-high.
 
-    p: int
-    m: int
-    modulus: tuple[int, ...]
+    No __slots__: instances keep a __dict__ for the cached t_powers.
+    """
 
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError(f"p must be an odd prime >= 3, got {self.p}")
-        if self.m < 1:
+    def __new__(cls, p: int, m: int, modulus: tuple[int, ...]):
+        if not is_prime(p) or p < 3:
+            raise ValueError(f"p must be an odd prime >= 3, got {p}")
+        if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if len(self.modulus) != self.m + 1 or self.modulus[-1] != 1:
+        if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
-        if any(not 0 <= c < self.p for c in self.modulus):
+        if any(not 0 <= c < p for c in modulus):
             raise ValueError("modulus coefficients must be reduced mod p")
-        if not is_irreducible(self.p, list(self.modulus)):
-            raise ValueError(f"modulus {self.modulus} is reducible over F_{self.p}")
+        if not is_irreducible(p, list(modulus)):
+            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        return super().__new__(cls, p, m, modulus)
 
     @classmethod
     def prime(cls, p: int) -> "FieldParams":

@@ -13,7 +13,6 @@ up to recorded scalars.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import re
@@ -47,21 +46,19 @@ class Label(NamedTuple):
         return f"({self.j},{self.k},{self.a})"
 
 
-@dataclasses.dataclass(frozen=True)
-class GradingSpec:
+class GradingSpec(NamedTuple("GradingSpec", [("case", GradingCase), ("heights", Heights),
+                                              ("s", int), ("pi_residue", int)])):
     """Degree bookkeeping: case tag, exponent heights, step s, pi residue."""
 
-    case: GradingCase
-    heights: Heights
-    s: int
-    pi_residue: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s < 0:
+    def __new__(cls, case: GradingCase, heights: Heights, s: int, pi_residue: int = 0):
+        if s < 0:
             raise ValueError("s must be >= 0")
-        if self.case is not GradingCase.PRESWITCH_AZ:
-            if self.heights.n1 != self.s + 1:
+        if case is not GradingCase.PRESWITCH_AZ:
+            if heights.n1 != s + 1:
                 raise ValueError("label-indexed gradings need n1 = s + 1")
+        return super().__new__(cls, case, heights, s, pi_residue)
 
     @property
     def p(self) -> int:
@@ -126,7 +123,6 @@ def monomial_grading_violations(descriptor: AlgebraDescriptor, spec: GradingSpec
     return [(basis[ia], basis[ib]) for ia, ib in violations]
 
 
-@dataclasses.dataclass
 class SwitchConfig:
     """Switching parameters: sigma, pi and the derivation step s.
 
@@ -136,15 +132,13 @@ class SwitchConfig:
     must be opted into explicitly.
     """
 
-    field: FieldParams
-    sigma: FieldElement
-    pi: FieldElement
-    s: int
-    allow_zero_pi: bool = False
-
-    def __post_init__(self):
-        self.sigma = self.field.element(self.sigma)
-        self.pi = self.field.element(self.pi)
+    def __init__(self, field: FieldParams, sigma: FieldElement, pi: FieldElement,
+                 s: int, allow_zero_pi: bool = False):
+        self.field = field
+        self.sigma = field.element(sigma)
+        self.pi = field.element(pi)
+        self.s = s
+        self.allow_zero_pi = allow_zero_pi
         if self.sigma.is_zero():
             raise ValueError("sigma must be nonzero")
         if self.s < 0:
@@ -163,7 +157,6 @@ class SwitchConfig:
         return self.pi ** p - self.pi == self.sigma ** (-p)
 
 
-@dataclasses.dataclass
 class GradedBasis:
     """Vectors, degrees and closed-form scalars indexed by labels.
 
@@ -172,12 +165,14 @@ class GradedBasis:
     output for the same label.
     """
 
-    spec: GradingSpec
-    field: FieldParams
-    labels: list
-    vectors: dict
-    degrees: dict
-    scalars: dict
+    def __init__(self, spec: GradingSpec, field: FieldParams, labels: list,
+                 vectors: dict, degrees: dict, scalars: dict):
+        self.spec = spec
+        self.field = field
+        self.labels = labels
+        self.vectors = vectors
+        self.degrees = degrees
+        self.scalars = scalars
 
     @property
     def active_labels(self) -> list:

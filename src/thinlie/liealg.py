@@ -121,6 +121,9 @@ class AlgebraDescriptor:
         # the first monomial, and the top, the last
         shift = 1 if self.family is Family.GRADED_HAMILTONIAN else 0
         xs, ys = _axis_factors(xb, p), _axis_factors(yb, p)
+        # one (c, t) tuple per constant and target, shared by every row:
+        # a fresh tuple per entry would be most of the table's memory
+        entry = [[(c, t) for t in range(n)] for c in range(p)]
 
         def overflow(a, b, c):
             return ArithmeticError(f"overflowing bracket {a},{b} has coefficient {c}")
@@ -136,7 +139,7 @@ class AlgebraDescriptor:
                     if c:
                         if jy >= yb:
                             raise overflow(a, Monomial(0, l), c)
-                        row[l] = (c, (xb - 1) * yb + jy)
+                        row[l] = entry[c][(xb - 1) * yb + jy]
             for k, x0, x1, ix in xs[a.i]:
                 kb, kt = k * yb - shift, ix * yb - shift
                 for l, y0, y1, jy in yrow:
@@ -151,7 +154,7 @@ class AlgebraDescriptor:
                     if t == n:
                         raise ArithmeticError(
                             f"bracket {a},{Monomial(k, l)} produced the excluded top monomial")
-                    row[kb + l] = (c, t)
+                    row[kb + l] = entry[c][t]
             rows.append(row)
         return rows
 

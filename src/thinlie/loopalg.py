@@ -9,9 +9,9 @@ covering property, the diamond positions and types, the generator
 normalization, centralizer chains and the per-period dimension count.
 """
 
-import dataclasses
 import itertools
 import json
+from typing import NamedTuple
 
 from .dpalgebra import AlgebraElement, SparseEchelon
 from .ffield import FieldElement, FieldParams, plane_kernel
@@ -35,7 +35,6 @@ CHECK_ORDER = (
 )
 
 
-@dataclasses.dataclass
 class LoopConfig:
     """Generators and bound for expanding the positive part of the loop.
 
@@ -44,15 +43,13 @@ class LoopConfig:
     class of the finite algebra.
     """
 
-    alg: AlgebraDescriptor
-    basis: GradedBasis
-    X: AlgebraElement
-    Y: AlgebraElement
-    max_degree: int = 0
-
-    def __post_init__(self):
-        if self.max_degree == 0:
-            self.max_degree = 3 * self.basis.spec.N
+    def __init__(self, alg: AlgebraDescriptor, basis: GradedBasis, X: AlgebraElement,
+                 Y: AlgebraElement, max_degree: int = 0):
+        self.alg = alg
+        self.basis = basis
+        self.X = X
+        self.Y = Y
+        self.max_degree = 3 * basis.spec.N if max_degree == 0 else max_degree
         if self.max_degree < 1:
             raise ValueError("max_degree must be positive")
         ech = SparseEchelon(self.alg.field, self.alg.heights)
@@ -66,7 +63,6 @@ class LoopConfig:
             raise ValueError("generators must be homogeneous of degree 1")
 
 
-@dataclasses.dataclass
 class ComponentRecord:
     """One loop component: its degree, dimension and reduced basis.
 
@@ -76,16 +72,17 @@ class ComponentRecord:
     line component once `_double_brackets` has computed them.
     """
 
-    degree: int
-    dim: int
-    vectors: list = dataclasses.field(repr=False)
-    echelon: SparseEchelon | None = dataclasses.field(repr=False)
-    images: list = dataclasses.field(default_factory=list, repr=False)
-    double_images: tuple | None = dataclasses.field(default=None, repr=False)
+    def __init__(self, degree: int, dim: int, vectors: list, echelon: SparseEchelon | None,
+                 images: list | None = None, double_images: tuple | None = None):
+        self.degree = degree
+        self.dim = dim
+        self.vectors = vectors
+        self.echelon = echelon
+        self.images = [] if images is None else images
+        self.double_images = double_images
 
 
-@dataclasses.dataclass
-class DiamondRecord:
+class DiamondRecord(NamedTuple):
     """Classification of one diamond slot.
 
     kind is one of "first" (degree 1, no type), "genuine" (dtype a field
@@ -110,8 +107,7 @@ class DiamondRecord:
         return str(self.dtype)
 
 
-@dataclasses.dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     counterexample: object = None
@@ -126,14 +122,14 @@ class CheckResult:
         return out
 
 
-@dataclasses.dataclass(eq=False)
 class ThinReport:
     """Full analysis artifact: parameter echo, components, diamonds, checks."""
 
-    params: dict
-    components: list
-    diamonds: list
-    checks: dict
+    def __init__(self, params: dict, components: list, diamonds: list, checks: dict):
+        self.params = params
+        self.components = components
+        self.diamonds = diamonds
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -409,8 +405,7 @@ def classify_component(cfg: LoopConfig, i: int, records: list) -> DiamondRecord:
     return DiamondRecord(i, "genuine", mu)
 
 
-@dataclasses.dataclass
-class PatternParams:
+class PatternParams(NamedTuple):
     """Expected diamond pattern: slots sit at t(q-1)+1; the slots with
     t = 1 mod finite_every carry the finite types -1 + m*delta (m-th such
     slot), all others are infinite.  delta None means the progression is

@@ -21,11 +21,8 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_stdlib_only():
-    """The package imports nothing outside the standard library: every
-    import is relative or names a standard module."""
-    assert SOURCES
-    found = []
+def absolute_imports():
+    """(file:line, module) for every absolute import in the package."""
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -34,8 +31,25 @@ def test_stdlib_only():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] not in sys.stdlib_module_names]
+            yield from ((f"{path.name}:{node.lineno}", name) for name in names)
+
+
+def test_stdlib_only():
+    """The package imports nothing outside the standard library: every
+    import is relative or names a standard module."""
+    assert SOURCES
+    found = [f"{where} {name}" for where, name in absolute_imports()
+             if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_no_dataclasses():
+    """The package builds its records as NamedTuples and plain classes:
+    importing dataclasses pulls inspect, ast, dis and tokenize into every
+    command's start-up."""
+    assert SOURCES
+    found = [f"{where} {name}" for where, name in absolute_imports()
+             if name.split(".")[0] == "dataclasses"]
     assert found == []
 
 
