@@ -178,6 +178,15 @@ SWITCH_FROZEN = {
                             "--pi", "2"), 0,
                            "6cf60afc722ca6a4f019b8059dfd620145ff5dc04afe41c3a461221b60d95b0f",
                            "789e545be51b73b8ced1af8127f7233c51ecea952adfc098302dea56c09bc35f"),
+    # the paper's large big fields F_3125 and F_{7^7}, whose coefficients
+    # print as sums of several powers of t; frozen before the fields
+    # cached their inverses and element text
+    "big p5 n1": (("--case", "big-field", "--p", "5", "--n", "1", "--s", "1"), 0,
+                  "b3cdc91364476e6a8fc4f724db372932d3392254e7f794e19d8bc4f465501b4c",
+                  "d1dbe186c40547e1fe0474f68f19e26a97d70a56f80a9a61306b16c16afc1dc4"),
+    "big p7 n1": (("--case", "big-field", "--p", "7", "--n", "1", "--s", "1"), 0,
+                  "c6fc7fa4554d61b9e71f7cbd3e23c097767cca1ff7276e20a08bbb28617f4e84",
+                  "82e17c3b2b4f55c8d05d16088471c56f31eb71b56fcad00d24659ac9b5fdf094"),
 }
 
 
