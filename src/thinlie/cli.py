@@ -223,14 +223,15 @@ def cmd_verify(rc: RunConfig):
     jacobi = jacobi_violations(desc, anticommutativity, gens)
     closure = closure_violations(desc)
     leibniz = leibniz_violations(deriv, anticommutativity, jacobi, gens)
-    lie_derivation = not (anticommutativity or jacobi or leibniz)
+    # generators decide the laws of D once the table is a Lie algebra and D a derivation
+    lie_gens = None if anticommutativity or jacobi or leibniz else gens
     suites = (
         ("anticommutativity", anticommutativity),
         ("jacobi", jacobi),
         ("closure", closure),
         ("leibniz", leibniz),
-        ("derivation_power", derivation_power_violations(deriv)),
-        ("realization", realization_violations(deriv, gens if lie_derivation else None)),
+        ("derivation_power", derivation_power_violations(deriv, lie_gens)),
+        ("realization", realization_violations(deriv, lie_gens)),
         ("monomial_grading", monomial_grading_violations(desc, _preswitch_spec(rc))),
     )
     checks = {}

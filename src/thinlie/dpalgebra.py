@@ -234,9 +234,13 @@ class AlgebraElement:
         return hash((self.field, self.heights, frozenset(self.terms.items())))
 
     def text(self) -> str:
+        """Each coefficient's text read from the field's cache by its
+        coordinates, with no FieldElement built."""
         if not self.terms:
             return "0"
-        return " + ".join(f"({c})*{m.text()}" for m, c in self.items())
+        get, text_of, powers = self.terms.get, self.field.element_text, range(self.field.m)
+        return " + ".join(f"({text_of(tuple(get((mono, r), 0) for r in powers))})*{mono.text()}"
+                          for mono in self.support())
 
     def __str__(self):
         return self.text()

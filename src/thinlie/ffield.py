@@ -159,7 +159,11 @@ class FieldParams(NamedTuple("FieldParams", [("p", int), ("m", int),
                                               ("modulus", tuple[int, ...])])):
     """Description of F_{p^m} as F_p[t]/(modulus), modulus monic, low-to-high.
 
-    No __slots__: instances keep a __dict__ for the cached t_powers.
+    No __slots__: instances keep a __dict__ for the cached t_powers and
+    three caches keyed by coefficient tuple or text, which hold values that
+    depend on the field alone: the inverse of each tuple (extension fields
+    only), the text of each tuple, and the tuple of each text.  A command
+    meets few distinct coefficients many times, so each is computed once.
     """
 
     def __new__(cls, p: int, m: int, modulus: tuple[int, ...]):
@@ -241,8 +245,35 @@ class FieldParams(NamedTuple("FieldParams", [("p", int), ("m", int),
         for coeffs in itertools.product(range(self.p), repeat=self.m):
             yield FieldElement(self, coeffs)
 
+    @functools.cached_property
+    def inverses(self) -> dict:
+        """{coefficient tuple: tuple of its inverse}, filled by
+        FieldElement.inverse over extension fields."""
+        return {}
+
+    @functools.cached_property
+    def texts(self) -> dict:
+        """{coefficient tuple: its text}, filled by element_text."""
+        return {}
+
+    @functools.cached_property
+    def parsed(self) -> dict:
+        """{text: coefficient tuple}, filled by parse_element; text that does
+        not parse raises and is not kept."""
+        return {}
+
+    def element_text(self, coeffs: tuple) -> str:
+        """The text of the element with these coefficients, as str gives it."""
+        out = self.texts.get(coeffs)
+        if out is None:
+            out = self.texts[coeffs] = _format_element(FieldElement(self, coeffs))
+        return out
+
     def parse_element(self, text: str) -> "FieldElement":
-        return _parse_element(self, text)
+        coeffs = self.parsed.get(text)
+        if coeffs is None:
+            coeffs = self.parsed[text] = _parse_element(self, text).coeffs
+        return FieldElement(self, coeffs)
 
     def __str__(self):
         return f"F_{self.order}" if self.m > 1 else f"F_{self.p}"
@@ -305,24 +336,17 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Inverse by the extended Euclidean algorithm on F_p[t]."""
+        """Inverse: pow over F_p, else by `_inverse_coeffs`, once per
+        coefficient tuple of the field (`FieldParams.inverses`)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         params = self.params
-        p = params.p
         if params.m == 1:
-            return FieldElement(params, (pow(self.coeffs[0], -1, p),))
-        # invariant: s_k * self = r_k mod the modulus
-        r0, r1 = list(params.modulus), _ptrim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            quot, rem = _pdivmod(r0, r1, p)
-            step = itertools.zip_longest(s0, _pmul(quot, s1, p), fillvalue=0)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _ptrim([(x - y) % p for x, y in step])
-        inv = pow(r1[0], -1, p)
-        out = [c * inv % p for c in s1]
-        return FieldElement(params, tuple(out + [0] * (params.m - len(out))))
+            return FieldElement(params, (pow(self.coeffs[0], -1, params.p),))
+        out = params.inverses.get(self.coeffs)
+        if out is None:
+            out = params.inverses[self.coeffs] = _inverse_coeffs(params, self.coeffs)
+        return FieldElement(params, out)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -370,10 +394,27 @@ class FieldElement:
         return hash((self.params, self.coeffs))
 
     def __str__(self):
-        return _format_element(self)
+        return self.params.element_text(self.coeffs)
 
     def __repr__(self):
         return f"<{_format_element(self)} in {self.params}>"
+
+
+def _inverse_coeffs(params: FieldParams, coeffs: tuple) -> tuple:
+    """The coefficients of the inverse of a nonzero element of F_{p^m},
+    by the extended Euclidean algorithm on F_p[t]."""
+    p = params.p
+    # invariant: s_k * element = r_k mod the modulus
+    r0, r1 = list(params.modulus), _ptrim(list(coeffs))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quot, rem = _pdivmod(r0, r1, p)
+        step = itertools.zip_longest(s0, _pmul(quot, s1, p), fillvalue=0)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _ptrim([(x - y) % p for x, y in step])
+    inv = pow(r1[0], -1, p)
+    out = [c * inv % p for c in s1]
+    return tuple(out + [0] * (params.m - len(out)))
 
 
 def _format_element(x: FieldElement) -> str:

@@ -18,7 +18,7 @@ import functools
 import re
 from typing import NamedTuple
 
-from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
+from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate, fold
 from .dpalgebra import generalized_power, parse_element
 from .ffield import FieldElement, FieldParams, falling_factorial, lucas_binomial
 from .liealg import (AlgebraDescriptor, Derivation, ads_are_derivations,
@@ -262,15 +262,28 @@ def _laguerre_coefficients(alpha: FieldElement, lam: FieldElement) -> list:
 
 
 def _laguerre_series(coeffs: list, deriv: Derivation, v: AlgebraElement) -> AlgebraElement:
-    """sum_k coeffs[k] D^k v, summed in one coordinate dict."""
-    terms, w = {}, v
+    """sum_k coeffs[k] D^k v on the rows of D's integer table.
+
+    D^k v is kept as {(basis index, r): coordinate of t^r}, each power one
+    pass over the table rows of the one before; coeffs[k] times it lands
+    on powers t^(r + s) in one coordinate dict, folded by the modulus once
+    at the end.  No algebra element is built until the sum."""
+    desc, field = deriv.descriptor, v.field
+    p, table, basis = field.p, deriv.table, desc.basis
+    w = {(i, r): x for i, coords in desc._indexed(v) for r, x in coords}
+    terms = {}
     for k, c in enumerate(coeffs):
         if k:
-            w = deriv.apply(w)
-        if w.is_zero():
+            w = accumulate({}, (((t, r), x * d) for (i, r), x in w.items()
+                                for t, d in table[i].items()), p)
+        if not w:
             break
-        accumulate(terms, w.scale(c).terms.items(), v.field.p)
-    return AlgebraElement._make(v.field, v.heights, terms)
+        coords = [(s, y) for s, y in enumerate(c.coeffs) if y]
+        accumulate(terms, (((i, r + s), x * y) for (i, r), x in w.items()
+                           for s, y in coords), p)
+    fold(terms, field)
+    return AlgebraElement._make(field, v.heights, {
+        (basis[i], r): x for (i, r), x in terms.items()})
 
 
 def build_closed_basis(descriptor: AlgebraDescriptor, spec: GradingSpec,
@@ -454,7 +467,8 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
             coeffs = series.get(alpha)
             if coeffs is None:
                 coeffs = series[alpha] = _laguerre_coefficients(alpha, lam)
-            vectors[lab] = _laguerre_series(coeffs, deriv, descriptor.basis_element(mono))
+            basis_vector = AlgebraElement._make(field, spec.heights, {(mono, 0): 1})
+            vectors[lab] = _laguerre_series(coeffs, deriv, basis_vector)
             scalars[lab] = field.one()
     degrees = {lab: out_spec.degree_of_label(lab) for lab in labels}
     basis = GradedBasis(out_spec, field, labels, vectors, degrees, scalars)

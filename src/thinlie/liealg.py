@@ -21,12 +21,14 @@ holds iff ad_g is a derivation for each g of a few monomials that
 generate the algebra.  Only when the certificate fails does the sweep
 over chained triples list the failing triples.  The same subalgebra
 argument decides the laws of D once the table is a Lie algebra: Leibniz
-holds iff it holds on the generator rows, and a derivation D equals
-(ad y)^(p^s) iff the two agree on the generators.  Only a failure there
-sums every row, or builds the iterated table, to list the failing
-monomials.  The kernel and the generator walk take a table over
-F_{p^m} as m integer layers, one per power of t, so `grading` runs them on
-the switched product rules too; an integer table is the one-layer case.
+holds iff it holds on the generator rows, a derivation D equals
+(ad y)^(p^s) iff the two agree on the generators, and so does D^p, a
+derivation in characteristic p, with 0 or the diagonal map of its law.
+Only a failure there sums every row, powers every row or builds the
+iterated table, to list the failing monomials.  The kernel and the
+generator walk take a table over F_{p^m} as m integer layers, one per
+power of t, so `grading` runs them on the switched product rules too; an
+integer table is the one-layer case.
 """
 
 from __future__ import annotations
@@ -639,31 +641,58 @@ def leibniz_violations(deriv: Derivation, anticommutativity: list | None = None,
     return [(desc.basis[a], desc.basis[b]) for a, b in bad]
 
 
-def derivation_power_violations(deriv: Derivation) -> list:
+def derivation_power_violations(deriv: Derivation, gens: list | None = None) -> list:
     """Family-specific power laws of D on every basis monomial.
 
     GradedHamiltonian with n1 = s+1: D^p = 0.  AlbertZassenhaus with
-    n1 = s+1: D^p is diagonal with eigenvalue -j on y-exponent j+1, and
-    consequently D^(p^2) = D^p.  Other (s, n1) carry no claimed power law,
-    so the check is vacuous there.  The powers are integer tables: D^p
-    follows the derivation table p times, D^(p^2) follows D^p p times.
+    n1 = s+1: D^p is the diagonal map E with eigenvalue -j on y-exponent
+    j+1, and consequently D^(p^2) = D^p.  Other (s, n1) carry no claimed
+    power law, so the check is vacuous there.  The powers are integer
+    tables: D^p follows the derivation table p times, D^(p^2) follows D^p
+    p times.
+
+    Pass `gens`, generators of the algebra, only when the table is a Lie
+    algebra and D a derivation of it (as for `realization_violations`).
+    D^p is then a derivation too, by Leibniz's rule in characteristic p,
+    and a derivation that vanishes on generators is zero, as its kernel is
+    a subalgebra (Jacobson, Lie Algebras).  So D^p = 0 is decided on the
+    generator rows.  For AlbertZassenhaus one pass over the table entries
+    first checks that E is a derivation, that is, that its eigenvalues
+    add along every entry.  Then D^p - E is a derivation, and it vanishes when D^p = E
+    on the generators; D^(p^2) = E^p = E = D^p follows, as E's entries lie
+    in F_p.  Only a failure there follows every row, to list the failing
+    monomials.
     """
     desc = deriv.descriptor
     if not deriv.has_closed_form:
         return []
     p = desc.heights.p
+    gh = desc.family is Family.GRADED_HAMILTONIAN
+    diagonal = [0 if gh else -(m.j - 1) % p for m in desc.basis]  # D^p: 0 or E
+    expected = [{i: c} if c else {} for i, c in enumerate(diagonal)]
+    if gens is not None and (gh or _is_derivation_diagonal(desc.table, diagonal, p)):
+        power = table_power(deriv.table, p, p, visit=gens)
+        if all(row == expected[g] for g, row in zip(gens, power)):
+            return []
     dp = table_power(deriv.table, p, p)
-    if desc.family is Family.GRADED_HAMILTONIAN:
+    if gh:
         return [(m, "D^p != 0") for m, row in zip(desc.basis, dp) if row]
     dpp = table_power(dp, p, p)
     bad = []
     for i, m in enumerate(desc.basis):
-        c = -(m.j - 1) % p
-        if dp[i] != ({i: c} if c else {}):
+        if dp[i] != expected[i]:
             bad.append((m, "D^p eigenvalue"))
         if dpp[i] != dp[i]:
             bad.append((m, "D^(p^2) != D^p"))
     return bad
+
+
+def _is_derivation_diagonal(table: list, diagonal: list, p: int) -> bool:
+    """Whether e_i -> diagonal[i] e_i is a derivation of the integer table:
+    diagonal[t] = diagonal[a] + diagonal[b] mod p on every entry
+    [e_a, e_b] = c e_t, c != 0."""
+    return all((diagonal[t] - diagonal[a] - diagonal[b]) % p == 0
+               for a, row in enumerate(table) for b, (_c, t) in row.items())
 
 
 def realization_violations(deriv: Derivation, gens: list | None = None) -> list:

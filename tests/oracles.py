@@ -6,7 +6,9 @@ The sweeps visit every triple and every pair, with no sparsity argument, and
 read the structure constants only through the public `bracket_mono`,
 `bracket` and `Derivation.apply`.  The derivation references work on
 elements: they apply D one step at a time (`apply_power`), and realize
-(ad y)^(p^s) by bracketing with y p^s times.  The sparse and integer
+(ad y)^(p^s) by bracketing with y p^s times.  `laguerre_series` is the
+Laguerre series the same way, the reference for the package's series on
+the rows of D's integer table.  The sparse and integer
 sweeps must return the same violation lists, in the same order.
 
 `ordered_check_graded` is the sweep of `thinlie.grading.check_graded` over
@@ -120,6 +122,15 @@ def apply_power(deriv: Derivation, v: AlgebraElement, k: int) -> AlgebraElement:
     for _ in range(k):
         v = deriv.apply(v)
     return v
+
+
+def laguerre_series(coeffs: list, deriv: Derivation, v: AlgebraElement) -> AlgebraElement:
+    """sum_k coeffs[k] (D^k v) on elements: each power by `apply_power`,
+    each term scaled as an element and added to the sum."""
+    out = AlgebraElement.zero(v.field, v.heights)
+    for k, c in enumerate(coeffs):
+        out = out + apply_power(deriv, v, k).scale(c)
+    return out
 
 
 def element_derivation_power_violations(deriv: Derivation) -> list:

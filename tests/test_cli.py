@@ -315,6 +315,29 @@ def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
     assert visited == [(desc.dim, True)]
 
 
+def test_verify_decides_power_laws_on_generator_rows(capsys, monkeypatch):
+    """A passing verify powers D on the generator rows only: D^p for the
+    power law, (ad y)^(p^s) for the realization, len(gens) rows each, on
+    both families."""
+    powered, walks = [], []
+    power, walk = liealg.table_power, liealg.monomial_generators
+
+    def counted_power(table, k, p, visit=None):
+        powered.append(len(table) if visit is None else len(visit))
+        return power(table, k, p, visit)
+
+    def counted_walk(desc):
+        walks.append(walk(desc))
+        return walks[-1]
+    monkeypatch.setattr(liealg, "table_power", counted_power)
+    monkeypatch.setattr(cli, "monomial_generators", counted_walk)
+    for name in ("az p3 n2 n1 3", "gh p3 n2"):
+        powered[:], walks[:] = [], []
+        code, out, _ = run(capsys, "verify", *VERIFY_FROZEN[name][0])
+        assert (code, powered) == (0, [len(walks[0])] * 2), name
+        assert "check derivation_power: pass" in out.splitlines(), name
+
+
 def test_verify_checks_anticommutativity_once(capsys, monkeypatch):
     """cmd_verify passes its anticommutativity list to jacobi_violations
     instead of computing it a second time there."""

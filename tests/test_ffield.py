@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import falling_binomial
+from thinlie import ffield
 from thinlie.ffield import (
     FieldParams,
     falling_factorial,
@@ -277,3 +278,77 @@ def test_element_text_round_trip(field, data):
     x = data.draw(field_elements(field))
     assert field.parse_element(str(x)) == x
     assert str(field.parse_element(str(x))) == str(x)
+
+
+def fresh(field: FieldParams) -> FieldParams:
+    """An instance equal to field whose caches start empty."""
+    return FieldParams(field.p, field.m, field.modulus)
+
+
+def test_inverse_computed_once_per_field(monkeypatch):
+    """Over an extension field each element's inverse is computed once per
+    FieldParams instance, however often and however it is asked for
+    (inverse, division, a negative power); over F_p nothing is cached."""
+    calls = []
+    uncached = ffield._inverse_coeffs
+
+    def counted(params, coeffs):
+        calls.append(coeffs)
+        return uncached(params, coeffs)
+    monkeypatch.setattr(ffield, "_inverse_coeffs", counted)
+    field = fresh(F27)
+    units = [x for x in field.elements() if not x.is_zero()]
+    for _ in range(3):
+        for x in units:
+            assert x * x.inverse() == field.one()
+            assert field.one() / x == x ** -1 == x.inverse()
+    assert sorted(calls) == sorted(x.coeffs for x in units)
+    again = fresh(F27)
+    assert again.gen().inverse() == F27.gen().inverse()
+    assert calls[len(units):] == [(0, 1, 0)]
+    prime = fresh(F5)
+    assert [prime.element(c).inverse().as_int() for c in range(1, 5)] == [1, 3, 2, 4]
+    assert len(calls) == len(units) + 1 and prime.inverses == {}
+
+
+def cache_cases(field: FieldParams, elements) -> None:
+    """Cached text and parse equal the uncached `_format_element` and
+    `_parse_element` on each element, asked twice, and on variants of its
+    text that parse to the same element (spaces, reordered terms, a zero
+    term)."""
+    for x in elements:
+        text = ffield._format_element(x)
+        assert [str(x), field.element_text(x.coeffs)] == [text, text]
+        variants = [text, text.replace("+", " + "), "+".join(reversed(text.split("+"))),
+                    "0+" + text]
+        for s in variants:
+            want = ffield._parse_element(field, s)
+            assert field.parse_element(s) == field.parse_element(s) == want == x, s
+    assert field.texts and field.parsed
+
+
+def test_cached_text_and_parse_match_uncached_on_f27():
+    cache_cases(fresh(F27), F27.elements())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F3125, F7_7]), st.data())
+def test_cached_text_and_parse_match_uncached_on_big_fields(field, data):
+    """As on F_27, on a sample of F_3125 and F_{7^7}, whose coefficients
+    print as sums of several powers of t."""
+    cache_cases(fresh(field), data.draw(st.lists(field_elements(field), min_size=1,
+                                                 max_size=8)))
+
+
+def test_malformed_text_raises_and_is_not_cached():
+    """Text that does not parse raises the ValueError of `_parse_element`,
+    each time it is asked, and leaves no entry in the parse cache."""
+    field = fresh(F27)
+    for bad in ["", " ", "t^3", "x", "2t^", "+", "t+", "1/t", "t**2"]:
+        with pytest.raises(ValueError) as want:
+            ffield._parse_element(field, bad)
+        for _ in range(2):
+            with pytest.raises(ValueError) as got:
+                field.parse_element(bad)
+            assert str(got.value) == str(want.value), bad
+    assert field.parsed == {}

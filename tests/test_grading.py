@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import Echelon, falling_binomial, ordered_check_graded, product, product_rule
 from thinlie import grading, liealg
 from thinlie.cli import standard_modulus
@@ -300,6 +301,35 @@ def test_laguerre_at_zero_is_truncated_exponential():
     d1 = deriv.apply(v)
     d2 = deriv.apply(d1)
     assert out == v + d1 + d2.scale(F27.element(2).inverse())
+
+
+# (family, field, heights, s) of the Laguerre series property
+LAGUERRE_SHAPES = [
+    (Family.ALBERT_ZASSENHAUS, F3, H21, 1), (Family.GRADED_HAMILTONIAN, F3, H21, 1),
+    (Family.ALBERT_ZASSENHAUS, F27, H21, 1), (Family.GRADED_HAMILTONIAN, F27, Heights(3, 1, 2), 0),
+    (Family.ALBERT_ZASSENHAUS, FieldParams(5, 2, (2, 1, 1)), Heights(5, 1, 1), 0),
+    # n1 != s + 1: D is the iterated table
+    (Family.ALBERT_ZASSENHAUS, F27, H21, 0), (Family.GRADED_HAMILTONIAN, F3, H21, 2),
+    (Family.ALBERT_ZASSENHAUS, F3, Heights(3, 1, 2), 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LAGUERRE_SHAPES), st.data())
+def test_laguerre_series_matches_element_oracle(shape, data):
+    """The series on the rows of D's integer table equals
+    `oracles.laguerre_series`, which applies D to elements, on a random
+    element v of up to six basis monomials and p random coefficients (zero
+    ones included), over F_3, F_25 and F_27, with the closed-form D and
+    with the iterated one (n1 != s + 1)."""
+    family, field, heights, s = shape
+    desc = AlgebraDescriptor(family, field, heights)
+    deriv = Derivation(desc, s)
+    monos = data.draw(st.lists(st.sampled_from(desc.basis), max_size=6))
+    element = st.builds(lambda k: field.element(
+        [k // field.p ** r % field.p for r in range(field.m)]), st.integers(0, field.order - 1))
+    v = AlgebraElement(field, heights, [(m, data.draw(element)) for m in monos])
+    coeffs = [data.draw(element) for _ in range(field.p)]
+    assert grading._laguerre_series(coeffs, deriv, v) == oracles.laguerre_series(coeffs, deriv, v)
 
 
 def test_serialize_parse_round_trip():

@@ -16,6 +16,7 @@ from oracles import (
 )
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
 from thinlie.ffield import FieldParams
+from thinlie import liealg
 from thinlie.grading import GradingCase, GradingSpec, monomial_grading_violations
 from thinlie.liealg import (
     AlgebraDescriptor,
@@ -301,6 +302,65 @@ def test_generator_rows_decide_leibniz_and_realization(data):
               if d != it]
     assert (realization_violations(deriv, None if leibniz else gens)
             == (differ if deriv.has_closed_form else []))
+
+
+def powering_rows(record: list, power=liealg.table_power):
+    """`liealg.table_power`, appending the number of rows it powers to record."""
+    def counted(table, k, p, visit=None):
+        record.append(len(table) if visit is None else len(visit))
+        return power(table, k, p, visit)
+    return counted
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_generator_rows_decide_power_laws(data):
+    """On closed-form shapes with at most 81 monomials, D kept, planted as
+    D + c ad_z (a derivation whose p-th power is neither 0 nor E once
+    ad_z != 0, in most draws), or with one entry changed on a row off the
+    generators: the power laws, handed the generators once Leibniz passes,
+    list the monomials the element sweep finds, and an empty list powers
+    the generator rows only."""
+    p = data.draw(st.sampled_from([3, 5]))
+    n1, n2 = data.draw(st.sampled_from(
+        [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1)]))
+    desc = AlgebraDescriptor(data.draw(st.sampled_from(list(Family))),
+                             FieldParams.prime(p), Heights(p, n1, n2))
+    deriv = Derivation(desc, n1 - 1)
+    n, gens = desc.dim, monomial_generators(desc)
+    planting = data.draw(st.sampled_from(["none", "ad", "entry"]))
+    if planting == "ad":
+        z, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, p - 1))
+        for row, ad_row in zip(deriv.table, ad_table(desc.table, z)):
+            accumulate(row, ((k, c * x) for k, x in ad_row.items()), p)
+    elif planting == "entry":
+        row = deriv.table[data.draw(st.sampled_from(sorted(set(range(n)) - set(gens))))]
+        row[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, p - 1))
+    leibniz = leibniz_violations(deriv)
+    powered, power = [], liealg.table_power
+    liealg.table_power = powering_rows(powered)
+    try:
+        got = derivation_power_violations(deriv, None if leibniz else gens)
+    finally:
+        liealg.table_power = power
+    assert got == element_derivation_power_violations(deriv)
+    assert (powered == [len(gens)]) == (not leibniz and not got)
+
+
+def test_power_laws_walk_every_row_when_the_diagonal_is_no_derivation(monkeypatch):
+    """The AlbertZassenhaus law goes to the generators only once E, the
+    diagonal map -(j - 1), is a derivation of the table.  With [x, xy]
+    planted onto y^(2), off the sum of the y-degrees, it is not: every row
+    is powered, and the list is the element sweep's."""
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
+    gens = monomial_generators(desc)
+    a, b, k = (desc._index[Monomial(*m)] for m in ((1, 0), (1, 1), (0, 2)))
+    desc.table[a][b], desc.table[b][a] = (1, k), (2, k)
+    deriv = Derivation(desc, 1)
+    powered = []
+    monkeypatch.setattr(liealg, "table_power", powering_rows(powered))
+    assert derivation_power_violations(deriv, gens) == element_derivation_power_violations(deriv)
+    assert powered == [desc.dim, desc.dim]
 
 
 def drop_brackets_onto(desc, m):
