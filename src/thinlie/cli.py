@@ -139,8 +139,9 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
         if s < 0:
             raise UsageError("s must be >= 0")
         n1 = s + 1
-    if p ** (n1 + n) > MAX_MONOMIALS:
-        raise UsageError(f"p^(n1+n) = {p}^{n1 + n} monomials exceed the "
+    k = n1 + n  # |p| >= 2 exceeds the budget at any k above its bit length
+    if (abs(p) > 1 and k > MAX_MONOMIALS.bit_length()) or p ** k > MAX_MONOMIALS:
+        raise UsageError(f"p^(n1+n) = {p}^{k} monomials exceed the "
                          f"budget of {MAX_MONOMIALS}")
 
     try:
@@ -329,8 +330,8 @@ def cmd_analyze(rc: RunConfig):
         switch_hypotheses(desc, pre, Derivation(desc, rc.s), cfg)
     basis = build_closed_basis(desc, spec, cfg)
     X, Y = _generators(spec, basis)
-    report = run_analysis(desc, basis, X, Y, rc.max_degree, cfg,
-                          _grading_params(rc, spec))
+    report = run_analysis(desc, basis, X, Y, _grading_params(rc, spec),
+                          rc.max_degree, cfg)
     code = 0 if report.passed else 1
     out = report.to_json() if rc.fmt == "json" else render_text(report)
     return code, out

@@ -128,7 +128,7 @@ class AlgebraElement:
     terms maps (monomial, r) to the coefficient of t^r in the monomial's
     F_{p^m} coefficient, an integer in [1, p); absent keys are zero, so
     equal elements have equal terms.  FieldElements appear only at the
-    boundary: coeff, items, scale by a field element, text and parsing.
+    boundary: coeff, scale by a field element, text and parsing.
     _by_index holds the basis indexing `AlgebraDescriptor._indexed` last
     made of the element, which never changes once built.
     """
@@ -184,10 +184,6 @@ class AlgebraElement:
         for (mono, r), c in self.terms.items():
             out.setdefault(mono, []).append((r, c))
         return out
-
-    def items(self):
-        """(monomial, FieldElement) pairs in monomial order."""
-        return [(mono, self.coeff(mono)) for mono in self.support()]
 
     def support(self):
         return sorted({mono for mono, _r in self.terms})

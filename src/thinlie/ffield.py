@@ -7,7 +7,7 @@ arithmetic; no floats, no probabilistic shortcuts.  The module also carries
 the binomial machinery used throughout (Lucas digit binomials, falling
 factorials of field elements, in which the switch's coefficients are
 written by Wilson's theorem), the irreducibility test every modulus
-passes, and the kernel of a two-column linear system.
+passes, square roots, and the kernel of a two-column linear system.
 """
 
 from __future__ import annotations
@@ -465,6 +465,38 @@ def falling_factorial(x: FieldElement, i: int) -> FieldElement:
     for r in range(i):
         out = out * (x - r)
     return out
+
+
+def square_root(x: FieldElement) -> FieldElement | None:
+    """A root r with r*r == x, or None when x is a nonsquare.
+
+    Tonelli-Shanks in F_q, q odd: write q - 1 = 2^e * Q with Q odd.  Euler's
+    criterion x^((q-1)/2) = 1 decides squares; then r = x^((Q+1)/2) is a
+    root up to the factor t = x^Q of 2-power order, which the loop clears
+    with powers of z^Q, z the first nonsquare of `elements` (needed only
+    when e > 1, and half the field is nonsquare).
+    """
+    field, half = x.params, (x.params.order - 1) // 2
+    one = field.one()
+    if x.is_zero():
+        return x
+    if x ** half != one:
+        return None
+    e, odd = 1, half
+    while odd % 2 == 0:
+        e, odd = e + 1, odd // 2
+    r, t = x ** ((odd + 1) // 2), x ** odd
+    if t != one:
+        c = next(z for z in field.elements() if z and z ** half != one) ** odd
+        while t != one:
+            # least i with t^(2^i) = 1; then i < e
+            i, s = 0, t
+            while s != one:
+                i, s = i + 1, s * s
+            b = c ** (2 ** (e - i - 1))
+            r, c, e = r * b, b * b, i
+            t = t * c
+    return r
 
 
 def plane_kernel(field: FieldParams, rows: list) -> list:

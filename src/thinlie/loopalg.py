@@ -9,12 +9,11 @@ covering property, the diamond positions and types, the generator
 normalization, centralizer chains and the per-period dimension count.
 """
 
-import itertools
 import json
 from typing import NamedTuple
 
 from .dpalgebra import AlgebraElement, SparseEchelon
-from .ffield import FieldElement, FieldParams, plane_kernel
+from .ffield import FieldElement, FieldParams, plane_kernel, square_root
 from .grading import GradedBasis, GradingCase, GradingSpec, SwitchConfig
 from .liealg import AlgebraDescriptor
 
@@ -40,20 +39,20 @@ class LoopConfig:
 
     X and Y must be nonzero, independent and homogeneous of degree 1 in the
     supplied graded basis; every component then stays inside one degree
-    class of the finite algebra.
+    class of the finite algebra.  first is the echelon of L_1 = <X, Y>.
     """
 
     def __init__(self, alg: AlgebraDescriptor, basis: GradedBasis, X: AlgebraElement,
-                 Y: AlgebraElement, max_degree: int = 0):
+                 Y: AlgebraElement, max_degree: int):
         self.alg = alg
         self.basis = basis
         self.X = X
         self.Y = Y
-        self.max_degree = 3 * basis.spec.N if max_degree == 0 else max_degree
+        self.max_degree = max_degree
         if self.max_degree < 1:
             raise ValueError("max_degree must be positive")
-        ech = SparseEchelon(self.alg.field, self.alg.heights)
-        if not ech.insert(self.X) or not ech.insert(self.Y):
+        self.first = SparseEchelon(self.alg.field, self.alg.heights)
+        if not self.first.insert(self.X) or not self.first.insert(self.Y):
             raise ValueError("X and Y must be nonzero and linearly independent")
         deg1 = SparseEchelon(self.alg.field, self.alg.heights)
         for lab in self.basis.active_labels:
@@ -216,10 +215,7 @@ def expand_loop(cfg: LoopConfig) -> list:
     the checks to read.
     """
     field, heights = cfg.alg.field, cfg.alg.heights
-    first = SparseEchelon(field, heights)
-    first.insert(cfg.X)
-    first.insert(cfg.Y)
-    records = [ComponentRecord(1, first.rank, first.basis(), first)]
+    records = [ComponentRecord(1, cfg.first.rank, cfg.first.basis(), cfg.first)]
     for i in range(2, cfg.max_degree + 1):
         ech = SparseEchelon(field, heights)
         prev = records[-1]
@@ -234,9 +230,11 @@ def expand_loop(cfg: LoopConfig) -> list:
 
 def check_covering(cfg: LoopConfig, i: int, records: list):
     """None if every nonzero u in L_i has span{[u,X],[u,Y]} = L_{i+1}, else
-    the first line of L_i that fails, as a counterexample dict.
+    the first failing line of L_i, in the order u_2, then u_1 + c*u_2 for c
+    in field.elements(), as a counterexample dict.
 
-    The check is linear algebra on four images, not a search over lines:
+    The check is linear algebra on four images, not a search over lines,
+    and the computation that decides the verdict also names the line:
 
     - Containment is free.  expand_loop spans L_{i+1} by exactly the
       images A_k = [u_k, X] and B_k = [u_k, Y] of the basis u_k of L_i,
@@ -244,62 +242,59 @@ def check_covering(cfg: LoopConfig, i: int, records: list):
     - Coordinates.  Each image is read at the pivot monomials of the
       echelon of L_{i+1}.  Echelon rows have distinct leading monomials, so
       this projection is unit-triangular and hence injective on L_{i+1}.
-    - dim L_i = 1: pass iff rank{A_1, B_1} = dim L_{i+1}.
+    - dim L_i = 1: pass iff rank{A_1, B_1} = dim L_{i+1}, else u_1 fails.
     - dim L_i = 2, dim L_{i+1} = 1: u = a*u_1 + b*u_2 maps to
-      (a*A_1 + b*A_2, a*B_1 + b*B_2), so the 2x2 matrix
-      [[A_1, A_2], [B_1, B_2]] must be nonsingular.
+      (a*A_1 + b*A_2, a*B_1 + b*B_2), so the failing lines are the kernel
+      of [[A_1, A_2], [B_1, B_2]]: u_2 when it holds (0:1), else c = b/a.
     - dim L_i = 2, dim L_{i+1} = 2: det([u,X] | [u,Y]) is the binary
       quadratic form alpha*a^2 + beta*a*b + gamma*b^2 with
       alpha = det(A_1|B_1), beta = det(A_1|B_2) + det(A_2|B_1) and
-      gamma = det(A_2|B_2).  Covering means it has no zero on the
-      projective line, see binary_form_anisotropic.
-    - dim L_{i+1} = 0 or > 2 fails: the chain is required not to die, and
-      two images cannot span more than a plane.
+      gamma = det(A_2|B_2).  q is odd, so by completing the square some
+      line fails iff the discriminant beta^2 - 4*alpha*gamma is a square:
+      u_2 when gamma = 0, else the roots c of gamma*c^2 + beta*c + alpha.
+    - dim L_{i+1} = 0 or > 2 fails at u_2: the chain is required not to
+      die, and two images cannot span more than a plane.
 
     Components of dimension 0 or above 2 are left to the thinness check.
-    Only on failure are the lines walked, in the order u_2, then
-    u_1 + c*u_2 for c in field.elements(); their images are combined from
-    the four images above, which equals bracketing directly because
-    elements are canonical.
+    The failing line's images are combined from the four images above,
+    which equals bracketing directly because elements are canonical.
     """
     cur, nxt = records[i - 1], records[i]
     if cur.dim == 0 or cur.dim > 2:
         return None
     pivots = sorted(nxt.echelon.rows)
-    images = cur.images
-    coords = [(_coords(a, pivots), _coords(b, pivots)) for a, b in images]
+    coords = [(_coords(a, pivots), _coords(b, pivots)) for a, b in cur.images]
+    c = None  # the failing line is u_1 + c*u_2, else the last basis vector
     if cur.dim == 1:
-        covered = _spans(*coords[0])
+        if _spans(*coords[0]):
+            return None
     elif nxt.dim == 1:
         ((a1,), (b1,)), ((a2,), (b2,)) = coords
-        covered = not _det((a1, a2), (b1, b2)).is_zero()
+        kernel = plane_kernel(cfg.alg.field, [(a1, a2), (b1, b2)])
+        if not kernel:
+            return None
+        a, b = kernel[0]
+        if len(kernel) == 1 and not a.is_zero():
+            c = b / a
     elif nxt.dim == 2:
         (a1, b1), (a2, b2) = coords
-        covered = binary_form_anisotropic(
-            _det(a1, b1), _det(a1, b2) + _det(a2, b1), _det(a2, b2))
-    else:
-        covered = False
-    if covered:
-        return None
-
-    if cur.dim == 1:
-        lines = [(cur.vectors[0], *images[0])]
-    else:
-        (u1, u2), ((a1, b1), (a2, b2)) = cur.vectors, images
-        lines = itertools.chain(
-            [(u2, a2, b2)],
-            ((u1 + u2.scale(c), a1 + a2.scale(c), b1 + b2.scale(c))
-             for c in cfg.alg.field.elements()))
-    for u, bx, by in lines:
-        if not _spans(_coords(bx, pivots), _coords(by, pivots)):
-            return {
-                "degree": i,
-                "representative": u.text(),
-                "image_with_X": bx.text(),
-                "image_with_Y": by.text(),
-            }
-    raise ArithmeticError(f"covering at degree {i}: the closed form fails "
-                          "but no line of L_i does")
+        alpha, beta, gamma = _det(a1, b1), _det(a1, b2) + _det(a2, b1), _det(a2, b2)
+        root = square_root(beta * beta - alpha * gamma * 4)
+        if root is None:
+            return None
+        if not gamma.is_zero():  # the root first in elements() order
+            c = min(((r - beta) / (gamma * 2) for r in (root, -root)),
+                    key=lambda x: x.coeffs)
+    u, (bx, by) = cur.vectors[-1], cur.images[-1]
+    if c is not None:
+        u1, (x1, y1) = cur.vectors[0], cur.images[0]
+        u, bx, by = u1 + u.scale(c), x1 + bx.scale(c), y1 + by.scale(c)
+    return {
+        "degree": i,
+        "representative": u.text(),
+        "image_with_X": bx.text(),
+        "image_with_Y": by.text(),
+    }
 
 
 def _coords(v: AlgebraElement, pivots: list) -> tuple:
@@ -318,24 +313,6 @@ def _spans(x: tuple, y: tuple) -> bool:
     if len(x) == 2:
         return not _det(x, y).is_zero()
     return False
-
-
-def binary_form_anisotropic(alpha: FieldElement, beta: FieldElement,
-                            gamma: FieldElement) -> bool:
-    """True iff alpha*a^2 + beta*a*b + gamma*b^2 vanishes at no point (a:b)
-    of the projective line over the coefficients' field.
-
-    The field order q is odd, so completing the square applies: the form
-    is anisotropic iff its discriminant beta^2 - 4*alpha*gamma is a
-    nonsquare, that is nonzero with disc^((q-1)/2) != 1 (Euler's
-    criterion).  With gamma = 0 the form vanishes at (0:1), and the
-    discriminant is the square beta^2.
-    """
-    field = alpha.params
-    disc = beta * beta - alpha * gamma * 4
-    if disc.is_zero():
-        return False
-    return disc ** ((field.order - 1) // 2) != field.one()
 
 
 def _scalar_ratio(v: AlgebraElement, w: AlgebraElement):
@@ -594,10 +571,11 @@ def degree_floor(spec: GradingSpec) -> int:
 
 
 def run_analysis(descriptor: AlgebraDescriptor, basis: GradedBasis,
-                 X: AlgebraElement, Y: AlgebraElement, max_degree: int | None = None,
-                 cfg: SwitchConfig | None = None,
-                 params_echo: dict | None = None) -> ThinReport:
-    """Expand the loop to max_degree (default 3N) and run the check battery.
+                 X: AlgebraElement, Y: AlgebraElement, params_echo: dict,
+                 max_degree: int | None = None,
+                 cfg: SwitchConfig | None = None) -> ThinReport:
+    """Expand the loop to max_degree (default 3N) and run the check battery;
+    the report carries params_echo as its parameters.
 
     The expansion internally goes one degree further so the last reported
     slot can still be classified.  Check failures and anomalies are data;
@@ -649,16 +627,4 @@ def run_analysis(descriptor: AlgebraDescriptor, basis: GradedBasis,
     if tuple(checks) != CHECK_ORDER:
         raise RuntimeError(f"checks {tuple(checks)} are not in CHECK_ORDER")
 
-    if params_echo is None:
-        params_echo = {
-            "p": p,
-            "n": descriptor.heights.n2,
-            "s": spec.s,
-            "case": spec.case.value,
-            "field": field.spec_string,
-            "pi": str(cfg.pi) if cfg is not None else None,
-            "sigma": str(cfg.sigma) if cfg is not None else None,
-            "N": N,
-            "q": q,
-        }
     return ThinReport(params_echo, records[:limit], diamonds, checks)

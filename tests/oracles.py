@@ -20,7 +20,7 @@ arithmetic, the reference for the factored rule table the package builds.
 
 The kernel references (`bracket`, `apply`, `scale`, `Echelon`) keep each
 coefficient as one FieldElement, {monomial: FieldElement} with no zero
-value, and multiply in the field; the package keeps the F_p coordinates of
+value, read from an element by `items`, and multiply in the field; the package keeps the F_p coordinates of
 each coefficient and multiplies integers, so the two must agree on every
 element.
 
@@ -260,6 +260,11 @@ def ordered_check_graded(desc: AlgebraDescriptor, basis: GradedBasis, cfg=None) 
     return strays, misses
 
 
+def items(v: AlgebraElement) -> list:
+    """(monomial, FieldElement) pairs of an element, in monomial order."""
+    return [(mono, v.coeff(mono)) for mono in v.support()]
+
+
 def _add(terms: dict, mono, c: FieldElement):
     c = terms[mono] + c if mono in terms else c
     if c.is_zero():
@@ -271,8 +276,8 @@ def _add(terms: dict, mono, c: FieldElement):
 def bracket(desc: AlgebraDescriptor, u: AlgebraElement, v: AlgebraElement) -> dict:
     """[u, v], term by term over `bracket_mono`, with FieldElement products."""
     terms: dict = {}
-    for a, x in u.items():
-        for b, y in v.items():
+    for a, x in items(u):
+        for b, y in items(v):
             hit = desc.bracket_mono(a, b)
             if hit is not None:
                 _add(terms, hit[1], x * y * hit[0])
@@ -283,14 +288,14 @@ def apply(deriv: Derivation, v: AlgebraElement) -> dict:
     """D v from the rows of the derivation table, with FieldElement products."""
     desc = deriv.descriptor
     terms: dict = {}
-    for a, x in v.items():
+    for a, x in items(v):
         for k, d in deriv.table[desc.basis.index(a)].items():
             _add(terms, desc.basis[k], x * d)
     return terms
 
 
 def scale(v: AlgebraElement, c: FieldElement) -> dict:
-    return {m: x * c for m, x in v.items() if not (x * c).is_zero()}
+    return {m: x * c for m, x in items(v) if not (x * c).is_zero()}
 
 
 class Echelon:
@@ -302,7 +307,7 @@ class Echelon:
         self.rows: dict = {}
 
     def reduce(self, v) -> dict:
-        terms = dict(v.items()) if isinstance(v, AlgebraElement) else dict(v)
+        terms = dict(items(v)) if isinstance(v, AlgebraElement) else dict(v)
         while terms and (lead := min(terms)) in self.rows:
             c = -terms[lead]
             for m, x in self.rows[lead].items():
@@ -350,8 +355,8 @@ def product(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """The divided-power product u v, term by term over `mono_mul`, with
     FieldElement products."""
     terms: dict = {}
-    for a, x in u.items():
-        for b, y in v.items():
+    for a, x in items(u):
+        for b, y in items(v):
             hit = mono_mul(u.heights, a, b)
             if hit is not None:
                 _add(terms, hit[1], x * y * hit[0])

@@ -556,6 +556,8 @@ def test_usage_errors(capsys):
          "--max-degree", "38"),
         # 101^6 monomials, over the MAX_MONOMIALS budget
         ("verify", "--p", "101", "--n", "3", "--family", "albert-zassenhaus"),
+        # refused on the exponent, without computing 3^(2 * 10^9)
+        ("verify", "--p", "3", "--n", "1000000000", "--family", "albert-zassenhaus"),
     ]
     for args in cases:
         code, _, err = run(capsys, *args)

@@ -16,6 +16,7 @@ from thinlie.ffield import (
     is_prime,
     lucas_binomial,
     plane_kernel,
+    square_root,
 )
 
 F3 = FieldParams.prime(3)
@@ -30,6 +31,8 @@ F7_7 = FieldParams(7, 7, (6, 6, 0, 0, 0, 0, 0, 1))
 # t^2 = -1, and t^2 = 2t + 1 (a reduction of t^m with several terms)
 F9 = FieldParams.parse_spec("3^2:1,0,1")
 F9B = FieldParams.parse_spec("3^2:2,1,1")
+# t^2 = -2, a nonsquare mod 5
+F25 = FieldParams.parse_spec("5^2:2,0,1")
 
 
 def test_is_prime():
@@ -244,6 +247,31 @@ def test_plane_kernel_matches_brute_force(block):
         expected = ([v for v in kernel if v[1] == one]
                     or [v for v in kernel if v[0] == one])
     assert plane_kernel(field, rows) == expected
+
+
+@pytest.mark.parametrize("field", [F3, F5, F9, F25, F27])
+def test_square_root_matches_brute_force_squares(field):
+    """None exactly on nonsquares, else a root.  F_9 and F_25 have
+    q = 1 mod 8, so their roots run the Tonelli-Shanks loop."""
+    squares = {y * y for y in field.elements()}
+    for x in field.elements():
+        r = square_root(x)
+        if x in squares:
+            assert r is not None and r * r == x, x
+        else:
+            assert r is None, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F3125, F7_7]), st.data())
+def test_square_root_on_big_fields(field, data):
+    """m is odd, so a nonsquare of F_p stays one in F_{p^m}: x = y^2 is a
+    square and n*y^2, n a nonsquare mod p, is not."""
+    y = data.draw(field_elements(field))
+    nonsquare = field.element(2 if field.p == 5 else 3)
+    r = square_root(y * y)
+    assert r is not None and r * r == y * y
+    assert y.is_zero() or square_root(nonsquare * y * y) is None
 
 
 @st.composite

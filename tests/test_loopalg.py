@@ -1,12 +1,14 @@
 """Loop expansion, diamond classification and the thin-pattern check battery."""
 
 import functools
+import random
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import items
 from thinlie import loopalg
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
 from thinlie.ffield import FieldParams
@@ -25,7 +27,6 @@ from thinlie.loopalg import (
     LoopConfig,
     PatternParams,
     ThinReport,
-    binary_form_anisotropic,
     centralizer_chain,
     check_covering,
     classify_component,
@@ -39,6 +40,9 @@ from thinlie.loopalg import (
 F27 = FieldParams(3, 3, (2, 2, 0, 1))
 F3 = FieldParams.prime(3)
 F5 = FieldParams.prime(5)
+F9 = FieldParams.parse_spec("3^2:1,0,1")
+F25 = FieldParams.parse_spec("5^2:2,0,1")
+F3125 = FieldParams(5, 5, (4, 4, 0, 0, 0, 1))
 H21 = Heights(3, 2, 1)
 
 AZ = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, H21)
@@ -56,8 +60,18 @@ PRIME_X = PRIME_BASIS.vectors[Label(-1, 0, 1)]
 PRIME_Y = PRIME_BASIS.vectors[Label(1, -1, 2)]
 
 
+def echo(desc, spec, cfg):
+    """The parameters `thinlie analyze` echoes for this switch."""
+    return {"p": spec.p, "n": desc.heights.n2, "s": spec.s, "case": spec.case.value,
+            "field": desc.field.spec_string, "pi": str(cfg.pi),
+            "sigma": str(cfg.sigma), "N": spec.N, "q": spec.q}
+
+
+BIG_ECHO = echo(AZ, BIG, BIG_CFG)
+
+
 def big_report():
-    return run_analysis(AZ, BIG_BASIS, BIG_X, BIG_Y, cfg=BIG_CFG)
+    return run_analysis(AZ, BIG_BASIS, BIG_X, BIG_Y, BIG_ECHO, cfg=BIG_CFG)
 
 
 def test_loop_config_validation():
@@ -68,8 +82,6 @@ def test_loop_config_validation():
     with pytest.raises(ValueError):
         # degree-2 vector is not an admissible generator
         LoopConfig(AZ, BIG_BASIS, BIG_X, BIG_BASIS.vectors[Label(0, -1, 0)], 10)
-    cfg = LoopConfig(AZ, BIG_BASIS, BIG_X, BIG_Y)
-    assert cfg.max_degree == 3 * BIG.N
 
 
 def test_expand_loop_dims_frozen():
@@ -169,7 +181,7 @@ class ActionAlgebra:
 
     def bracket(self, u, v):
         out = AlgebraElement.zero(self.field, self.heights)
-        for mono, c in u.items():
+        for mono, c in items(u):
             out = out + self.images[mono, v is self.X].scale(c)
         return out
 
@@ -179,28 +191,17 @@ def field_elements(field):
                     max_size=field.m).map(field.element)
 
 
-@st.composite
-def covering_blocks(draw):
-    """Two basis vectors u_1, u_2 whose images under X and Y are random
-    combinations of one or two target monomials."""
-    field = draw(st.sampled_from([F3, F5, F27]))
-    targets = draw(st.integers(1, 2))
-    coeffs = draw(st.lists(field_elements(field), min_size=4 * targets,
-                           max_size=4 * targets))
-    return field, targets, coeffs
-
-
-@settings(max_examples=150, deadline=None)
-@given(covering_blocks())
-def test_covering_matches_line_oracle_random_blocks(block):
-    field, targets, coeffs = block
+def block_records(field, targets, coeffs):
+    """cfg and records of a block: L_1 = <u_1, u_2> whose images A_k =
+    [u_k, X] and B_k = [u_k, Y] are the combinations of `targets` target
+    monomials given by coeffs, A_1, B_1, A_2, B_2 in turn; L_2 is their
+    span."""
     h = Heights(field.p, 1, 1)
 
     def mono(i, j):
         return AlgebraElement.from_monomial(field, h, Monomial(i, j))
 
     X, Y = mono(2, 0), mono(2, 1)
-    u1, u2 = mono(0, 0), mono(0, 1)
     images = {}
     it = iter(coeffs)
     for u in (Monomial(0, 0), Monomial(0, 1)):
@@ -210,30 +211,129 @@ def test_covering_matches_line_oracle_random_blocks(block):
     alg = ActionAlgebra(field, h, X, images)
     cfg = types.SimpleNamespace(alg=alg, X=X, Y=Y)
     cur = SparseEchelon(field, h)
-    cur.insert(u1)
-    cur.insert(u2)
+    cur.insert(mono(0, 0))
+    cur.insert(mono(0, 1))
     images = [(alg.bracket(u, X), alg.bracket(u, Y)) for u in cur.basis()]
     nxt = SparseEchelon(field, h)
     for bx, by in images:
         nxt.insert(bx)
         nxt.insert(by)
-    records = [ComponentRecord(1, cur.rank, cur.basis(), cur, images),
-               ComponentRecord(2, nxt.rank, nxt.basis(), nxt)]
+    return cfg, [ComponentRecord(1, cur.rank, cur.basis(), cur, images),
+                 ComponentRecord(2, nxt.rank, nxt.basis(), nxt)]
+
+
+@st.composite
+def covering_blocks(draw):
+    """Blocks with one or two target monomials over F_3, F_5, F_9, F_25 or
+    F_27, their coefficients zero half the time, so that singular and
+    degenerate blocks are common."""
+    field = draw(st.sampled_from([F3, F5, F9, F25, F27]))
+    targets = draw(st.integers(1, 2))
+    coeff = st.one_of(st.just(field.zero()), field_elements(field))
+    coeffs = draw(st.lists(coeff, min_size=4 * targets, max_size=4 * targets))
+    return field, targets, coeffs
+
+
+def f5_block(*coeffs):
+    return F5, len(coeffs) // 4, [F5.element(c) for c in coeffs]
+
+
+# (block, first failing line or None), one per branch of the closed form:
+# A_1, B_1, A_2, B_2, each with `targets` coordinates
+NAMED_BLOCKS = [
+    # 2 -> 1, kernel (0:1): u_2 maps to zero
+    (f5_block(1, 0, 0, 0), "u2"),
+    # 2 -> 1, kernel (1:0): u_1 maps to zero
+    (f5_block(0, 0, 1, 0), "u1"),
+    # 2 -> 1, kernel (1:4): A_1 + 4 A_2 = 0
+    (f5_block(1, 0, 1, 0), "u1 + 4 u2"),
+    # 2 -> 1, nonsingular
+    (f5_block(1, 0, 0, 1), None),
+    # 2 -> 2, gamma = det(A_2|B_2) = 0
+    (f5_block(0, 1, 1, 0, 1, 0, 0, 0), "u2"),
+    # 2 -> 2, zero discriminant, double root c = 4: (c - 4)^2 = c^2 + 2c + 1
+    (f5_block(1, 0, 0, 1, 1, 0, 0, 1), "u1 + 4 u2"),
+    # 2 -> 2, roots c = 1 and c = 2 of c^2 + 2c + 2: the smaller is named
+    (f5_block(1, 0, 0, 2, 0, 1, 4, 2), "u1 + u2"),
+    # 2 -> 2, discriminant 4*3 = 2, a nonsquare mod 5
+    (f5_block(1, 0, 0, 1, 0, 1, 3, 0), None),
+    # 2 -> 0
+    (f5_block(0, 0, 0, 0), "u2"),
+]
+
+
+@pytest.mark.parametrize("block, line", NAMED_BLOCKS)
+def test_covering_names_the_first_failing_line(block, line):
+    cfg, records = block_records(*block)
+    got = check_covering(cfg, 1, records)
+    assert got == covering_by_lines(cfg, 1, records)
+    if line is None:
+        assert got is None
+    else:
+        u1, u2 = records[0].vectors
+        want = {"u1": u1, "u2": u2, "u1 + u2": u1 + u2, "u1 + 4 u2": u1 + u2.scale(4)}[line]
+        assert got["representative"] == want.text()
+
+
+def test_covering_whole_plane_kernel():
+    """Images that vanish under a line L_2 put every line of L_1 in the
+    kernel; the first in the walk is u_2.  expand_loop cannot build this
+    block, since it spans L_2 by the images."""
+    cfg, records = block_records(*f5_block(0, 0, 0, 0))
+    line = block_records(*f5_block(1, 0, 0, 0))[1][1]
+    records[1] = line
+    got = check_covering(cfg, 1, records)
+    assert got == covering_by_lines(cfg, 1, records)
+    assert got["representative"] == records[0].vectors[1].text()
+
+
+@settings(max_examples=150, deadline=None)
+@given(covering_blocks())
+@example(NAMED_BLOCKS[4][0])
+@example(NAMED_BLOCKS[5][0])
+def test_covering_matches_line_oracle_random_blocks(block):
+    cfg, records = block_records(*block)
     assert check_covering(cfg, 1, records) == covering_by_lines(cfg, 1, records)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([F3, F5, F27]).flatmap(
-    lambda f: st.tuples(field_elements(f), field_elements(f), field_elements(f))))
-def test_anisotropy_matches_projective_roots(form):
-    alpha, beta, gamma = form
-    field = alpha.params
-    points = [(field.zero(), field.one())] + [
-        (field.one(), c) for c in field.elements()]
-    no_root = all(
-        not (alpha * a * a + beta * a * b + gamma * b * b).is_zero()
-        for a, b in points)
-    assert binary_form_anisotropic(alpha, beta, gamma) == no_root
+def failing_plane_blocks(field, seed, count):
+    """count seeded 2 -> 2 blocks over field whose covering fails at a
+    line u_1 + c*u_2 (gamma != 0), drawn until found."""
+    rng = random.Random(seed)
+    blocks = []
+    while len(blocks) < count:
+        coeffs = [field.element([rng.randrange(field.p) for _ in range(field.m)])
+                  for _ in range(8)]
+        cfg, records = block_records(field, 2, coeffs)
+        a2, b2 = records[0].images[1]
+        gamma = a2.coeff((1, 0)) * b2.coeff((1, 1)) - a2.coeff((1, 1)) * b2.coeff((1, 0))
+        if (records[1].dim == 2 and not gamma.is_zero()
+                and check_covering(cfg, 1, records) is not None):
+            blocks.append((cfg, records))
+    return blocks
+
+
+def test_covering_matches_line_oracle_f3125_failures():
+    for cfg, records in failing_plane_blocks(F3125, 0, 4):
+        assert check_covering(cfg, 1, records) == covering_by_lines(cfg, 1, records)
+
+
+def test_failing_covering_walks_no_lines(monkeypatch):
+    """A failing check names its line from the closed form: it takes a few
+    items of FieldParams.elements (a nonsquare for the square root), not
+    the q + 1 lines of L_i."""
+    blocks = failing_plane_blocks(F3125, 1, 4)
+    taken, elements = [], FieldParams.elements
+
+    def counted(self):
+        for x in elements(self):
+            taken.append(x)
+            yield x
+    monkeypatch.setattr(FieldParams, "elements", counted)
+    for cfg, records in blocks:
+        taken.clear()
+        assert check_covering(cfg, 1, records) is not None
+        assert len(taken) <= 5
 
 
 def test_classification_frozen():
@@ -252,7 +352,8 @@ def test_classification_frozen():
 
 
 def test_fake_diamonds_frozen():
-    rep = run_analysis(GH, PRIME_BASIS, PRIME_X, PRIME_Y, cfg=PRIME_CFG)
+    rep = run_analysis(GH, PRIME_BASIS, PRIME_X, PRIME_Y, echo(GH, PRIME, PRIME_CFG),
+                       cfg=PRIME_CFG)
     assert rep.passed
     kinds = {d.degree: (d.kind, d.dtype) for d in rep.diamonds}
     assert kinds[3] == ("genuine", F3.element(2))
@@ -284,7 +385,7 @@ def test_full_battery_passes():
 
 
 def test_corrupted_generator_is_caught():
-    rep = run_analysis(AZ, BIG_BASIS, BIG_X, BIG_X + BIG_Y, cfg=BIG_CFG)
+    rep = run_analysis(AZ, BIG_BASIS, BIG_X, BIG_X + BIG_Y, BIG_ECHO, cfg=BIG_CFG)
     assert not rep.passed
     failing = {name for name, c in rep.checks.items() if not c.passed}
     assert failing == {
@@ -328,7 +429,7 @@ def test_normalization_reuses_the_slot_brackets(monkeypatch):
             inside[0] = False
     monkeypatch.setattr(AlgebraDescriptor, "bracket", counted)
     monkeypatch.setattr(loopalg, "normalization_check", normalization)
-    rep = run_analysis(AZ, BIG_BASIS, BIG_X, BIG_Y, cfg=BIG_CFG)
+    rep = big_report()
     assert rep.checks["normalization"].passed
     assert brackets == []
 
@@ -349,7 +450,7 @@ def test_periodicity():
 
 def test_run_analysis_degree_floor():
     with pytest.raises(ValueError):
-        run_analysis(AZ, BIG_BASIS, BIG_X, BIG_Y, max_degree=BIG.N, cfg=BIG_CFG)
+        run_analysis(AZ, BIG_BASIS, BIG_X, BIG_Y, BIG_ECHO, max_degree=BIG.N, cfg=BIG_CFG)
 
 
 def test_report_round_trip_and_determinism():

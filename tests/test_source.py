@@ -53,6 +53,18 @@ def test_no_dataclasses():
     assert found == []
 
 
+def test_no_field_walks():
+    """No check enumerates F_q: only ffield calls `.elements()`, where
+    square_root stops at the first nonsquare."""
+    assert SOURCES
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "ffield.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "elements"]
+    assert found == []
+
+
 def test_trace_targets_resolve():
     """Every function the benchmark's tracer wraps still exists under the
     name it looks up, so renaming or deleting one fails here too."""
