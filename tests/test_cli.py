@@ -495,6 +495,52 @@ def test_analyze_json_round_trips(capsys):
     assert rep.to_json() == out
 
 
+# exit code and sha256 of stdout, frozen from the implementation whose
+# callers passed the law verdicts of the table down by hand
+ANALYZE_FROZEN = {
+    # the benchmark's analyze-big3125 at pi = t
+    "big p5 n1 s0 max45 pi t+0": (("--case", "big-field", "--p", "5", "--n", "1", "--s", "0",
+                                   "--max-degree", "45", "--pi", "t+0"), 0,
+                                  "3acf19a0947f5163e2bb69a504afcd4a5812e67b7e683eac13b7796a6fc6ace4",
+                                  "809e6918fe5e18f4235cd1f658116cad38cb925c5ce1c7cc25d150ad750d3026"),
+    # the acceptance reproductions of the paper's two cases
+    "big p3 n2 s1 max216": (("--case", "big-field", "--p", "3", "--n", "2", "--s", "1",
+                             "--max-degree", "216"), 0,
+                            "8490bbb79b1d46ba68f00b64f42111a5a8667c4926ae8422101ed00d9841659c",
+                            "2a3988ef8361ba36b805c05e652ce7bae671a75896b7632df8f28893dad3264c"),
+    "prime p5 n1 s1 pi2 max300": (("--case", "prime-field", "--p", "5", "--n", "1", "--s", "1",
+                                   "--pi", "2", "--max-degree", "300"), 0,
+                                  "9b5f4075734400afc2c409341fcfe4519f46ac99575363e43c34b650143f8e2b",
+                                  "17d573c9bcc036ca72d4a5626706985f1d66ee9b8457ad1289a847cdaff0991c"),
+    "preswitch az p3 n2 s1": (("--case", "preswitch", "--family", "albert-zassenhaus",
+                               "--p", "3", "--n", "2", "--s", "1"), 0,
+                              "c36f79491bed279e516978db0f1a95c2f85f244401689486641d01a171ac68ec",
+                              "8a033465a82f0374df46fa986915272d2f9bff6c1dcb9e60317f3f616e62928a"),
+    # failing runs, whose JSON carries the counterexamples
+    "prime p5 n1 s1 pi0": (("--case", "prime-field", "--p", "5", "--n", "1", "--s", "1",
+                            "--pi", "0", "--allow-negative-control"), 1,
+                           "f98d3b3ac34a243f4a7514de14ba02bfdbcef719b3bde3d0114e0a2b662a3142",
+                           "01a4599c210098a190bdb2bf6771b79501bb1e2fc8871c5674c6c9dde96b6b6d"),
+    "prime p5 n1 s0 pi0 F3125": (("--case", "prime-field", "--p", "5", "--n", "1", "--s", "0",
+                                  "--pi", "0", "--allow-negative-control",
+                                  "--field", "5^5:4,4,0,0,0,1"), 1,
+                                 "2115d74c8e11ce711058f8518b4b2a98e34d10bd0207f4fc0d17525d4ae6fa87",
+                                 "6b7c42176456e33b510d82ea142d0c86a11a8455252258f870808f36725fb818"),
+    "preswitch gh p3 n1": (("--case", "preswitch", "--family", "graded-hamiltonian",
+                            "--p", "3", "--n", "1"), 1,
+                           "88789a72b8285bd63b89b258ac3e44cf18aad3c48a553c596810d87f25d5e2eb",
+                           "7730592edf95949661419fc2830ca1b634ba3db6228f7f624a5384a7ade0f61c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_FROZEN))
+def test_analyze_stdout_frozen(capsys, name):
+    args, code, text_sha, json_sha = ANALYZE_FROZEN[name]
+    for fmt, digest in (("text", text_sha), ("json", json_sha)):
+        got, out, err = run(capsys, "analyze", *args, "--format", fmt)
+        assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, ""), fmt
+
+
 def test_analyze_builds_one_descriptor(capsys, monkeypatch):
     """analyze builds the algebra descriptor once, switched or not."""
     calls, init = [], AlgebraDescriptor.__init__
