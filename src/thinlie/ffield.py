@@ -38,7 +38,7 @@ def lucas_binomial(n: int, k: int, p: int) -> int:
     product over base-p digits is taken.  Not memoised: the structure-constant
     and product-rule tables read their binomials from per-axis tables, so a
     command asks for a few thousand (1 616 in `verify` at dimension 243,
-    3 840 at 961, 3 236 in `switch` at 243).
+    3 840 at 961, 1 940 in `switch` at 243).
     """
     if k < 0:
         return 0

@@ -21,9 +21,8 @@ from typing import NamedTuple
 from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate, fold
 from .dpalgebra import generalized_power, parse_element
 from .ffield import FieldElement, FieldParams, falling_factorial, lucas_binomial
-from .liealg import (AlgebraDescriptor, Derivation, ads_are_derivations,
-                     anticommutativity_violations, jacobi_certificate, table_generators,
-                     table_power)
+from .liealg import (AlgebraDescriptor, Derivation, ads_are_derivations, jacobi_certificate,
+                     table_generators, table_power)
 
 
 class GradingCase(enum.Enum):
@@ -477,8 +476,7 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
 
 
 def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
-                 cfg: SwitchConfig | None = None,
-                 anticommutativity: list | None = None) -> tuple[list, list]:
+                 cfg: SwitchConfig | None = None) -> tuple[list, list]:
     """Grading and product-table violations of the brackets of active labels.
 
     Grading: a nonzero bracket is reduced against the echelon of the degree
@@ -493,15 +491,13 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
     decides whether every pair obeys its rule with L of the degree sum, and
     then both lists are empty.  Only when it fails, or without cfg, does
     `_pair_sweep` bracket every unordered pair to list the violations.  Both
-    read the one rule table.  `anticommutativity` is the list
-    `anticommutativity_violations` returns, computed here when not given.
+    read the one rule table.
     """
-    if anticommutativity is None:
-        anticommutativity = anticommutativity_violations(descriptor)
     table = _product_rule(basis, cfg) if cfg is not None else None
-    if table is not None and not anticommutativity and _rules_certified(descriptor, basis, table):
+    if (table is not None and not descriptor.anticommutativity
+            and _rules_certified(descriptor, basis, table)):
         return [], []
-    return _pair_sweep(descriptor, basis, table, anticommutativity)
+    return _pair_sweep(descriptor, basis, table)
 
 
 class RuleTable(NamedTuple):
@@ -601,15 +597,15 @@ def _predictions(vectors: list, field: FieldParams):
     return predicted
 
 
-def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, table: RuleTable | None,
-                anticommutativity: list) -> tuple[list, list]:
+def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis,
+                table: RuleTable | None) -> tuple[list, list]:
     """The violations of `check_graded`, listed by bracketing each unordered
     pair of active labels once and checking each of its two orders on its
     own; table is the `_product_rule` table of cfg, or None without
     product tables.  It runs only when the certificate fails or cannot
     apply, so its job is to name the violations.
 
-    When `anticommutativity` is empty the table constants, which lie in
+    When the table is anticommutative its constants, which lie in
     F_p with p odd, give [v_b, v_a] = -[v_a, v_b] for all vectors, so the
     reversed order is checked on -[v_a, v_b]; otherwise on the bracket
     [v_b, v_a].  A bracket equal to its prediction with L of the degree sum
@@ -635,7 +631,8 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis, table: RuleTa
             target = (da + degrees[ib]) % N
             orders = [(ia, ib, w)]
             if ia != ib:
-                orders.append((ib, ia, descriptor.bracket(vb, va) if anticommutativity else -w))
+                orders.append((ib, ia, descriptor.bracket(vb, va)
+                               if descriptor.anticommutativity else -w))
             for i, j, wij in orders:
                 if table is not None:
                     c, t = table.rule(i, j)
@@ -775,17 +772,15 @@ def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,
     the raw one, s != 0.  `SparseEchelon.insert` scales rows to a unit lead
     and `reduce` commutes with scalars, so the raw echelons hold the same
     rows and each raw stray is the closed one over s_a s_b, in the same
-    order.  Otherwise the raw basis is swept on its own.  Anticommutativity
-    of the table is computed once, here, for every check.
+    order.  Otherwise the raw basis is swept on its own.
     """
     link = [lab for lab in closed.labels
             if closed.vectors[lab] != raw.vectors[lab].scale(closed.scalars[lab])]
-    anticommutativity = anticommutativity_violations(descriptor)
-    strays, misses = check_graded(descriptor, closed, cfg, anticommutativity)
+    strays, misses = check_graded(descriptor, closed, cfg)
     if not link and (raw.spec, raw.labels, raw.degrees, raw.active_labels) == (
             closed.spec, closed.labels, closed.degrees, closed.active_labels):
         s = closed.scalars
         raw_strays = [(la, lb, w.scale((s[la] * s[lb]).inverse())) for la, lb, w in strays]
     else:
-        raw_strays = check_graded(descriptor, raw, anticommutativity=anticommutativity)[0]
+        raw_strays = check_graded(descriptor, raw)[0]
     return raw_strays, strays, link, misses

@@ -76,7 +76,8 @@ def _axis_factors(bound: int, p: int) -> list[list[tuple[int, int, int, int]]]:
 
 
 class AlgebraDescriptor:
-    """One algebra: family, coefficient field and exponent heights."""
+    """One algebra: family, coefficient field and exponent heights.  Its
+    table and the law verdicts on it are computed on first read and kept."""
 
     def __init__(self, family: Family, field: FieldParams, heights: Heights):
         if field.p != heights.p:
@@ -159,6 +160,18 @@ class AlgebraDescriptor:
                     row[kb + l] = entry[c][t]
             rows.append(row)
         return rows
+
+    @functools.cached_property
+    def anticommutativity(self) -> list:
+        return anticommutativity_violations(self)
+
+    @functools.cached_property
+    def generators(self) -> list[int] | None:
+        return monomial_generators(self)
+
+    @functools.cached_property
+    def jacobi(self) -> list:
+        return jacobi_violations(self)
 
     def bracket_mono(self, a: Monomial, b: Monomial):
         """Bracket of two basis monomials: (int coefficient, Monomial) or None."""
@@ -281,6 +294,7 @@ class Derivation:
     or, in AlbertZassenhaus, wraps a to p - 1 with coefficient -j (a = 0;
     zero in GradedHamiltonian).  Otherwise it is s successive p-th powers of
     the row of y, the realization the closed form is checked against.
+    Its Leibniz verdict is kept like the descriptor's.
     """
 
     def __init__(self, descriptor: AlgebraDescriptor, s: int):
@@ -295,6 +309,10 @@ class Derivation:
         """Image of each basis vector by basis index, built on first use."""
         build = _closed_form_table if self.has_closed_form else iterated_table
         return build(self.descriptor, self.s)
+
+    @functools.cached_property
+    def leibniz(self) -> list:
+        return leibniz_violations(self)
 
     def apply(self, v: AlgebraElement) -> AlgebraElement:
         """D v: each coordinate of v times the integer table row of its monomial."""
@@ -383,8 +401,7 @@ def anticommutativity_violations(desc: AlgebraDescriptor) -> list:
     return [(a, a) for a in diag] + [(basis[i], basis[j]) for i, j in bad]
 
 
-def jacobi_violations(desc: AlgebraDescriptor, anticommutativity: list | None = None,
-                      gens: list | None = None) -> list:
+def jacobi_violations(desc: AlgebraDescriptor) -> list:
     """Jacobi identity over all strictly sorted basis monomial triples.
 
     Together with bilinearity and the anticommutativity check this covers
@@ -397,23 +414,17 @@ def jacobi_violations(desc: AlgebraDescriptor, anticommutativity: list | None = 
     ad_a is one (Jacobson, Lie Algebras).  So when the table is
     anticommutative and `jacobi_certificate` holds, no triple fails and the
     list is empty.  Otherwise `_jacobi_sweep` lists the failing triples.
-    `anticommutativity` is the list `anticommutativity_violations` returns,
-    computed here when not given; `gens` goes to the certificate.
     """
-    if anticommutativity is None:
-        anticommutativity = anticommutativity_violations(desc)
-    if not anticommutativity and jacobi_certificate(desc, gens):
+    if not desc.anticommutativity and jacobi_certificate(desc):
         return []
     return _jacobi_sweep(desc)
 
 
-def jacobi_certificate(desc: AlgebraDescriptor, gens: list | None = None) -> bool:
+def jacobi_certificate(desc: AlgebraDescriptor) -> bool:
     """`monomial_generators` finds generators and each of them passes
     `ads_are_derivations`.  On an anticommutative table this proves the
-    Jacobi identity; its failure proves nothing.  `gens` is the list
-    `monomial_generators` returns, computed here when None."""
-    if gens is None:
-        gens = monomial_generators(desc)
+    Jacobi identity; its failure proves nothing."""
+    gens = desc.generators
     return gens is not None and ads_are_derivations([desc.table], gens, desc.field)
 
 
@@ -603,8 +614,7 @@ def closure_violations(desc: AlgebraDescriptor) -> list:
     return [(basis[i], basis[j]) for i, j in sorted(bad)]
 
 
-def leibniz_violations(deriv: Derivation, anticommutativity: list | None = None,
-                       jacobi: list | None = None, gens: list | None = None) -> list:
+def leibniz_violations(deriv: Derivation) -> list:
     """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs.
 
     The defect of the derivation table, summed row by row by
@@ -616,24 +626,15 @@ def leibniz_violations(deriv: Derivation, anticommutativity: list | None = None,
     pairs.  On an anticommutative table the defect D[a,b] - [Da,b] - [a,Db]
     of any D is antisymmetric in (a, b) and zero on the diagonal, so there
     only the pairs b > a are summed and each failing pair is listed with
-    its mirror.  `anticommutativity` and `jacobi` are the lists
-    `anticommutativity_violations` and `jacobi_violations` return, and
-    `gens` the one `monomial_generators` returns, each computed here when
-    needed and not given.
+    its mirror.
     """
     desc = deriv.descriptor
     rows, images = [desc.table], [deriv.table]
-    if anticommutativity is None:
-        anticommutativity = anticommutativity_violations(desc)
-    half = not anticommutativity
-    if half:
-        if gens is None:
-            gens = monomial_generators(desc)
-        if jacobi is None:
-            jacobi = jacobi_violations(desc, anticommutativity, gens)
-        if (not jacobi and gens is not None
-                and next(derivation_defects(rows, images, desc.field, visit=gens), None) is None):
-            return []
+    half = not desc.anticommutativity
+    gens = desc.generators if half and not desc.jacobi else None
+    if gens is not None and next(derivation_defects(rows, images, desc.field, visit=gens),
+                                 None) is None:
+        return []
     bad = [(a, b) for a, bs in derivation_defects(rows, images, desc.field, half=half)
            for b in bs]
     if half:
@@ -641,7 +642,7 @@ def leibniz_violations(deriv: Derivation, anticommutativity: list | None = None,
     return [(desc.basis[a], desc.basis[b]) for a, b in bad]
 
 
-def derivation_power_violations(deriv: Derivation, gens: list | None = None) -> list:
+def derivation_power_violations(deriv: Derivation) -> list:
     """Family-specific power laws of D on every basis monomial.
 
     GradedHamiltonian with n1 = s+1: D^p = 0.  AlbertZassenhaus with
@@ -651,17 +652,17 @@ def derivation_power_violations(deriv: Derivation, gens: list | None = None) -> 
     tables: D^p follows the derivation table p times, D^(p^2) follows D^p
     p times.
 
-    Pass `gens`, generators of the algebra, only when the table is a Lie
-    algebra and D a derivation of it (as for `realization_violations`).
-    D^p is then a derivation too, by Leibniz's rule in characteristic p,
-    and a derivation that vanishes on generators is zero, as its kernel is
-    a subalgebra (Jacobson, Lie Algebras).  So D^p = 0 is decided on the
-    generator rows.  For AlbertZassenhaus one pass over the table entries
-    first checks that E is a derivation, that is, that its eigenvalues
-    add along every entry.  Then D^p - E is a derivation, and it vanishes when D^p = E
-    on the generators; D^(p^2) = E^p = E = D^p follows, as E's entries lie
-    in F_p.  Only a failure there follows every row, to list the failing
-    monomials.
+    When the table is a Lie algebra and D a derivation of it (see
+    `_lie_generators`), D^p is a derivation too, by Leibniz's rule in
+    characteristic p, and a derivation that vanishes on generators is
+    zero, as its kernel is a subalgebra (Jacobson, Lie Algebras).  So
+    D^p = 0 is decided on the generator rows.  For AlbertZassenhaus one
+    pass over the table entries first checks that E is a derivation, that
+    is, that its eigenvalues add along every entry.  Then D^p - E is a
+    derivation, and it vanishes when D^p = E on the generators;
+    D^(p^2) = E^p = E = D^p follows, as E's entries lie in F_p.  Only a
+    failure there, or no such generators, follows every row, to list the
+    failing monomials.
     """
     desc = deriv.descriptor
     if not deriv.has_closed_form:
@@ -670,6 +671,7 @@ def derivation_power_violations(deriv: Derivation, gens: list | None = None) -> 
     gh = desc.family is Family.GRADED_HAMILTONIAN
     diagonal = [0 if gh else -(m.j - 1) % p for m in desc.basis]  # D^p: 0 or E
     expected = [{i: c} if c else {} for i, c in enumerate(diagonal)]
+    gens = _lie_generators(deriv)
     if gens is not None and (gh or _is_derivation_diagonal(desc.table, diagonal, p)):
         power = table_power(deriv.table, p, p, visit=gens)
         if all(row == expected[g] for g, row in zip(gens, power)):
@@ -687,6 +689,16 @@ def derivation_power_violations(deriv: Derivation, gens: list | None = None) -> 
     return bad
 
 
+def _lie_generators(deriv: Derivation) -> list[int] | None:
+    """The generators of the algebra when its table is a Lie algebra and D
+    a derivation of it (anticommutativity, Jacobi and Leibniz all hold),
+    else None: then they decide the laws of D."""
+    desc = deriv.descriptor
+    if desc.anticommutativity or desc.jacobi or deriv.leibniz:
+        return None
+    return desc.generators
+
+
 def _is_derivation_diagonal(table: list, diagonal: list, p: int) -> bool:
     """Whether e_i -> diagonal[i] e_i is a derivation of the integer table:
     diagonal[t] = diagonal[a] + diagonal[b] mod p on every entry
@@ -695,21 +707,21 @@ def _is_derivation_diagonal(table: list, diagonal: list, p: int) -> bool:
                for a, row in enumerate(table) for b, (_c, t) in row.items())
 
 
-def realization_violations(deriv: Derivation, gens: list | None = None) -> list:
+def realization_violations(deriv: Derivation) -> list:
     """Closed-form vs iterated-ad derivation table on every basis monomial.
 
-    Pass `gens`, generators of the algebra, only when the table is a Lie
-    algebra and D a derivation of it (anticommutativity, Jacobi and Leibniz
-    all hold).  (ad y)^(p^s) is then a derivation too, a p^s-th power of
-    one in characteristic p, and two derivations that agree on generators
-    are equal, as the a on which they agree form a subalgebra.  So D is
-    first compared with ad y applied p^s times to each generator; only a
-    difference there, or no `gens`, builds the iterated table to list
-    every failing monomial.
+    When the table is a Lie algebra and D a derivation of it (see
+    `_lie_generators`), (ad y)^(p^s) is a derivation too, a p^s-th power
+    of one in characteristic p, and two derivations that agree on
+    generators are equal, as the a on which they agree form a subalgebra.
+    So D is first compared with ad y applied p^s times to each generator;
+    only a difference there, or no such generators, builds the iterated
+    table to list every failing monomial.
     """
     if not deriv.has_closed_form:
         return []
     desc = deriv.descriptor
+    gens = _lie_generators(deriv)
     if gens is not None:
         p, y = desc.heights.p, desc._index[Monomial(0, 1)]
         power = table_power(ad_table(desc.table, y), p ** deriv.s, p, visit=gens)

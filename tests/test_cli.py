@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -247,7 +248,7 @@ def test_verify_stdout_frozen(capsys, name):
 def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatch):
     """The chained-triple sweep runs zero times on a true algebra, once on a
     planted anticommutative Jacobi failure, and straight away, without the
-    certificate, when the anticommutativity list passed in is not empty."""
+    certificate, on a table planted off anticommutativity."""
     calls, sweep = [], liealg._jacobi_sweep
 
     def counted(desc):
@@ -260,13 +261,15 @@ def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatc
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, FieldParams.prime(3), Heights(3, 2, 1))
     a, b = desc._index[Monomial(1, 1)], desc._index[Monomial(2, 1)]
     desc.table[a][b], desc.table[b][a] = (1, a), (2, a)  # [xy, x^(2)y] = xy
-    anticommutativity = liealg.anticommutativity_violations(desc)
-    assert anticommutativity == []
-    assert len(liealg.jacobi_violations(desc, anticommutativity)) == 25
+    assert desc.anticommutativity == []
+    assert len(desc.jacobi) == 25
     assert len(calls) == 1
     monkeypatch.setattr(liealg, "monomial_generators", None)  # the certificate would call it
     desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, FieldParams.prime(3), Heights(3, 1, 1))
-    assert liealg.jacobi_violations(desc, [(desc.basis[0], desc.basis[0])]) == []
+    a, b = desc._index[Monomial(1, 0)], desc._index[Monomial(0, 1)]
+    desc.table[a][b] = (1, desc._index[Monomial(1, 1)])  # [x, y] = xy, [y, x] = 0
+    assert desc.anticommutativity != []
+    assert desc.jacobi == oracles.dense_jacobi_violations(desc)
     assert len(calls) == 2
 
 
@@ -295,9 +298,8 @@ def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
             return leibniz(*args)
         finally:
             inside.pop()
-    for module in (cli, liealg):
-        monkeypatch.setattr(module, "monomial_generators", counted_walk)
-        monkeypatch.setattr(module, "leibniz_violations", counted_leibniz)
+    monkeypatch.setattr(liealg, "monomial_generators", counted_walk)
+    monkeypatch.setattr(liealg, "leibniz_violations", counted_leibniz)
     monkeypatch.setattr(liealg, "derivation_defects", counted_kernel)
     with monkeypatch.context() as m:
         m.setattr(liealg, "iterated_table", None)  # only the full realization comparison reads it
@@ -308,10 +310,9 @@ def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, FieldParams.prime(3), Heights(3, 2, 1))
     a, b = desc._index[Monomial(1, 1)], desc._index[Monomial(2, 1)]
     desc.table[a][b], desc.table[b][a] = (1, a), (2, a)  # [xy, x^(2)y] = xy
-    jacobi = liealg.jacobi_violations(desc, [])
-    assert len(jacobi) == 25
+    assert len(desc.jacobi) == 25
     deriv, visited[:] = liealg.Derivation(desc, 1), []
-    assert liealg.leibniz_violations(deriv, [], jacobi) == oracles.element_leibniz_violations(deriv)
+    assert deriv.leibniz == oracles.element_leibniz_violations(deriv)
     assert visited == [(desc.dim, True)]
 
 
@@ -330,7 +331,7 @@ def test_verify_decides_power_laws_on_generator_rows(capsys, monkeypatch):
         walks.append(walk(desc))
         return walks[-1]
     monkeypatch.setattr(liealg, "table_power", counted_power)
-    monkeypatch.setattr(cli, "monomial_generators", counted_walk)
+    monkeypatch.setattr(liealg, "monomial_generators", counted_walk)
     for name in ("az p3 n2 n1 3", "gh p3 n2"):
         powered[:], walks[:] = [], []
         code, out, _ = run(capsys, "verify", *VERIFY_FROZEN[name][0])
@@ -339,19 +340,56 @@ def test_verify_decides_power_laws_on_generator_rows(capsys, monkeypatch):
 
 
 def test_verify_checks_anticommutativity_once(capsys, monkeypatch):
-    """cmd_verify passes its anticommutativity list to jacobi_violations
-    instead of computing it a second time there."""
+    """The descriptor keeps its anticommutativity verdict, so Jacobi,
+    Leibniz and the laws of D read it without computing it again."""
     calls, check = [], liealg.anticommutativity_violations
 
     def counted(desc):
         calls.append(1)
         return check(desc)
     monkeypatch.setattr(liealg, "anticommutativity_violations", counted)
-    monkeypatch.setattr(cli, "anticommutativity_violations", counted)
     code, out, _ = run(capsys, "verify", "--family", "albert-zassenhaus",
                        "--p", "3", "--n", "2", "--n1", "3")
     assert (code, len(calls)) == (0, 1)
     assert "check jacobi: pass" in out.splitlines()
+
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark's own files, loaded from its path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_jobs_span_each_law_once(tmp_path):
+    """The benchmark's traced child runs verify-az243 (both variants) and
+    switch-big243 at pi = t with every trace target resolved, and sees
+    each law once: a law moved out of the tracer's reach would leave its
+    per-layer metrics at zero."""
+    tracing, workloads = perfbench_module("tracing"), perfbench_module("workloads")
+    verify = workloads.WORKLOADS["verify-az243"].all_argvs()
+    switch = [workloads.WORKLOADS["switch-big243"].argv_of(0)]
+    assert switch[0][-2:] == ["--pi", "t+0"]
+    laws = ["liealg." + name for name in ("anticommutativity", "jacobi", "closure", "leibniz",
+                                          "derivation_power", "realization")]
+    src = os.path.dirname(os.path.dirname(thinlie.__file__))
+    for argvs, names in ((verify, laws), (switch, ["liealg.anticommutativity",
+                                                   "grading.check_graded"])):
+        for argv in argvs:
+            dump = tmp_path / "trace.bin"
+            out = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "traced",
+                                  str(dump), *argv],
+                                 env={**os.environ, "PYTHONPATH": src},
+                                 capture_output=True, text=True, timeout=120)
+            assert (out.returncode, out.stderr) == (0, ""), argv
+            trace = tracing.load(dump)
+            assert trace.header["missing"] == [], argv
+            assert {name: trace.span_counts.get(name, 0) for name in names} == dict.fromkeys(
+                names, 1), argv
 
 
 def test_verify_large_s_finishes(capsys):
@@ -402,8 +440,7 @@ def test_switch_checks_anticommutativity_once(capsys, monkeypatch):
             lab = Label(0, 0, 1)
             closed.scalars[lab] = closed.scalars[lab] * 2
         return closed
-    for module in (liealg, grading, cli):
-        monkeypatch.setattr(module, "anticommutativity_violations", counted)
+    monkeypatch.setattr(liealg, "anticommutativity_violations", counted)
     monkeypatch.setattr(cli, "build_closed_basis", closed_basis)
     for broken[0], code in ((False, 0), (True, 1)):
         calls.clear()
@@ -600,6 +637,9 @@ def test_usage_errors(capsys):
         # below 2N + q = 39
         ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
          "--max-degree", "38"),
+        # above 3 * MAX_MONOMIALS = 3000, refused before any expansion
+        ("analyze", "--case", "big-field", "--p", "5", "--n", "1", "--s", "0",
+         "--max-degree", "3001"),
         # 101^6 monomials, over the MAX_MONOMIALS budget
         ("verify", "--p", "101", "--n", "3", "--family", "albert-zassenhaus"),
         # refused on the exponent, without computing 3^(2 * 10^9)

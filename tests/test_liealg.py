@@ -275,15 +275,16 @@ def test_generator_rows_decide_leibniz_and_realization(data):
     not (ad y)^(p^s) when ad_z != 0, or with one entry changed on a row off
     the generators: Leibniz, decided on the generator rows with the full
     kernel as fallback, lists the pairs the element sweep finds, and the
-    realization check, handed the generators once Leibniz passes, lists the
-    rows that differ from `iterated_table`."""
+    realization check, which takes the generator rows once Leibniz passes,
+    lists the rows that differ from `iterated_table`, as the element sweep
+    does."""
     p = data.draw(st.sampled_from([3, 5]))
     n1, n2 = data.draw(st.sampled_from(
         [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1)]))
     desc = AlgebraDescriptor(data.draw(st.sampled_from(list(Family))),
                              FieldParams.prime(p), Heights(p, n1, n2))
     deriv = Derivation(desc, data.draw(st.integers(0, n1)))
-    n, gens = desc.dim, monomial_generators(desc)
+    n, gens = desc.dim, desc.generators
     plant_ad = data.draw(st.booleans())
     if plant_ad:
         z, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, p - 1))
@@ -296,13 +297,13 @@ def test_generator_rows_decide_leibniz_and_realization(data):
             del row[k]
         else:
             row[k] = data.draw(st.sampled_from([c for c in range(1, p) if c != row.get(k)]))
-    leibniz = leibniz_violations(deriv)
+    leibniz = deriv.leibniz
     assert leibniz == element_leibniz_violations(deriv)
     assert not (plant_ad and leibniz)
     differ = [m for m, d, it in zip(desc.basis, deriv.table, iterated_table(desc, deriv.s))
               if d != it]
-    assert (realization_violations(deriv, None if leibniz else gens)
-            == (differ if deriv.has_closed_form else []))
+    assert (realization_violations(deriv) == (differ if deriv.has_closed_form else [])
+            == element_realization_violations(deriv))
 
 
 def powering_rows(record: list, power=liealg.table_power):
@@ -319,16 +320,16 @@ def test_generator_rows_decide_power_laws(data):
     """On closed-form shapes with at most 81 monomials, D kept, planted as
     D + c ad_z (a derivation whose p-th power is neither 0 nor E once
     ad_z != 0, in most draws), or with one entry changed on a row off the
-    generators: the power laws, handed the generators once Leibniz passes,
-    list the monomials the element sweep finds, and an empty list powers
-    the generator rows only."""
+    generators: the power laws, which take the generator rows once Leibniz
+    passes, list the monomials the element sweep finds, and an empty list
+    powers the generator rows only."""
     p = data.draw(st.sampled_from([3, 5]))
     n1, n2 = data.draw(st.sampled_from(
         [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1)]))
     desc = AlgebraDescriptor(data.draw(st.sampled_from(list(Family))),
                              FieldParams.prime(p), Heights(p, n1, n2))
     deriv = Derivation(desc, n1 - 1)
-    n, gens = desc.dim, monomial_generators(desc)
+    n, gens = desc.dim, desc.generators
     planting = data.draw(st.sampled_from(["none", "ad", "entry"]))
     if planting == "ad":
         z, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, p - 1))
@@ -337,11 +338,11 @@ def test_generator_rows_decide_power_laws(data):
     elif planting == "entry":
         row = deriv.table[data.draw(st.sampled_from(sorted(set(range(n)) - set(gens))))]
         row[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, p - 1))
-    leibniz = leibniz_violations(deriv)
+    leibniz = deriv.leibniz
     powered, power = [], liealg.table_power
     liealg.table_power = powering_rows(powered)
     try:
-        got = derivation_power_violations(deriv, None if leibniz else gens)
+        got = derivation_power_violations(deriv)
     finally:
         liealg.table_power = power
     assert got == element_derivation_power_violations(deriv)
@@ -349,19 +350,66 @@ def test_generator_rows_decide_power_laws(data):
 
 
 def test_power_laws_walk_every_row_when_the_diagonal_is_no_derivation(monkeypatch):
-    """The AlbertZassenhaus law goes to the generators only once E, the
-    diagonal map -(j - 1), is a derivation of the table.  With [x, xy]
-    planted onto y^(2), off the sum of the y-degrees, it is not: every row
-    is powered, and the list is the element sweep's."""
+    """The power laws go to the generators only on a Lie algebra.  With
+    [x, xy] planted onto y^(2), off the sum of the y-degrees, the table is
+    none, and E, the diagonal map -(j - 1), is no derivation of it: every
+    row is powered, and the list is the element sweep's."""
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
-    gens = monomial_generators(desc)
     a, b, k = (desc._index[Monomial(*m)] for m in ((1, 0), (1, 1), (0, 2)))
     desc.table[a][b], desc.table[b][a] = (1, k), (2, k)
     deriv = Derivation(desc, 1)
     powered = []
     monkeypatch.setattr(liealg, "table_power", powering_rows(powered))
-    assert derivation_power_violations(deriv, gens) == element_derivation_power_violations(deriv)
+    assert derivation_power_violations(deriv) == element_derivation_power_violations(deriv)
     assert powered == [desc.dim, desc.dim]
+
+
+def relabelled(rows: list, a: int, b: int, value) -> list:
+    """A table with basis indexes a and b exchanged: in the order of its
+    rows, in the keys of each row and, through value(v, swap), in its
+    values."""
+    swap = {a: b, b: a}
+    return [{swap.get(j, j): value(v, swap) for j, v in rows[swap.get(i, i)].items()}
+            for i in range(len(rows))]
+
+
+def test_power_laws_check_the_diagonal_before_the_generator_rows(monkeypatch):
+    """On a Lie algebra with D a derivation, the AlbertZassenhaus law goes
+    to the generator rows only once E, the diagonal map -(j - 1), is a
+    derivation too.  The table and D relabelled by exchanging x^(2) and
+    x^(2)y^(1), which no candidate generator is and which differ in
+    y-degree, are still a Lie algebra and a derivation, but E is none:
+    every row is powered and the list is the element sweep's.  Without the
+    diagonal check the generator rows would pass the law."""
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
+    deriv = Derivation(desc, 1)
+    a, b = desc._index[Monomial(2, 0)], desc._index[Monomial(2, 1)]
+    desc.table[:] = relabelled(desc.table, a, b, lambda e, swap: (e[0], swap.get(e[1], e[1])))
+    deriv.table[:] = relabelled(deriv.table, a, b, lambda c, swap: c)
+    assert not {a, b} & set(desc.generators)
+    assert desc.anticommutativity == desc.jacobi == deriv.leibniz == []
+    powered = []
+    monkeypatch.setattr(liealg, "table_power", powering_rows(powered))
+    got = derivation_power_violations(deriv)
+    assert got == element_derivation_power_violations(deriv) != []
+    assert powered == [desc.dim, desc.dim]
+    monkeypatch.setattr(liealg, "_is_derivation_diagonal", lambda *args: True)
+    assert derivation_power_violations(deriv) == []
+
+
+def test_laws_of_d_take_no_generator_rows_from_a_failing_derivation():
+    """With D planted on the row of x^(8)y^(1), off the generators, D is no
+    derivation, so realization and the power laws compare every row and
+    name that monomial, as the element sweeps do."""
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
+    deriv = Derivation(desc, 1)
+    m = Monomial(8, 1)
+    assert desc._index[m] not in desc.generators
+    deriv.table[desc._index[m]][desc._index[Monomial(0, 0)]] = 1
+    assert deriv.leibniz != []
+    assert realization_violations(deriv) == [m] == element_realization_violations(deriv)
+    assert (derivation_power_violations(deriv) == [(m, "D^p eigenvalue")]
+            == element_derivation_power_violations(deriv))
 
 
 def drop_brackets_onto(desc, m):
