@@ -144,7 +144,7 @@ def test_criterion_03_derivation_laws():
         desc = descriptor(family, field, h)
         deriv = Derivation(desc, h.n1 - 1)
         assert deriv.has_closed_form
-        assert leibniz_violations(deriv) == []
+        assert deriv.leibniz == []  # kept for the power laws below
         # GH: D^p = 0; AZ: D^p diagonal with eigenvalue -j and D^(p^2) = D^p
         assert derivation_power_violations(deriv) == []
         p = field.p
