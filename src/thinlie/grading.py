@@ -21,8 +21,8 @@ from typing import NamedTuple
 from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate, fold
 from .dpalgebra import generalized_power, parse_element
 from .ffield import FieldElement, FieldParams, falling_factorial, lucas_binomial
-from .liealg import (AlgebraDescriptor, Derivation, ads_are_derivations, jacobi_certificate,
-                     table_generators, table_power)
+from .liealg import (AlgebraDescriptor, Derivation, additive_violations, ads_are_derivations,
+                     antisymmetry_violations, table_generators, table_power)
 
 
 class GradingCase(enum.Enum):
@@ -105,21 +105,15 @@ class GradingSpec(NamedTuple("GradingSpec", [("case", GradingCase), ("heights", 
 
 
 def monomial_grading_violations(descriptor: AlgebraDescriptor, spec: GradingSpec) -> list:
-    """Monomial pairs whose bracket leaves the degree class of the degree sum.
-
-    Works on the integer structure-constant table, so it covers any heights,
-    including configurations without a label chart.  Empty list means the
-    monomial basis realizes the grading.
+    """Monomial pairs whose bracket leaves the degree class of the degree sum:
+    `additive_violations` of the degrees mod N on the integer structure
+    constants, so it covers any heights, including configurations without a
+    label chart.  Empty list means the monomial basis realizes the grading.
     """
-    basis, n = descriptor.basis, spec.N
+    basis = descriptor.basis
     deg = [spec.degree_of_monomial(m) for m in basis]
-    violations = []
-    for ia, row in enumerate(descriptor.table):
-        for ib, (_c, k) in row.items():
-            if deg[k] != (deg[ia] + deg[ib]) % n:
-                violations.append((ia, ib))
-    violations.sort()
-    return [(basis[ia], basis[ib]) for ia, ib in violations]
+    return [(basis[a], basis[b])
+            for a, b in additive_violations([descriptor.table], deg, spec.N)]
 
 
 class SwitchConfig:
@@ -539,43 +533,32 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
     ad_a, apply phi through a and b, and recombine by Jacobi in T (the
     argument of `liealg.jacobi_violations`, Jacobson, Lie Algebras).  So
     the rules hold on every pair once they hold on any generating set of
-    T'.  Seven exact steps, in order, any failure returning False:
+    T'.  Four exact steps, in order, any failure returning False:
 
-    1. T' has no unlabelled pair (a nonzero c without a target label);
-       `_product_rule` builds it in the coordinate layers
-       `derivation_defects` takes, entries onto placeholders dropped;
-    2. T' is anticommutative;
-    3. deg L is the degree sum (mod N) on every entry;
-    4. `jacobi_certificate` holds on T (anticommutative, as checked by
-       the caller);
-    5. generators of T' by `table_generators`, from the degree-1 labels
+    1. one test of the table laws: T' has no unlabelled pair (a nonzero c
+       without a target label), no `antisymmetry_violations` and no
+       `additive_violations` of the degrees mod N on the layers that
+       `_product_rule` builds (entries onto placeholders dropped), and T,
+       anticommutative by the caller, keeps an empty Jacobi verdict;
+    2. generators of T' by `table_generators`, from the degree-1 labels
        first and then every active label in index order, so this step
        cannot fail: X and Y alone where they generate T', as they do on
        every admissible switch with both of them active, and otherwise
        each label they do not reach, in order, as one more generator;
-    6. ad_g is a derivation of T' for each generator g
+    3. ad_g is a derivation of T' for each generator g
        (`ads_are_derivations`);
-    7. [v_g, v_x] = c v_L for each generator g and active x: 2 x dim
+    4. [v_g, v_x] = c v_L for each generator g and active x: 2 x dim
        brackets when X and Y generate.
 
     No echelon is built: a bracket c v_L with L of the degree sum lies in
     the span of that degree's vectors, so it has no stray.
     """
     field, N = basis.field, basis.spec.N
-    p = field.p
     layers = table.layers
     vectors = [basis.vectors[lab] for lab in table.active]
     deg = [basis.degrees[lab] for lab in table.active]
-    if table.unlabelled:
-        return False
-    for layer in layers:
-        for a, row in enumerate(layer):
-            for b, (x, t) in row.items():
-                back = layer[b].get(a)
-                if (back is None or back[1] != t or (x + back[0]) % p
-                        or deg[t] != (deg[a] + deg[b]) % N):
-                    return False
-    if not jacobi_certificate(descriptor):
+    if (table.unlabelled or antisymmetry_violations(layers, field.p)
+            or additive_violations(layers, deg, N) or descriptor.jacobi):
         return False
     gens = table_generators(layers, sorted(range(len(deg)), key=lambda a: deg[a] != 1))
     if not ads_are_derivations(layers, gens, field):

@@ -25,8 +25,10 @@ holds iff it holds on the generator rows, a derivation D equals
 (ad y)^(p^s) iff the two agree on the generators, and so does D^p, a
 derivation in characteristic p, with 0 or the diagonal map of its law.
 Only a failure there sums every row, powers every row or builds the
-iterated table, to list the failing monomials.  The kernel and the
-generator walk take a table over F_{p^m} as m integer layers, one per
+iterated table, to list the failing monomials.  Each entry-wise law is one
+kernel too: `antisymmetry_violations`, and `additive_violations` (weights
+add along entries: a grading, or a diagonal derivation).  The kernels and
+the generator walk take a table over F_{p^m} as m integer layers, one per
 power of t, so `grading` runs them on the switched product rules too; an
 integer table is the one-layer case.
 """
@@ -373,32 +375,53 @@ def table_power(table: list, k: int, p: int,
 
 
 # ---------------------------------------------------------------------------
-# exhaustive law checks over the integer structure-constant table
+# exhaustive law checks over structure-constant tables
 #
 # Each sweep visits only the pairs or triples where the table has an entry
 # in some term of the law; every other one has both sides zero.  Violations
 # are listed in basis order, as a dense sweep over all pairs or triples
 # would find them.
 
-def anticommutativity_violations(desc: AlgebraDescriptor) -> list:
-    """[u,v] = -[v,u] and [u,u] = 0 over all basis monomial pairs.
+def antisymmetry_violations(rows: list, p: int) -> list:
+    """Where a table in coordinate layers, as `derivation_defects` takes
+    it, breaks [e_a, e_b] = -[e_b, e_a]: (a, a) for each diagonal entry
+    first, then the sorted pairs a < b with, in some layer, a missing
+    mirror, two targets or coordinates that do not sum to 0 mod p."""
+    diag, bad = set(), []
+    for layer in rows:
+        for i, row in enumerate(layer):
+            for j, ab in row.items():
+                if j > i:
+                    ba = layer[j].get(i)
+                    if ba is None or ab[1] != ba[1] or (ab[0] + ba[0]) % p:
+                        bad.append((i, j))
+                elif j == i:
+                    diag.add(i)
+                elif i not in layer[j]:
+                    bad.append((j, i))
+    return [(a, a) for a in sorted(diag)] + sorted(set(bad))
 
-    Diagonal violations come first, then pairs (a, b) with a before b.
-    """
-    p = desc.heights.p
-    rows, basis = desc.table, desc.basis
-    diag = [basis[i] for i, row in enumerate(rows) if i in row]
+
+def additive_violations(rows: list, weight: list, modulus: int) -> list:
+    """The sorted pairs (a, b) where a table in coordinate layers has an
+    entry [e_a, e_b] = c e_t with weight[t] != weight[a] + weight[b] mod
+    modulus: none for degrees means a grading, none for the eigenvalues
+    of a diagonal map means a derivation."""
     bad = []
-    for i, row in enumerate(rows):
-        for j, ab in row.items():
-            if j > i:
-                ba = rows[j].get(i)
-                if ba is None or ab[1] != ba[1] or (ab[0] + ba[0]) % p:
-                    bad.append((i, j))
-            elif j < i and i not in rows[j]:
-                bad.append((j, i))
-    bad.sort()
-    return [(a, a) for a in diag] + [(basis[i], basis[j]) for i, j in bad]
+    for layer in rows:
+        for a, row in enumerate(layer):
+            wa = weight[a]
+            for b, (_x, t) in row.items():
+                if (weight[t] - wa - weight[b]) % modulus:
+                    bad.append((a, b))
+    return sorted(set(bad))
+
+
+def anticommutativity_violations(desc: AlgebraDescriptor) -> list:
+    """[u,v] = -[v,u] and [u,u] = 0 over all basis monomial pairs, by
+    `antisymmetry_violations`: diagonal ones first, then a before b."""
+    basis = desc.basis
+    return [(basis[a], basis[b]) for a, b in antisymmetry_violations([desc.table], desc.heights.p)]
 
 
 def jacobi_violations(desc: AlgebraDescriptor) -> list:
@@ -412,20 +435,14 @@ def jacobi_violations(desc: AlgebraDescriptor) -> list:
     algebra Jacobi says that every ad_a is a derivation, and the a with
     ad_a a derivation form a subalgebra, as ad_[a,b] = [ad_a, ad_b] once
     ad_a is one (Jacobson, Lie Algebras).  So when the table is
-    anticommutative and `jacobi_certificate` holds, no triple fails and the
-    list is empty.  Otherwise `_jacobi_sweep` lists the failing triples.
+    anticommutative and `ads_are_derivations` holds on the generators
+    `monomial_generators` finds, the list is empty.  Otherwise, as that
+    failure proves nothing, `_jacobi_sweep` lists the failing triples.
     """
-    if not desc.anticommutativity and jacobi_certificate(desc):
+    gens = None if desc.anticommutativity else desc.generators
+    if gens is not None and ads_are_derivations([desc.table], gens, desc.field):
         return []
     return _jacobi_sweep(desc)
-
-
-def jacobi_certificate(desc: AlgebraDescriptor) -> bool:
-    """`monomial_generators` finds generators and each of them passes
-    `ads_are_derivations`.  On an anticommutative table this proves the
-    Jacobi identity; its failure proves nothing."""
-    gens = desc.generators
-    return gens is not None and ads_are_derivations([desc.table], gens, desc.field)
 
 
 def ads_are_derivations(rows: list, gens: list, field: FieldParams) -> bool:
@@ -656,9 +673,9 @@ def derivation_power_violations(deriv: Derivation) -> list:
     `_lie_generators`), D^p is a derivation too, by Leibniz's rule in
     characteristic p, and a derivation that vanishes on generators is
     zero, as its kernel is a subalgebra (Jacobson, Lie Algebras).  So
-    D^p = 0 is decided on the generator rows.  For AlbertZassenhaus one
-    pass over the table entries first checks that E is a derivation, that
-    is, that its eigenvalues add along every entry.  Then D^p - E is a
+    D^p = 0 is decided on the generator rows.  For AlbertZassenhaus
+    `additive_violations` first checks that E is a derivation, that is,
+    that its eigenvalues add mod p along every entry.  Then D^p - E is a
     derivation, and it vanishes when D^p = E on the generators;
     D^(p^2) = E^p = E = D^p follows, as E's entries lie in F_p.  Only a
     failure there, or no such generators, follows every row, to list the
@@ -672,7 +689,7 @@ def derivation_power_violations(deriv: Derivation) -> list:
     diagonal = [0 if gh else -(m.j - 1) % p for m in desc.basis]  # D^p: 0 or E
     expected = [{i: c} if c else {} for i, c in enumerate(diagonal)]
     gens = _lie_generators(deriv)
-    if gens is not None and (gh or _is_derivation_diagonal(desc.table, diagonal, p)):
+    if gens is not None and (gh or not additive_violations([desc.table], diagonal, p)):
         power = table_power(deriv.table, p, p, visit=gens)
         if all(row == expected[g] for g, row in zip(gens, power)):
             return []
@@ -697,14 +714,6 @@ def _lie_generators(deriv: Derivation) -> list[int] | None:
     if desc.anticommutativity or desc.jacobi or deriv.leibniz:
         return None
     return desc.generators
-
-
-def _is_derivation_diagonal(table: list, diagonal: list, p: int) -> bool:
-    """Whether e_i -> diagonal[i] e_i is a derivation of the integer table:
-    diagonal[t] = diagonal[a] + diagonal[b] mod p on every entry
-    [e_a, e_b] = c e_t, c != 0."""
-    return all((diagonal[t] - diagonal[a] - diagonal[b]) % p == 0
-               for a, row in enumerate(table) for b, (_c, t) in row.items())
 
 
 def realization_violations(deriv: Derivation) -> list:

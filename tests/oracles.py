@@ -4,7 +4,10 @@ for the coordinate kernels of `thinlie.dpalgebra` and `thinlie.liealg`.
 
 The sweeps visit every triple and every pair, with no sparsity argument, and
 read the structure constants only through the public `bracket_mono`,
-`bracket` and `Derivation.apply`.  The derivation references work on
+`bracket` and `Derivation.apply`.  The two table-law references,
+`dense_antisymmetry_violations` and `dense_additive_violations`, read a
+table in coordinate layers as `layered_bracket`, the bracket of each pair
+summed over every layer.  The derivation references work on
 elements: they apply D one step at a time (`apply_power`), and realize
 (ad y)^(p^s) by bracketing with y p^s times.  `laguerre_series` is the
 Laguerre series the same way, the reference for the package's series on
@@ -66,6 +69,43 @@ def dense_anticommutativity_violations(desc: AlgebraDescriptor) -> list:
             ):
                 bad.append((a, b))
     return bad
+
+
+def layered_bracket(rows: list, a: int, b: int) -> dict:
+    """[e_a, e_b] of a table in coordinate layers, rows[r][a] = {b: (x, t)}
+    for the t^r coordinate x of c in [e_a, e_b] = c e_t, as a dict
+    {(t, r): x} read from every layer."""
+    out = {}
+    for r, layer in enumerate(rows):
+        if b in layer[a]:
+            x, t = layer[a][b]
+            out[t, r] = x
+    return out
+
+
+def dense_antisymmetry_violations(rows: list, p: int) -> list:
+    """[e_a, e_a] = 0, then [e_a, e_b] + [e_b, e_a] = 0 mod p for every pair
+    a < b, over every pair of every layer of a table in coordinate layers."""
+    n = len(rows[0])
+    bad = [(a, a) for a in range(n) if layered_bracket(rows, a, a)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            total = layered_bracket(rows, a, b)
+            for key, x in layered_bracket(rows, b, a).items():
+                total[key] = total.get(key, 0) + x
+            if any(x % p for x in total.values()):
+                bad.append((a, b))
+    return bad
+
+
+def dense_additive_violations(rows: list, weight: list, modulus: int) -> list:
+    """Every ordered pair (a, b) of a table in coordinate layers whose
+    bracket has a term e_t with weight[t] != weight[a] + weight[b] mod
+    modulus."""
+    n = len(rows[0])
+    return [(a, b) for a in range(n) for b in range(n)
+            if any((weight[t] - weight[a] - weight[b]) % modulus
+                   for t, _r in layered_bracket(rows, a, b))]
 
 
 def dense_jacobi_violations(desc: AlgebraDescriptor) -> list:

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 import thinlie
-from thinlie import cli, grading, liealg
+from thinlie import cli, ffield, grading, liealg
 from thinlie.cli import build_parser, main, materialize, standard_modulus
 from thinlie.dpalgebra import Heights, Monomial, accumulate
 from thinlie.ffield import FieldElement, FieldParams
@@ -55,6 +56,25 @@ def test_readme_examples(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert re.fullmatch(pattern, out), argv
+
+
+def test_minimum_python_runs_the_readme_examples():
+    """README and pyproject promise Python 3.10+.  Where a python3.10 on
+    PATH runs, the README's verify and analyze examples exit 0 under it
+    and print what they print under this interpreter."""
+    exe = shutil.which("python3.10")
+    probe = exe and subprocess.run([exe, "-c", ""], capture_output=True, timeout=60)
+    if not probe or probe.returncode:
+        pytest.skip("no runnable python3.10 on PATH")
+    src = os.path.dirname(os.path.dirname(thinlie.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, _ in readme_examples():
+        if argv[0] in ("verify", "analyze"):
+            outs = [subprocess.run([python, "-m", "thinlie", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+                    for python in (exe, sys.executable)]
+            assert [out.returncode for out in outs] == [0, 0], (argv, outs[0].stderr)
+            assert outs[0].stdout == outs[1].stdout, argv
 
 
 def test_standard_modulus():
@@ -644,6 +664,9 @@ def test_usage_errors(capsys):
         ("verify", "--p", "101", "--n", "3", "--family", "albert-zassenhaus"),
         # refused on the exponent, without computing 3^(2 * 10^9)
         ("verify", "--p", "3", "--n", "1000000000", "--family", "albert-zassenhaus"),
+        # degree 300, over MAX_FIELD_DEGREE, refused before the irreducibility test
+        ("verify", "--p", "3", "--n", "1", "--family", "albert-zassenhaus",
+         "--field", "3^300:" + ",".join(["2", "1"] + ["0"] * 298 + ["1"])),
     ]
     for args in cases:
         code, _, err = run(capsys, *args)
@@ -663,6 +686,21 @@ def test_usage_errors(capsys):
             main(list(args))
         assert exc.value.code == 2, args
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, args
+
+
+def test_field_degree_is_bounded_before_the_modulus_is_tested(capsys, monkeypatch):
+    """The irreducibility test grows as m^3 (27.6 s at m = 400 over F_3), so
+    a --field degree above MAX_FIELD_DEGREE exits 2 without it; at the
+    bound the modulus is tested, and here found reducible."""
+    tested, bound = [], cli.MAX_FIELD_DEGREE
+    monkeypatch.setattr(ffield, "is_irreducible", lambda *args: tested.append(args[1]))
+    for m, error in ((bound + 1, f"--field degree {bound + 1} is above {bound}"),
+                     (bound, "is reducible over F_3")):
+        spec = f"3^{m}:" + ",".join(["2", "1"] + ["0"] * (m - 2) + ["1"])
+        code, out, err = run(capsys, "verify", "--p", "3", "--n", "1",
+                             "--family", "albert-zassenhaus", "--field", spec)
+        assert (code, out, len(tested)) == (2, "", int(m == bound)), m
+        assert err.startswith("error: ") and err.endswith(error + "\n"), m
 
 
 def test_analyze_refuses_incompatible_switches_as_switch_does(capsys):

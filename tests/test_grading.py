@@ -28,7 +28,8 @@ from thinlie.grading import (
     switch_grading,
     verify_product_tables,
 )
-from thinlie.liealg import AlgebraDescriptor, Derivation, Family, anticommutativity_violations
+from thinlie.liealg import (AlgebraDescriptor, Derivation, Family, antisymmetry_violations,
+                            anticommutativity_violations)
 
 F3 = FieldParams.prime(3)
 F27 = FieldParams(3, 3, (2, 2, 0, 1))
@@ -681,6 +682,34 @@ def perturbed_rule(pair):
     return build
 
 
+def test_rule_broken_in_one_layer_falls_back_to_the_sweep():
+    """Over F_27, a rule coefficient changed in its t^1 coordinate alone,
+    still nonzero and onto the same label, breaks the antisymmetry of T' in
+    layer 1 only.  The certificate refuses it, and check_graded sweeps the
+    pairs, as the ordered sweep does, with the pair among the misses."""
+    desc, _raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
+    table, r = grading._product_rule(closed, cfg), 1
+    a, b = next((a, b) for a, row in enumerate(table.layers[r]) for b in row if a < b)
+    pair, product_rule_of = (table.active[a], table.active[b]), grading._product_rule
+
+    def build(basis, cfg):
+        broken = product_rule_of(basis, cfg)
+        x, t = broken.layers[r][a][b]
+        broken.layers[r][a][b] = (x % 2 + 1, t)  # nonzero, and not x
+        return broken
+    with pytest.MonkeyPatch.context() as mp:
+        sweeps = spying_sweep(mp)
+        assert check_graded(desc, closed, cfg) == ([], []) and sweeps == []
+        mp.setattr(grading, "_product_rule", build)
+        layers = build(closed, cfg).layers
+        assert antisymmetry_violations(layers[:r] + layers[r + 1:], 3) == []
+        assert antisymmetry_violations(layers, 3) == [(a, b)]
+        strays, misses = check_graded(desc, closed, cfg)
+        assert len(sweeps) == 1
+        assert (strays, misses) == ordered_check_graded(desc, closed, cfg)
+        assert pair in misses
+
+
 def break_jacobi(desc, which: int, avoid: set):
     """Double the constant of one table entry [b_i, b_j], i < j, and of
     [b_j, b_i], picked by `which` among the pairs of basis indexes outside
@@ -755,9 +784,10 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
     load-bearing: where X and Y generate, doubling the rule on both orders
     of a pair away from X and Y is caught by the derivation step alone, and
     doubling a table entry away from the supports of v_X and v_Y
-    (anticommutative, not Jacobi) by the Jacobi certificate alone.  A label
-    no rule reaches becomes a generator of its own, so a later step, the
-    derivation step or the brackets of the generators, catches it."""
+    (anticommutative, not Jacobi) by the descriptor's Jacobi verdict alone,
+    which the certificate reads.  A label no rule reaches becomes a
+    generator of its own, so a later step, the derivation step or the
+    brackets of the generators, catches it."""
     p, n, s = shape
     if big:
         case, pi, sigma = GradingCase.BIG_FIELD, data.draw(st.integers(0, p - 1)), 1
@@ -801,10 +831,11 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
         strays, misses = check_graded(desc, closed, cfg)
         assert (strays, misses) == ordered_check_graded(desc, closed, cfg)
         assert len(sweeps) == int(corruption != "none")
-        blind = {"rule pair": (liealg, "derivation_defects", lambda *args, **kwargs: iter(())),
-                 "jacobi": (grading, "jacobi_certificate", lambda desc: True)}.get(corruption)
+        blind = {"rule pair": lambda: mp.setattr(liealg, "derivation_defects",
+                                                 lambda *args, **kwargs: iter(())),
+                 "jacobi": lambda: mp.setitem(desc.__dict__, "jacobi", [])}.get(corruption)
         if blind and degree_one_pair(closed):
-            mp.setattr(*blind)
+            blind()
             assert check_graded(desc, closed, cfg) == ([], []) != (strays, misses)
         assert check_graded(desc, raw) == ordered_check_graded(desc, raw)
     if corruption == "rule":

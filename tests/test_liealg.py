@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (
     apply_power,
+    dense_additive_violations,
     dense_anticommutativity_violations,
+    dense_antisymmetry_violations,
     dense_jacobi_violations,
     dense_monomial_grading_violations,
     element_derivation_power_violations,
@@ -24,7 +26,9 @@ from thinlie.liealg import (
     Derivation,
     Family,
     ad_table,
+    additive_violations,
     anticommutativity_violations,
+    antisymmetry_violations,
     closure_violations,
     derivation_power_violations,
     iterated_table,
@@ -203,6 +207,75 @@ def test_sparse_sweeps_match_oracles_on_planted_constants(config, data):
         assert leibniz_violations(deriv) == element_leibniz_violations(deriv)
         assert realization_violations(deriv) == element_realization_violations(deriv)
         assert derivation_power_violations(deriv) == element_derivation_power_violations(deriv)
+
+
+def layered_table(data) -> tuple:
+    """(rows, p, weight, modulus): a random table in 1 to 3 coordinate
+    layers over 2 to 8 basis indexes, antisymmetric and additive in the
+    drawn weights: each pair a < b gets a coefficient with random nonzero
+    coordinates onto a target of weight weight[a] + weight[b], or none."""
+    p, m = data.draw(st.sampled_from([3, 5, 7])), data.draw(st.integers(1, 3))
+    n, modulus = data.draw(st.integers(2, 8)), data.draw(st.integers(2, 6))
+    weight = data.draw(st.lists(st.integers(0, modulus - 1), min_size=n, max_size=n))
+    rows = [[{} for _ in range(n)] for _ in range(m)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            graded = [t for t in range(n) if weight[t] == (weight[a] + weight[b]) % modulus]
+            if graded and data.draw(st.booleans()):
+                t = data.draw(st.sampled_from(graded))
+                c = data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m).filter(any))
+                for layer, x in zip(rows, c):
+                    if x:
+                        layer[a][b], layer[b][a] = (x, t), (-x % p, t)
+    return rows, p, weight, modulus
+
+
+def plant(rows, p, weight, modulus, kind, data):
+    """Break one law of a layered table: a diagonal entry, a missing mirror,
+    a different target, a coordinate that no longer sums to 0 with its
+    mirror's (in a layer r >= 1 when there is one), or a target of the wrong
+    weight on both orders of a pair, in every layer."""
+    n, m = len(rows[0]), len(rows)
+    r = data.draw(st.integers(1 if m > 1 and kind == "sum" else 0, m - 1))
+    entries = [(a, b) for a, row in enumerate(rows[r]) for b in row if a != b]
+    if kind == "diagonal":
+        a = data.draw(st.integers(0, n - 1))
+        rows[r][a][a] = (data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1)))
+    elif entries:
+        a, b = data.draw(st.sampled_from(entries))
+        x, t = rows[r][a][b]
+        if kind == "mirror":
+            rows[r][b].pop(a, None)
+        elif kind == "target":
+            rows[r][a][b] = (x, (t + data.draw(st.integers(1, n - 1))) % n)
+        elif kind == "sum":
+            rows[r][a][b] = (x % (p - 1) + 1, t)  # nonzero, and not x
+        else:
+            off = [u for u in range(n) if weight[u] != (weight[a] + weight[b]) % modulus]
+            if off:
+                u = data.draw(st.sampled_from(off))
+                for layer in rows:
+                    for i, j in ((a, b), (b, a)):
+                        if j in layer[i]:
+                            layer[i][j] = (layer[i][j][0], u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_table_kernels_match_dense_oracles_on_layered_plantings(data):
+    """antisymmetry_violations and additive_violations list what the dense
+    sweeps over every pair of every layer list, on random tables of 1 to 3
+    layers with up to three plantings, and nothing on the unplanted ones."""
+    rows, p, weight, modulus = layered_table(data)
+    assert antisymmetry_violations(rows, p) == [] == dense_antisymmetry_violations(rows, p)
+    assert additive_violations(rows, weight, modulus) == []
+    assert dense_additive_violations(rows, weight, modulus) == []
+    kinds = ["diagonal", "mirror", "target", "sum", "weight"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        plant(rows, p, weight, modulus, kind, data)
+    assert antisymmetry_violations(rows, p) == dense_antisymmetry_violations(rows, p)
+    assert (additive_violations(rows, weight, modulus)
+            == dense_additive_violations(rows, weight, modulus))
 
 
 def admissible_descriptor(data):
@@ -393,7 +466,7 @@ def test_power_laws_check_the_diagonal_before_the_generator_rows(monkeypatch):
     got = derivation_power_violations(deriv)
     assert got == element_derivation_power_violations(deriv) != []
     assert powered == [desc.dim, desc.dim]
-    monkeypatch.setattr(liealg, "_is_derivation_diagonal", lambda *args: True)
+    monkeypatch.setattr(liealg, "additive_violations", lambda *args: [])
     assert derivation_power_violations(deriv) == []
 
 
