@@ -11,11 +11,12 @@ Exit codes: 0 all enabled checks pass, 1 check failure or run error,
 
 import argparse
 import json
+import re
 import sys
 from typing import NamedTuple
 
 from .dpalgebra import Heights
-from .ffield import FieldParams
+from .ffield import MAX_SPEC_DIGITS, FieldParams
 from .grading import (GradedBasis, GradingCase, GradingSpec, SwitchConfig,
                       build_closed_basis, monomial_grading_violations, switch_checks,
                       switch_grading, switch_hypotheses)
@@ -148,6 +149,8 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
 
     try:
         if ns.field is not None:
+            if max(map(len, re.findall(r"\d+", ns.field)), default=0) > MAX_SPEC_DIGITS:
+                raise UsageError(f"--field numbers have at most {MAX_SPEC_DIGITS} digits")
             m = ns.field.strip().partition(":")[0].partition("^")[2]
             if m.isdigit() and int(m) > MAX_FIELD_DEGREE:
                 raise UsageError(f"--field degree {int(m)} is above {MAX_FIELD_DEGREE}")

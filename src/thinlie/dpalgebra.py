@@ -129,18 +129,15 @@ class AlgebraElement:
     F_{p^m} coefficient, an integer in [1, p); absent keys are zero, so
     equal elements have equal terms.  FieldElements appear only at the
     boundary: coeff, scale by a field element, text and parsing.
-    _by_index holds the basis indexing `AlgebraDescriptor._indexed` last
-    made of the element, which never changes once built.
     """
 
-    __slots__ = ("field", "heights", "terms", "_by_index")
+    __slots__ = ("field", "heights", "terms")
 
     def __init__(self, field: FieldParams, heights: Heights, terms=()):
         if field.p != heights.p:
             raise ValueError("field and heights disagree on p")
         self.field = field
         self.heights = heights
-        self._by_index = None
         items = terms.items() if isinstance(terms, dict) else terms
         pairs = []
         for mono, c in items:
@@ -157,7 +154,6 @@ class AlgebraElement:
         out.field = field
         out.heights = heights
         out.terms = terms
-        out._by_index = None
         return out
 
     @classmethod
@@ -177,13 +173,6 @@ class AlgebraElement:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def by_monomial(self) -> dict:
-        """{monomial: [(r, coordinate), ...]} over the support."""
-        out = {}
-        for (mono, r), c in self.terms.items():
-            out.setdefault(mono, []).append((r, c))
-        return out
 
     def support(self):
         return sorted({mono for mono, _r in self.terms})

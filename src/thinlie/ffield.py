@@ -75,20 +75,6 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _prem(a: list[int], f: list[int], p: int) -> list[int]:
-    # remainder of a modulo the monic polynomial f
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - df
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - lead * fi) % p
-        a.pop()
-    return _ptrim(a)
-
-
 def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     # quotient and remainder of a by the nonzero polynomial b
     a = list(a)
@@ -114,11 +100,11 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     out = [1]
-    base = _prem(base, f, p)
+    base = _pdivmod(base, f, p)[1]
     while e:
         if e & 1:
-            out = _prem(_pmul(out, base, p), f, p)
-        base = _prem(_pmul(base, base, p), f, p)
+            out = _pdivmod(_pmul(out, base, p), f, p)[1]
+        base = _pdivmod(_pmul(base, base, p), f, p)[1]
         e >>= 1
     return out
 
@@ -153,6 +139,10 @@ def is_irreducible(p: int, coeffs) -> bool:
 
 
 _SPEC_RE = re.compile(r"^(\d+)\^(\d+):([\d,]+)$")
+
+#: Most digits of a number in a field spec: Python's default bound on
+#: int-from-text conversion, checked before any int() meets it.
+MAX_SPEC_DIGITS = 4300
 
 
 class FieldParams(NamedTuple("FieldParams", [("p", int), ("m", int),
@@ -189,6 +179,8 @@ class FieldParams(NamedTuple("FieldParams", [("p", int), ("m", int),
         mt = _SPEC_RE.match(text.strip())
         if not mt:
             raise ValueError(f"bad field spec {text!r}, expected p^m:c0,...,cm")
+        if max(map(len, re.findall(r"\d+", text))) > MAX_SPEC_DIGITS:
+            raise ValueError(f"field spec numbers have at most {MAX_SPEC_DIGITS} digits")
         p, m = int(mt.group(1)), int(mt.group(2))
         coeffs = tuple(int(c) for c in mt.group(3).split(","))
         if len(coeffs) != m + 1:
@@ -210,7 +202,7 @@ class FieldParams(NamedTuple("FieldParams", [("p", int), ("m", int),
         product of two coordinate vectors reaches."""
         out = []
         for e in range(2 * self.m - 1):
-            red = _prem([0] * e + [1], list(self.modulus), self.p)
+            red = _pdivmod([0] * e + [1], self.modulus, self.p)[1]
             out.append(tuple((r, c) for r, c in enumerate(red) if c))
         return out
 
@@ -328,8 +320,8 @@ class FieldElement:
         if o is NotImplemented:
             return NotImplemented
         p = self.params.p
-        prod = _pmul(list(self.coeffs), list(o.coeffs), p)
-        red = _prem(prod, list(self.params.modulus), p)
+        prod = _pmul(self.coeffs, o.coeffs, p)
+        red = _pdivmod(prod, self.params.modulus, p)[1]
         red += [0] * (self.params.m - len(red))
         return FieldElement(self.params, tuple(red))
 

@@ -484,7 +484,7 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
     When cfg is given and the table is anticommutative, `_rules_certified`
     decides whether every pair obeys its rule with L of the degree sum, and
     then both lists are empty.  Only when it fails, or without cfg, does
-    `_pair_sweep` bracket every unordered pair to list the violations.  Both
+    `_pair_sweep` bracket every ordered pair to list the violations.  Both
     read the one rule table.
     """
     table = _product_rule(basis, cfg) if cfg is not None else None
@@ -582,18 +582,13 @@ def _predictions(vectors: list, field: FieldParams):
 
 def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis,
                 table: RuleTable | None) -> tuple[list, list]:
-    """The violations of `check_graded`, listed by bracketing each unordered
-    pair of active labels once and checking each of its two orders on its
-    own; table is the `_product_rule` table of cfg, or None without
-    product tables.  It runs only when the certificate fails or cannot
-    apply, so its job is to name the violations.
-
-    When the table is anticommutative its constants, which lie in
-    F_p with p odd, give [v_b, v_a] = -[v_a, v_b] for all vectors, so the
-    reversed order is checked on -[v_a, v_b]; otherwise on the bracket
-    [v_b, v_a].  A bracket equal to its prediction with L of the degree sum
-    needs no reduction: v_L is a row of that echelon's span.  Brackets are
-    not kept, and c v_L is built once per (L, c).
+    """The violations of `check_graded`, listed by bracketing each ordered
+    pair (i, j) of active labels; table is the `_product_rule` table of
+    cfg, or None without product tables.  It runs only when the
+    certificate fails or cannot apply, so its job is to name the
+    violations, which come out in (i, j) order.  Each bracket is compared
+    with its prediction c v_L, built once per (L, c), and reduced against
+    the echelon of the degree sum.
     """
     spec, field = basis.spec, basis.field
     by_deg: dict[int, SparseEchelon] = {}
@@ -601,39 +596,23 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis,
     vectors = [basis.vectors[lab] for lab in active]
     degrees = [basis.degrees[lab] for lab in active]
     for v, d in zip(vectors, degrees):
-        ech = by_deg.setdefault(d, SparseEchelon(field, spec.heights))
-        ech.insert(v)
-    N = spec.N
+        by_deg.setdefault(d, SparseEchelon(field, spec.heights)).insert(v)
     predicted = _predictions(vectors, field)
     strays, misses = [], []
-    for ia, va in enumerate(vectors):
-        da = degrees[ia]
-        for ib in range(ia, len(active)):
-            vb = vectors[ib]
+    for i, va in enumerate(vectors):
+        for j, vb in enumerate(vectors):
             w = descriptor.bracket(va, vb)
-            target = (da + degrees[ib]) % N
-            orders = [(ia, ib, w)]
-            if ia != ib:
-                orders.append((ib, ia, descriptor.bracket(vb, va)
-                               if descriptor.anticommutativity else -w))
-            for i, j, wij in orders:
-                if table is not None:
-                    c, t = table.rule(i, j)
-                    terms = predicted(c, t)
-                    if terms is None or wij.terms != terms:
-                        misses.append((i, j))
-                    elif t is not None and degrees[t] == target:
-                        continue
-                if wij.is_zero():
-                    continue
-                ech = by_deg.get(target)
-                stray = ech.reduce(wij) if ech is not None else wij
-                if not stray.is_zero():
-                    strays.append((i, j, stray))
-    strays.sort(key=lambda t: t[:2])
-    misses.sort()
-    return ([(active[i], active[j], stray) for i, j, stray in strays],
-            [(active[i], active[j]) for i, j in misses])
+            if table is not None:
+                terms = predicted(*table.rule(i, j))
+                if terms is None or w.terms != terms:
+                    misses.append((active[i], active[j]))
+            if w.is_zero():
+                continue
+            ech = by_deg.get((degrees[i] + degrees[j]) % spec.N)
+            stray = ech.reduce(w) if ech is not None else w
+            if not stray.is_zero():
+                strays.append((active[i], active[j], stray))
+    return strays, misses
 
 
 def verify_product_tables(descriptor: AlgebraDescriptor, basis: GradedBasis,

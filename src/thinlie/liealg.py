@@ -223,23 +223,19 @@ class AlgebraDescriptor:
                     f"bracket {a},{b} produced the excluded top monomial")
         return c, mono
 
-    def _indexed(self, w: AlgebraElement) -> list:
+    def _indexed(self, w: AlgebraElement):
         """(basis index, [(r, coordinate), ...]) per monomial of w;
-        ValueError off the basis.  Kept on w, which never changes, so a
-        sweep indexes each of its vectors once, not once per partner."""
-        index = self._index
-        cache = w._by_index
-        if cache is not None and cache[0] is index:
-            return cache[1]
+        ValueError off the basis."""
         if w.field != self.field or w.heights != self.heights:
             raise ValueError("element does not live in this algebra")
+        index, out = self._index, {}
         try:
-            out = [(index[m], coords) for m, coords in w.by_monomial().items()]
+            for (m, r), x in w.terms.items():
+                out.setdefault(index[m], []).append((r, x))
         except KeyError as e:
             raise ValueError(
                 f"element supported outside the basis: {e.args[0]}") from None
-        w._by_index = (index, out)
-        return out
+        return out.items()
 
     def bracket(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
         """Lie bracket, bilinear over the structure-constant table.
@@ -639,24 +635,17 @@ def leibniz_violations(deriv: Derivation) -> list:
     D[a,b] = [Da,b] + [a,Db] for every b form a subalgebra (Jacobson, Lie
     Algebras), so once anticommutativity and Jacobi hold, the rows of the
     generators decide the law: when none of them fails over every b, the
-    list is empty.  Otherwise every row is summed to list the failing
-    pairs.  On an anticommutative table the defect D[a,b] - [Da,b] - [a,Db]
-    of any D is antisymmetric in (a, b) and zero on the diagonal, so there
-    only the pairs b > a are summed and each failing pair is listed with
-    its mirror.
+    list is empty.  Otherwise every row is summed over every b to list the
+    failing pairs, in order.
     """
     desc = deriv.descriptor
     rows, images = [desc.table], [deriv.table]
-    half = not desc.anticommutativity
-    gens = desc.generators if half and not desc.jacobi else None
+    gens = desc.generators if not desc.anticommutativity and not desc.jacobi else None
     if gens is not None and next(derivation_defects(rows, images, desc.field, visit=gens),
                                  None) is None:
         return []
-    bad = [(a, b) for a, bs in derivation_defects(rows, images, desc.field, half=half)
-           for b in bs]
-    if half:
-        bad = sorted(bad + [(b, a) for a, b in bad])
-    return [(desc.basis[a], desc.basis[b]) for a, b in bad]
+    return [(desc.basis[a], desc.basis[b])
+            for a, bs in derivation_defects(rows, images, desc.field) for b in bs]
 
 
 def derivation_power_violations(deriv: Derivation) -> list:

@@ -67,18 +67,16 @@ class ComponentRecord:
 
     images holds ([u, X], [u, Y]) for each basis vector u, in the order of
     vectors; expand_loop fills it for every component it brackets, that is
-    every one but the last.  double_images holds the double brackets of a
-    line component once `_double_brackets` has computed them.
+    every one but the last.
     """
 
     def __init__(self, degree: int, dim: int, vectors: list, echelon: SparseEchelon | None,
-                 images: list | None = None, double_images: tuple | None = None):
+                 images: list | None = None):
         self.degree = degree
         self.dim = dim
         self.vectors = vectors
         self.echelon = echelon
         self.images = [] if images is None else images
-        self.double_images = double_images
 
 
 class DiamondRecord(NamedTuple):
@@ -326,13 +324,11 @@ def _scalar_ratio(v: AlgebraElement, w: AlgebraElement):
 
 def _double_brackets(cfg: LoopConfig, rec: ComponentRecord) -> tuple:
     """[V,X,X], [V,X,Y], [V,Y,X], [V,Y,Y] for V spanning the line component
-    rec, bracketed from its images once and kept on rec."""
-    if rec.double_images is None:
-        desc, X, Y = cfg.alg, cfg.X, cfg.Y
-        vx, vy = rec.images[0]
-        rec.double_images = (desc.bracket(vx, X), desc.bracket(vx, Y),
-                             desc.bracket(vy, X), desc.bracket(vy, Y))
-    return rec.double_images
+    rec, bracketed from its images."""
+    desc, X, Y = cfg.alg, cfg.X, cfg.Y
+    vx, vy = rec.images[0]
+    return (desc.bracket(vx, X), desc.bracket(vx, Y),
+            desc.bracket(vy, X), desc.bracket(vy, Y))
 
 
 def classify_component(cfg: LoopConfig, i: int, records: list) -> DiamondRecord:

@@ -15,9 +15,9 @@ the rows of D's integer table.  The sparse and integer
 sweeps must return the same violation lists, in the same order.
 
 `ordered_check_graded` is the sweep of `thinlie.grading.check_graded` over
-every ordered pair of active labels, bracketing each order on its own and
-building each product-rule prediction c v_L afresh; the sweep over
-unordered pairs must return the same strays and misses, in the same order.
+every ordered pair of active labels, building each product-rule
+prediction c v_L afresh; the package's sweep, which builds each once,
+must return the same strays and misses, in the same order.
 `product_rule` predicts one pair at a time from Lucas binomials and field
 arithmetic, the reference for the factored rule table the package builds.
 

@@ -58,21 +58,41 @@ def test_readme_examples(capsys):
         assert re.fullmatch(pattern, out), argv
 
 
+def python310() -> tuple | None:
+    """(the python3.10 on PATH, an environment in which it runs Python
+    3.10), or None.  A pyenv shim answers only for enabled versions, so
+    where it fails each 3.10 that `pyenv versions --bare` lists is tried
+    as PYENV_VERSION."""
+    exe, pyenv = shutil.which("python3.10"), shutil.which("pyenv")
+    if exe is None:
+        return None
+    versions = pyenv and subprocess.run([pyenv, "versions", "--bare"], capture_output=True,
+                                        text=True, timeout=60).stdout.split()
+    for extra in [{}] + [{"PYENV_VERSION": v} for v in versions or ()
+                         if v.split(".")[:2] == ["3", "10"]]:
+        env = {**os.environ, **extra}
+        probe = subprocess.run([exe, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
+                               env=env, capture_output=True, timeout=60)
+        if probe.returncode == 0:
+            return exe, env
+    return None
+
+
 def test_minimum_python_runs_the_readme_examples():
     """README and pyproject promise Python 3.10+.  Where a python3.10 on
-    PATH runs, the README's verify and analyze examples exit 0 under it
-    and print what they print under this interpreter."""
-    exe = shutil.which("python3.10")
-    probe = exe and subprocess.run([exe, "-c", ""], capture_output=True, timeout=60)
-    if not probe or probe.returncode:
+    PATH runs, directly or under a pyenv 3.10 (`python310`), the README's
+    verify and analyze examples exit 0 under it and print what they print
+    under this interpreter."""
+    found = python310()
+    if found is None:
         pytest.skip("no runnable python3.10 on PATH")
     src = os.path.dirname(os.path.dirname(thinlie.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
     for argv, _ in readme_examples():
         if argv[0] in ("verify", "analyze"):
-            outs = [subprocess.run([python, "-m", "thinlie", *argv], env=env,
+            outs = [subprocess.run([python, "-m", "thinlie", *argv],
+                                   env={**env, "PYTHONPATH": src},
                                    capture_output=True, text=True, timeout=120)
-                    for python in (exe, sys.executable)]
+                    for python, env in (found, (sys.executable, os.environ))]
             assert [out.returncode for out in outs] == [0, 0], (argv, outs[0].stderr)
             assert outs[0].stdout == outs[1].stdout, argv
 
@@ -220,16 +240,21 @@ def test_switch_stdout_frozen(capsys, name):
 
 
 def test_switch_passes_gh_s0_without_the_pair_sweep(capsys, monkeypatch):
-    """Where one degree-1 label is a placeholder, the generator certificate
-    takes the labels X does not reach as further generators, so the frozen
-    GradedHamiltonian s = 0 switches pass without `_pair_sweep`."""
+    """The generator certificate decides every passing switch, so
+    `_pair_sweep`, which brackets all dim^2 ordered pairs, runs only to
+    name the violations of a failing one.  Where one degree-1 label is a
+    placeholder, the certificate takes the labels X does not reach as
+    further generators, so the frozen GradedHamiltonian s = 0 switches pass
+    without the sweep too, as do the three big-field switches at dimension
+    243 and the big field at p = 5."""
     calls, sweep = [], grading._pair_sweep
 
     def counted(*args):
         calls.append(1)
         return sweep(*args)
     monkeypatch.setattr(grading, "_pair_sweep", counted)
-    for name in ("prime p3 n2 s0 pi1", "prime p5 n1 s0 pi2"):
+    for name in ("prime p3 n2 s0 pi1", "prime p5 n1 s0 pi2", "big p3 n2 s2 pi t+0",
+                 "big p3 n2 s2 pi t+1", "big p3 n2 s2 pi t+2", "big p5 n1"):
         code, _, _ = run(capsys, "switch", *SWITCH_FROZEN[name][0])
         assert (code, calls) == (0, []), name
 
@@ -333,7 +358,7 @@ def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
     assert len(desc.jacobi) == 25
     deriv, visited[:] = liealg.Derivation(desc, 1), []
     assert deriv.leibniz == oracles.element_leibniz_violations(deriv)
-    assert visited == [(desc.dim, True)]
+    assert visited == [(desc.dim, False)]
 
 
 def test_verify_decides_power_laws_on_generator_rows(capsys, monkeypatch):
@@ -672,6 +697,11 @@ def test_usage_errors(capsys):
         code, _, err = run(capsys, *args)
         assert code == 2, args
         assert err.startswith("error:"), args
+    # a degree, a coefficient and a p of more digits than int() reads from text
+    for spec in ("3^" + "9" * 5000 + ":1", "3^1:" + "9" * 5000 + ",1", "9" * 5000 + "^1:0,1"):
+        code, _, err = run(capsys, "verify", "--p", "3", "--n", "1",
+                           "--family", "albert-zassenhaus", "--field", spec)
+        assert (code, err) == (2, "error: --field numbers have at most 4300 digits\n")
     # n1 is s + 1 in the graded commands and only analyze bounds the degree,
     # so argparse refuses these options elsewhere
     for args, flag in [

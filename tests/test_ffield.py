@@ -95,6 +95,9 @@ def test_spec_string_round_trip():
     assert FieldParams.parse_spec(" 5^1:0,1 ") == F5
     with pytest.raises(ValueError):
         FieldParams.parse_spec("3^3:2,2,0")
+    assert FieldParams.parse_spec("3^1:" + "0" * 4300 + ",1") == FieldParams(3, 1, (0, 1))
+    with pytest.raises(ValueError, match="at most 4300 digits"):
+        FieldParams.parse_spec("3^1:" + "0" * 4301 + ",1")
 
 
 def test_generator_relations():

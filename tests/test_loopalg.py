@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import items
-from thinlie import loopalg
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
 from thinlie.ffield import FieldParams
 from thinlie.grading import (
@@ -407,31 +406,6 @@ def test_normalization_check():
     out = normalization_check(bad, expand_loop(bad))
     assert not out.passed
     assert "[V,Y,Y]" in out.counterexample
-
-
-def test_normalization_reuses_the_slot_brackets(monkeypatch):
-    """run_analysis brackets [V,X,X], [V,X,Y], [V,Y,X] and [V,Y,Y] of
-    L_{q-1} once: classify_component makes them at slot q and
-    normalization_check reads them without a bracket of its own."""
-    brackets, inside = [], [False]
-    bracket, check = AlgebraDescriptor.bracket, loopalg.normalization_check
-
-    def counted(self, u, v):
-        if inside[0]:
-            brackets.append(1)
-        return bracket(self, u, v)
-
-    def normalization(*args):
-        inside[0] = True
-        try:
-            return check(*args)
-        finally:
-            inside[0] = False
-    monkeypatch.setattr(AlgebraDescriptor, "bracket", counted)
-    monkeypatch.setattr(loopalg, "normalization_check", normalization)
-    rep = big_report()
-    assert rep.checks["normalization"].passed
-    assert brackets == []
 
 
 def test_centralizer_chain_frozen():

@@ -70,8 +70,8 @@ def test_t_powers_computed_once_per_instance(monkeypatch):
     from thinlie import ffield
     field, other = FieldParams(5, 5, (4, 4, 0, 0, 0, 1)), FieldParams(5, 5, (4, 4, 0, 0, 0, 1))
     calls = []
-    prem = ffield._prem
-    monkeypatch.setattr(ffield, "_prem", lambda *a: calls.append(a) or prem(*a))
+    pdivmod = ffield._pdivmod
+    monkeypatch.setattr(ffield, "_pdivmod", lambda *a: calls.append(a) or pdivmod(*a))
     first = field.t_powers
     assert len(calls) == 2 * field.m - 1
     assert field.t_powers is first
