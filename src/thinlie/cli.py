@@ -28,9 +28,9 @@ from .loopalg import (CheckResult, checks_passed, degree_floor, render_text,
 #: Largest number of divided-power monomials p^(n1+n) a command accepts.
 #: Every command builds its structure-constant table over all
 #: (p^(n1+n))^2 ordered pairs, from per-axis binomial tables.  verify takes
-#: about 0.14 s at 243 monomials, 0.28 s at 625, 0.31 s at 729 and 0.87 s
+#: about 0.14 s at 243 monomials, 0.20 s at 625, 0.21 s at 729 and 0.52 s
 #: at 961 (p = 31, most brackets nonzero): medians of fresh processes on a
-#: 2-vCPU Xeon with Python 3.11, of which interpreter start is 0.06 s.
+#: 2-vCPU Xeon with Python 3.11, of which interpreter start is 0.05 s.
 MAX_MONOMIALS = 1000
 
 #: Largest degree m of a `--field` p^m, refused before the irreducibility test
@@ -103,6 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_digits(option: str, text: str | None) -> None:
+    """Refuse option text holding a number longer than int() reads from text."""
+    if text is not None and max(map(len, re.findall(r"\d+", text)), default=0) > MAX_SPEC_DIGITS:
+        raise UsageError(f"{option} numbers have at most {MAX_SPEC_DIGITS} digits")
+
+
 def materialize(ns: argparse.Namespace) -> RunConfig:
     command = ns.command
     p, n = ns.p, ns.n
@@ -149,8 +155,7 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
 
     try:
         if ns.field is not None:
-            if max(map(len, re.findall(r"\d+", ns.field)), default=0) > MAX_SPEC_DIGITS:
-                raise UsageError(f"--field numbers have at most {MAX_SPEC_DIGITS} digits")
+            _check_digits("--field", ns.field)
             m = ns.field.strip().partition(":")[0].partition("^")[2]
             if m.isdigit() and int(m) > MAX_FIELD_DEGREE:
                 raise UsageError(f"--field degree {int(m)} is above {MAX_FIELD_DEGREE}")
@@ -166,6 +171,8 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
     if case == "big-field" and field.m < 2:
         raise UsageError("the big-field case needs a proper field extension")
 
+    _check_digits("--sigma", ns.sigma)
+    _check_digits("--pi", ns.pi)
     try:
         if ns.sigma is not None:
             sigma = field.parse_element(ns.sigma)

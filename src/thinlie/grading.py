@@ -539,14 +539,15 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
        without a target label), no `antisymmetry_violations` and no
        `additive_violations` of the degrees mod N on the layers that
        `_product_rule` builds (entries onto placeholders dropped), and T,
-       anticommutative by the caller, keeps an empty Jacobi verdict;
+       anticommutative by the caller, keeps an empty Jacobi verdict, which
+       its certificate decides in the switch's other kernel pass;
     2. generators of T' by `table_generators`, from the degree-1 labels
        first and then every active label in index order, so this step
        cannot fail: X and Y alone where they generate T', as they do on
        every admissible switch with both of them active, and otherwise
        each label they do not reach, in order, as one more generator;
     3. ad_g is a derivation of T' for each generator g
-       (`ads_are_derivations`);
+       (`ads_are_derivations`, one kernel pass over T' for all of them);
     4. [v_g, v_x] = c v_L for each generator g and active x: 2 x dim
        brackets when X and Y generate.
 

@@ -14,18 +14,19 @@ on the integer coordinates of elements (one per power of t, see
 `dpalgebra`) through its one accumulate loop: a bracket over F_{p^m} is the
 table read once per pair of coordinates, keyed (monomial, r + s), then
 folded once by the modulus.  The exhaustive law checks sweep both tables
-sparsely.  One row-wise kernel, `derivation_defects`, sums the defect of
-a derivation table on the rows it is given and serves two laws: Leibniz
-for D, and the Jacobi certificate: on an anticommutative table Jacobi
-holds iff ad_g is a derivation for each g of a few monomials that
-generate the algebra.  Only when the certificate fails does the sweep
-over chained triples list the failing triples.  The same subalgebra
-argument decides the laws of D once the table is a Lie algebra: Leibniz
-holds iff it holds on the generator rows, a derivation D equals
-(ad y)^(p^s) iff the two agree on the generators, and so does D^p, a
-derivation in characteristic p, with 0 or the diagonal map of its law.
-Only a failure there sums every row, powers every row or builds the
-iterated table, to list the failing monomials.  Each entry-wise law is one
+sparsely.  One row-wise kernel, `derivation_defects`, sums the defects
+of a list of derivation tables on the rows it is given, in one sweep of
+those rows, and serves two laws: Leibniz for D, and the Jacobi
+certificate: on an anticommutative table Jacobi holds iff ad_g is a
+derivation for each g of a few monomials that generate the algebra, and
+one kernel pass sums every such ad_g at once.  Only when the certificate
+fails does the sweep over chained triples list the failing triples.  The
+same subalgebra argument decides the laws of D once the table is a Lie
+algebra: Leibniz holds iff it holds on the generator rows, a derivation
+D equals (ad y)^(p^s) iff the two agree on the generators, and so does
+D^p, a derivation in characteristic p, with 0 or the diagonal map of its
+law.  Only a failure there sums every row, powers every row or builds
+the iterated table, to list the failing monomials.  Each entry-wise law is one
 kernel too: `antisymmetry_violations`, and `additive_violations` (weights
 add along entries: a grading, or a diagonal derivation).  The kernels and
 the generator walk take a table over F_{p^m} as m integer layers, one per
@@ -432,8 +433,9 @@ def jacobi_violations(desc: AlgebraDescriptor) -> list:
     ad_a a derivation form a subalgebra, as ad_[a,b] = [ad_a, ad_b] once
     ad_a is one (Jacobson, Lie Algebras).  So when the table is
     anticommutative and `ads_are_derivations` holds on the generators
-    `monomial_generators` finds, the list is empty.  Otherwise, as that
-    failure proves nothing, `_jacobi_sweep` lists the failing triples.
+    `monomial_generators` finds, in one kernel pass over the rows, the
+    list is empty.  Otherwise, as that failure proves nothing,
+    `_jacobi_sweep` lists the failing triples.
     """
     gens = None if desc.anticommutativity else desc.generators
     if gens is not None and ads_are_derivations([desc.table], gens, desc.field):
@@ -445,12 +447,12 @@ def ads_are_derivations(rows: list, gens: list, field: FieldParams) -> bool:
     """Whether ad_g is a derivation of the table for every g in gens.
 
     rows holds the table in coordinate layers, as `derivation_defects`
-    takes it, and ad_g is `ad_table` of each layer.  Only the pairs b > a
-    are summed: on an anticommutative table the defect of ad_g is
-    antisymmetric in (a, b)."""
-    return all(next(derivation_defects(rows, [ad_table(layer, g) for layer in rows], field,
-                                       half=True), None) is None
-               for g in gens)
+    takes it, and ad_g is `ad_table` of each layer.  One run of the kernel
+    sums the defects of every ad_g in a single sweep of the rows.  Only
+    the pairs b > a are summed: on an anticommutative table the defect of
+    ad_g is antisymmetric in (a, b)."""
+    derivations = [[ad_table(layer, g) for layer in rows] for g in gens]
+    return next(derivation_defects(rows, derivations, field, half=True), None) is None
 
 
 def monomial_generators(desc: AlgebraDescriptor) -> list[int] | None:
@@ -504,61 +506,68 @@ def table_generators(rows: list, candidates: list) -> list[int] | None:
     return gens if all(reached) else None
 
 
-def derivation_defects(rows: list, images: list, field: FieldParams, half: bool = False,
-                       visit: list | None = None):
+def derivation_defects(rows: list, derivations: list, field: FieldParams,
+                       half: bool = False, visit: list | None = None):
     """(a, sorted b) for every a in visit (every basis index when visit is
-    None, in order) where D[a,b] = [Da,b] + [a,Db] fails.
+    None, in order) where D[a,b] = [Da,b] + [a,Db] fails for some D of
+    derivations; the b of every failing D are listed together.
 
-    Both tables come in coordinate layers over field = F_{p^m}, layer r
+    Every table comes in coordinate layers over field = F_{p^m}, layer r
     holding the integer coefficients of t^r: rows[r][a] = {b: (x, t)}
-    for the bracket [a, b] = c e_t, x the t^r coordinate of c, and
-    images[s][i] = {k: y} for the derivation D e_i = sum of d e_k, y the
-    t^s coordinate of d; zero coordinates have no entry.  The integer
-    tables of an algebra are the case m = 1, one layer each.  Row by row,
-    the defect D[a,b] - [Da,b] - [a,Db] is summed over every b at once,
-    keyed (b, target, r + s), from three sources: the entries of row a,
-    each read once for D[a,b] and for the b with its partner in the
-    support of Db, and the rows of the support of Da.  Any other b has all
-    three sides zero.  What is left of the sum is folded by the modulus.
-    With half, only b > a is summed, which suffices when the defect is
-    antisymmetric in (a, b), as for ad_g on an anticommutative table.
+    for the bracket [a, b] = c e_t, x the t^r coordinate of c, and, for
+    each D of derivations, D[s][i] = {k: y} for D e_i = sum of d e_k, y
+    the t^s coordinate of d; zero coordinates have no entry.  The integer
+    tables of an algebra are the case m = 1, one layer each.  One sweep of
+    the rows serves every derivation: row by row, the defects
+    D[a,b] - [Da,b] - [a,Db] of all of them are summed over every b at
+    once, keyed (index of D, b, target, r + s), so the defects of two
+    derivations never cancel.  They come from three sources: the entries
+    of row a, each read once for D[a,b] and for the b with its partner in
+    the support of Db, and the rows of the support of Da.  Any other b has
+    all three sides zero.  What is left of the sum is folded by the
+    modulus.  Layers without an entry are skipped.  With half, only b > a
+    is summed, which suffices when every defect is antisymmetric in
+    (a, b), as for ad_g on an anticommutative table.
     """
     p, n = field.p, len(rows[0])
-    # terms[i]: (k, s, y) over the coordinates of D e_i, read once per entry
-    terms = [[(k, s, y) for s, layer in enumerate(images) for k, y in layer[i].items()]
-             for i in range(n)]
-    preimages = [[] for _ in range(n)]  # preimages[k]: (b, s, -y), e_k a term of D e_b
-    for b, image in enumerate(terms):
-        for k, s, y in image:
-            preimages[k].append((b, s, -y))
+    # terms[i]: (index of D, k, s, y) over the coordinates of each D e_i
+    terms = [[] for _ in range(n)]
+    preimages = [[] for _ in range(n)]  # preimages[k]: (d, b, s, -y), e_k a term of D e_b
+    for d, images in enumerate(derivations):
+        for s, layer in enumerate(images):
+            for i, image in enumerate(layer):
+                for k, y in image.items():
+                    terms[i].append((d, k, s, y))
+                    preimages[k].append((d, i, s, -y))
+    layers = [(r, layer) for r, layer in enumerate(rows) if any(layer)]
     # per row layer r, both lists with the power r + s of the product
-    shifted = [([[(k, r + s, y) for k, s, y in image] for image in terms],
-                [[(b, r + s, y) for b, s, y in pre] for pre in preimages])
-               for r in range(len(rows))]
+    shifted = [(layer, [[(d, k, r + s, y) for d, k, s, y in image] for image in terms],
+                [[(d, b, r + s, y) for d, b, s, y in pre] for pre in preimages])
+               for r, layer in layers]
 
     def defect(a, lo):
-        for layer, (image, before) in zip(rows, shifted):
+        for layer, image, before in shifted:
             for k, (x, t) in layer[a].items():
                 if k > lo:  # D[a, k]
-                    for u, e, y in image[t]:
-                        yield (k, u, e), x * y
-                for b, e, y in before[k]:  # -[a, Db]
+                    for d, u, e, y in image[t]:
+                        yield (d, k, u, e), x * y
+                for d, b, e, y in before[k]:  # -[a, Db]
                     if b > lo:
-                        yield (b, t, e), x * y
-        for k, s, y in terms[a]:  # -[Da, b]
+                        yield (d, b, t, e), x * y
+        for d, k, s, y in terms[a]:  # -[Da, b]
             y = -y
-            for r, layer in enumerate(rows):
+            for r, layer in layers:
                 e = r + s
                 for b, (x, t) in layer[k].items():
                     if b > lo:
-                        yield (b, t, e), x * y
+                        yield (d, b, t, e), x * y
 
     for a in range(n) if visit is None else visit:
         left = accumulate({}, defect(a, a if half else -1), p)
         if left:
-            left = fold({((b, t), e): c for (b, t, e), c in left.items()}, field)
+            left = fold({((d, b, t), e): c for (d, b, t, e), c in left.items()}, field)
         if left:
-            yield a, sorted({b for (b, _t), _e in left})
+            yield a, sorted({b for (_d, b, _t), _e in left})
 
 
 def _jacobi_sweep(desc: AlgebraDescriptor) -> list:
@@ -631,21 +640,21 @@ def leibniz_violations(deriv: Derivation) -> list:
     """D[u,v] = [Du,v] + [u,Dv] over all basis monomial pairs.
 
     The defect of the derivation table, summed row by row by
-    `derivation_defects`.  On a Lie algebra the a with
-    D[a,b] = [Da,b] + [a,Db] for every b form a subalgebra (Jacobson, Lie
-    Algebras), so once anticommutativity and Jacobi hold, the rows of the
-    generators decide the law: when none of them fails over every b, the
-    list is empty.  Otherwise every row is summed over every b to list the
-    failing pairs, in order.
+    `derivation_defects` with D as its one derivation.  On a Lie algebra
+    the a with D[a,b] = [Da,b] + [a,Db] for every b form a subalgebra
+    (Jacobson, Lie Algebras), so once anticommutativity and Jacobi hold,
+    the rows of the generators decide the law: when none of them fails
+    over every b, the list is empty.  Otherwise every row is summed over
+    every b to list the failing pairs, in order.
     """
     desc = deriv.descriptor
-    rows, images = [desc.table], [deriv.table]
+    rows, derivations = [desc.table], [[deriv.table]]
     gens = desc.generators if not desc.anticommutativity and not desc.jacobi else None
-    if gens is not None and next(derivation_defects(rows, images, desc.field, visit=gens),
+    if gens is not None and next(derivation_defects(rows, derivations, desc.field, visit=gens),
                                  None) is None:
         return []
     return [(desc.basis[a], desc.basis[b])
-            for a, bs in derivation_defects(rows, images, desc.field) for b in bs]
+            for a, bs in derivation_defects(rows, derivations, desc.field) for b in bs]
 
 
 def derivation_power_violations(deriv: Derivation) -> list:

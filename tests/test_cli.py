@@ -332,10 +332,10 @@ def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
         walks.append(walk(desc))
         return walks[-1]
 
-    def counted_kernel(rows, images, field, half=False, visit=None):
+    def counted_kernel(rows, derivations, field, half=False, visit=None):
         if inside:
             visited.append((len(rows[0]) if visit is None else len(visit), half))
-        return kernel(rows, images, field, half, visit)
+        return kernel(rows, derivations, field, half, visit)
 
     def counted_leibniz(*args):
         inside.append(1)
@@ -359,6 +359,35 @@ def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
     deriv, visited[:] = liealg.Derivation(desc, 1), []
     assert deriv.leibniz == oracles.element_leibniz_violations(deriv)
     assert visited == [(desc.dim, False)]
+
+
+def test_certificates_take_one_kernel_pass_each(capsys, monkeypatch):
+    """The derivation kernel sums every generator of a certificate in one
+    run.  A passing verify runs it twice: the Jacobi certificate with one
+    ad g per generator over every row, and Leibniz on the generator rows.
+    A passing switch runs it twice too: the Jacobi certificate on T and the
+    rule certificate on the three layers of T' over F_27, with X and Y."""
+    calls, kernel, walk, walks = [], liealg.derivation_defects, liealg.monomial_generators, []
+
+    def counted_kernel(rows, derivations, field, half=False, visit=None):
+        calls.append((len(rows), len(derivations), half, visit))
+        return kernel(rows, derivations, field, half, visit)
+
+    def counted_walk(desc):
+        walks.append(walk(desc))
+        return walks[-1]
+    monkeypatch.setattr(liealg, "derivation_defects", counted_kernel)
+    monkeypatch.setattr(liealg, "monomial_generators", counted_walk)
+    for name in ("az p3 n2 n1 3", "az p3 n3 n1 2"):
+        calls[:], walks[:] = [], []
+        code, _, _ = run(capsys, "verify", *VERIFY_FROZEN[name][0])
+        assert code == 0, name
+        gens, = walks
+        assert calls == [(1, len(gens), True, None), (1, 1, False, gens)], name
+    calls[:], walks[:] = [], []
+    code, _, _ = run(capsys, "switch", *SWITCH_FROZEN["big p3 n2 s2 pi t+0"][0])
+    gens, = walks
+    assert (code, calls) == (0, [(1, len(gens), True, None), (3, 2, True, None)])
 
 
 def test_verify_decides_power_laws_on_generator_rows(capsys, monkeypatch):
@@ -580,11 +609,29 @@ def test_analyze_json_round_trips(capsys):
 # exit code and sha256 of stdout, frozen from the implementation whose
 # callers passed the law verdicts of the table down by hand
 ANALYZE_FROZEN = {
-    # the benchmark's analyze-big3125 at pi = t
+    # the benchmark's analyze-big3125 variants, pi = t + c for c = 0 to 4;
+    # t+1 to t+4 frozen from the implementation that ran the derivation
+    # kernel once per generator
     "big p5 n1 s0 max45 pi t+0": (("--case", "big-field", "--p", "5", "--n", "1", "--s", "0",
                                    "--max-degree", "45", "--pi", "t+0"), 0,
                                   "3acf19a0947f5163e2bb69a504afcd4a5812e67b7e683eac13b7796a6fc6ace4",
                                   "809e6918fe5e18f4235cd1f658116cad38cb925c5ce1c7cc25d150ad750d3026"),
+    "big p5 n1 s0 max45 pi t+1": (("--case", "big-field", "--p", "5", "--n", "1", "--s", "0",
+                                   "--max-degree", "45", "--pi", "t+1"), 0,
+                                  "3c0d7171c5e641d60e9fd01f35d4590748673a0b1f65e9add771d8365e13e367",
+                                  "8150eed2064e0c7b05004a79cd6d1fda35c0a65f796b290437e7c01ec7b19512"),
+    "big p5 n1 s0 max45 pi t+2": (("--case", "big-field", "--p", "5", "--n", "1", "--s", "0",
+                                   "--max-degree", "45", "--pi", "t+2"), 0,
+                                  "6814c58cb9816ae909954462fef69fae0b17709df00c817ba9b22b690201ab0e",
+                                  "2afb0a70cc7eac3a39ed0abd953fc9318de6a5506c2853ce3d6054d2e70229dc"),
+    "big p5 n1 s0 max45 pi t+3": (("--case", "big-field", "--p", "5", "--n", "1", "--s", "0",
+                                   "--max-degree", "45", "--pi", "t+3"), 0,
+                                  "9e1c547b50bb65a58eee162fa5d53e4e39400a1fe6da39e6753f5b7760e9c25a",
+                                  "6dc39d31cd868ba6a3e06fd35a2455c426addee163bd14d6de859dc51d8ac16f"),
+    "big p5 n1 s0 max45 pi t+4": (("--case", "big-field", "--p", "5", "--n", "1", "--s", "0",
+                                   "--max-degree", "45", "--pi", "t+4"), 0,
+                                  "06937854c4007d9917481445a6c4b9638156781c49764b558fa50fe3da20e03f",
+                                  "7e4bef5174f2bb3d681858f3cfd09e0d6036117ce26c7fdedd800bfa2e0d56c5"),
     # the acceptance reproductions of the paper's two cases
     "big p3 n2 s1 max216": (("--case", "big-field", "--p", "3", "--n", "2", "--s", "1",
                              "--max-degree", "216"), 0,
@@ -702,6 +749,12 @@ def test_usage_errors(capsys):
         code, _, err = run(capsys, "verify", "--p", "3", "--n", "1",
                            "--family", "albert-zassenhaus", "--field", spec)
         assert (code, err) == (2, "error: --field numbers have at most 4300 digits\n")
+    # the same bound on --pi and --sigma, as a coefficient and as a power of t
+    for option in ("--pi", "--sigma"):
+        for number in ("9" * 5000, "t^" + "9" * 5000):
+            code, _, err = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1",
+                               option, number)
+            assert (code, err) == (2, f"error: {option} numbers have at most 4300 digits\n")
     # n1 is s + 1 in the graded commands and only analyze bounds the degree,
     # so argparse refuses these options elsewhere
     for args, flag in [

@@ -1,5 +1,7 @@
 """Lie brackets of both families, the step derivation, and the law checkers."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from oracles import (
     items,
 )
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
-from thinlie.ffield import FieldParams
+from thinlie.ffield import FieldParams, is_irreducible
 from thinlie import liealg
 from thinlie.grading import GradingCase, GradingSpec, monomial_grading_violations
 from thinlie.liealg import (
@@ -27,9 +29,11 @@ from thinlie.liealg import (
     Family,
     ad_table,
     additive_violations,
+    ads_are_derivations,
     anticommutativity_violations,
     antisymmetry_violations,
     closure_violations,
+    derivation_defects,
     derivation_power_violations,
     iterated_table,
     jacobi_violations,
@@ -278,6 +282,60 @@ def test_table_kernels_match_dense_oracles_on_layered_plantings(data):
             == dense_additive_violations(rows, weight, modulus))
 
 
+def layered_field(p: int, m: int) -> FieldParams:
+    """F_{p^m} by the first irreducible monic modulus in lexicographic order."""
+    for low in itertools.product(range(p), repeat=m):
+        if is_irreducible(p, low + (1,)):
+            return FieldParams(p, m, low + (1,))
+
+
+def negated(derivation: list, p: int) -> list:
+    """-D of a derivation table in coordinate layers."""
+    return [[{k: -y % p for k, y in row.items()} for row in layer] for layer in derivation]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batched_derivation_defects_match_single_runs_on_layered_plantings(data):
+    """One run of `derivation_defects` over several derivations lists, per
+    row, the union of what a run per derivation lists, and
+    `ads_are_derivations` on a generator list is the conjunction of its
+    single-generator calls, on random layered tables with up to three
+    plantings.  The defects of ad_g and -ad_g are equal up to sign, so a
+    kernel that summed them under one key would report nothing."""
+    rows, p, weight, modulus = layered_table(data)
+    field, n = layered_field(p, len(rows)), len(rows[0])
+    kinds = ["diagonal", "mirror", "target", "sum", "weight"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        plant(rows, p, weight, modulus, kind, data)
+    gens = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    ads = [[ad_table(layer, g) for layer in rows] for g in gens]
+    half = data.draw(st.booleans())
+    union = {}
+    for d in ads:
+        for a, bs in derivation_defects(rows, [d], field, half):
+            union[a] = sorted(set(union.get(a, [])) | set(bs))
+    assert list(derivation_defects(rows, ads, field, half)) == sorted(union.items())
+    assert (ads_are_derivations(rows, gens, field)
+            == all(ads_are_derivations(rows, [g], field) for g in gens))
+    alone = list(derivation_defects(rows, ads[:1], field))
+    assert list(derivation_defects(rows, [ads[0], negated(ads[0], p)], field)) == alone
+
+
+def test_defects_of_opposite_derivations_do_not_cancel():
+    """D with one planted entry is no derivation; D and -D together fail
+    on exactly the rows and partners of D alone."""
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
+    deriv = Derivation(desc, 1)
+    deriv.table[desc._index[Monomial(1, 1)]][desc._index[Monomial(0, 1)]] = 1
+    rows, d = [desc.table], [deriv.table]
+    alone = list(derivation_defects(rows, [d], F3))
+    assert alone != []
+    assert [(desc.basis[a], desc.basis[b]) for a, bs in alone for b in bs] == (
+        element_leibniz_violations(deriv))
+    assert list(derivation_defects(rows, [d, negated(d, 3)], F3)) == alone
+
+
 def admissible_descriptor(data):
     """A fresh descriptor for random (family, p, n1, n2) over F_p, at most 125
     monomials, with one random constant planted in the row of y half the
@@ -514,6 +572,9 @@ def test_jacobi_certificate_matches_oracle_on_anticommutative_plantings(data):
         drop_brackets_onto(desc, data.draw(st.integers(0, n - 1)))
     assert anticommutativity_violations(desc) == []
     assert jacobi_violations(desc) == dense_jacobi_violations(desc)
+    gens = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    assert (ads_are_derivations([rows], gens, desc.field)
+            == all(ads_are_derivations([rows], [g], desc.field) for g in gens))
 
 
 def test_generation_fails_without_brackets_onto_a_monomial():
