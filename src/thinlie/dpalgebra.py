@@ -280,14 +280,17 @@ def generalized_power(field: FieldParams, heights: Heights, sigma: FieldElement,
 
 
 class SparseEchelon:
-    """Incremental reduced row echelon form over sparse algebra elements.
+    """Incremental row echelon form over sparse algebra elements.
 
-    Each row has unit leading coefficient at the lexicographically smallest
-    monomial of its support, and no two rows share that leading monomial.
-    insert clears the new pivot from the older rows but reduces only the
-    leading term of the new row, so its tail may still meet other pivots
-    and the stored rows depend on insertion order; __eq__ therefore
-    compares the spans, not the rows.
+    The one rule: insert reduces the new vector until its leading monomial
+    is no pivot, scales it to a unit lead and stores it under that lead.
+    No older row changes.  So each row has coefficient 1 at its key, the
+    key is the least monomial of the row's support, and no two rows share
+    a key; a row's tail may still meet later pivots, and the stored rows
+    depend on insertion order.  Ordered by key, the rows read at the keys
+    form a unit upper-triangular matrix, so `coordinates` (the
+    coefficients at the keys) is injective on the span, and `reduce` maps
+    exactly the span to zero.  __eq__ compares the spans, not the rows.
     """
 
     def __init__(self, field: FieldParams, heights: Heights):
@@ -312,26 +315,21 @@ class SparseEchelon:
         return AlgebraElement._make(field, self.heights, terms)
 
     def insert(self, v: AlgebraElement) -> bool:
-        """Add v to the span; True iff the rank grew.
+        """Add v to the span by the class's rule; True iff the rank grew.
 
-        The leading F_{p^m} coefficient is gathered from its coordinates and
-        inverted as a FieldElement."""
+        The leading F_{p^m} coefficient is read with `coeff` and inverted
+        as a FieldElement."""
         v = self.reduce(v)
         if v.is_zero():
             return False
-        field = self.field
-        p, m = field.p, field.m
         lead = min(v.terms)[0]
-        v = v.scale(v.coeff(lead).inverse())
-        lead_keys = [(lead, r) for r in range(m)]
-        for key, row in list(self.rows.items()):
-            if row.terms.keys().isdisjoint(lead_keys):
-                continue
-            c = [(r, p - row.terms[k]) for r, k in enumerate(lead_keys) if k in row.terms]
-            terms = accumulate(dict(row.terms), _times(v.terms, c, field).items(), p)
-            self.rows[key] = AlgebraElement._make(field, self.heights, terms)
-        self.rows[lead] = v
+        self.rows[lead] = v.scale(v.coeff(lead).inverse())
         return True
+
+    def coordinates(self, v: AlgebraElement) -> tuple:
+        """v's coefficients at the pivots, in increasing order: injective on
+        the span (see the class docstring)."""
+        return tuple(v.coeff(m) for m in sorted(self.rows))
 
     def contains(self, v: AlgebraElement) -> bool:
         return self.reduce(v).is_zero()

@@ -172,13 +172,9 @@ class GradedBasis:
         return [lab for lab in self.labels if not self.vectors[lab].is_zero()]
 
     def validate_rank(self, descriptor: AlgebraDescriptor):
-        """ValueError unless the active vectors are dim many and independent.
-
-        Only the rank is needed, so each vector is reduced and stored with a
-        unit lead, without clearing that lead from the rows before it
-        (`SparseEchelon.insert` does): rows whose leads are distinct and
-        minimal in their supports reduce every vector of their span to zero.
-        """
+        """ValueError unless the active vectors are dim many and independent:
+        each is inserted into one echelon (see `SparseEchelon`), and the
+        first whose insert does not grow the rank is dependent."""
         active = self.active_labels
         if len(active) != descriptor.dim:
             raise ValueError(
@@ -186,11 +182,8 @@ class GradedBasis:
             )
         ech = SparseEchelon(self.field, self.spec.heights)
         for lab in active:
-            v = ech.reduce(self.vectors[lab])
-            if v.is_zero():
+            if not ech.insert(self.vectors[lab]):
                 raise ValueError(f"basis vector at label {lab} is dependent")
-            lead = min(v.terms)[0]
-            ech.rows[lead] = v.scale(v.coeff(lead).inverse())
 
     def serialize(self) -> str:
         lines = []
@@ -732,10 +725,11 @@ def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,
     scalar_link lists the labels whose closed vector is not the raw one
     times the closed scalar.  If there are none and both bases share spec,
     labels, degrees and active labels, each active closed vector is s times
-    the raw one, s != 0.  `SparseEchelon.insert` scales rows to a unit lead
-    and `reduce` commutes with scalars, so the raw echelons hold the same
-    rows and each raw stray is the closed one over s_a s_b, in the same
-    order.  Otherwise the raw basis is swept on its own.
+    the raw one, s != 0.  `SparseEchelon.insert` stores rows with a unit
+    lead (see its class docstring) and `reduce` commutes with scalars, so
+    the raw echelons hold the same rows and each raw stray is the closed
+    one over s_a s_b, in the same order.  Otherwise the raw basis is swept
+    on its own.
     """
     link = [lab for lab in closed.labels
             if closed.vectors[lab] != raw.vectors[lab].scale(closed.scalars[lab])]

@@ -237,9 +237,9 @@ def check_covering(cfg: LoopConfig, i: int, records: list):
     - Containment is free.  expand_loop spans L_{i+1} by exactly the
       images A_k = [u_k, X] and B_k = [u_k, Y] of the basis u_k of L_i,
       kept on the record, so covering is a rank condition on them.
-    - Coordinates.  Each image is read at the pivot monomials of the
-      echelon of L_{i+1}.  Echelon rows have distinct leading monomials, so
-      this projection is unit-triangular and hence injective on L_{i+1}.
+    - Coordinates.  Each image is read at the pivots of the echelon of
+      L_{i+1} by `SparseEchelon.coordinates`, which is injective on
+      L_{i+1} (see `SparseEchelon`).
     - dim L_i = 1: pass iff rank{A_1, B_1} = dim L_{i+1}, else u_1 fails.
     - dim L_i = 2, dim L_{i+1} = 1: u = a*u_1 + b*u_2 maps to
       (a*A_1 + b*A_2, a*B_1 + b*B_2), so the failing lines are the kernel
@@ -260,8 +260,8 @@ def check_covering(cfg: LoopConfig, i: int, records: list):
     cur, nxt = records[i - 1], records[i]
     if cur.dim == 0 or cur.dim > 2:
         return None
-    pivots = sorted(nxt.echelon.rows)
-    coords = [(_coords(a, pivots), _coords(b, pivots)) for a, b in cur.images]
+    read = nxt.echelon.coordinates
+    coords = [(read(a), read(b)) for a, b in cur.images]
     c = None  # the failing line is u_1 + c*u_2, else the last basis vector
     if cur.dim == 1:
         if _spans(*coords[0]):
@@ -293,10 +293,6 @@ def check_covering(cfg: LoopConfig, i: int, records: list):
         "image_with_X": bx.text(),
         "image_with_Y": by.text(),
     }
-
-
-def _coords(v: AlgebraElement, pivots: list) -> tuple:
-    return tuple(v.coeff(m) for m in pivots)
 
 
 def _det(x: tuple, y: tuple) -> FieldElement:
@@ -509,15 +505,15 @@ def centralizer_chain(cfg: LoopConfig, records: list, bound: int) -> dict:
     u in L_i}, returned as reduced coordinate pairs in the (X, Y) basis.
 
     [u, aX + bY] = a[u, X] + b[u, Y] lies in L_{i+1}, so the condition is
-    read at the pivot monomials of L_{i+1}, which are injective there (see
-    check_covering): one row (x, y) per basis vector u and pivot, with the
-    centralizer the kernel {(a, b) : a*x + b*y = 0 for every row}.
+    read at the pivots of L_{i+1} by `SparseEchelon.coordinates`, injective
+    there (see `SparseEchelon`): one row (x, y) per basis vector u and
+    pivot, with the centralizer the kernel {(a, b) : a*x + b*y = 0 for
+    every row}.
     """
     out = {}
     for i in range(1, bound + 1):
-        pivots = sorted(records[i].echelon.rows)
-        rows = [(bx.coeff(m), by.coeff(m))
-                for bx, by in records[i - 1].images for m in pivots]
+        read = records[i].echelon.coordinates
+        rows = [xy for bx, by in records[i - 1].images for xy in zip(read(bx), read(by))]
         out[i] = plane_kernel(cfg.alg.field, rows)
     return out
 

@@ -340,8 +340,8 @@ def scale(v: AlgebraElement, c: FieldElement) -> dict:
 
 class Echelon:
     """`SparseEchelon` on {monomial: FieldElement} rows, by the same steps:
-    reduce clears leading pivots one at a time; insert scales the new row
-    to a unit lead and clears that pivot from the older rows."""
+    reduce clears leading pivots one at a time; insert scales the reduced
+    row to a unit lead and stores it, leaving the older rows as they are."""
 
     def __init__(self):
         self.rows: dict = {}
@@ -360,15 +360,7 @@ class Echelon:
             return False
         lead = min(terms)
         inv = terms[lead].inverse()
-        terms = {m: x * inv for m, x in terms.items()}
-        for key, row in self.rows.items():
-            if lead in row:
-                c = -row[lead]
-                row = dict(row)
-                for m, x in terms.items():
-                    _add(row, m, c * x)
-                self.rows[key] = row
-        self.rows[lead] = terms
+        self.rows[lead] = {m: x * inv for m, x in terms.items()}
         return True
 
 

@@ -187,27 +187,64 @@ def test_echelon_basis_is_reduced():
 
 
 H11_MONOS = list(H11.monomials())
-elements_f3 = st.lists(
-    st.tuples(st.sampled_from(H11_MONOS), st.integers(0, 2)), max_size=4
-).map(lambda terms: AlgebraElement(F3, H11, terms))
+
+
+def coefficients(field):
+    return st.lists(st.integers(0, field.p - 1), min_size=field.m, max_size=field.m)
+
+
+def elements_over(field):
+    return st.lists(st.tuples(st.sampled_from(H11_MONOS), coefficients(field)),
+                    max_size=4).map(lambda terms: AlgebraElement(field, H11, terms))
+
+
+@st.composite
+def echelon_draws(draw):
+    """Up to five vectors over F_3 or F_27 (m > 1, as analyze reads
+    coordinates over F_3125), a permutation of them, one extra vector and
+    a coefficient per vector for a span element."""
+    field = draw(st.sampled_from([F3, F27]))
+    vs = draw(st.lists(elements_over(field), min_size=1, max_size=5))
+    combo = draw(st.lists(coefficients(field), min_size=len(vs), max_size=len(vs)))
+    return field, vs, draw(st.permutations(vs)), draw(elements_over(field)), combo
+
+
+def assert_echelon_rule(ech, vs):
+    """Insert vs one by one: no older row changes, every row has
+    coefficient 1 at its key, the least monomial of its support; read at
+    the keys the rows are unit upper-triangular, so `coordinates` is
+    injective on the span."""
+    for v in vs:
+        before = dict(ech.rows)
+        ech.insert(v)
+        assert all(ech.rows[k] is row for k, row in before.items())
+    one, zero = ech.field.one(), ech.field.zero()
+    keys = sorted(ech.rows)
+    for j, key in enumerate(keys):
+        row = ech.rows[key]
+        assert row.support()[0] == key
+        assert row.coeff(key) == one
+        assert ech.coordinates(row)[:j + 1] == (zero,) * j + (one,)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(elements_f3, min_size=1, max_size=5).flatmap(
-    lambda vs: st.tuples(st.just(vs), st.permutations(vs))), elements_f3)
-def test_echelon_equality_is_span_equality(orders, extra):
-    vs, shuffled = orders
-    e1 = SparseEchelon(F3, H11)
-    e2 = SparseEchelon(F3, H11)
-    for v in vs:
-        e1.insert(v)
-    for v in shuffled:
-        e2.insert(v)
+@given(echelon_draws())
+def test_echelon_equality_is_span_equality(draws):
+    field, vs, shuffled, extra, combo = draws
+    e1 = SparseEchelon(field, H11)
+    e2 = SparseEchelon(field, H11)
+    assert_echelon_rule(e1, vs)
+    assert_echelon_rule(e2, shuffled)
     assert e1 == e2
-    grown = SparseEchelon(F3, H11)
-    for v in vs + [extra]:
-        grown.insert(v)
+    grown = SparseEchelon(field, H11)
+    assert_echelon_rule(grown, vs + [extra])
     assert (grown == e1) == e1.contains(extra)
+    w = AlgebraElement.zero(field, H11)
+    for v, c in zip(vs, combo):
+        w = w + v.scale(field.element(c))
+    assert e1.reduce(w).is_zero()
+    if all(x.is_zero() for x in e1.coordinates(w)):
+        assert w.is_zero()
 
 
 def test_overflow_check_survives_optimize():

@@ -1,6 +1,7 @@
 """Loop expansion, diamond classification and the thin-pattern check battery."""
 
 import functools
+import itertools
 import random
 import types
 
@@ -190,11 +191,13 @@ def field_elements(field):
                     max_size=field.m).map(field.element)
 
 
-def block_records(field, targets, coeffs):
+def block_records(field, targets, coeffs, tail=None):
     """cfg and records of a block: L_1 = <u_1, u_2> whose images A_k =
     [u_k, X] and B_k = [u_k, Y] are the combinations of `targets` target
     monomials given by coeffs, A_1, B_1, A_2, B_2 in turn; L_2 is their
-    span."""
+    span.  u_1 = x^(0,0) and u_2 = x^(0,1), or with a nonzero tail
+    u_1 = x^(0,0) + tail*x^(0,1): then L_1's first echelon row holds the
+    second row's lead, and the images of u_1 mix the coeffs above."""
     h = Heights(field.p, 1, 1)
 
     def mono(i, j):
@@ -210,7 +213,7 @@ def block_records(field, targets, coeffs):
     alg = ActionAlgebra(field, h, X, images)
     cfg = types.SimpleNamespace(alg=alg, X=X, Y=Y)
     cur = SparseEchelon(field, h)
-    cur.insert(mono(0, 0))
+    cur.insert(mono(0, 0) if tail is None else mono(0, 0) + mono(0, 1).scale(tail))
     cur.insert(mono(0, 1))
     images = [(alg.bracket(u, X), alg.bracket(u, Y)) for u in cur.basis()]
     nxt = SparseEchelon(field, h)
@@ -293,6 +296,66 @@ def test_covering_whole_plane_kernel():
 def test_covering_matches_line_oracle_random_blocks(block):
     cfg, records = block_records(*block)
     assert check_covering(cfg, 1, records) == covering_by_lines(cfg, 1, records)
+
+
+def centralizer_by_pairs(cfg, records):
+    """Centralizer of L_1 in L_1 as a set of pairs, by trying every pair:
+    each (a, b) with a[u, X] + b[u, Y] = 0 for every basis vector u."""
+    elements = list(cfg.alg.field.elements())
+    return {(a, b) for a in elements for b in elements
+            if all((bx.scale(a) + by.scale(b)).is_zero() for bx, by in records[0].images)}
+
+
+def span_of_pairs(field, basis):
+    elements = list(field.elements())
+    return {(sum((c * a for c, (a, _) in zip(cs, basis)), field.zero()),
+             sum((c * b for c, (_, b) in zip(cs, basis)), field.zero()))
+            for cs in itertools.product(elements, repeat=len(basis))}
+
+
+@st.composite
+def overlapping_blocks(draw):
+    """A covering block and a nonzero tail for u_1."""
+    block = draw(covering_blocks())
+    return block, draw(field_elements(block[0]).filter(lambda c: not c.is_zero()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlapping_blocks())
+@example((f5_block(1, 1, 0, 1, 2, 0, 0, 3), F5.one()))
+def test_overlapping_leads_component(drawn):
+    """L_1's first echelon row holds the second row's lead, and so does
+    L_2's when it is a plane and A_1 meets both targets: the covering
+    verdict and named line equal the line walk, the centralizer equals
+    the pairs that kill every image, and ==, contains and reduce answer
+    for the spans."""
+    block, tail = drawn
+    field = block[0]
+    cfg, records = block_records(*block, tail=tail)
+    cur, nxt = records
+    first = cur.echelon.rows[Monomial(0, 0)]
+    assert first.coeff(Monomial(0, 1)) == tail and Monomial(0, 1) in cur.echelon.rows
+    a1, lead = cur.images[0][0], Monomial(1, 0)
+    if nxt.dim == 2 and not a1.coeff(lead).is_zero():
+        assert nxt.echelon.rows[lead] == a1.scale(a1.coeff(lead).inverse())
+    assert check_covering(cfg, 1, records) == covering_by_lines(cfg, 1, records)
+    kernel = centralizer_chain(cfg, records, 1)[1]
+    assert span_of_pairs(field, kernel) == centralizer_by_pairs(cfg, records)
+    plain = SparseEchelon(field, cur.echelon.heights)
+    for mono in (Monomial(0, 1), Monomial(0, 0)):
+        plain.insert(AlgebraElement.from_monomial(field, plain.heights, mono))
+    assert plain.rows != cur.echelon.rows and plain == cur.echelon
+    for row in plain.basis():
+        assert cur.echelon.contains(row) and cur.echelon.reduce(row).is_zero()
+    images = [w for pair in cur.images for w in pair]
+    reversed_span = SparseEchelon(field, nxt.echelon.heights)
+    for w in reversed(images):
+        reversed_span.insert(w)
+    assert reversed_span == nxt.echelon
+    for w in images:
+        assert nxt.echelon.contains(w) and nxt.echelon.reduce(w).is_zero()
+    outside = AlgebraElement.from_monomial(field, nxt.echelon.heights, Monomial(2, 2))
+    assert not nxt.echelon.contains(outside) and nxt.echelon.reduce(outside) == outside
 
 
 def failing_plane_blocks(field, seed, count):

@@ -65,6 +65,18 @@ def test_no_field_walks():
     assert found == []
 
 
+def test_only_dpalgebra_touches_echelon_rows():
+    """The echelon row invariant lives in dpalgebra alone: no other module
+    reads or writes an attribute named `rows`; they read a span through
+    `SparseEchelon` methods."""
+    assert SOURCES
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "dpalgebra.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "rows"]
+    assert found == []
+
+
 def test_trace_targets_resolve():
     """Every function the benchmark's tracer wraps still exists under the
     name it looks up, so renaming or deleting one fails here too."""
