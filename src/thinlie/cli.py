@@ -10,7 +10,6 @@ Exit codes: 0 all enabled checks pass, 1 check failure or run error,
 """
 
 import argparse
-import json
 import re
 import sys
 from typing import NamedTuple
@@ -207,6 +206,7 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
 def _emit(rc: RunConfig, params: dict, checks: dict, extra: dict, text_head: list):
     passed = checks_passed(checks)
     if rc.fmt == "json":
+        import json  # only JSON output pays for the import
         doc = {"command": rc.command, "params": params, **extra}
         doc["checks"] = {name: c.to_json() for name, c in checks.items()}
         doc["overall"] = passed

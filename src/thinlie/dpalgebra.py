@@ -241,18 +241,28 @@ _ELEM_TERM_RE = re.compile(r"^\((?P<c>[^)]*)\)\*x\^\((?P<i>\d+)\)y\^\((?P<j>\d+)
 
 
 def parse_element(field: FieldParams, heights: Heights, text: str) -> AlgebraElement:
-    """Inverse of AlgebraElement.text(); bit-exact round trip on canonical output."""
+    """Inverse of AlgebraElement.text(); bit-exact round trip on canonical output.
+
+    Each term's coordinates are the coefficient tuple that
+    `FieldParams.parse_element` caches per text, summed into the element's
+    terms with no AlgebraElement built per term.  A term that does not
+    parse raises first, then a monomial out of bounds."""
     s = text.strip()
     if s == "0":
         return AlgebraElement.zero(field, heights)
-    terms = []
+    monos, pairs = [], []
     for part in s.split(" + "):
         mt = _ELEM_TERM_RE.match(part.strip())
         if not mt:
             raise ValueError(f"bad element term {part!r}")
-        coeff = field.parse_element(mt.group("c"))
-        terms.append((Monomial(int(mt.group("i")), int(mt.group("j"))), coeff))
-    return AlgebraElement(field, heights, terms)
+        mono = Monomial(int(mt.group("i")), int(mt.group("j")))
+        monos.append(mono)
+        pairs += [((mono, r), x)
+                  for r, x in enumerate(field.parse_element(mt.group("c")).coeffs) if x]
+    for mono in monos:
+        if not heights.contains(mono):
+            raise ValueError(f"monomial {mono} out of bounds for heights {heights}")
+    return AlgebraElement._make(field, heights, accumulate({}, pairs, field.p))
 
 
 def generalized_power(field: FieldParams, heights: Heights, sigma: FieldElement,

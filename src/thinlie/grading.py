@@ -363,6 +363,10 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
     route, one operator per eigenvalue label).  A failure raises
     ValueError("hypothesis failure: ...") naming what broke.  Returns the
     Laguerre parameter of each monomial, or None for a zero derivation.
+
+    D^p is one `table_power` of D's table.  A row of D^p that is diagonal,
+    D^p m = c m with c in F_p, is its own p-th power, c^p = c (Fermat),
+    so D^(p^2) powers only the rows of D^p off the diagonal.
     """
     if spec.case not in (GradingCase.PRESWITCH_AZ, GradingCase.PRESWITCH_GH):
         raise ValueError("switching starts from a pre-switch monomial grading")
@@ -399,8 +403,11 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
     factor = cfg.lam ** ((p - 1) * p)
     scaled = [factor * c for c in range(p)]  # lam^((p-1)p) c for the entries c of D^p
     alpha_of = [field.element(c) * cfg.pi for c in range(p)]
+    off = [i for i, row in enumerate(dp) if row.keys() - {i}]
+    dp2 = dict(zip(off, table_power(dp, p, p, visit=off)))
     alphas = {}
-    for i, (m, row, row2) in enumerate(zip(monos, dp, table_power(dp, p, p))):
+    for i, (m, row) in enumerate(zip(monos, dp)):
+        row2 = dp2.get(i, row)  # (D^p)^p m = c^p m = c m on the diagonal
         if {k: scaled[c] for k, c in row.items()} != {
                 k: field.element(c) for k, c in row2.items()}:
             raise ValueError(f"hypothesis failure: D^(p^2) != lam^((p-1)p) D^p on {m}")
@@ -428,6 +435,10 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
     depend on the monomial only through its eigenvalue under D^p, so they
     are computed once per eigenvalue, at most p times.  A zero derivation
     returns the original grading.
+
+    The switched basis's rank is not checked here: `switch_checks` derives
+    it from the closed basis through the scalar link, or checks it when
+    the link fails.
     """
     alphas = switch_hypotheses(descriptor, spec, deriv, cfg)
     if alphas is None:
@@ -457,9 +468,7 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
             vectors[lab] = _laguerre_series(coeffs, deriv, basis_vector)
             scalars[lab] = field.one()
     degrees = {lab: out_spec.degree_of_label(lab) for lab in labels}
-    basis = GradedBasis(out_spec, field, labels, vectors, degrees, scalars)
-    basis.validate_rank(descriptor)
-    return basis
+    return GradedBasis(out_spec, field, labels, vectors, degrees, scalars)
 
 
 def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
@@ -538,7 +547,11 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
        first and then every active label in index order, so this step
        cannot fail: X and Y alone where they generate T', as they do on
        every admissible switch with both of them active, and otherwise
-       each label they do not reach, in order, as one more generator;
+       each label they do not reach, in order, as one more generator.
+       When that walk takes more than two, a second walk takes the
+       degree-1 labels first and then j + k descending, and the shorter
+       list is kept: any generating set serves, and each generator costs
+       a derivation check and dim brackets;
     3. ad_g is a derivation of T' for each generator g
        (`ads_are_derivations`, one kernel pass over T' for all of them);
     4. [v_g, v_x] = c v_L for each generator g and active x: 2 x dim
@@ -555,6 +568,11 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
             or additive_violations(layers, deg, N) or descriptor.jacobi):
         return False
     gens = table_generators(layers, sorted(range(len(deg)), key=lambda a: deg[a] != 1))
+    if len(gens) > 2:
+        labels = table.active
+        again = table_generators(layers, sorted(
+            range(len(deg)), key=lambda a: (deg[a] != 1, -labels[a].j - labels[a].k)))
+        gens = min(gens, again, key=len)
     if not ads_are_derivations(layers, gens, field):
         return False
     predicted = _predictions(vectors, field)
@@ -720,16 +738,20 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
 def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,
                   closed: GradedBasis, cfg: SwitchConfig) -> tuple[list, list, list, list]:
     """graded_raw, graded_closed, scalar_link and product_tables violations
-    from one `check_graded` of the closed basis.
+    from one `check_graded` of the closed basis, whose rank
+    `build_closed_basis` checked.
 
     scalar_link lists the labels whose closed vector is not the raw one
     times the closed scalar.  If there are none and both bases share spec,
     labels, degrees and active labels, each active closed vector is s times
-    the raw one, s != 0.  `SparseEchelon.insert` stores rows with a unit
-    lead (see its class docstring) and `reduce` commutes with scalars, so
-    the raw echelons hold the same rows and each raw stray is the closed
-    one over s_a s_b, in the same order.  Otherwise the raw basis is swept
-    on its own.
+    the raw one, s != 0.  So the raw vectors are independent because the
+    closed ones are, and the raw basis needs no rank check of its own.
+    `SparseEchelon.insert` stores rows with a unit lead (see its class
+    docstring) and `reduce` commutes with scalars, so the raw echelons hold
+    the same rows and each raw stray is the closed one over s_a s_b, in the
+    same order.  Otherwise the raw basis's rank is checked
+    (`GradedBasis.validate_rank`, a ValueError if it fails) and the raw
+    basis is swept on its own.
     """
     link = [lab for lab in closed.labels
             if closed.vectors[lab] != raw.vectors[lab].scale(closed.scalars[lab])]
@@ -739,5 +761,6 @@ def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,
         s = closed.scalars
         raw_strays = [(la, lb, w.scale((s[la] * s[lb]).inverse())) for la, lb, w in strays]
     else:
+        raw.validate_rank(descriptor)
         raw_strays = check_graded(descriptor, raw)[0]
     return raw_strays, strays, link, misses

@@ -9,7 +9,6 @@ covering property, the diamond positions and types, the generator
 normalization, centralizer chains and the per-period dimension count.
 """
 
-import json
 from typing import NamedTuple
 
 from .dpalgebra import AlgebraElement, SparseEchelon
@@ -146,6 +145,7 @@ class ThinReport:
         }
 
     def to_json(self) -> str:
+        import json  # only JSON output pays for the import
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
@@ -168,6 +168,7 @@ class ThinReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ThinReport":
+        import json
         return cls.from_dict(json.loads(text))
 
     def __eq__(self, other):

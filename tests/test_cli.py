@@ -524,6 +524,119 @@ def test_switch_checks_anticommutativity_once(capsys, monkeypatch):
         assert len(calls) == 1, broken[0]
 
 
+def ranked_bases(monkeypatch) -> tuple[list, list]:
+    """(the bases `GradedBasis.validate_rank` runs on, in call order; the
+    closed bases `cli.build_closed_basis` returns), both filled as a run goes."""
+    ranked, closed, validate, build = [], [], grading.GradedBasis.validate_rank, cli.build_closed_basis
+
+    def counted(self, desc):
+        ranked.append(self)
+        return validate(self, desc)
+
+    def built(*args):
+        closed.append(build(*args))
+        return closed[-1]
+    monkeypatch.setattr(grading.GradedBasis, "validate_rank", counted)
+    monkeypatch.setattr(cli, "build_closed_basis", built)
+    return ranked, closed
+
+
+def test_passing_runs_check_one_rank(capsys, monkeypatch):
+    """A passing switch checks one rank, the closed basis's, in
+    `build_closed_basis`: the scalar link shows each raw vector to be a
+    closed one over a nonzero scalar, so the raw basis is independent too.
+    analyze checks the one basis it builds."""
+    ranked, closed = ranked_bases(monkeypatch)
+    for command, args in (("switch", SWITCH_FROZEN["big p3 n2 s2 pi t+0"][0]),
+                          ("switch", SWITCH_FROZEN["prime p5 n1 s0 pi2"][0]),
+                          ("analyze", ANALYZE_FROZEN["big p5 n1 s0 max45 pi t+0"][0])):
+        ranked[:], closed[:] = [], []
+        code, _, _ = run(capsys, command, *args)
+        assert code == 0, args
+        assert len(closed) == 1 and ranked == closed, args
+
+
+def test_switch_checks_the_raw_rank_without_the_link(capsys, monkeypatch):
+    """The raw basis's rank is checked on its own only when the scalar link
+    fails.  A closed scalar doubled at one label breaks the link: the raw
+    rank is checked after the closed one, and the output keeps the bytes
+    the two-rank-check implementation printed.  A raw vector replaced by a
+    multiple of another breaks the link too, and its rank check exits 1
+    naming the dependent label."""
+    ranked, closed = ranked_bases(monkeypatch)
+    build, switch = cli.build_closed_basis, cli.switch_grading
+
+    def doubled(*args):
+        basis = build(*args)
+        lab = Label(0, 0, 1)
+        basis.scalars[lab] = basis.scalars[lab] * 2
+        return basis
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_closed_basis", doubled)
+        for fmt, digest in (
+                ("text", "c4535f9d034799e573f96fb6ee792dccf55ab5712239b968da2ce1589b906719"),
+                ("json", "64bf8c4722aba96af838d87cec42c35ed941fb8c7531df730a0becee5e8ad022")):
+            ranked[:], closed[:] = [], []
+            got, out, err = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1",
+                                "--format", fmt)
+            assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (1, digest, ""), fmt
+            assert len(closed) == 1 and len(ranked) == 2 and ranked[0] is closed[0], fmt
+            assert ranked[1].spec.case is grading.GradingCase.BIG_FIELD, fmt
+
+    def dependent(*args):
+        raw = switch(*args)
+        raw.vectors[Label(0, 0, 1)] = raw.vectors[Label(0, 0, 2)].scale(2)
+        return raw
+    monkeypatch.setattr(cli, "switch_grading", dependent)
+    ranked[:], closed[:] = [], []
+    got = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1")
+    assert got == (1, "", "error: basis vector at label Label(j=0, k=0, a=2) is dependent\n")
+    assert len(ranked) == 2 and ranked[0] is closed[0]
+
+
+def test_switch_powers_no_row_of_a_diagonal_d_p(capsys, monkeypatch):
+    """switch_hypotheses powers D's table once for D^p.  On switch-big243
+    D^p is diagonal with entries in F_p, so D^(p^2) = D^p by Fermat and no
+    row of D^p is powered again."""
+    powered, power = [], grading.table_power
+
+    def counted(table, k, p, visit=None):
+        powered.append((k, len(table) if visit is None else len(visit)))
+        return power(table, k, p, visit)
+    monkeypatch.setattr(grading, "table_power", counted)
+    code, _, _ = run(capsys, "switch", *SWITCH_FROZEN["big p3 n2 s2 pi t+0"][0])
+    assert (code, powered) == (0, [(3, 243), (3, 0)])
+
+
+def test_switch_keeps_the_shorter_generator_walk(capsys, monkeypatch):
+    """The rule certificate walks the degree-1 labels and then index order;
+    when that takes more than two generators, it walks the degree-1 labels
+    and then j + k descending too and keeps the shorter list.  On the
+    GradedHamiltonian switch at p = 5, s = 0, pi = 2 the second walk takes
+    3 generators where the first took 9, and the output keeps its frozen
+    bytes.  switch-big243, where X and Y generate, walks once."""
+    calls, walks, kernel, walk = [], [], liealg.derivation_defects, grading.table_generators
+
+    def counted_kernel(rows, derivations, field, half=False, visit=None):
+        calls.append(len(derivations))
+        return kernel(rows, derivations, field, half, visit)
+
+    def counted_walk(rows, candidates):
+        walks.append(walk(rows, candidates))
+        return walks[-1]
+    monkeypatch.setattr(liealg, "derivation_defects", counted_kernel)
+    monkeypatch.setattr(grading, "table_generators", counted_walk)
+    args, code, text_sha, json_sha = SWITCH_FROZEN["prime p5 n1 s0 pi2"]
+    for fmt, digest in (("text", text_sha), ("json", json_sha)):
+        calls[:], walks[:] = [], []
+        got, out, err = run(capsys, "switch", *args, "--format", fmt)
+        assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, ""), fmt
+        assert ([len(w) for w in walks], calls[-1]) == ([9, 3], 3), fmt
+    calls[:], walks[:] = [], []
+    code, _, _ = run(capsys, "switch", *SWITCH_FROZEN["big p3 n2 s2 pi t+0"][0])
+    assert (code, [len(w) for w in walks], calls[-1]) == (0, [2], 2)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from([3, 5]), st.data())
 def test_switch_and_analyze_pass_for_every_sigma(p, data):

@@ -2,6 +2,7 @@
 and the reference product of `oracles`."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -288,3 +289,29 @@ def test_element_text_round_trip(field, data):
     assert back == v
     assert back.text() == v.text()
     assert parse_element(field, heights, "0") == AlgebraElement.zero(field, heights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F3, F27, F3125, F9B]), st.data())
+def test_parse_element_sums_terms_as_the_constructor_does(field, data):
+    """parse_element reads any sum of terms, canonical or not (repeated
+    monomials, zero coefficients, any order), as the element that
+    `AlgebraElement` builds from the parsed (monomial, coefficient) pairs.
+    A monomial outside the heights raises the constructor's error, and a
+    term that does not parse raises before it, naming the term."""
+    heights = Heights(field.p, 1, 1)
+    mono = st.tuples(st.integers(0, field.p), st.integers(0, field.p))  # p is out of bounds
+    coeff = st.lists(st.integers(0, field.p - 1), min_size=field.m,
+                     max_size=field.m).map(field.element)
+    terms = data.draw(st.lists(st.tuples(mono, coeff), min_size=1, max_size=6))
+    text = " + ".join(f"({c})*x^({i})y^({j})" for (i, j), c in terms)
+    try:
+        want = AlgebraElement(field, heights, terms)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            parse_element(field, heights, text)
+    else:
+        got = parse_element(field, heights, text)
+        assert (got, got.terms) == (want, want.terms)
+    with pytest.raises(ValueError, match=re.escape("bad element term '(1)*x^(1)'")):
+        parse_element(field, heights, f"{text} + (1)*x^(1)")

@@ -21,10 +21,11 @@ def test_no_assert_statements():
     assert found == []
 
 
-def absolute_imports():
-    """(file:line, module) for every absolute import in the package."""
+def absolute_imports(nodes=ast.walk):
+    """(file:line, module) for every absolute import in the package, among
+    the nodes that `nodes` yields from each module's tree."""
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in nodes(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -50,6 +51,25 @@ def test_no_dataclasses():
     assert SOURCES
     found = [f"{where} {name}" for where, name in absolute_imports()
              if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def load_time_imports(tree: ast.AST):
+    """The import nodes of a module that run when it loads: every one
+    outside a function body (class bodies run at load too)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from load_time_imports(node)
+
+
+def test_json_is_imported_where_json_is_written():
+    """Text-format runs do not load `json`: each package module imports it
+    inside the functions that write or read JSON, not at load time."""
+    assert SOURCES
+    found = [f"{where} {name}" for where, name in absolute_imports(load_time_imports)
+             if name.split(".")[0] == "json"]
     assert found == []
 
 
