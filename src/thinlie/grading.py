@@ -8,7 +8,10 @@ Degrees live in Z/N.  Switching replaces each monomial by a truncated
 Laguerre series of a nilpotent-or-semisimple derivation applied to it; the
 closed forms of the switched bases are generalized powers
 (1 + sigma x^(p^s))^alpha times a monomial, and the two constructions agree
-up to recorded scalars.
+up to recorded scalars.  The derivation is a monomial map (see `liealg`),
+so D^p, D^(p^2) and each series follow one chain of entries per monomial;
+the closed product rules are the algebra's own Poisson determinants, read
+from the per-axis factors of its structure constants.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from typing import NamedTuple
 
 from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate, fold
 from .dpalgebra import generalized_power, parse_element
-from .ffield import FieldElement, FieldParams, falling_factorial, lucas_binomial
-from .liealg import (AlgebraDescriptor, Derivation, additive_violations, ads_are_derivations,
-                     antisymmetry_violations, table_generators, table_power)
+from .ffield import FieldElement, FieldParams, falling_factorial
+from .liealg import (AlgebraDescriptor, Derivation, _axis_factors, additive_violations,
+                     ads_are_derivations, antisymmetry_violations, table_generators, table_power)
 
 
 class GradingCase(enum.Enum):
@@ -248,10 +251,10 @@ def _laguerre_coefficients(alpha: FieldElement, lam: FieldElement) -> list:
 
 
 def _laguerre_series(coeffs: list, deriv: Derivation, v: AlgebraElement) -> AlgebraElement:
-    """sum_k coeffs[k] D^k v on the rows of D's integer table.
+    """sum_k coeffs[k] D^k v on D's monomial map.
 
     D^k v is kept as {(basis index, r): coordinate of t^r}, each power one
-    pass over the table rows of the one before; coeffs[k] times it lands
+    pass over the map's entries at the one before; coeffs[k] times it lands
     on powers t^(r + s) in one coordinate dict, folded by the modulus once
     at the end.  No algebra element is built until the sum."""
     desc, field = deriv.descriptor, v.field
@@ -260,8 +263,8 @@ def _laguerre_series(coeffs: list, deriv: Derivation, v: AlgebraElement) -> Alge
     terms = {}
     for k, c in enumerate(coeffs):
         if k:
-            w = accumulate({}, (((t, r), x * d) for (i, r), x in w.items()
-                                for t, d in table[i].items()), p)
+            w = accumulate({}, (((hit[1], r), x * hit[0]) for (i, r), x in w.items()
+                                if (hit := table.get(i)) is not None), p)
         if not w:
             break
         coords = [(s, y) for s, y in enumerate(c.coeffs) if y]
@@ -355,7 +358,7 @@ def _closed_scalar(cfg: SwitchConfig, j: int, a: int, alpha: FieldElement) -> Fi
 
 def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
                       deriv: Derivation, cfg: SwitchConfig) -> dict | None:
-    """Verify the switching hypotheses on the integer derivation table.
+    """Verify the switching hypotheses on the derivation's monomial map.
 
     The derivation is graded of a single degree d with N | pd, and either
     D^p = 0 (truncated exponential route) or D^(p^2) = lam^((p-1)p) D^p
@@ -364,9 +367,10 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
     ValueError("hypothesis failure: ...") naming what broke.  Returns the
     Laguerre parameter of each monomial, or None for a zero derivation.
 
-    D^p is one `table_power` of D's table.  A row of D^p that is diagonal,
-    D^p m = c m with c in F_p, is its own p-th power, c^p = c (Fermat),
-    so D^(p^2) powers only the rows of D^p off the diagonal.
+    D^p is one `table_power` of D's map.  An entry of D^p that is
+    diagonal, D^p m = c m with c in F_p, is its own p-th power, c^p = c
+    (Fermat), so D^(p^2) follows only the entries of D^p off the diagonal;
+    such an entry missing from D^(p^2) is zero there.
     """
     if spec.case not in (GradingCase.PRESWITCH_AZ, GradingCase.PRESWITCH_GH):
         raise ValueError("switching starts from a pre-switch monomial grading")
@@ -375,45 +379,40 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
     field = descriptor.field
     p = field.p
     monos = descriptor.basis
-    deg = {m: spec.degree_of_monomial(m) for m in monos}
+    deg = [spec.degree_of_monomial(m) for m in monos]
 
     d = None
-    for m, image in zip(monos, deriv.table):
-        if not image:
-            continue
-        degs = {deg[monos[k]] for k in image}
-        if len(degs) != 1:
-            raise ValueError(f"hypothesis failure: derivation image of {m} is not homogeneous")
-        dd = (degs.pop() - deg[m]) % spec.N
+    for i, (_c, k) in sorted(deriv.table.items()):
+        dd = (deg[k] - deg[i]) % spec.N
         if d is None:
             d = dd
         elif dd != d:
             raise ValueError(f"hypothesis failure: derivation is not graded of one "
-                             f"degree: it moves {m} by {dd}, earlier monomials by {d}")
+                             f"degree: it moves {monos[i]} by {dd}, earlier monomials by {d}")
     if d is None:
         return None
     if (p * d) % spec.N != 0:
         raise ValueError(f"hypothesis failure: N = {spec.N} does not divide p*d = {p * d}")
 
     dp = table_power(deriv.table, p, p)
-    if not any(dp):
+    if not dp:
         return {m: field.zero() for m in monos}
     if not cfg.eigen_compatible():
         raise ValueError("hypothesis failure: (pi^p - pi) sigma^p != 1")
     factor = cfg.lam ** ((p - 1) * p)
     scaled = [factor * c for c in range(p)]  # lam^((p-1)p) c for the entries c of D^p
     alpha_of = [field.element(c) * cfg.pi for c in range(p)]
-    off = [i for i, row in enumerate(dp) if row.keys() - {i}]
-    dp2 = dict(zip(off, table_power(dp, p, p, visit=off)))
-    alphas = {}
-    for i, (m, row) in enumerate(zip(monos, dp)):
-        row2 = dp2.get(i, row)  # (D^p)^p m = c^p m = c m on the diagonal
-        if {k: scaled[c] for k, c in row.items()} != {
-                k: field.element(c) for k, c in row2.items()}:
+    dp2 = table_power(dp, p, p, visit=[i for i, (_c, k) in dp.items() if k != i])
+    alphas = dict.fromkeys(monos, alpha_of[0])
+    for i, (c, k) in dp.items():
+        m = monos[i]
+        # (D^p)^p m = c^p m = c m on the diagonal, and 0 off it when dp2 has no entry
+        c2, k2 = dp2.get(i, (c if k == i else 0, k))
+        if scaled[c] != field.element(c2) or k2 != k:
             raise ValueError(f"hypothesis failure: D^(p^2) != lam^((p-1)p) D^p on {m}")
-        if row.keys() - {i}:
+        if k != i:
             raise ValueError(f"hypothesis failure: D^p is not diagonal on the monomial "
-                             f"basis: D^p {m} has support {sorted(monos[k] for k in row)}")
+                             f"basis: D^p {m} has support {[monos[k]]}")
         # D^p is c in F_p on m.  The series runs in lam D, whose p-th
         # power is lam^p c on m, and the Laguerre parameter of that
         # eigenvalue solves alpha^p - alpha = lam^p c: alpha = c pi does,
@@ -422,7 +421,7 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
         # closed form's exponent at a = 0, for every sigma.  graded_raw
         # sweeps this basis without reading the closed forms, so its
         # passing is independent evidence.
-        alphas[m] = alpha_of[row.get(i, 0)]
+        alphas[m] = alpha_of[c]
     return alphas
 
 
@@ -652,13 +651,16 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
     onto one is dropped.
 
     Each part of a rule is computed once per class it depends on.  Off
-    k = h = -1, c is an integer of (j, l) and (k, h) alone, from two
-    binomial tables built once, by (j, l) and by (k, h): it is computed
-    once per (j, l, k, h) and entered on the p x p block of (a, b) when
-    nonzero.  On k = h = -1, c is an F_p-combination of sigma*alpha,
-    computed once per (j, a) and combined coordinate-wise per (a, b).  So
-    the table costs q p field multiplies and builds no algebra element,
-    and its entries share their (x, t) tuples.
+    k = h = -1, c is the Poisson determinant X0 Y1 - X1 Y0 of the label
+    exponents, x^(k+1), x^(h+1) on one axis and y^(j+1), y^(l+1) on the
+    other, from the factors `liealg._axis_factors` tabulates for the
+    structure constants: (X0, X1) = (C(k+h+1,h), C(k+h+1,k)) and
+    (Y0, Y1) = (C(j+l+1,l), C(j+l+1,j)).  It is computed once per
+    (j, l, k, h) and entered on the p x p block of (a, b) when nonzero.
+    On k = h = -1, c = sigma (Y1 beta - Y0 alpha) is an F_p-combination of
+    sigma*alpha, computed once per (j, a) and combined coordinate-wise per
+    (a, b).  So the table costs q p field multiplies and builds no algebra
+    element, and its entries share their (x, t) tuples.
     """
     spec, field = basis.spec, basis.field
     if spec.case not in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD):
@@ -677,30 +679,22 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
     in_prime_field = [(x,) + (0,) * (m - 1) for x in range(p)]
     layers = [[{} for _ in active] for _ in range(m)]
     unlabelled = {}
+    xs = _axis_factors(ps, p)
 
-    def binomials(top: int) -> list[list[tuple[int, int]]]:
-        """(C(u+v+1, u), C(u+v+1, v)) mod p at [u+1][v+1], -1 <= u, v <= top."""
-        return [[(lucas_binomial(u + v + 1, u, p), lucas_binomial(u + v + 1, v, p))
-                 for v in range(-1, top + 1)] for u in range(-1, top + 1)]
-    by_jl, by_kh = binomials(q - 2), binomials(ps - 2)
-
-    for j in range(-1, q - 1):
-        for l in range(-1, q - 1):
-            cj, cl = by_jl[j + 1][l + 1]
-            if not (cj or cl):
-                continue
-            jj = j + l
-            targets = rotated[jj + 1] if -1 <= jj <= q - 2 else None
-            # k = h = -1: c = sigma (C_j beta - C_l alpha) onto (j + l, p^s - 2, a + b - 1)
-            for a, ia in enumerate(at[j + 1][0]):
+    # j1, l1, k1, h1 are the exponents j + 1, l + 1, k + 1, h + 1; gy, gx the target's
+    for j1, yrow in enumerate(_axis_factors(q, p)):
+        for l1, y0, y1, gy in yrow:
+            targets = rotated[gy] if gy < q else None
+            # k = h = -1: c = sigma (Y1 beta - Y0 alpha) onto (j + l, p^s - 2, a + b - 1)
+            for a, ia in enumerate(at[j1][0]):
                 if ia is None:
                     continue
-                alpha = sigma_expo[j + 1][a]
+                alpha = sigma_expo[j1][a]
                 tgt = targets[ps - 1][(a - 1) % p] if targets else None
-                for b, ib in enumerate(at[l + 1][0]):
+                for b, ib in enumerate(at[l1][0]):
                     if ib is None:
                         continue
-                    c = tuple((cj * y - cl * x) % p for x, y in zip(alpha, sigma_expo[l + 1][b]))
+                    c = tuple((y1 * y - y0 * x) % p for x, y in zip(alpha, sigma_expo[l1][b]))
                     if not any(c):
                         continue
                     if tgt is None:
@@ -709,18 +703,15 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
                         for layer, x in zip(layers, c):
                             if x:
                                 layer[ia][ib] = entry[x][t]
-            # otherwise: c = C_h C_j - C_k C_l in F_p onto (j + l, k + h, a + b)
-            for k in range(-1, ps - 1):
-                ck_row = by_kh[k + 1]
-                for h in range(0 if k == -1 else -1, ps - 1):
-                    ck, ch = ck_row[h + 1]
-                    x = (ch * cj - ck * cl) % p
+            # otherwise: c = X0 Y1 - X1 Y0 in F_p onto (j + l, k + h, a + b)
+            for k1, xrow in enumerate(xs):
+                for h1, x0, x1, gx in xrow:
+                    x = (x0 * y1 - x1 * y0) % p
                     if not x:
                         continue
-                    kk = k + h
-                    tgts = targets[kk + 1] if targets and kk <= ps - 2 else None
-                    partners, ex = at[l + 1][h + 1], entry[x]
-                    for a, ia in enumerate(at[j + 1][k + 1]):
+                    tgts = targets[gx] if targets and gx < ps else None
+                    partners, ex = at[l1][h1], entry[x]
+                    for a, ia in enumerate(at[j1][k1]):
                         if ia is None:
                             continue
                         if tgts is None:

@@ -8,14 +8,16 @@ a factor xbar.  Structure constants live in the prime field; each descriptor
 keeps them in one integer table keyed by basis index, built on first use
 from per-axis binomial tables: a Poisson constant is a 2x2 determinant of
 an x-exponent factor pair and a y-exponent factor pair.
-The distinguished nilpotent-or-semisimple derivation D = (ad y)^(p^s) is a
-second such table, in closed form when n1 = s + 1.  Brackets and D run
-on the integer coordinates of elements (one per power of t, see
+A bracket of two monomials is a multiple of one, so each derivation here
+is a monomial map {i: (c, k)}, e_i -> c e_k, the format of a table row:
+ad g is row g, and the distinguished nilpotent-or-semisimple derivation
+D = (ad y)^(p^s) is built in closed form when n1 = s + 1.  Brackets and D
+run on the integer coordinates of elements (one per power of t, see
 `dpalgebra`) through its one accumulate loop: a bracket over F_{p^m} is the
 table read once per pair of coordinates, keyed (monomial, r + s), then
-folded once by the modulus.  The exhaustive law checks sweep both tables
-sparsely.  One row-wise kernel, `derivation_defects`, sums the defects
-of a list of derivation tables on the rows it is given, in one sweep of
+folded once by the modulus.  The exhaustive law checks sweep the table and
+D sparsely.  One row-wise kernel, `derivation_defects`, sums the defects
+of a list of derivations on the rows it is given, in one sweep of
 those rows, and serves two laws: Leibniz for D, and the Jacobi
 certificate: on an anticommutative table Jacobi holds iff ad_g is a
 derivation for each g of a few monomials that generate the algebra, and
@@ -285,9 +287,9 @@ class AlgebraDescriptor:
 class Derivation:
     """The derivation D = (ad y)^(p^s), ad y = bracket with y on the left.
 
-    D is a second integer table beside the structure constants, table[i] =
-    {k: c} for D basis[i] = sum of c basis[k], that apply runs through the
-    same accumulate loop as the bracket.  For n1 = s + 1 it is built in
+    Its table is a monomial map, like a row of the structure constants:
+    {i: (c, k)} for D basis[i] = c basis[k], c != 0 mod p, and no entry
+    where D basis[i] = 0.  For n1 = s + 1 it is built in
     closed form: writing a monomial as x^(a p^s + r) y^(j+1), 0 <= r < p^s,
     the image keeps (r, j) and either lowers a by one (a > 0, coefficient 1)
     or, in AlbertZassenhaus, wraps a to p - 1 with coefficient -j (a = 0;
@@ -304,8 +306,8 @@ class Derivation:
         self.has_closed_form = descriptor.heights.n1 == s + 1
 
     @functools.cached_property
-    def table(self) -> list[dict[int, int]]:
-        """Image of each basis vector by basis index, built on first use."""
+    def table(self) -> dict[int, tuple[int, int]]:
+        """The monomial map of D by basis index, built on first use."""
         build = _closed_form_table if self.has_closed_form else iterated_table
         return build(self.descriptor, self.s)
 
@@ -314,41 +316,37 @@ class Derivation:
         return leibniz_violations(self)
 
     def apply(self, v: AlgebraElement) -> AlgebraElement:
-        """D v: each coordinate of v times the integer table row of its monomial."""
+        """D v: each coordinate of v times the table entry of its monomial."""
         table, basis = self.table, self.descriptor.basis
-        terms = self.descriptor._indexed(v)
-        out = accumulate({}, (((basis[k], r), x * d) for i, coords in terms
-                              for k, d in table[i].items() for r, x in coords), v.field.p)
+        images = ((table[i], coords) for i, coords in self.descriptor._indexed(v) if i in table)
+        out = accumulate({}, (((basis[k], r), x * d) for (d, k), coords in images
+                              for r, x in coords), v.field.p)
         return AlgebraElement._make(v.field, v.heights, out)
 
 
-def _closed_form_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
-    """The table of (ad y)^(p^s) from its closed form, for n1 = s + 1."""
+def _closed_form_table(desc: AlgebraDescriptor, s: int) -> dict[int, tuple[int, int]]:
+    """The monomial map of (ad y)^(p^s) from its closed form, for n1 = s + 1."""
     p, ps, index = desc.heights.p, desc.heights.p ** s, desc._index
-    rows = []
-    for m in desc.basis:
+    table = {}
+    for i, m in enumerate(desc.basis):
         if m.i >= ps:
             k, c = index.get(Monomial(m.i - ps, m.j)), 1
         else:
             k = index.get(Monomial((p - 1) * ps + m.i, m.j))
             c = 0 if desc.family is Family.GRADED_HAMILTONIAN else -(m.j - 1) % p
-        rows.append({k: c} if k is not None and c else {})
-    return rows
+        if k is not None and c:
+            table[i] = (c, k)
+    return table
 
 
-def ad_table(table: list, g: int) -> list[dict[int, int]]:
-    """ad e_g as a derivation table: row g of a structure-constant table
-    (such as `AlgebraDescriptor.table`), by partner."""
-    row = table[g]
-    return [{row[j][1]: row[j][0]} if j in row else {} for j in range(len(table))]
-
-
-def iterated_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
-    """The table of (ad y)^(p^s): s successive p-th powers of ad y.
+def iterated_table(desc: AlgebraDescriptor, s: int) -> dict[int, tuple[int, int]]:
+    """The monomial map of (ad y)^(p^s): s successive p-th powers of ad y,
+    the row of y in the structure-constant table.
 
     A power equal to the one before is a fixed point of the p-th power map,
-    so every later power equals it too and the loop stops there."""
-    p, power = desc.heights.p, ad_table(desc.table, desc._index[Monomial(0, 1)])
+    so every later power equals it too and the loop stops there.  The
+    first power is a copy of the row, which D's table must not share."""
+    p, power = desc.heights.p, dict(desc.table[desc._index[Monomial(0, 1)]])
     for _ in range(s):
         nxt = table_power(power, p, p)
         if nxt == power:
@@ -357,18 +355,22 @@ def iterated_table(desc: AlgebraDescriptor, s: int) -> list[dict[int, int]]:
     return power
 
 
-def table_power(table: list, k: int, p: int,
-                visit: list | None = None) -> list[dict[int, int]]:
-    """Rows of table^k: each basis vector followed k times through the table,
-    for the basis indexes in visit (every one when visit is None)."""
-    rows = []
-    for i in range(len(table)) if visit is None else visit:
-        vec = {i: 1}
+def table_power(table: dict, k: int, p: int, visit: list | None = None) -> dict:
+    """The monomial map table^k: each source followed k times along its
+    chain of entries, the coefficients multiplied mod p, for the basis
+    indexes in visit (every source of the table, in order, when visit is
+    None).  Only the chains that stay nonzero have an entry."""
+    out = {}
+    for i in sorted(table) if visit is None else visit:
+        c, t = 1, i
         for _ in range(k):
-            vec = accumulate({}, ((t, c * d) for j, c in vec.items()
-                                  for t, d in table[j].items()), p)
-        rows.append(vec)
-    return rows
+            if t not in table:
+                break
+            d, t = table[t]
+            c = c * d % p
+        else:
+            out[i] = (c, t)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +449,12 @@ def ads_are_derivations(rows: list, gens: list, field: FieldParams) -> bool:
     """Whether ad_g is a derivation of the table for every g in gens.
 
     rows holds the table in coordinate layers, as `derivation_defects`
-    takes it, and ad_g is `ad_table` of each layer.  One run of the kernel
-    sums the defects of every ad_g in a single sweep of the rows.  Only
-    the pairs b > a are summed: on an anticommutative table the defect of
-    ad_g is antisymmetric in (a, b)."""
-    derivations = [[ad_table(layer, g) for layer in rows] for g in gens]
+    takes it, and ad_g is row g of each layer, itself a monomial map in the
+    derivation format.  One run of the kernel sums the defects of every
+    ad_g in a single sweep of the rows.  Only the pairs b > a are summed:
+    on an anticommutative table the defect of ad_g is antisymmetric in
+    (a, b)."""
+    derivations = [[layer[g] for layer in rows] for g in gens]
     return next(derivation_defects(rows, derivations, field, half=True), None) is None
 
 
@@ -514,9 +517,10 @@ def derivation_defects(rows: list, derivations: list, field: FieldParams,
 
     Every table comes in coordinate layers over field = F_{p^m}, layer r
     holding the integer coefficients of t^r: rows[r][a] = {b: (x, t)}
-    for the bracket [a, b] = c e_t, x the t^r coordinate of c, and, for
-    each D of derivations, D[s][i] = {k: y} for D e_i = sum of d e_k, y
-    the t^s coordinate of d; zero coordinates have no entry.  The integer
+    for the bracket [a, b] = c e_t, x the t^r coordinate of c, and each
+    D of derivations is a monomial map in the same format,
+    D[s] = {i: (y, k)} for D e_i = d e_k, y the t^s coordinate of d, so
+    rows[r][g] is the layer r of ad_g; zero coordinates have no entry.  The integer
     tables of an algebra are the case m = 1, one layer each.  One sweep of
     the rows serves every derivation: row by row, the defects
     D[a,b] - [Da,b] - [a,Db] of all of them are summed over every b at
@@ -532,13 +536,12 @@ def derivation_defects(rows: list, derivations: list, field: FieldParams,
     p, n = field.p, len(rows[0])
     # terms[i]: (index of D, k, s, y) over the coordinates of each D e_i
     terms = [[] for _ in range(n)]
-    preimages = [[] for _ in range(n)]  # preimages[k]: (d, b, s, -y), e_k a term of D e_b
+    preimages = [[] for _ in range(n)]  # preimages[k]: (d, b, s, -y), D e_b on e_k
     for d, images in enumerate(derivations):
         for s, layer in enumerate(images):
-            for i, image in enumerate(layer):
-                for k, y in image.items():
-                    terms[i].append((d, k, s, y))
-                    preimages[k].append((d, i, s, -y))
+            for i, (y, k) in layer.items():
+                terms[i].append((d, k, s, y))
+                preimages[k].append((d, i, s, -y))
     layers = [(r, layer) for r, layer in enumerate(rows) if any(layer)]
     # per row layer r, both lists with the power r + s of the product
     shifted = [(layer, [[(d, k, r + s, y) for d, k, s, y in image] for image in terms],
@@ -663,9 +666,9 @@ def derivation_power_violations(deriv: Derivation) -> list:
     GradedHamiltonian with n1 = s+1: D^p = 0.  AlbertZassenhaus with
     n1 = s+1: D^p is the diagonal map E with eigenvalue -j on y-exponent
     j+1, and consequently D^(p^2) = D^p.  Other (s, n1) carry no claimed
-    power law, so the check is vacuous there.  The powers are integer
-    tables: D^p follows the derivation table p times, D^(p^2) follows D^p
-    p times.
+    power law, so the check is vacuous there.  The powers are monomial
+    maps: D^p follows each chain of D's table p times, D^(p^2) follows
+    D^p p times.
 
     When the table is a Lie algebra and D a derivation of it (see
     `_lie_generators`), D^p is a derivation too, by Leibniz's rule in
@@ -685,21 +688,21 @@ def derivation_power_violations(deriv: Derivation) -> list:
     p = desc.heights.p
     gh = desc.family is Family.GRADED_HAMILTONIAN
     diagonal = [0 if gh else -(m.j - 1) % p for m in desc.basis]  # D^p: 0 or E
-    expected = [{i: c} if c else {} for i, c in enumerate(diagonal)]
+    expected = {i: (c, i) for i, c in enumerate(diagonal) if c}
     gens = _lie_generators(deriv)
     if gens is not None and (gh or not additive_violations([desc.table], diagonal, p)):
         power = table_power(deriv.table, p, p, visit=gens)
-        if all(row == expected[g] for g, row in zip(gens, power)):
+        if all(power.get(g) == expected.get(g) for g in gens):
             return []
     dp = table_power(deriv.table, p, p)
     if gh:
-        return [(m, "D^p != 0") for m, row in zip(desc.basis, dp) if row]
+        return [(desc.basis[i], "D^p != 0") for i in dp]
     dpp = table_power(dp, p, p)
     bad = []
     for i, m in enumerate(desc.basis):
-        if dp[i] != expected[i]:
+        if dp.get(i) != expected.get(i):
             bad.append((m, "D^p eigenvalue"))
-        if dpp[i] != dp[i]:
+        if dpp.get(i) != dp.get(i):
             bad.append((m, "D^(p^2) != D^p"))
     return bad
 
@@ -721,18 +724,18 @@ def realization_violations(deriv: Derivation) -> list:
     `_lie_generators`), (ad y)^(p^s) is a derivation too, a p^s-th power
     of one in characteristic p, and two derivations that agree on
     generators are equal, as the a on which they agree form a subalgebra.
-    So D is first compared with ad y applied p^s times to each generator;
-    only a difference there, or no such generators, builds the iterated
-    table to list every failing monomial.
+    So D is first compared with ad y, the row of y, followed p^s times
+    from each generator; only a difference there, or no such generators,
+    builds the iterated table to list every failing monomial.
     """
     if not deriv.has_closed_form:
         return []
-    desc = deriv.descriptor
+    desc, table = deriv.descriptor, deriv.table
     gens = _lie_generators(deriv)
     if gens is not None:
         p, y = desc.heights.p, desc._index[Monomial(0, 1)]
-        power = table_power(ad_table(desc.table, y), p ** deriv.s, p, visit=gens)
-        if all(deriv.table[g] == row for g, row in zip(gens, power)):
+        power = table_power(desc.table[y], p ** deriv.s, p, visit=gens)
+        if all(table.get(g) == power.get(g) for g in gens):
             return []
     iterated = iterated_table(desc, deriv.s)
-    return [m for m, closed, it in zip(desc.basis, deriv.table, iterated) if closed != it]
+    return [m for i, m in enumerate(desc.basis) if table.get(i) != iterated.get(i)]

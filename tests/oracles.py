@@ -11,7 +11,8 @@ summed over every layer.  The derivation references work on
 elements: they apply D one step at a time (`apply_power`), and realize
 (ad y)^(p^s) by bracketing with y p^s times.  `laguerre_series` is the
 Laguerre series the same way, the reference for the package's series on
-the rows of D's integer table.  The sparse and integer
+D's monomial map, and `dense_table_power` sums vectors where the package
+follows one chain per source.  The sparse and integer
 sweeps must return the same violation lists, in the same order.
 
 `ordered_check_graded` is the sweep of `thinlie.grading.check_graded` over
@@ -41,7 +42,7 @@ falling factorials by Wilson's theorem.
 import math
 
 from thinlie import grading
-from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
+from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
 from thinlie.ffield import FieldElement, lucas_binomial
 from thinlie.grading import GradedBasis, GradingSpec, Label
 from thinlie.liealg import AlgebraDescriptor, Derivation, Family
@@ -162,6 +163,22 @@ def apply_power(deriv: Derivation, v: AlgebraElement, k: int) -> AlgebraElement:
     for _ in range(k):
         v = deriv.apply(v)
     return v
+
+
+def dense_table_power(table: dict, k: int, p: int, n: int) -> list:
+    """The rows of table^k for each of the n basis indexes, as vectors
+    {target: coefficient}, each step summed over every term of the vector
+    before: the reference for `liealg.table_power`, which follows one chain
+    per source of a monomial map {i: (c, target)}."""
+    rows = [{table[i][1]: table[i][0]} if i in table else {} for i in range(n)]
+    out = []
+    for i in range(n):
+        vec = {i: 1}
+        for _ in range(k):
+            vec = accumulate({}, ((t, c * d) for j, c in vec.items()
+                                  for t, d in rows[j].items()), p)
+        out.append(vec)
+    return out
 
 
 def laguerre_series(coeffs: list, deriv: Derivation, v: AlgebraElement) -> AlgebraElement:
@@ -325,12 +342,14 @@ def bracket(desc: AlgebraDescriptor, u: AlgebraElement, v: AlgebraElement) -> di
 
 
 def apply(deriv: Derivation, v: AlgebraElement) -> dict:
-    """D v from the rows of the derivation table, with FieldElement products."""
+    """D v from the entries of the derivation's monomial map, with
+    FieldElement products."""
     desc = deriv.descriptor
     terms: dict = {}
     for a, x in items(v):
-        for k, d in deriv.table[desc.basis.index(a)].items():
-            _add(terms, desc.basis[k], x * d)
+        hit = deriv.table.get(desc.basis.index(a))
+        if hit is not None:
+            _add(terms, desc.basis[hit[1]], x * hit[0])
     return terms
 
 

@@ -595,17 +595,18 @@ def test_switch_checks_the_raw_rank_without_the_link(capsys, monkeypatch):
 
 
 def test_switch_powers_no_row_of_a_diagonal_d_p(capsys, monkeypatch):
-    """switch_hypotheses powers D's table once for D^p.  On switch-big243
-    D^p is diagonal with entries in F_p, so D^(p^2) = D^p by Fermat and no
-    row of D^p is powered again."""
+    """switch_hypotheses powers D's map once for D^p, following every
+    source (visit None).  On switch-big243 D^p is diagonal with entries in
+    F_p, so D^(p^2) = D^p by Fermat and no source of D^p is followed again
+    (an empty visit)."""
     powered, power = [], grading.table_power
 
     def counted(table, k, p, visit=None):
-        powered.append((k, len(table) if visit is None else len(visit)))
+        powered.append((k, visit))
         return power(table, k, p, visit)
     monkeypatch.setattr(grading, "table_power", counted)
     code, _, _ = run(capsys, "switch", *SWITCH_FROZEN["big p3 n2 s2 pi t+0"][0])
-    assert (code, powered) == (0, [(3, 243), (3, 0)])
+    assert (code, powered) == (0, [(3, None), (3, [])])
 
 
 def test_switch_keeps_the_shorter_generator_walk(capsys, monkeypatch):

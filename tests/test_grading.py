@@ -204,32 +204,40 @@ def test_switch_hypothesis_failures():
         switch_grading(AZ, BIG, deriv, big_config())
 
 
-def planted_switch(rows):
-    """switch_grading on AZ over F_27 with rows of the derivation table replaced."""
+def planted_switch(entries):
+    """switch_grading on AZ over F_27 with entries {m: (c, k)}, D m = c k,
+    of the derivation's monomial map replaced, or deleted for None."""
     deriv = Derivation(AZ, 1)
     index = AZ.basis.index
-    for m, image in rows.items():
-        deriv.table[index(m)] = {index(k): c for k, c in image.items()}
+    for m, hit in entries.items():
+        if hit is None:
+            del deriv.table[index(m)]
+        else:
+            deriv.table[index(m)] = (hit[0], index(hit[1]))
     switch_grading(AZ, PRE_AZ, deriv, big_config())
 
 
 def test_switch_hypothesis_failures_name_the_monomial():
-    m00, m60, m52, m22, m82 = (Monomial(0, 0), Monomial(6, 0), Monomial(5, 2),
-                               Monomial(2, 2), Monomial(8, 2))
+    m00, m60, m52, m82 = Monomial(0, 0), Monomial(6, 0), Monomial(5, 2), Monomial(8, 2)
     # D moves every monomial by degree 6; the identity row moves x^(4)y^(1) by 0
     with pytest.raises(ValueError, match=r"not graded of one degree: it moves "
                        r"Monomial\(i=4, j=1\) by 0, earlier monomials by 6"):
-        planted_switch({Monomial(4, 1): {Monomial(4, 1): 1}})
-    # x^(6) and x^(5)y^(2) share a degree; with the wrap of the x^(5)y^(2)
-    # cycle set to 1, D^p is 1 + N on (1, x^(8)y^(2)) and D^(p^2) = 1
+        planted_switch({Monomial(4, 1): (1, Monomial(4, 1))})
+    # x^(6) and x^(5)y^(2) share a degree; joining the 1, x^(6), x^(3) cycle
+    # and the x^(5)y^(2) one (wrap 2) into one 6-cycle, D^p 1 = 2 x^(8)y^(2)
+    # and D^(p^2) 1 = x^(8)y^(2)
     with pytest.raises(ValueError, match=r"D\^\(p\^2\) != lam\^\(\(p-1\)p\) D\^p "
                        r"on Monomial\(i=0, j=0\)"):
-        planted_switch({m00: {m60: 1, m52: 1}, m22: {m82: 1}})
-    # with the wrap at -1, D^p is diagonalizable but not diagonal
+        planted_switch({m00: (1, m52), m82: (1, m60)})
+    # with the chain cut after x^(8)y^(2), D^p 1 = 2 x^(8)y^(2) and D^(p^2) 1 = 0
+    with pytest.raises(ValueError, match=r"D\^\(p\^2\) != lam\^\(\(p-1\)p\) D\^p "
+                       r"on Monomial\(i=0, j=0\)"):
+        planted_switch({m00: (1, m52), m82: None})
+    # sending 1 into the x^(5)y^(2) cycle alone, D^(p^2) 1 = D^p 1 = 2 x^(8)y^(2)
     with pytest.raises(ValueError, match=r"D\^p is not diagonal on the monomial basis: "
                        r"D\^p Monomial\(i=0, j=0\) has support "
-                       r"\[Monomial\(i=0, j=0\), Monomial\(i=8, j=2\)\]"):
-        planted_switch({m00: {m60: 1, m52: 1}})
+                       r"\[Monomial\(i=8, j=2\)\]"):
+        planted_switch({m00: (1, m52)})
 
 
 def test_sigma_outside_prime_field_fails_at_d_p2():

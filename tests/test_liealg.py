@@ -19,7 +19,7 @@ from oracles import (
     element_realization_violations,
     items,
 )
-from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
+from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
 from thinlie.ffield import FieldParams, is_irreducible
 from thinlie import liealg
 from thinlie.grading import GradingCase, GradingSpec, monomial_grading_violations
@@ -27,7 +27,6 @@ from thinlie.liealg import (
     AlgebraDescriptor,
     Derivation,
     Family,
-    ad_table,
     additive_violations,
     ads_are_derivations,
     anticommutativity_violations,
@@ -41,6 +40,7 @@ from thinlie.liealg import (
     monomial_generators,
     poisson_coeff,
     realization_violations,
+    table_power,
 )
 
 F3 = FieldParams.prime(3)
@@ -290,8 +290,8 @@ def layered_field(p: int, m: int) -> FieldParams:
 
 
 def negated(derivation: list, p: int) -> list:
-    """-D of a derivation table in coordinate layers."""
-    return [[{k: -y % p for k, y in row.items()} for row in layer] for layer in derivation]
+    """-D of a derivation, a monomial map in coordinate layers."""
+    return [{i: (-y % p, k) for i, (y, k) in layer.items()} for layer in derivation]
 
 
 @settings(max_examples=100, deadline=None)
@@ -309,7 +309,7 @@ def test_batched_derivation_defects_match_single_runs_on_layered_plantings(data)
     for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=3)):
         plant(rows, p, weight, modulus, kind, data)
     gens = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
-    ads = [[ad_table(layer, g) for layer in rows] for g in gens]
+    ads = [[layer[g] for layer in rows] for g in gens]
     half = data.draw(st.booleans())
     union = {}
     for d in ads:
@@ -323,11 +323,12 @@ def test_batched_derivation_defects_match_single_runs_on_layered_plantings(data)
 
 
 def test_defects_of_opposite_derivations_do_not_cancel():
-    """D with one planted entry is no derivation; D and -D together fail
-    on exactly the rows and partners of D alone."""
+    """D with one planted entry, D xy = y where D xy = 0, is no derivation;
+    D and -D together fail on exactly the rows and partners of D alone."""
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
     deriv = Derivation(desc, 1)
-    deriv.table[desc._index[Monomial(1, 1)]][desc._index[Monomial(0, 1)]] = 1
+    assert desc._index[Monomial(1, 1)] not in deriv.table
+    deriv.table[desc._index[Monomial(1, 1)]] = (1, desc._index[Monomial(0, 1)])
     rows, d = [desc.table], [deriv.table]
     alone = list(derivation_defects(rows, [d], F3))
     assert alone != []
@@ -358,13 +359,13 @@ def admissible_descriptor(data):
 def test_derivation_sweeps_match_element_oracles(data):
     """The integer D-power and realization sweeps against the element
     references, with and without the closed form (s = n1 - 1 or not), on
-    true tables and with a constant planted in the closed-form table."""
+    true tables and with an entry planted in the closed-form map."""
     desc = admissible_descriptor(data)
     deriv = Derivation(desc, data.draw(st.integers(0, desc.heights.n1)))
     if deriv.has_closed_form and data.draw(st.booleans()):
         n, p = desc.dim, desc.heights.p
-        deriv.table[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = (
-            data.draw(st.integers(1, p - 1)))
+        deriv.table[data.draw(st.integers(0, n - 1))] = (
+            data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1)))
     assert realization_violations(deriv) == element_realization_violations(deriv)
     assert derivation_power_violations(deriv) == element_derivation_power_violations(deriv)
     if not deriv.has_closed_form:
@@ -380,7 +381,7 @@ def test_derivation_sweeps_match_element_oracles(data):
 @given(st.data())
 def test_leibniz_matches_element_oracle_on_planted_derivation_entries(data):
     """On random admissible (family, p, n1, n2, s) with at most 81 monomials,
-    one to three entries of the derivation table overwritten or deleted, so
+    one to three entries of the derivation's map overwritten or deleted, so
     the images are neither the closed form nor a power of ad y: the
     row-wise defect sums list the pairs the element sweep finds, in order."""
     p = data.draw(st.sampled_from([3, 5]))
@@ -391,20 +392,20 @@ def test_leibniz_matches_element_oracle_on_planted_derivation_entries(data):
     deriv = Derivation(desc, data.draw(st.integers(0, n1)))
     n = desc.dim
     for _ in range(data.draw(st.integers(1, 3))):
-        row = deriv.table[data.draw(st.integers(0, n - 1))]
-        if row and data.draw(st.booleans()):
-            del row[data.draw(st.sampled_from(sorted(row)))]
+        i = data.draw(st.integers(0, n - 1))
+        if i in deriv.table and data.draw(st.booleans()):
+            del deriv.table[i]
         else:
-            row[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, p - 1))
+            deriv.table[i] = (data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1)))
     assert leibniz_violations(deriv) == element_leibniz_violations(deriv)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_generator_rows_decide_leibniz_and_realization(data):
-    """On the shapes above, D planted as D + c ad_z, a derivation that is
-    not (ad y)^(p^s) when ad_z != 0, or with one entry changed on a row off
-    the generators: Leibniz, decided on the generator rows with the full
+    """On the shapes above, D replaced by c ad_z, a derivation that is not
+    (ad y)^(p^s) in most draws, or with one entry changed on a row off the
+    generators: Leibniz, decided on the generator rows with the full
     kernel as fallback, lists the pairs the element sweep finds, and the
     realization check, which takes the generator rows once Leibniz passes,
     lists the rows that differ from `iterated_table`, as the element sweep
@@ -419,28 +420,36 @@ def test_generator_rows_decide_leibniz_and_realization(data):
     plant_ad = data.draw(st.booleans())
     if plant_ad:
         z, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, p - 1))
-        for row, ad_row in zip(deriv.table, ad_table(desc.table, z)):
-            accumulate(row, ((k, c * x) for k, x in ad_row.items()), p)
+        deriv.table = scaled_ad(desc, z, c)
     else:
-        row = deriv.table[data.draw(st.sampled_from(sorted(set(range(n)) - set(gens))))]
-        k = data.draw(st.integers(0, n - 1))
-        if k in row and data.draw(st.booleans()):
-            del row[k]
+        i = data.draw(st.sampled_from(sorted(set(range(n)) - set(gens))))
+        k, old = data.draw(st.integers(0, n - 1)), deriv.table.get(i)
+        if old is not None and data.draw(st.booleans()):
+            del deriv.table[i]
         else:
-            row[k] = data.draw(st.sampled_from([c for c in range(1, p) if c != row.get(k)]))
+            deriv.table[i] = (data.draw(st.sampled_from(
+                [c for c in range(1, p) if (c, k) != old])), k)
     leibniz = deriv.leibniz
     assert leibniz == element_leibniz_violations(deriv)
     assert not (plant_ad and leibniz)
-    differ = [m for m, d, it in zip(desc.basis, deriv.table, iterated_table(desc, deriv.s))
-              if d != it]
+    iterated = iterated_table(desc, deriv.s)
+    differ = [m for i, m in enumerate(desc.basis) if deriv.table.get(i) != iterated.get(i)]
     assert (realization_violations(deriv) == (differ if deriv.has_closed_form else [])
             == element_realization_violations(deriv))
 
 
+def scaled_ad(desc, z: int, c: int) -> dict:
+    """c ad_z, the row z of the table scaled by c, a derivation of a Lie
+    algebra in the monomial-map format of D."""
+    p = desc.heights.p
+    return {i: (c * x % p, k) for i, (x, k) in desc.table[z].items()}
+
+
 def powering_rows(record: list, power=liealg.table_power):
-    """`liealg.table_power`, appending the number of rows it powers to record."""
+    """`liealg.table_power`, appending to record the number of sources it
+    follows when given, or None when it follows every source."""
     def counted(table, k, p, visit=None):
-        record.append(len(table) if visit is None else len(visit))
+        record.append(None if visit is None else len(visit))
         return power(table, k, p, visit)
     return counted
 
@@ -448,10 +457,10 @@ def powering_rows(record: list, power=liealg.table_power):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_generator_rows_decide_power_laws(data):
-    """On closed-form shapes with at most 81 monomials, D kept, planted as
-    D + c ad_z (a derivation whose p-th power is neither 0 nor E once
-    ad_z != 0, in most draws), or with one entry changed on a row off the
-    generators: the power laws, which take the generator rows once Leibniz
+    """On closed-form shapes with at most 81 monomials, D kept, replaced by
+    c ad_z (a derivation whose p-th power c ad_z^p is neither 0 nor E in
+    some draws), or with one entry changed on a row off the generators:
+    the power laws, which take the generator rows once Leibniz
     passes, list the monomials the element sweep finds, and an empty list
     powers the generator rows only."""
     p = data.draw(st.sampled_from([3, 5]))
@@ -464,11 +473,10 @@ def test_generator_rows_decide_power_laws(data):
     planting = data.draw(st.sampled_from(["none", "ad", "entry"]))
     if planting == "ad":
         z, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, p - 1))
-        for row, ad_row in zip(deriv.table, ad_table(desc.table, z)):
-            accumulate(row, ((k, c * x) for k, x in ad_row.items()), p)
+        deriv.table = scaled_ad(desc, z, c)
     elif planting == "entry":
-        row = deriv.table[data.draw(st.sampled_from(sorted(set(range(n)) - set(gens))))]
-        row[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, p - 1))
+        i = data.draw(st.sampled_from(sorted(set(range(n)) - set(gens))))
+        deriv.table[i] = (data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1)))
     leibniz = deriv.leibniz
     powered, power = [], liealg.table_power
     liealg.table_power = powering_rows(powered)
@@ -492,16 +500,13 @@ def test_power_laws_walk_every_row_when_the_diagonal_is_no_derivation(monkeypatc
     powered = []
     monkeypatch.setattr(liealg, "table_power", powering_rows(powered))
     assert derivation_power_violations(deriv) == element_derivation_power_violations(deriv)
-    assert powered == [desc.dim, desc.dim]
+    assert powered == [None, None]
 
 
-def relabelled(rows: list, a: int, b: int, value) -> list:
-    """A table with basis indexes a and b exchanged: in the order of its
-    rows, in the keys of each row and, through value(v, swap), in its
-    values."""
-    swap = {a: b, b: a}
-    return [{swap.get(j, j): value(v, swap) for j, v in rows[swap.get(i, i)].items()}
-            for i in range(len(rows))]
+def relabelled(row: dict, swap: dict) -> dict:
+    """A monomial map with the basis indexes in swap exchanged, in its
+    sources and in its targets."""
+    return {swap.get(j, j): (c, swap.get(k, k)) for j, (c, k) in row.items()}
 
 
 def test_power_laws_check_the_diagonal_before_the_generator_rows(monkeypatch):
@@ -515,32 +520,48 @@ def test_power_laws_check_the_diagonal_before_the_generator_rows(monkeypatch):
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
     deriv = Derivation(desc, 1)
     a, b = desc._index[Monomial(2, 0)], desc._index[Monomial(2, 1)]
-    desc.table[:] = relabelled(desc.table, a, b, lambda e, swap: (e[0], swap.get(e[1], e[1])))
-    deriv.table[:] = relabelled(deriv.table, a, b, lambda c, swap: c)
+    swap = {a: b, b: a}
+    desc.table[:] = [relabelled(desc.table[swap.get(i, i)], swap) for i in range(desc.dim)]
+    deriv.table = relabelled(deriv.table, swap)
     assert not {a, b} & set(desc.generators)
     assert desc.anticommutativity == desc.jacobi == deriv.leibniz == []
     powered = []
     monkeypatch.setattr(liealg, "table_power", powering_rows(powered))
     got = derivation_power_violations(deriv)
     assert got == element_derivation_power_violations(deriv) != []
-    assert powered == [desc.dim, desc.dim]
+    assert powered == [None, None]
     monkeypatch.setattr(liealg, "additive_violations", lambda *args: [])
     assert derivation_power_violations(deriv) == []
 
 
 def test_laws_of_d_take_no_generator_rows_from_a_failing_derivation():
-    """With D planted on the row of x^(8)y^(1), off the generators, D is no
+    """With D x^(8)y^(1) planted as 1, off the generators, D is no
     derivation, so realization and the power laws compare every row and
     name that monomial, as the element sweeps do."""
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
     deriv = Derivation(desc, 1)
     m = Monomial(8, 1)
     assert desc._index[m] not in desc.generators
-    deriv.table[desc._index[m]][desc._index[Monomial(0, 0)]] = 1
+    deriv.table[desc._index[m]] = (1, desc._index[Monomial(0, 0)])
     assert deriv.leibniz != []
     assert realization_violations(deriv) == [m] == element_realization_violations(deriv)
     assert (derivation_power_violations(deriv) == [(m, "D^p eigenvalue")]
             == element_derivation_power_violations(deriv))
+
+
+def test_realization_compares_every_generator():
+    """On GradedHamiltonian (3; 2, 1) the generators are y, x and two
+    maximal monomials, and (ad y)^3 vanishes on y and x.  The zero map is a
+    derivation that agrees with it there and not on the maximal ones, so
+    realization lists every monomial (ad y)^3 does not kill, as the element
+    sweep does."""
+    desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F3, Heights(3, 2, 1))
+    deriv = Derivation(desc, 1)
+    assert [g in deriv.table for g in desc.generators] == [False, False, True, True]
+    moved = [desc.basis[i] for i in sorted(deriv.table)]
+    deriv.table = {}
+    assert deriv.leibniz == []
+    assert realization_violations(deriv) == moved == element_realization_violations(deriv)
 
 
 def drop_brackets_onto(desc, m):
@@ -632,25 +653,25 @@ def test_derivation_closed_form_frozen():
     d = Derivation(AZ21, 1)
     assert d.has_closed_form
     index = AZ21.basis.index
-    assert d.table[index(Monomial(3, 0))] == {index(Monomial(0, 0)): 1}
+    assert d.table[index(Monomial(3, 0))] == (1, index(Monomial(0, 0)))
     assert d.apply(AZ21.basis_element(Monomial(3, 0))) == AZ21.basis_element(
         Monomial(0, 0)
     )
     # wrap-around with coefficient -(j-1) on x^(0)y^(j)
-    assert d.table[index(Monomial(0, 2))] == {index(Monomial(6, 2)): 2}
+    assert d.table[index(Monomial(0, 2))] == (2, index(Monomial(6, 2)))
     assert d.apply(AZ21.basis_element(Monomial(0, 2))) == AZ21.basis_element(
         Monomial(6, 2), 2
     )
     # ... which vanishes on y^(1) and on y^(4) alike, as -(j-1) = 0 mod p
     az12 = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 1, 2))
     dz = Derivation(az12, 0)
-    assert dz.table[az12.basis.index(Monomial(0, 1))] == {}
-    assert dz.table[az12.basis.index(Monomial(0, 4))] == {}
+    assert az12.basis.index(Monomial(0, 1)) not in dz.table
+    assert az12.basis.index(Monomial(0, 4)) not in dz.table
     dg = Derivation(GH21, 1)
-    assert dg.table[GH21.basis.index(Monomial(0, 2))] == {}
+    assert GH21.basis.index(Monomial(0, 2)) not in dg.table
     assert dg.apply(GH21.basis_element(Monomial(0, 2))).is_zero()
     # the image x^(0)y^(0) of x^(3)y^(0) is excluded from GH and dropped
-    assert dg.table[GH21.basis.index(Monomial(3, 0))] == {}
+    assert GH21.basis.index(Monomial(3, 0)) not in dg.table
 
 
 def test_derivation_rejects_foreign_support():
@@ -669,6 +690,17 @@ def test_derivation_without_closed_form():
         assert d.apply(GH21.basis_element(m)).is_zero()
     assert derivation_power_violations(d) == []
     assert realization_violations(d) == []
+
+
+def test_planting_in_d_leaves_the_algebra_alone():
+    """At s = 0 without the closed form D is ad y, a copy of the row of y:
+    an entry planted in D's map is not planted in the structure constants."""
+    desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, F3, Heights(3, 2, 1))
+    y = desc._index[Monomial(0, 1)]
+    deriv = Derivation(desc, 0)
+    assert not deriv.has_closed_form and deriv.table == desc.table[y]
+    deriv.table[y] = (1, y)  # D y = y, where [y, y] = 0
+    assert y not in desc.table[y]
 
 
 def test_realization_and_leibniz():
@@ -701,13 +733,69 @@ def test_iterated_matches_bracket_composition():
         manual = AZ11.basis_element(m)
         for _ in range(3):
             manual = AZ11.bracket(y, manual)
-        expected = {index(t): c.as_int() for t, c in items(manual)}
-        assert d.table[i] == iterated[i] == expected
+        image = [(c.as_int(), index(t)) for t, c in items(manual)]
+        assert len(image) <= 1
+        assert d.table.get(i) == iterated.get(i) == (image[0] if image else None)
     # with xbound = 3, (ad y)^3 is the diagonal D^p of the s = 0 closed form
-    assert d.table[index(Monomial(2, 2))] == {index(Monomial(2, 2)): 2}
-    assert d.table[index(Monomial(2, 1))] == {}
+    assert d.table[index(Monomial(2, 2))] == (2, index(Monomial(2, 2)))
+    assert index(Monomial(2, 1)) not in d.table
     assert d.apply(AZ11.basis_element(Monomial(2, 2))) == AZ11.basis_element(
         Monomial(2, 2), 2)
+
+
+def image(desc, hit) -> AlgebraElement:
+    """The element c e_k of a monomial-map entry (c, k), zero for None."""
+    return desc.zero() if hit is None else desc.basis_element(desc.basis[hit[1]], hit[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_derivations_are_monomial_maps(data):
+    """On random admissible (family, p, n1, n2) with at most 125 monomials
+    and s up to n1, closed form or not: D's table, `iterated_table` and
+    `table_power` of D's table map each source to one (c, target), c in
+    [1, p).  Each agrees with elements: D's table with `Derivation.apply`
+    and both tables with p^s brackets by y, and the power with D applied k
+    times and with the vector sums of `oracles.dense_table_power`."""
+    p = data.draw(st.sampled_from([3, 5]))
+    n1, n2 = data.draw(st.sampled_from(
+        [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1), (2, 1), (1, 2)]))
+    desc = AlgebraDescriptor(data.draw(st.sampled_from(list(Family))),
+                             FieldParams.prime(p), Heights(p, n1, n2))
+    deriv = Derivation(desc, data.draw(st.integers(0, n1)))
+    k, n = data.draw(st.integers(1, 2 * p)), desc.dim
+    iterated, power = iterated_table(desc, deriv.s), table_power(deriv.table, k, p)
+    for table in (deriv.table, iterated, power):
+        assert type(table) is dict
+        assert all(0 <= i < n and 0 < c < p and 0 <= t < n for i, (c, t) in table.items())
+    y = desc.basis_element(Monomial(0, 1))
+    for i, m in enumerate(desc.basis):
+        v = w = desc.basis_element(m)
+        for _ in range(p ** deriv.s):
+            w = desc.bracket(y, w)
+        assert deriv.apply(v) == image(desc, deriv.table.get(i)) == w
+        assert image(desc, iterated.get(i)) == w
+        assert apply_power(deriv, v, k) == image(desc, power.get(i))
+    assert oracles.dense_table_power(deriv.table, k, p, n) == [
+        {power[i][1]: power[i][0]} if i in power else {} for i in range(n)]
+
+
+def test_ads_hand_the_kernel_the_table_rows(monkeypatch):
+    """ads_are_derivations passes each ad_g to `derivation_defects` as the
+    table's own row objects, one per layer, not as copies."""
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
+    rows, gens = [desc.table, [dict(row) for row in desc.table]], desc.generators
+    seen, kernel = [], liealg.derivation_defects
+
+    def spy(rows, derivations, field, half=False, visit=None):
+        seen.append(derivations)
+        return kernel(rows, derivations, field, half, visit)
+    monkeypatch.setattr(liealg, "derivation_defects", spy)
+    ads_are_derivations(rows, gens, desc.field)
+    derivations, = seen
+    assert len(derivations) == len(gens) > 1
+    assert all(len(ad) == len(rows) and all(row is layer[g] for row, layer in zip(ad, rows))
+               for g, ad in zip(gens, derivations))
 
 
 def dense_sum(desc, pairs):
@@ -762,8 +850,8 @@ def test_kernel_results_are_dense_sums(desc, data):
         if (hit := desc.bracket_mono(a, b)) is not None])
     deriv = Derivation(desc, desc.heights.n1 - 1)
     assert_is_dense_sum(desc, deriv.apply(u), [
-        (desc.basis[k], x * d) for a, x in U
-        for k, d in deriv.table[desc.basis.index(a)].items()])
+        (desc.basis[hit[1]], x * hit[0]) for a, x in U
+        if (hit := deriv.table.get(desc.basis.index(a))) is not None])
     ech = SparseEchelon(field, h)
     mirror = {}  # the same inserts on coordinate vectors, by pivot
     for w in [u, v] + [random_element(desc, data) for _ in range(data.draw(st.integers(0, 3)))]:

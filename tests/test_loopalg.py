@@ -479,10 +479,21 @@ def test_centralizer_chain_frozen():
 
 
 def test_periodicity():
+    """periodicity_failures lists every i with L_{i+period} != L_i that
+    the records reach, the last one included: at period 5 it lists the
+    degrees where the spans differ by containment, and with the top
+    record replaced by the one below it, period N fails at that i only."""
     cfg = LoopConfig(AZ, BIG_BASIS, BIG_X, BIG_Y, 2 * BIG.N + 2)
     recs = expand_loop(cfg)
     assert periodicity_failures(recs, BIG.N) == []
+
+    def same(a, b):
+        return a.rank == b.rank and all(b.contains(v) for v in a.basis())
+    assert periodicity_failures(recs, 5) == [
+        i for i in range(1, len(recs) - 4) if not same(recs[i - 1].echelon, recs[i + 4].echelon)]
     assert periodicity_failures(recs, 5) != []
+    assert not same(recs[-1].echelon, recs[-2].echelon)
+    assert periodicity_failures(recs[:-1] + [recs[-2]], BIG.N) == [len(recs) - BIG.N]
 
 
 def test_run_analysis_degree_floor():
