@@ -24,8 +24,8 @@ from typing import NamedTuple
 from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate, fold
 from .dpalgebra import generalized_power, parse_element
 from .ffield import FieldElement, FieldParams, falling_factorial
-from .liealg import (AlgebraDescriptor, Derivation, _axis_factors, additive_violations,
-                     ads_are_derivations, antisymmetry_violations, table_generators, table_power)
+from .liealg import (AlgebraDescriptor, Derivation, additive_violations, ads_are_derivations,
+                     antisymmetry_violations, axis_factors, table_generators, table_power)
 
 
 class GradingCase(enum.Enum):
@@ -653,7 +653,7 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
     Each part of a rule is computed once per class it depends on.  Off
     k = h = -1, c is the Poisson determinant X0 Y1 - X1 Y0 of the label
     exponents, x^(k+1), x^(h+1) on one axis and y^(j+1), y^(l+1) on the
-    other, from the factors `liealg._axis_factors` tabulates for the
+    other, from the factors `liealg.axis_factors` tabulates for the
     structure constants: (X0, X1) = (C(k+h+1,h), C(k+h+1,k)) and
     (Y0, Y1) = (C(j+l+1,l), C(j+l+1,j)).  It is computed once per
     (j, l, k, h) and entered on the p x p block of (a, b) when nonzero.
@@ -679,10 +679,10 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
     in_prime_field = [(x,) + (0,) * (m - 1) for x in range(p)]
     layers = [[{} for _ in active] for _ in range(m)]
     unlabelled = {}
-    xs = _axis_factors(ps, p)
+    xs = axis_factors(ps, p)
 
     # j1, l1, k1, h1 are the exponents j + 1, l + 1, k + 1, h + 1; gy, gx the target's
-    for j1, yrow in enumerate(_axis_factors(q, p)):
+    for j1, yrow in enumerate(axis_factors(q, p)):
         for l1, y0, y1, gy in yrow:
             targets = rotated[gy] if gy < q else None
             # k = h = -1: c = sigma (Y1 beta - Y0 alpha) onto (j + l, p^s - 2, a + b - 1)

@@ -58,7 +58,7 @@ def poisson_coeff(p: int, i: int, j: int, k: int, l: int) -> int:
     ) % p
 
 
-def _axis_factors(bound: int, p: int) -> list[list[tuple[int, int, int, int]]]:
+def axis_factors(bound: int, p: int) -> list[list[tuple[int, int, int, int]]]:
     """The binomials of one exponent axis in the Poisson constants.
 
     out[e] lists (f, C(g, e), C(g, e - 1), g) mod p, g = e + f - 1, for every
@@ -119,7 +119,7 @@ class AlgebraDescriptor:
         the rule of `_bracket_mono_raw`, from two per-axis tables: the
         Poisson constant of x^(i)y^(j), x^(k)y^(l) is the determinant
         X0 Y1 - X1 Y0 of the x factors (X0, X1) of (i, k) and the y factors
-        (Y0, Y1) of (j, l), see `_axis_factors`, and AlbertZassenhaus's
+        (Y0, Y1) of (j, l), see `axis_factors`, and AlbertZassenhaus's
         pure-y constant is Y1 - Y0.  A nonzero constant past the heights or,
         in GradedHamiltonian, on the top monomial raises ArithmeticError.
         """
@@ -128,7 +128,7 @@ class AlgebraDescriptor:
         # x^(i)y^(j) has basis index i*yb + j - shift: GH drops the constant,
         # the first monomial, and the top, the last
         shift = 1 if self.family is Family.GRADED_HAMILTONIAN else 0
-        xs, ys = _axis_factors(xb, p), _axis_factors(yb, p)
+        xs, ys = axis_factors(xb, p), axis_factors(yb, p)
         # one (c, t) tuple per constant and target, shared by every row:
         # a fresh tuple per entry would be most of the table's memory
         entry = [[(c, t) for t in range(n)] for c in range(p)]

@@ -1,7 +1,6 @@
 """Mutation gate: small edits of the package that the tests must catch.
 
-    python3 tests/mutants/run.py            # self-test, then every mutant
-    python3 tests/mutants/run.py NAME ...   # self-test, then the named ones
+    python3 tests/mutants/run.py   # self-test, then every mutant
 
 Each mutant names a file under src/thinlie, an exact old text, the new
 text that replaces it, and the pytest targets (test files or node ids
@@ -13,13 +12,15 @@ the mutant, a passing one lets it survive.
 Old text that is missing from its file, or found more than once, is an
 error, as is a pytest run that neither passes nor fails (a collection or
 usage error): the table no longer matches the code.  A run that takes more
-than TIMEOUT_S seconds counts as killed, since a mutant that hangs cannot
-pass.
+than TIMEOUT_S seconds is a timeout, neither killed nor survived: a slow
+host and a hanging mutant look alike, so the gate cannot tell whether the
+targets would have failed.
 
 A self-test runs first: one mutant that its test must kill, and one no-op
 mutant (new text equal to the old) that must survive.  The exit status is
 0 when the self-test holds and every mutant is killed, 1 otherwise.  A
-survivor means a missing test: add the test, keep the mutant.  Standard
+survivor means a missing test: add the test, keep the mutant.  A timeout
+means a mutant that hangs: replace it with one whose targets fail.  Standard
 library only; this is not part of the tier-1 suite.
 """
 
@@ -109,6 +110,8 @@ MUTANTS = [
            "        if c:\n            terms[key] = c\n        else:\n            pop(key, None)",
            "        terms[key] = c",
            ("test_dpalgebra.py", "test_liealg.py")),
+    # test_fold_reduces_by_the_modulus fails first; later hypothesis draws
+    # can make SparseEchelon.reduce loop under this mutant
     Mutant("fold subtracts the reduced powers", "dpalgebra.py",
            "accumulate(terms, (((mono, r), c * f) for (mono, e), c in high",
            "accumulate(terms, (((mono, r), -c * f) for (mono, e), c in high",
@@ -146,8 +149,8 @@ MUTANTS = [
 
 
 def run(mutant: Mutant) -> str:
-    """'killed', 'killed (timeout)' or 'survived'; ValueError when the table
-    does not match the code."""
+    """'killed', 'survived' or 'timeout'; ValueError when the table does not
+    match the code."""
     source = (ROOT / "src" / "thinlie" / mutant.file).read_text()
     count = source.count(mutant.old)
     if count != 1:
@@ -170,17 +173,13 @@ def run(mutant: Mutant) -> str:
                 cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 env=env, timeout=TIMEOUT_S).returncode
         except subprocess.TimeoutExpired:
-            return "killed (timeout)"
+            return "timeout"
     if code not in (0, 1):
         raise ValueError(f"{mutant.name}: pytest exited {code}, neither a pass nor a failure")
     return "killed" if code else "survived"
 
 
-def main(names: list) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}")
-        return 1
+def main() -> int:
     ok = True
     for mutant, expected in SELF_TEST:
         got = run(mutant)
@@ -189,18 +188,16 @@ def main(names: list) -> int:
     if not ok:
         print("self-test failed: the gate cannot tell killed from survived")
         return 1
-    survivors = []
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    for mutant in chosen:
+    outcomes = []
+    for mutant in MUTANTS:
         start = time.perf_counter()
-        got = run(mutant)
-        print(f"{mutant.name}: {got} ({time.perf_counter() - start:.1f} s)")
-        if got == "survived":
-            survivors.append(mutant.name)
-    print(f"{len(chosen)} mutants: {len(chosen) - len(survivors)} killed, "
-          f"{len(survivors)} survived")
-    return 1 if survivors else 0
+        outcomes.append(run(mutant))
+        print(f"{mutant.name}: {outcomes[-1]} ({time.perf_counter() - start:.1f} s)")
+    killed = outcomes.count("killed")
+    print(f"{len(MUTANTS)} mutants: {killed} killed, {outcomes.count('survived')} survived, "
+          f"{outcomes.count('timeout')} timed out")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

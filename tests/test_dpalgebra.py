@@ -19,6 +19,7 @@ from thinlie.dpalgebra import (
     Heights,
     Monomial,
     SparseEchelon,
+    fold,
     generalized_power,
     parse_element,
 )
@@ -106,6 +107,18 @@ def test_product_associative_small():
         for v in vs[:5]:
             for w in vs[:5]:
                 assert product(product(u, v), w) == product(u, product(v, w))
+
+
+def test_fold_reduces_by_the_modulus():
+    # 2 t^e + t for m <= e <= 2m - 2, against the field's own powers of t;
+    # deterministic, where a wrong fold can make echelon reduction loop
+    x = Monomial(1, 0)
+    for field in (F9, F9B, F27, F3125):
+        t = field.gen()
+        for e in range(field.m, 2 * field.m - 1):
+            want = (t ** e + t ** e + t).coeffs
+            got = fold({(x, e): 2, (x, 1): 1}, field)
+            assert got == {(x, r): c for r, c in enumerate(want) if c}
 
 
 def test_text_and_parse_round_trip():
