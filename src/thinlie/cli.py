@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--field", default=None,
                         help="coefficient field as p^m:c0,...,cm")
         sp.add_argument("--pi", default=None, help="switching parameter pi")
-        sp.add_argument("--sigma", default=None, help="switching parameter sigma")
+        if name != "verify":  # sigma only scales the switch
+            sp.add_argument("--sigma", default=None, help="switching parameter sigma")
         if name == "analyze":
             sp.add_argument("--max-degree", type=int, default=None)
         sp.add_argument("--format", choices=["text", "json"], default="text",
@@ -170,11 +171,12 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
     if case == "big-field" and field.m < 2:
         raise UsageError("the big-field case needs a proper field extension")
 
-    _check_digits("--sigma", ns.sigma)
+    sigma_text = getattr(ns, "sigma", None)  # a switch and analyze option
+    _check_digits("--sigma", sigma_text)
     _check_digits("--pi", ns.pi)
     try:
-        if ns.sigma is not None:
-            sigma = field.parse_element(ns.sigma)
+        if sigma_text is not None:
+            sigma = field.parse_element(sigma_text)
         else:
             sigma = field.one()
         if ns.pi is not None:

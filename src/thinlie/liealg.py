@@ -23,17 +23,16 @@ certificate: on an anticommutative table Jacobi holds iff ad_g is a
 derivation for each g of a few monomials that generate the algebra, and
 one kernel pass sums every such ad_g at once.  Only when the certificate
 fails does the sweep over chained triples list the failing triples.  The
-same subalgebra argument decides the laws of D once the table is a Lie
-algebra: Leibniz holds iff it holds on the generator rows, a derivation
-D equals (ad y)^(p^s) iff the two agree on the generators, and so does
-D^p, a derivation in characteristic p, with 0 or the diagonal map of its
-law.  Only a failure there sums every row, powers every row or builds
-the iterated table, to list the failing monomials.  Each entry-wise law is one
-kernel too: `antisymmetry_violations`, and `additive_violations` (weights
-add along entries: a grading, or a diagonal derivation).  The kernels and
-the generator walk take a table over F_{p^m} as m integer layers, one per
-power of t, so `grading` runs them on the switched product rules too; an
-integer table is the one-layer case.
+same subalgebra argument decides Leibniz once the table is a Lie algebra:
+it holds iff it holds on the generator rows, and only a failure there sums
+every row, to list the failing pairs.  The other laws of D, its power law
+and its realization as (ad y)^(p^s), walk its monomial map from every
+source in O(n p) and O(s n p) dict reads, and read no verdict.  Each
+entry-wise law is one kernel too: `antisymmetry_violations`, and
+`additive_violations` (degrees add along entries: a grading).  The kernels
+and the generator walk take a table over F_{p^m} as m integer layers, one
+per power of t, so `grading` runs them on the switched product rules too;
+an integer table is the one-layer case.
 """
 
 from __future__ import annotations
@@ -404,8 +403,7 @@ def antisymmetry_violations(rows: list, p: int) -> list:
 def additive_violations(rows: list, weight: list, modulus: int) -> list:
     """The sorted pairs (a, b) where a table in coordinate layers has an
     entry [e_a, e_b] = c e_t with weight[t] != weight[a] + weight[b] mod
-    modulus: none for degrees means a grading, none for the eigenvalues
-    of a diagonal map means a derivation."""
+    modulus: none for degrees means a grading."""
     bad = []
     for layer in rows:
         for a, row in enumerate(layer):
@@ -667,36 +665,19 @@ def derivation_power_violations(deriv: Derivation) -> list:
     n1 = s+1: D^p is the diagonal map E with eigenvalue -j on y-exponent
     j+1, and consequently D^(p^2) = D^p.  Other (s, n1) carry no claimed
     power law, so the check is vacuous there.  The powers are monomial
-    maps: D^p follows each chain of D's table p times, D^(p^2) follows
-    D^p p times.
-
-    When the table is a Lie algebra and D a derivation of it (see
-    `_lie_generators`), D^p is a derivation too, by Leibniz's rule in
-    characteristic p, and a derivation that vanishes on generators is
-    zero, as its kernel is a subalgebra (Jacobson, Lie Algebras).  So
-    D^p = 0 is decided on the generator rows.  For AlbertZassenhaus
-    `additive_violations` first checks that E is a derivation, that is,
-    that its eigenvalues add mod p along every entry.  Then D^p - E is a
-    derivation, and it vanishes when D^p = E on the generators;
-    D^(p^2) = E^p = E = D^p follows, as E's entries lie in F_p.  Only a
-    failure there, or no such generators, follows every row, to list the
-    failing monomials.
+    maps, walked from every source: D^p follows each chain of D's table p
+    times, D^(p^2) follows D^p p times, O(n p) dict reads each.  No other
+    verdict is read.
     """
     desc = deriv.descriptor
     if not deriv.has_closed_form:
         return []
     p = desc.heights.p
-    gh = desc.family is Family.GRADED_HAMILTONIAN
-    diagonal = [0 if gh else -(m.j - 1) % p for m in desc.basis]  # D^p: 0 or E
-    expected = {i: (c, i) for i, c in enumerate(diagonal) if c}
-    gens = _lie_generators(deriv)
-    if gens is not None and (gh or not additive_violations([desc.table], diagonal, p)):
-        power = table_power(deriv.table, p, p, visit=gens)
-        if all(power.get(g) == expected.get(g) for g in gens):
-            return []
     dp = table_power(deriv.table, p, p)
-    if gh:
+    if desc.family is Family.GRADED_HAMILTONIAN:
         return [(desc.basis[i], "D^p != 0") for i in dp]
+    diagonal = [-(m.j - 1) % p for m in desc.basis]  # the eigenvalues of E
+    expected = {i: (c, i) for i, c in enumerate(diagonal) if c}
     dpp = table_power(dp, p, p)
     bad = []
     for i, m in enumerate(desc.basis):
@@ -707,35 +688,12 @@ def derivation_power_violations(deriv: Derivation) -> list:
     return bad
 
 
-def _lie_generators(deriv: Derivation) -> list[int] | None:
-    """The generators of the algebra when its table is a Lie algebra and D
-    a derivation of it (anticommutativity, Jacobi and Leibniz all hold),
-    else None: then they decide the laws of D."""
-    desc = deriv.descriptor
-    if desc.anticommutativity or desc.jacobi or deriv.leibniz:
-        return None
-    return desc.generators
-
-
 def realization_violations(deriv: Derivation) -> list:
-    """Closed-form vs iterated-ad derivation table on every basis monomial.
-
-    When the table is a Lie algebra and D a derivation of it (see
-    `_lie_generators`), (ad y)^(p^s) is a derivation too, a p^s-th power
-    of one in characteristic p, and two derivations that agree on
-    generators are equal, as the a on which they agree form a subalgebra.
-    So D is first compared with ad y, the row of y, followed p^s times
-    from each generator; only a difference there, or no such generators,
-    builds the iterated table to list every failing monomial.
-    """
+    """Closed-form vs iterated-ad derivation table on every basis monomial:
+    the monomials where D's map and `iterated_table`, s p-th powers of the
+    row of y, differ, O(s n p) dict reads.  No other verdict is read."""
     if not deriv.has_closed_form:
         return []
     desc, table = deriv.descriptor, deriv.table
-    gens = _lie_generators(deriv)
-    if gens is not None:
-        p, y = desc.heights.p, desc._index[Monomial(0, 1)]
-        power = table_power(desc.table[y], p ** deriv.s, p, visit=gens)
-        if all(table.get(g) == power.get(g) for g in gens):
-            return []
     iterated = iterated_table(desc, deriv.s)
     return [m for i, m in enumerate(desc.basis) if table.get(i) != iterated.get(i)]

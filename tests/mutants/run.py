@@ -85,12 +85,16 @@ MUTANTS = [
            "c2, k2 = dp2.get(i, (c if k == i else 0, k))", "c2, k2 = dp2.get(i, (c, k))",
            ("test_grading.py",)),
     Mutant("power laws: expected eigenvalue", "liealg.py",
-           "diagonal = [0 if gh else -(m.j - 1) % p for m in desc.basis]",
-           "diagonal = [0 if gh else (m.j - 1) % p for m in desc.basis]",
+           "diagonal = [-(m.j - 1) % p for m in desc.basis]",
+           "diagonal = [(m.j - 1) % p for m in desc.basis]",
            ("test_liealg.py",)),
-    Mutant("realization_violations: first generator only", "liealg.py",
-           "if all(table.get(g) == power.get(g) for g in gens):",
-           "if all(table.get(g) == power.get(g) for g in gens[:1]):",
+    Mutant("power laws: D^(p^2) comparison dropped", "liealg.py",
+           "        if dpp.get(i) != dp.get(i):\n            bad.append((m, \"D^(p^2) != D^p\"))\n",
+           "",
+           ("test_liealg.py",)),
+    Mutant("realization_violations: D's own sources only", "liealg.py",
+           "return [m for i, m in enumerate(desc.basis) if table.get(i) != iterated.get(i)]",
+           "return [desc.basis[i] for i in sorted(table) if table[i] != iterated.get(i)]",
            ("test_liealg.py",)),
     Mutant("_product_rule: Y0 and Y1 swapped", "grading.py",
            "for l1, y0, y1, gy in yrow:", "for l1, y1, y0, gy in yrow:",

@@ -1,0 +1,99 @@
+"""Byte-identity check: the command line's outputs at a git ref and here.
+
+    python3 tests/outputs/run.py REF   # e.g. HEAD~1
+
+Extracts src/ at REF with `git archive` into a temporary directory, then
+runs every argv below with `--format text` and with `--format json`, each
+in a fresh `python -m thinlie` process, once on that copy and once on the
+working tree's src/.  Every pair whose exit code, stdout or stderr differ
+is reported; the exit status is 1 when any pair differs, 0 otherwise.
+
+The argvs are read from this checkout: the frozen tables and usage errors
+of tests/test_cli.py (evaluated from its syntax tree, so neither pytest nor
+the package is imported here), the `$ thinlie` examples of README.md, and
+every variant of each benchmark workload in perfbench/workloads.py.
+Standard library only; this is not part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import io
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+TIMEOUT_S = 600
+
+
+def read_test_cli(*names: str) -> list:
+    """Module-level names of tests/test_cli.py, built by running only their
+    own assignments and function definitions."""
+    path = ROOT / "tests" / "test_cli.py"
+    nodes = [node for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name in names
+             or isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names]
+    namespace = {"__file__": str(path), "re": re, "shlex": shlex, "Path": Path}
+    exec(compile(ast.Module(nodes, []), str(path), "exec"), namespace)
+    return [namespace[name] for name in names]
+
+
+def argvs() -> list:
+    """Every argv to compare, without --format, in a fixed order, once each."""
+    switch, verify, analyze, usage, examples = read_test_cli(
+        "SWITCH_FROZEN", "VERIFY_FROZEN", "ANALYZE_FROZEN", "USAGE_ERRORS", "readme_examples")
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = [(command, *table[name][0]) for command, table in
+           (("switch", switch), ("verify", verify), ("analyze", analyze)) for name in table]
+    out += list(usage)
+    out += [tuple(argv) for argv, _shown in examples()]
+    out += [tuple(argv) for w in workloads.WORKLOADS.values() for argv in w.all_argvs()]
+    return list(dict.fromkeys(out))
+
+
+def outcome(src: Path, argv: list) -> tuple:
+    """(exit code, stdout, stderr) of one fresh process on the package in src."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-m", "thinlie", *argv], cwd=src, env=env,
+                          capture_output=True, timeout=TIMEOUT_S)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tests/outputs/run.py REF", file=sys.stderr)
+        return 2
+    ref, = argv
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        print(archive.stderr.decode(), end="", file=sys.stderr)
+        return 2
+    differ = pairs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(tmp)
+        for args in argvs():
+            for fmt in ("text", "json"):
+                full = [*args, "--format", fmt]
+                before, after = outcome(Path(tmp) / "src", full), outcome(ROOT / "src", full)
+                pairs += 1
+                what = [part for part, a, b in zip(("exit code", "stdout", "stderr"), before, after)
+                        if a != b]
+                if what:
+                    differ += 1
+                    print(f"differ ({', '.join(what)}): thinlie {shlex.join(full)}")
+    print(f"{pairs} pairs against {ref}: {differ} differ")
+    return int(differ > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -320,13 +320,13 @@ def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatc
 
 def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
     """A passing verify walks the generators once and runs the Leibniz
-    kernel on their rows only, over every partner b, and realization needs
-    no iterated table.  On the planted [xy, x^(2)y] = xy table of the
+    kernel on their rows only, over every partner b; realization builds the
+    iterated table once.  On the planted [xy, x^(2)y] = xy table of the
     Jacobi sweep test, anticommutative but not a Lie algebra, Leibniz sums
     every row and lists what the element sweep finds."""
-    walks, visited, inside = [], [], []
-    walk, kernel, leibniz = (liealg.monomial_generators, liealg.derivation_defects,
-                             liealg.leibniz_violations)
+    walks, visited, inside, iterated = [], [], [], []
+    walk, kernel, leibniz, iterate = (liealg.monomial_generators, liealg.derivation_defects,
+                                      liealg.leibniz_violations, liealg.iterated_table)
 
     def counted_walk(desc):
         walks.append(walk(desc))
@@ -343,14 +343,17 @@ def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
             return leibniz(*args)
         finally:
             inside.pop()
+
+    def counted_iterate(desc, s):
+        iterated.append(1)
+        return iterate(desc, s)
     monkeypatch.setattr(liealg, "monomial_generators", counted_walk)
     monkeypatch.setattr(liealg, "leibniz_violations", counted_leibniz)
     monkeypatch.setattr(liealg, "derivation_defects", counted_kernel)
-    with monkeypatch.context() as m:
-        m.setattr(liealg, "iterated_table", None)  # only the full realization comparison reads it
-        code, out, _ = run(capsys, "verify", "--family", "albert-zassenhaus",
-                           "--p", "3", "--n", "2", "--n1", "3")
-    assert (code, len(walks), visited) == (0, 1, [(len(walks[0]), False)])
+    monkeypatch.setattr(liealg, "iterated_table", counted_iterate)
+    code, out, _ = run(capsys, "verify", "--family", "albert-zassenhaus",
+                       "--p", "3", "--n", "2", "--n1", "3")
+    assert (code, len(walks), visited, iterated) == (0, 1, [(len(walks[0]), False)], [1])
     assert "check realization: pass" in out.splitlines()
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, FieldParams.prime(3), Heights(3, 2, 1))
     a, b = desc._index[Monomial(1, 1)], desc._index[Monomial(2, 1)]
@@ -390,32 +393,28 @@ def test_certificates_take_one_kernel_pass_each(capsys, monkeypatch):
     assert (code, calls) == (0, [(1, len(gens), True, None), (3, 2, True, None)])
 
 
-def test_verify_decides_power_laws_on_generator_rows(capsys, monkeypatch):
-    """A passing verify powers D on the generator rows only: D^p for the
-    power law, (ad y)^(p^s) for the realization, len(gens) rows each, on
-    both families."""
-    powered, walks = [], []
-    power, walk = liealg.table_power, liealg.monomial_generators
+def test_verify_walks_every_source_for_the_laws_of_d(capsys, monkeypatch):
+    """A passing verify powers D from every source: D^p, and D^(p^2) on
+    AlbertZassenhaus, for the power law, then the s p-th powers of the row
+    of y that `iterated_table` takes for the realization, on both
+    families."""
+    powered, power = [], liealg.table_power
 
     def counted_power(table, k, p, visit=None):
-        powered.append(len(table) if visit is None else len(visit))
+        powered.append(visit)
         return power(table, k, p, visit)
-
-    def counted_walk(desc):
-        walks.append(walk(desc))
-        return walks[-1]
     monkeypatch.setattr(liealg, "table_power", counted_power)
-    monkeypatch.setattr(liealg, "monomial_generators", counted_walk)
-    for name in ("az p3 n2 n1 3", "gh p3 n2"):
-        powered[:], walks[:] = [], []
+    for name, calls in (("az p3 n2 n1 3", 2 + 2), ("gh p3 n2", 1 + 1)):
+        powered[:] = []
         code, out, _ = run(capsys, "verify", *VERIFY_FROZEN[name][0])
-        assert (code, powered) == (0, [len(walks[0])] * 2), name
+        assert (code, powered) == (0, [None] * calls), name
         assert "check derivation_power: pass" in out.splitlines(), name
+        assert "check realization: pass" in out.splitlines(), name
 
 
 def test_verify_checks_anticommutativity_once(capsys, monkeypatch):
-    """The descriptor keeps its anticommutativity verdict, so Jacobi,
-    Leibniz and the laws of D read it without computing it again."""
+    """The descriptor keeps its anticommutativity verdict, so Jacobi and
+    Leibniz read it without computing it again."""
     calls, check = [], liealg.anticommutativity_violations
 
     def counted(desc):
@@ -826,35 +825,38 @@ def test_byte_determinism(capsys):
     assert first == second
 
 
+# argvs that exit 2 with an `error:` line on stderr
+USAGE_ERRORS = (
+    ("analyze", "--p", "3", "--n", "1"),
+    ("switch", "--case", "preswitch", "--family", "albert-zassenhaus",
+     "--p", "3", "--n", "1"),
+    ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
+     "--family", "graded-hamiltonian"),
+    ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
+     "--pi", "0"),
+    ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
+     "--field", "5^1:0,1"),
+    ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
+     "--pi", "t"),
+    ("verify", "--p", "4", "--n", "1", "--family", "albert-zassenhaus"),
+    # below 2N + q = 39
+    ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
+     "--max-degree", "38"),
+    # above 3 * MAX_MONOMIALS = 3000, refused before any expansion
+    ("analyze", "--case", "big-field", "--p", "5", "--n", "1", "--s", "0",
+     "--max-degree", "3001"),
+    # 101^6 monomials, over the MAX_MONOMIALS budget
+    ("verify", "--p", "101", "--n", "3", "--family", "albert-zassenhaus"),
+    # refused on the exponent, without computing 3^(2 * 10^9)
+    ("verify", "--p", "3", "--n", "1000000000", "--family", "albert-zassenhaus"),
+    # degree 300, over MAX_FIELD_DEGREE, refused before the irreducibility test
+    ("verify", "--p", "3", "--n", "1", "--family", "albert-zassenhaus",
+     "--field", "3^300:" + ",".join(["2", "1"] + ["0"] * 298 + ["1"])),
+)
+
+
 def test_usage_errors(capsys):
-    cases = [
-        ("analyze", "--p", "3", "--n", "1"),
-        ("switch", "--case", "preswitch", "--family", "albert-zassenhaus",
-         "--p", "3", "--n", "1"),
-        ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
-         "--family", "graded-hamiltonian"),
-        ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
-         "--pi", "0"),
-        ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
-         "--field", "5^1:0,1"),
-        ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
-         "--pi", "t"),
-        ("verify", "--p", "4", "--n", "1", "--family", "albert-zassenhaus"),
-        # below 2N + q = 39
-        ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
-         "--max-degree", "38"),
-        # above 3 * MAX_MONOMIALS = 3000, refused before any expansion
-        ("analyze", "--case", "big-field", "--p", "5", "--n", "1", "--s", "0",
-         "--max-degree", "3001"),
-        # 101^6 monomials, over the MAX_MONOMIALS budget
-        ("verify", "--p", "101", "--n", "3", "--family", "albert-zassenhaus"),
-        # refused on the exponent, without computing 3^(2 * 10^9)
-        ("verify", "--p", "3", "--n", "1000000000", "--family", "albert-zassenhaus"),
-        # degree 300, over MAX_FIELD_DEGREE, refused before the irreducibility test
-        ("verify", "--p", "3", "--n", "1", "--family", "albert-zassenhaus",
-         "--field", "3^300:" + ",".join(["2", "1"] + ["0"] * 298 + ["1"])),
-    ]
-    for args in cases:
+    for args in USAGE_ERRORS:
         code, _, err = run(capsys, *args)
         assert code == 2, args
         assert err.startswith("error:"), args
@@ -878,6 +880,9 @@ def test_usage_errors(capsys):
           "--n1", "3"), "--n1"),
         (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
           "--max-degree", "50"), "--max-degree"),
+        # sigma only scales the switch, so verify takes none
+        (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
+          "--sigma", "2"), "--sigma"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(list(args))

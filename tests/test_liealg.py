@@ -407,9 +407,8 @@ def test_generator_rows_decide_leibniz_and_realization(data):
     (ad y)^(p^s) in most draws, or with one entry changed on a row off the
     generators: Leibniz, decided on the generator rows with the full
     kernel as fallback, lists the pairs the element sweep finds, and the
-    realization check, which takes the generator rows once Leibniz passes,
-    lists the rows that differ from `iterated_table`, as the element sweep
-    does."""
+    realization check lists the rows that differ from `iterated_table`, as
+    the element sweep does."""
     p = data.draw(st.sampled_from([3, 5]))
     n1, n2 = data.draw(st.sampled_from(
         [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1)]))
@@ -456,28 +455,26 @@ def powering_rows(record: list, power=liealg.table_power):
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_generator_rows_decide_power_laws(data):
+def test_power_laws_walk_every_source(data):
     """On closed-form shapes with at most 81 monomials, D kept, replaced by
     c ad_z (a derivation whose p-th power c ad_z^p is neither 0 nor E in
-    some draws), or with one entry changed on a row off the generators:
-    the power laws, which take the generator rows once Leibniz
-    passes, list the monomials the element sweep finds, and an empty list
-    powers the generator rows only."""
+    some draws), or with one entry changed: the power laws list the
+    monomials the element sweep finds, powering D from every source, and
+    on AlbertZassenhaus D^p from every source too."""
     p = data.draw(st.sampled_from([3, 5]))
     n1, n2 = data.draw(st.sampled_from(
         [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)] if p == 3 else [(1, 1)]))
     desc = AlgebraDescriptor(data.draw(st.sampled_from(list(Family))),
                              FieldParams.prime(p), Heights(p, n1, n2))
     deriv = Derivation(desc, n1 - 1)
-    n, gens = desc.dim, desc.generators
+    n = desc.dim
     planting = data.draw(st.sampled_from(["none", "ad", "entry"]))
     if planting == "ad":
         z, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, p - 1))
         deriv.table = scaled_ad(desc, z, c)
     elif planting == "entry":
-        i = data.draw(st.sampled_from(sorted(set(range(n)) - set(gens))))
+        i = data.draw(st.integers(0, n - 1))
         deriv.table[i] = (data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1)))
-    leibniz = deriv.leibniz
     powered, power = [], liealg.table_power
     liealg.table_power = powering_rows(powered)
     try:
@@ -485,14 +482,14 @@ def test_generator_rows_decide_power_laws(data):
     finally:
         liealg.table_power = power
     assert got == element_derivation_power_violations(deriv)
-    assert (powered == [len(gens)]) == (not leibniz and not got)
+    assert powered == ([None] if desc.family is Family.GRADED_HAMILTONIAN else [None, None])
 
 
 def test_power_laws_walk_every_row_when_the_diagonal_is_no_derivation(monkeypatch):
-    """The power laws go to the generators only on a Lie algebra.  With
-    [x, xy] planted onto y^(2), off the sum of the y-degrees, the table is
-    none, and E, the diagonal map -(j - 1), is no derivation of it: every
-    row is powered, and the list is the element sweep's."""
+    """With [x, xy] planted onto y^(2), off the sum of the y-degrees, the
+    table is no Lie algebra, and E, the diagonal map -(j - 1), is no
+    derivation of it: every row is powered, and the list is the element
+    sweep's."""
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
     a, b, k = (desc._index[Monomial(*m)] for m in ((1, 0), (1, 1), (0, 2)))
     desc.table[a][b], desc.table[b][a] = (1, k), (2, k)
@@ -509,14 +506,16 @@ def relabelled(row: dict, swap: dict) -> dict:
     return {swap.get(j, j): (c, swap.get(k, k)) for j, (c, k) in row.items()}
 
 
-def test_power_laws_check_the_diagonal_before_the_generator_rows(monkeypatch):
-    """On a Lie algebra with D a derivation, the AlbertZassenhaus law goes
-    to the generator rows only once E, the diagonal map -(j - 1), is a
-    derivation too.  The table and D relabelled by exchanging x^(2) and
-    x^(2)y^(1), which no candidate generator is and which differ in
-    y-degree, are still a Lie algebra and a derivation, but E is none:
-    every row is powered and the list is the element sweep's.  Without the
-    diagonal check the generator rows would pass the law."""
+def test_power_laws_walk_lie_algebras_where_they_fail(monkeypatch):
+    """On a Lie algebra with D a derivation the AlbertZassenhaus law can
+    still fail, and the walk from every source lists what the element
+    sweep lists.  The table and D relabelled by exchanging x^(2) and
+    x^(2)y^(1), which differ in y-degree, are still a Lie algebra and a
+    derivation, but E, the diagonal map -(j - 1), is none: D^p misses E on
+    both, and neither is a candidate generator, so only a walk over every
+    source sees them.  D replaced by
+    ad y, a derivation whose p-th power is the closed D, misses E and has
+    D^(p^2) = D^3 != D^p on every monomial D^p moves."""
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
     deriv = Derivation(desc, 1)
     a, b = desc._index[Monomial(2, 0)], desc._index[Monomial(2, 1)]
@@ -528,10 +527,38 @@ def test_power_laws_check_the_diagonal_before_the_generator_rows(monkeypatch):
     powered = []
     monkeypatch.setattr(liealg, "table_power", powering_rows(powered))
     got = derivation_power_violations(deriv)
-    assert got == element_derivation_power_violations(deriv) != []
+    assert got == element_derivation_power_violations(deriv) == [
+        (Monomial(2, 0), "D^p eigenvalue"), (Monomial(2, 1), "D^p eigenvalue")]
     assert powered == [None, None]
-    monkeypatch.setattr(liealg, "additive_violations", lambda *args: [])
-    assert derivation_power_violations(deriv) == []
+    desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
+    deriv, powered[:] = Derivation(desc, 1), []
+    deriv.table = dict(desc.table[desc._index[Monomial(0, 1)]])
+    assert deriv.leibniz == []
+    got = derivation_power_violations(deriv)
+    assert got == element_derivation_power_violations(deriv)
+    moved = [desc.basis[i] for i in sorted(table_power(deriv.table, 3, 3))]
+    assert [m for m, law in got if law == "D^(p^2) != D^p"] == moved != []
+    assert powered == [None, None]
+
+
+def test_laws_of_d_read_no_other_verdict(monkeypatch):
+    """The power laws and the realization walk D's map and read nothing
+    else: on fresh (3; 2, 1) descriptors of both families they leave
+    anticommutativity, Jacobi, the generators and Leibniz uncomputed and
+    never call the additive kernel."""
+    additive = []
+
+    def counted_additive(*args):
+        additive.append(1)
+        return []
+    monkeypatch.setattr(liealg, "additive_violations", counted_additive)
+    for family in Family:
+        desc = AlgebraDescriptor(family, F3, Heights(3, 2, 1))
+        deriv = Derivation(desc, 1)
+        assert derivation_power_violations(deriv) == realization_violations(deriv) == []
+        assert not {"anticommutativity", "jacobi", "generators"} & vars(desc).keys(), family
+        assert "leibniz" not in vars(deriv), family
+    assert additive == []
 
 
 def test_laws_of_d_take_no_generator_rows_from_a_failing_derivation():
