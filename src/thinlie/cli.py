@@ -27,9 +27,9 @@ from .loopalg import (CheckResult, checks_passed, degree_floor, render_text,
 #: Largest number of divided-power monomials p^(n1+n) a command accepts.
 #: Every command builds its structure-constant table over all
 #: (p^(n1+n))^2 ordered pairs, from per-axis binomial tables.  verify takes
-#: about 0.14 s at 243 monomials, 0.20 s at 625, 0.21 s at 729 and 0.52 s
-#: at 961 (p = 31, most brackets nonzero): medians of fresh processes on a
-#: 2-vCPU Xeon with Python 3.11, of which interpreter start is 0.05 s.
+#: about 0.09 s at 243 monomials, 0.15 s at 625 and at 729, and 0.39 s at
+#: 961 (p = 31, most brackets nonzero): medians of 9 fresh processes on a
+#: 2-vCPU Xeon with Python 3.11, of which interpreter start is 0.04 s.
 MAX_MONOMIALS = 1000
 
 #: Largest degree m of a `--field` p^m, refused before the irreducibility test
@@ -86,20 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             sp.add_argument("--n1", type=int, default=None,
                             help="first exponent height (default: --n)")
-        sp.add_argument("--family", choices=[f.value for f in Family], default=None)
-        sp.add_argument("--case",
-                        choices=["preswitch", "big-field", "prime-field"],
-                        default=None)
-        sp.add_argument("--field", default=None,
-                        help="coefficient field as p^m:c0,...,cm")
-        sp.add_argument("--pi", default=None, help="switching parameter pi")
-        if name != "verify":  # sigma only scales the switch
+        if name != "switch":  # a switched case fixes its family
+            sp.add_argument("--family", choices=[f.value for f in Family], default=None)
+        if name != "verify":  # verify checks the algebra over F_p, before any switch
+            sp.add_argument("--case",
+                            choices=["preswitch", "big-field", "prime-field"],
+                            default=None)
+            sp.add_argument("--field", default=None,
+                            help="coefficient field as p^m:c0,...,cm")
+            sp.add_argument("--pi", default=None, help="switching parameter pi")
             sp.add_argument("--sigma", default=None, help="switching parameter sigma")
         if name == "analyze":
             sp.add_argument("--max-degree", type=int, default=None)
         sp.add_argument("--format", choices=["text", "json"], default="text",
                         dest="fmt")
-        sp.add_argument("--allow-negative-control", action="store_true")
+        if name != "verify":
+            sp.add_argument("--allow-negative-control", action="store_true")
     return ap
 
 
@@ -115,16 +117,17 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
     if n < 1:
         raise UsageError("n must be >= 1")
 
-    case = ns.case
+    case = "preswitch" if command == "verify" else ns.case
     if case is None:
-        if command == "verify":
-            case = "preswitch"
-        else:
-            raise UsageError(f"{command} needs --case")
+        raise UsageError(f"{command} needs --case")
     if command == "switch" and case == "preswitch":
         raise UsageError(f"{command} needs a switched case (big-field or prime-field)")
 
-    family = Family(ns.family) if ns.family else None
+    # verify takes none of the switch's options, and switch takes no --family
+    family_text, field_text, pi_text, sigma_text, allow_negative_control = (
+        getattr(ns, name, None)
+        for name in ("family", "field", "pi", "sigma", "allow_negative_control"))
+    family = Family(family_text) if family_text else None
     if case == "big-field":
         if family not in (None, Family.ALBERT_ZASSENHAUS):
             raise UsageError("the big-field case lives on albert-zassenhaus")
@@ -154,12 +157,12 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
                          f"budget of {MAX_MONOMIALS}")
 
     try:
-        if ns.field is not None:
-            _check_digits("--field", ns.field)
-            m = ns.field.strip().partition(":")[0].partition("^")[2]
+        if field_text is not None:
+            _check_digits("--field", field_text)
+            m = field_text.strip().partition(":")[0].partition("^")[2]
             if m.isdigit() and int(m) > MAX_FIELD_DEGREE:
                 raise UsageError(f"--field degree {int(m)} is above {MAX_FIELD_DEGREE}")
-            field = FieldParams.parse_spec(ns.field)
+            field = FieldParams.parse_spec(field_text)
             if field.p != p:
                 raise UsageError("--field characteristic disagrees with --p")
         elif case == "big-field":
@@ -171,16 +174,15 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
     if case == "big-field" and field.m < 2:
         raise UsageError("the big-field case needs a proper field extension")
 
-    sigma_text = getattr(ns, "sigma", None)  # a switch and analyze option
     _check_digits("--sigma", sigma_text)
-    _check_digits("--pi", ns.pi)
+    _check_digits("--pi", pi_text)
     try:
         if sigma_text is not None:
             sigma = field.parse_element(sigma_text)
         else:
             sigma = field.one()
-        if ns.pi is not None:
-            pi = field.parse_element(ns.pi)
+        if pi_text is not None:
+            pi = field.parse_element(pi_text)
         elif case == "big-field":
             pi = field.gen()
         else:
@@ -189,7 +191,7 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
         raise UsageError(str(e)) from None
     if sigma.is_zero():
         raise UsageError("sigma must be nonzero")
-    if pi.is_zero() and not ns.allow_negative_control:
+    if pi.is_zero() and not allow_negative_control:
         raise UsageError("pi = 0 is the negative control; pass --allow-negative-control")
     if case == "prime-field" and not pi.in_prime_field():
         raise UsageError("the prime-field case needs pi in the prime subfield")
@@ -202,7 +204,7 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
         raise UsageError(f"max-degree must be at most {3 * MAX_MONOMIALS}")
 
     return RunConfig(command, p, n, s, n1, family, case, field, pi, sigma,
-                     pi_hat, max_degree, ns.fmt, ns.allow_negative_control)
+                     pi_hat, max_degree, ns.fmt, bool(allow_negative_control))
 
 
 def _emit(rc: RunConfig, params: dict, checks: dict, extra: dict, text_head: list):

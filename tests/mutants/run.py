@@ -149,6 +149,15 @@ MUTANTS = [
            "return -falling_factorial(alpha, a) * cfg.sigma ** a / den",
            "return -falling_factorial(alpha, a) / den",
            ("test_grading.py", "test_cli.py")),
+    Mutant("verify takes --pi again", "cli.py",
+           'help="first exponent height (default: --n)")\n',
+           'help="first exponent height (default: --n)")\n'
+           '            sp.add_argument("--pi", default=None, help="switching parameter pi")\n',
+           ("test_cli.py::test_each_subcommand_takes_only_the_options_it_reads",)),
+    Mutant("switch takes --family again", "cli.py",
+           'if name != "switch":  # a switched case fixes its family',
+           'if True:  # a switched case fixes its family',
+           ("test_cli.py::test_each_subcommand_takes_only_the_options_it_reads",)),
 ]
 
 

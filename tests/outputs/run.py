@@ -8,10 +8,11 @@ in a fresh `python -m thinlie` process, once on that copy and once on the
 working tree's src/.  Every pair whose exit code, stdout or stderr differ
 is reported; the exit status is 1 when any pair differs, 0 otherwise.
 
-The argvs are read from this checkout: the frozen tables and usage errors
-of tests/test_cli.py (evaluated from its syntax tree, so neither pytest nor
-the package is imported here), the `$ thinlie` examples of README.md, and
-every variant of each benchmark workload in perfbench/workloads.py.
+The argvs are read from this checkout: the frozen tables, usage errors and
+refused options of tests/test_cli.py (evaluated from its syntax tree, so
+neither pytest nor the package is imported here), the `$ thinlie` examples
+of README.md, and every variant of each benchmark workload in
+perfbench/workloads.py; `--help` of each subcommand is compared too.
 Standard library only; this is not part of the tier-1 suite.
 """
 
@@ -47,14 +48,17 @@ def read_test_cli(*names: str) -> list:
 
 def argvs() -> list:
     """Every argv to compare, without --format, in a fixed order, once each."""
-    switch, verify, analyze, usage, examples = read_test_cli(
-        "SWITCH_FROZEN", "VERIFY_FROZEN", "ANALYZE_FROZEN", "USAGE_ERRORS", "readme_examples")
+    switch, verify, analyze, usage, refused, examples = read_test_cli(
+        "SWITCH_FROZEN", "VERIFY_FROZEN", "ANALYZE_FROZEN", "USAGE_ERRORS", "REFUSED_OPTIONS",
+        "readme_examples")
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     out = [(command, *table[name][0]) for command, table in
            (("switch", switch), ("verify", verify), ("analyze", analyze)) for name in table]
     out += list(usage)
+    out += [args for args, _option in refused]
+    out += [(command, "--help") for command in ("verify", "switch", "analyze")]
     out += [tuple(argv) for argv, _shown in examples()]
     out += [tuple(argv) for w in workloads.WORKLOADS.values() for argv in w.all_argvs()]
     return list(dict.fromkeys(out))

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: flags, defaults, outputs, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -109,6 +110,24 @@ def test_help_lists_three_subcommands(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "{verify,switch,analyze}" in capsys.readouterr().out
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    """verify checks the algebra over F_p before any switch, so it takes no
+    case, field, pi, sigma or negative control; a switched case fixes its
+    family, so switch takes no --family; analyze's --family picks the
+    preswitch family, and its field and pi change its report."""
+    sub, = [action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    options = {name: {o for action in parser._actions for o in action.option_strings}
+               - {"-h", "--help"} for name, parser in sub.choices.items()}
+    assert options == {
+        "verify": {"--p", "--n", "--n1", "--s", "--family", "--format"},
+        "switch": {"--p", "--n", "--s", "--case", "--field", "--pi", "--sigma", "--format",
+                   "--allow-negative-control"},
+        "analyze": {"--p", "--n", "--s", "--family", "--case", "--field", "--pi", "--sigma",
+                    "--max-degree", "--format", "--allow-negative-control"},
+    }
 
 
 def test_python_m_thinlie_runs_the_cli():
@@ -828,8 +847,7 @@ def test_byte_determinism(capsys):
 # argvs that exit 2 with an `error:` line on stderr
 USAGE_ERRORS = (
     ("analyze", "--p", "3", "--n", "1"),
-    ("switch", "--case", "preswitch", "--family", "albert-zassenhaus",
-     "--p", "3", "--n", "1"),
+    ("switch", "--case", "preswitch", "--p", "3", "--n", "1"),
     ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
      "--family", "graded-hamiltonian"),
     ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
@@ -850,8 +868,31 @@ USAGE_ERRORS = (
     # refused on the exponent, without computing 3^(2 * 10^9)
     ("verify", "--p", "3", "--n", "1000000000", "--family", "albert-zassenhaus"),
     # degree 300, over MAX_FIELD_DEGREE, refused before the irreducibility test
-    ("verify", "--p", "3", "--n", "1", "--family", "albert-zassenhaus",
+    ("switch", "--case", "big-field", "--p", "3", "--n", "1",
      "--field", "3^300:" + ",".join(["2", "1"] + ["0"] * 298 + ["1"])),
+)
+
+# (argv, option) pairs that argparse refuses with "unrecognized arguments:
+# <option>", exit 2: n1 is s + 1 in the graded commands, only analyze bounds
+# the degree, verify checks the algebra over F_p before any switch, and a
+# switched case fixes its family
+REFUSED_OPTIONS = (
+    (("analyze", "--case", "big-field", "--p", "3", "--n", "1", "--s", "1", "--n1", "3"),
+     "--n1"),
+    (("switch", "--case", "big-field", "--p", "3", "--n", "1", "--n1", "3"), "--n1"),
+    (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
+      "--max-degree", "50"), "--max-degree"),
+    (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1", "--sigma", "2"),
+     "--sigma"),
+    (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1", "--case", "big-field"),
+     "--case"),
+    (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
+      "--field", "3^2:2,2,1"), "--field"),
+    (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1", "--pi", "2"), "--pi"),
+    (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
+      "--allow-negative-control"), "--allow-negative-control"),
+    (("switch", "--case", "big-field", "--p", "3", "--n", "1",
+      "--family", "albert-zassenhaus"), "--family"),
 )
 
 
@@ -862,8 +903,8 @@ def test_usage_errors(capsys):
         assert err.startswith("error:"), args
     # a degree, a coefficient and a p of more digits than int() reads from text
     for spec in ("3^" + "9" * 5000 + ":1", "3^1:" + "9" * 5000 + ",1", "9" * 5000 + "^1:0,1"):
-        code, _, err = run(capsys, "verify", "--p", "3", "--n", "1",
-                           "--family", "albert-zassenhaus", "--field", spec)
+        code, _, err = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1",
+                           "--field", spec)
         assert (code, err) == (2, "error: --field numbers have at most 4300 digits\n")
     # the same bound on --pi and --sigma, as a coefficient and as a power of t
     for option in ("--pi", "--sigma"):
@@ -871,19 +912,7 @@ def test_usage_errors(capsys):
             code, _, err = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1",
                                option, number)
             assert (code, err) == (2, f"error: {option} numbers have at most 4300 digits\n")
-    # n1 is s + 1 in the graded commands and only analyze bounds the degree,
-    # so argparse refuses these options elsewhere
-    for args, flag in [
-        (("analyze", "--case", "big-field", "--p", "3", "--n", "1",
-          "--s", "1", "--n1", "3"), "--n1"),
-        (("switch", "--case", "big-field", "--p", "3", "--n", "1",
-          "--n1", "3"), "--n1"),
-        (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
-          "--max-degree", "50"), "--max-degree"),
-        # sigma only scales the switch, so verify takes none
-        (("verify", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
-          "--sigma", "2"), "--sigma"),
-    ]:
+    for args, flag in REFUSED_OPTIONS:
         with pytest.raises(SystemExit) as exc:
             main(list(args))
         assert exc.value.code == 2, args
@@ -899,8 +928,8 @@ def test_field_degree_is_bounded_before_the_modulus_is_tested(capsys, monkeypatc
     for m, error in ((bound + 1, f"--field degree {bound + 1} is above {bound}"),
                      (bound, "is reducible over F_3")):
         spec = f"3^{m}:" + ",".join(["2", "1"] + ["0"] * (m - 2) + ["1"])
-        code, out, err = run(capsys, "verify", "--p", "3", "--n", "1",
-                             "--family", "albert-zassenhaus", "--field", spec)
+        code, out, err = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1",
+                             "--field", spec)
         assert (code, out, len(tested)) == (2, "", int(m == bound)), m
         assert err.startswith("error: ") and err.endswith(error + "\n"), m
 
@@ -944,6 +973,7 @@ def test_verify_defaults():
     )
     rc = materialize(ns)
     assert (rc.case, rc.n1, rc.s) == ("preswitch", 2, 1)
+    assert (rc.field.spec_string, str(rc.pi), str(rc.sigma), rc.pi_hat) == ("3^1:0,1", "1", "1", 1)
     ns = build_parser().parse_args(
         ["analyze", "--case", "big-field", "--p", "3", "--n", "2"]
     )

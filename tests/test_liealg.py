@@ -402,7 +402,7 @@ def test_leibniz_matches_element_oracle_on_planted_derivation_entries(data):
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_generator_rows_decide_leibniz_and_realization(data):
+def test_leibniz_on_generator_rows_and_realization_match_element_sweeps(data):
     """On the shapes above, D replaced by c ad_z, a derivation that is not
     (ad y)^(p^s) in most draws, or with one entry changed on a row off the
     generators: Leibniz, decided on the generator rows with the full
