@@ -1,55 +1,46 @@
 """Exact-arithmetic construction of graded Hamiltonian-type modular Lie
 algebras, Laguerre-series grading switches, and machine verification of
-the thin loop-algebra diamond patterns."""
+the thin loop-algebra diamond patterns.
 
-from .dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
-from .ffield import FieldElement, FieldParams, lucas_binomial
-from .grading import (GradedBasis, GradingCase, GradingSpec, Label, SwitchConfig,
-                      build_closed_basis, check_graded, laguerre_apply,
-                      monomial_grading_violations, switch_checks,
-                      switch_grading, verify_product_tables)
-from .liealg import AlgebraDescriptor, Derivation, Family
-from .loopalg import (CheckResult, ComponentRecord, DiamondRecord, LoopConfig,
-                      PatternParams, ThinReport, centralizer_chain,
-                      check_covering, classify_component, expand_loop,
-                      render_text, run_analysis, verify_pattern)
+Public names are loaded lazily (PEP 562): `from thinlie import X` imports
+X's module and what it imports, nothing else.  `thinlie.cli` imports every
+module."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraDescriptor",
-    "AlgebraElement",
-    "CheckResult",
-    "ComponentRecord",
-    "Derivation",
-    "DiamondRecord",
-    "Family",
-    "FieldElement",
-    "FieldParams",
-    "GradedBasis",
-    "GradingCase",
-    "GradingSpec",
-    "Heights",
-    "Label",
-    "LoopConfig",
-    "Monomial",
-    "PatternParams",
-    "SparseEchelon",
-    "SwitchConfig",
-    "ThinReport",
-    "build_closed_basis",
-    "centralizer_chain",
-    "check_covering",
-    "check_graded",
-    "classify_component",
-    "expand_loop",
-    "laguerre_apply",
-    "lucas_binomial",
-    "monomial_grading_violations",
-    "render_text",
-    "run_analysis",
-    "switch_checks",
-    "switch_grading",
-    "verify_pattern",
-    "verify_product_tables",
-]
+#: Each module of the package and the public names it defines.
+_EXPORTS = {
+    "dpalgebra": ("AlgebraElement", "Heights", "Monomial", "SparseEchelon"),
+    "ffield": ("FieldElement", "FieldParams", "lucas_binomial"),
+    "grading": ("GradedBasis", "GradingCase", "GradingSpec", "Label", "SwitchConfig",
+                "build_closed_basis", "check_graded", "laguerre_apply",
+                "monomial_grading_violations", "switch_checks", "switch_grading",
+                "verify_product_tables"),
+    "liealg": ("AlgebraDescriptor", "Derivation", "Family"),
+    "loopalg": ("CheckResult", "ComponentRecord", "DiamondRecord", "LoopConfig",
+                "PatternParams", "ThinReport", "centralizer_chain", "check_covering",
+                "classify_component", "expand_loop", "render_text", "run_analysis",
+                "verify_pattern"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import the module of a public name or a submodule on first access,
+    and keep the value in the package namespace."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return list(__all__)

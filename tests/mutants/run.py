@@ -158,6 +158,19 @@ MUTANTS = [
            'if name != "switch":  # a switched case fixes its family',
            'if True:  # a switched case fixes its family',
            ("test_cli.py::test_each_subcommand_takes_only_the_options_it_reads",)),
+    Mutant("the package imports loopalg eagerly again", "__init__.py",
+           "import importlib\n", "import importlib\n\nfrom .loopalg import run_analysis\n",
+           ("test_package.py",)),
+    Mutant("AlgebraDescriptor exported from loopalg, which imports it", "__init__.py",
+           '"liealg": ("AlgebraDescriptor", "Derivation", "Family"),\n'
+           '    "loopalg": ("CheckResult",',
+           '"liealg": ("Derivation", "Family"),\n'
+           '    "loopalg": ("AlgebraDescriptor", "CheckResult",',
+           ("test_package.py",)),
+    Mutant("an unknown package name reads as None", "__init__.py",
+           '        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
+           "        return None",
+           ("test_package.py",)),
 ]
 
 

@@ -13,6 +13,10 @@ refused options of tests/test_cli.py (evaluated from its syntax tree, so
 neither pytest nor the package is imported here), the `$ thinlie` examples
 of README.md, and every variant of each benchmark workload in
 perfbench/workloads.py; `--help` of each subcommand is compared too.
+One more pair compares the library surface: a fresh `python -c` that prints
+every name of `thinlie.__all__` with its `__module__` and `__qualname__`,
+then runs README.md's library quick start as tests/test_package.py does,
+printing the value of each expression line.
 Standard library only; this is not part of the tier-1 suite.
 """
 
@@ -34,10 +38,18 @@ ROOT = Path(__file__).resolve().parents[2]
 TIMEOUT_S = 600
 
 
-def read_test_cli(*names: str) -> list:
-    """Module-level names of tests/test_cli.py, built by running only their
-    own assignments and function definitions."""
-    path = ROOT / "tests" / "test_cli.py"
+#: Prints each public name of the package with the module and qualified
+#: name it resolves to.
+LIBRARY = ("import thinlie\n"
+           "for name in thinlie.__all__:\n"
+           "    value = getattr(thinlie, name)\n"
+           "    print(name, value.__module__, value.__qualname__)\n")
+
+
+def read_test(file: str, *names: str) -> list:
+    """Module-level names of tests/<file>, built by running only their own
+    assignments and function definitions."""
+    path = ROOT / "tests" / file
     nodes = [node for node in ast.parse(path.read_text()).body
              if isinstance(node, ast.FunctionDef) and node.name in names
              or isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names]
@@ -48,9 +60,9 @@ def read_test_cli(*names: str) -> list:
 
 def argvs() -> list:
     """Every argv to compare, without --format, in a fixed order, once each."""
-    switch, verify, analyze, usage, refused, examples = read_test_cli(
-        "SWITCH_FROZEN", "VERIFY_FROZEN", "ANALYZE_FROZEN", "USAGE_ERRORS", "REFUSED_OPTIONS",
-        "readme_examples")
+    switch, verify, analyze, usage, refused, examples = read_test(
+        "test_cli.py", "SWITCH_FROZEN", "VERIFY_FROZEN", "ANALYZE_FROZEN", "USAGE_ERRORS",
+        "REFUSED_OPTIONS", "readme_examples")
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -64,12 +76,25 @@ def argvs() -> list:
     return list(dict.fromkeys(out))
 
 
-def outcome(src: Path, argv: list) -> tuple:
-    """(exit code, stdout, stderr) of one fresh process on the package in src."""
+def outcome(src: Path, args: list, stdin: bytes = b"") -> tuple:
+    """(exit code, stdout, stderr) of one fresh `python *args` process on the
+    package in src."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-m", "thinlie", *argv], cwd=src, env=env,
+    done = subprocess.run([sys.executable, *args], cwd=src, env=env, input=stdin,
                           capture_output=True, timeout=TIMEOUT_S)
     return done.returncode, done.stdout, done.stderr
+
+
+def runs() -> list:
+    """(label, python args, stdin) of every process to compare."""
+    out = []
+    for args in argvs():
+        for fmt in ("text", "json"):
+            full = [*args, "--format", fmt]
+            out.append((f"thinlie {shlex.join(full)}", ["-m", "thinlie", *full], b""))
+    interactive, quick_start = read_test("test_package.py", "INTERACTIVE", "readme_quick_start")
+    out.append(("library surface", ["-c", LIBRARY + interactive], quick_start().encode()))
+    return out
 
 
 def main(argv: list) -> int:
@@ -85,16 +110,14 @@ def main(argv: list) -> int:
     differ = pairs = 0
     with tempfile.TemporaryDirectory() as tmp:
         tarfile.open(fileobj=io.BytesIO(archive.stdout)).extractall(tmp)
-        for args in argvs():
-            for fmt in ("text", "json"):
-                full = [*args, "--format", fmt]
-                before, after = outcome(Path(tmp) / "src", full), outcome(ROOT / "src", full)
-                pairs += 1
-                what = [part for part, a, b in zip(("exit code", "stdout", "stderr"), before, after)
-                        if a != b]
-                if what:
-                    differ += 1
-                    print(f"differ ({', '.join(what)}): thinlie {shlex.join(full)}")
+        for label, args, stdin in runs():
+            before, after = (outcome(src, args, stdin) for src in (Path(tmp) / "src", ROOT / "src"))
+            pairs += 1
+            what = [part for part, a, b in zip(("exit code", "stdout", "stderr"), before, after)
+                    if a != b]
+            if what:
+                differ += 1
+                print(f"differ ({', '.join(what)}): {label}")
     print(f"{pairs} pairs against {ref}: {differ} differ")
     return int(differ > 0)
 

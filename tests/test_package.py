@@ -1,0 +1,106 @@
+"""The package's public names: what importing them loads, where they live,
+and README's library quick start."""
+
+import ast
+import io
+import os
+import re
+import subprocess
+import sys
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import thinlie
+
+#: Runs the Python source on stdin one top-level statement at a time, as an
+#: interactive session does, so the value of each expression statement is
+#: printed with repr.
+INTERACTIVE = (
+    "import ast, sys\n"
+    "namespace = {'__name__': '__main__'}\n"
+    "for statement in ast.parse(sys.stdin.read()).body:\n"
+    "    exec(compile(ast.Interactive([statement]), 'README.md', 'single'), namespace)\n")
+
+
+def readme_quick_start() -> str:
+    """The python block under README.md's "Library quick start"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block, = re.findall(r"^### Library quick start\n\n```python\n(.*?)^```", text, re.M | re.S)
+    return block
+
+
+def fresh(script: str, stdin: str = "") -> str:
+    """stdout of `script` run by a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(thinlie.__file__))
+    out = subprocess.run([sys.executable, "-c", script], input=stdin,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def loaded_by(statement: str) -> set:
+    """The package's modules that a fresh interpreter has loaded after
+    running `statement`."""
+    listed = fresh(f"import sys\n{statement}\n"
+                   "print(*(m for m in sys.modules if m.split('.')[0] == 'thinlie'))")
+    return set(listed.split())
+
+
+def test_algebra_names_load_only_the_algebra_modules():
+    """Checking an algebra needs the field, the divided power algebra and
+    the Lie algebra, and not the switch or the loop algebra."""
+    assert loaded_by("from thinlie import AlgebraDescriptor, Family, FieldParams, Heights") == {
+        "thinlie", "thinlie.ffield", "thinlie.dpalgebra", "thinlie.liealg"}
+
+
+def test_the_closed_basis_loads_no_loop_algebra():
+    loaded = loaded_by("from thinlie import build_closed_basis")
+    assert "thinlie.grading" in loaded
+    assert loaded.isdisjoint({"thinlie.loopalg", "thinlie.cli"})
+
+
+def test_the_command_line_loads_every_module():
+    """The benchmark's tracer wraps functions in the modules that
+    `import thinlie.cli` has loaded, so that import loads all of them."""
+    assert loaded_by("import thinlie.cli") == {
+        "thinlie", *(f"thinlie.{name}" for name in
+                     ("cli", "dpalgebra", "ffield", "grading", "liealg", "loopalg"))}
+
+
+def test_public_names_are_their_home_modules_objects():
+    assert thinlie.__all__
+    for name in thinlie.__all__:
+        value = getattr(thinlie, name)
+        assert value.__module__.startswith("thinlie."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert dir(thinlie) == sorted(thinlie.__all__)
+
+
+def test_submodules_resolve_after_a_bare_import():
+    assert loaded_by("import thinlie") == {"thinlie"}
+    assert fresh("import thinlie\nprint(thinlie.grading.__name__)") == "thinlie.grading\n"
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        thinlie.no_such_name
+    assert not hasattr(thinlie, "no_such_name")
+    with pytest.raises(ImportError):
+        from thinlie import no_such_name  # noqa: F401
+
+
+def test_readme_quick_start():
+    """README's library example, run in a fresh interpreter as an
+    interactive session runs it, shows on each expression line the value
+    its comment gives."""
+    block = readme_quick_start()
+    comments = {token.start[0]: token.string.lstrip("#").strip()
+                for token in tokenize.generate_tokens(io.StringIO(block).readline)
+                if token.type == tokenize.COMMENT}
+    shown = [comments[statement.end_lineno] for statement in ast.parse(block).body
+             if isinstance(statement, ast.Expr)]
+    assert shown == ["27", "'(2)*x^(1)y^(0)'", "'(1)*x^(8)y^(0)'"]
+    assert fresh(INTERACTIVE, block).splitlines() == shown
