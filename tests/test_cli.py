@@ -247,6 +247,21 @@ SWITCH_FROZEN = {
     "big p7 n1": (("--case", "big-field", "--p", "7", "--n", "1", "--s", "1"), 0,
                   "c6fc7fa4554d61b9e71f7cbd3e23c097767cca1ff7276e20a08bbb28617f4e84",
                   "82e17c3b2b4f55c8d05d16088471c56f31eb71b56fcad00d24659ac9b5fdf094"),
+    # frozen before the certificate checked the rule table once per label
+    # class: GradedHamiltonian with its placeholders at s = 2, sigma != 1
+    # over F_3 at s = 2, and sigma != 1 over F_3125
+    "prime p3 n1 s2 pi1": (("--case", "prime-field", "--p", "3", "--n", "1", "--s", "2",
+                            "--pi", "1"), 0,
+                           "c787a7fbfd596389e4fc8b23daafebb912d69c8e610fe6539ad0b434634a8221",
+                           "bd001e66bac966607357c8472555de59c291d85355098df0eebf19cdf7529ff8"),
+    "prime p3 n2 s2 pi2 sigma2": (("--case", "prime-field", "--p", "3", "--n", "2",
+                                   "--s", "2", "--pi", "2", "--sigma", "2"), 0,
+                                  "8e735ab8a65fb36fa1665654fe20f7a37de9cdf74e8a845127d188e82f9bcff2",
+                                  "0ab3a16b75b288b2722d1ecda0d9da78eef1a735dafa0c032270531b0c801a73"),
+    "big p5 n1 s1 pi2t sigma3": (("--case", "big-field", "--p", "5", "--n", "1", "--s", "1",
+                                  "--pi", "2t", "--sigma", "3"), 0,
+                                 "fb9735f86252d3a06c8040ec0a479a60299b3eae436832022eccf65baeca8e43",
+                                 "9b5a35d399df3a58a71a548bf27ece04b9958c735adf2bebe152a71f6ecf5a49"),
 }
 
 
@@ -273,7 +288,8 @@ def test_switch_passes_gh_s0_without_the_pair_sweep(capsys, monkeypatch):
         return sweep(*args)
     monkeypatch.setattr(grading, "_pair_sweep", counted)
     for name in ("prime p3 n2 s0 pi1", "prime p5 n1 s0 pi2", "big p3 n2 s2 pi t+0",
-                 "big p3 n2 s2 pi t+1", "big p3 n2 s2 pi t+2", "big p5 n1"):
+                 "big p3 n2 s2 pi t+1", "big p3 n2 s2 pi t+2", "big p5 n1",
+                 "prime p3 n1 s2 pi1", "prime p3 n2 s2 pi2 sigma2", "big p5 n1 s1 pi2t sigma3"):
         code, _, _ = run(capsys, "switch", *SWITCH_FROZEN[name][0])
         assert (code, calls) == (0, []), name
 
