@@ -496,29 +496,61 @@ def check_graded(descriptor: AlgebraDescriptor, basis: GradedBasis,
 
 
 class RuleTable(NamedTuple):
-    """The closed product rules T' on the active labels, by active index.
+    """The closed product rules T' on the active labels, by active index,
+    in two parts: the class table C and the block.
 
-    layers[r][a] = {b: (x, t)} when the rules predict [v_a, v_b] = c v_t
-    with x != 0 the t^r coordinate of c: the coordinate layers that
-    `derivation_defects` and `table_generators` take.  A pair with c = 0,
-    or with a zero placeholder as its target, has no entry: either way its
-    bracket is predicted to vanish.  unlabelled = {(a, b): c} holds the
-    pairs whose c != 0 has no target label, which no bracket matches.
+    A label (j, k, a) lies in the class (j, k), numbered c = (j + 1) p^s +
+    k + 1, so that k = -1 iff c = 0 mod p^s, at the fibre a in Z/p.
+    place[i] = (c, a) for the active label i, and fibres[c][a][b] is the
+    active index of the label of class c at the fibre a + b mod p, None at
+    a zero placeholder.
+
+    Toral switching has made x^(p^s) a torus eigenvector, so off the block
+    k = h = -1 a rule depends on the fibres only through their sum:
+    [v_(A, a), v_(B, b)] = x v_(A + B, a + b), x in F_p the Poisson
+    determinant of the classes.  C holds those rules once per pair of
+    classes, classes[A] = {B: (x, E)} for x != 0 with E = A + B.  It is
+    the table of the Poisson bracket on the divided powers x^(k+1) y^(j+1)
+    with k + 1 < p^s, a Lie algebra, as a sum k + h + 1 >= p^s carries a
+    digit and its binomials vanish mod p.  Off the block, T' is the current algebra C (x) F_p[Z/p]
+    of C and the group algebra of the fibres, less its entries onto
+    placeholders.  The block holds the pairs of two labels at k = -1, whose
+    c = sigma (Y1 beta - Y0 alpha) lies in F_q and depends on both fibres,
+    in coordinate layers: block[r][a] = {b: (x, t)} for the t^r coordinate
+    x != 0 of c in [v_a, v_b] = c v_t, t at k = p^s - 2 and the fibre
+    a + b - 1.  No pair lies in both parts.
+
+    A pair with c = 0, or with a zero placeholder as its target, is
+    predicted to vanish.  unlabelled = {(a, b): c} holds the pairs whose
+    c != 0 has no target label, which no bracket matches; `_product_rule`
+    enters none, since every target of its rules lies in the label range.
+
+    No dim x dim copy of T' is kept: `_rules_certified` expands the rows
+    of T' for the kernels that read them, the generator walk and the
+    per-fibre derivation pass, and `rule` reads one pair from the two
+    parts.
     """
 
     active: list
-    layers: list
+    place: list
+    fibres: list
+    classes: list
+    block: list
     unlabelled: dict
 
     def rule(self, a: int, b: int) -> tuple:
         """(c, t) for [v_a, v_b] = c v_t, c by its m coordinates; t is None
         when the bracket is predicted to vanish or c has no target label."""
         c, t = [], None
-        for layer in self.layers:
+        for layer in self.block:
             x, t = layer[a].get(b, (0, t))  # every layer names the same t
             c.append(x)
+        (ca, fa), (cb, fb) = self.place[a], self.place[b]
+        x, e = self.classes[ca].get(cb, (0, 0))
+        if x:  # the t^0 coordinate of c, on a pair with no block entry
+            c[0], t = x, self.fibres[e][fa][fb]
         if t is None:
-            return self.unlabelled.get((a, b), tuple(c)), None
+            return self.unlabelled.get((a, b), (0,) * len(c)), None
         return tuple(c), t
 
 
@@ -534,49 +566,106 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
     ad_a, apply phi through a and b, and recombine by Jacobi in T (the
     argument of `liealg.jacobi_violations`, Jacobson, Lie Algebras).  So
     the rules hold on every pair once they hold on any generating set of
-    T'.  Four exact steps, in order, any failure returning False:
+    T'.
 
-    1. one test of the table laws: T' has no unlabelled pair (a nonzero c
-       without a target label), no `antisymmetry_violations` and no
-       `additive_violations` of the degrees mod N on the layers that
-       `_product_rule` builds (entries onto placeholders dropped), and T,
-       anticommutative by the caller, keeps an empty Jacobi verdict, which
-       its certificate decides in the switch's other kernel pass;
-    2. generators of T' by `table_generators`, from the degree-1 labels
-       first and then every active label in index order, so this step
-       cannot fail: X and Y alone where they generate T', as they do on
-       every admissible switch with both of them active, and otherwise
-       each label they do not reach, in order, as one more generator.
-       When that walk takes more than two, a second walk takes the
-       degree-1 labels first and then j + k descending, and the shorter
-       list is kept: any generating set serves, and each generator costs
-       a derivation check and dim brackets;
-    3. ad_g is a derivation of T' for each generator g
-       (`ads_are_derivations`, one kernel pass over T' for all of them);
+    The laws of T' are checked on the two parts of `RuleTable`.  Off the
+    block, T' is the current algebra C (x) F_p[Z/p], and in a current
+    algebra C (x) A, A commutative and associative, [u (x) f, v (x) g] =
+    [u, v] (x) fg: antisymmetry, the grading and the derivation identity
+    of ad_(u (x) f) follow from those of C, fibre sum by fibre sum
+    (Jacobson, Lie Algebras).  The argument covers the pairs whose
+    brackets all stay off the block and off the placeholders; the others
+    are summed per fibre.  Four exact steps, in order, any failure
+    returning False:
+
+    1. one test of the table laws: no unlabelled pair (a nonzero c without
+       a target label); no `antisymmetry_violations` of C or of the block,
+       as a pair of T' is a block pair iff its mirror is, and off the
+       block the mirror reads the mirror class entry at the same fibre
+       sum; degrees affine in the fibre, deg(J, a) = deg(J, 0) +
+       a (1 - q) p^s mod N, and no `additive_violations` of C on the class
+       degrees deg(J, 0) or of the block on the label degrees, which
+       grades T' as p (1 - q) p^s = -N = 0 mod N; and T, anticommutative
+       by the caller, keeps an empty Jacobi verdict, which its certificate
+       decides in the switch's other kernel pass;
+    2. generators of T' by `table_generators` on the rows of T', expanded
+       from the block and C, from the degree-1 labels first and then
+       every active label in index order, so this step cannot fail: X and
+       Y alone where they generate T', as they do on every admissible
+       switch with both of them active, and otherwise each label they do
+       not reach, in order, as one more generator.  When that walk takes
+       more than two, a second walk takes the degree-1 labels first and
+       then j + k descending, and the shorter list is kept: any generating
+       set serves, and each generator costs a derivation check and dim
+       brackets;
+    3. ad_g is a derivation of T' for each generator g, by two passes of
+       the derivation kernel (`ads_are_derivations`).  The defect of ad_g
+       at (a, b) is [g,[a,b]] - [[g,a],b] - [a,[g,b]], three chains of two
+       brackets.  A pair is a block pair only if both labels have k = -1,
+       and a class entry of k and h lands on k + h.  So when neither a nor
+       b has k = -1, no bracket of the three chains is a block pair: [a,b]
+       lands on k >= 0, and [g,a], [g,b] each meet b or a next.  Every
+       chain is then a chain of C at the fibre sum, and the defect is x v,
+       x the defect of ad_G on C at the classes (A, B), G the class of g,
+       unless a middle bracket [a,b], [g,a] or [g,b] lands on a
+       placeholder, whose entries T' drops.  By the antisymmetry of C
+       that needs the class row of A or of B to have an entry onto a class
+       with a placeholder.  So the first pass runs once on C, with ad_G
+       the row of G, and the second, per fibre on the rows of T', sums the
+       defects of the labels at k = -1 and of the labels whose class row
+       meets a placeholder, each against every b: the defect is
+       antisymmetric in (a, b) on an anticommutative table, so a pair with
+       only b among them is met as (b, a).  Every other pair is clean, and
+       its defect vanishes with those of C.  Conversely a defect of C
+       shows in T' wherever no placeholder hides it: a chain through the
+       block lands p^s higher in k than the chains of C, on another label,
+       so it never cancels one of them.  At s = 0 every label has k = -1:
+       C is empty and T' is the block, so the second pass, which would
+       visit every row against every b, is instead the one pass over the
+       pairs b > a of T' that the certificate took before; s = 0 gains
+       nothing and loses nothing;
     4. [v_g, v_x] = c v_L for each generator g and active x: 2 x dim
        brackets when X and Y generate.
 
     No echelon is built: a bracket c v_L with L of the degree sum lies in
     the span of that degree's vectors, so it has no stray.
     """
-    field, N = basis.field, basis.spec.N
-    layers = table.layers
-    vectors = [basis.vectors[lab] for lab in table.active]
+    field, N, ps = basis.field, basis.spec.N, basis.spec.step
+    classes, place, fibres = table.classes, table.place, table.fibres
     deg = [basis.degrees[lab] for lab in table.active]
-    if (table.unlabelled or antisymmetry_violations(layers, field.p)
-            or additive_violations(layers, deg, N) or descriptor.jacobi):
+    # (class, deg(J, 0)) of each label, as deg(j, k, a + 1) - deg(j, k, a) = -N / p mod N
+    base = {(c, (d + a * N // field.p) % N) for (c, a), d in zip(place, deg)}
+    cdeg = dict(base)
+    if (table.unlabelled or len(cdeg) < len(base)
+            or antisymmetry_violations([classes, *table.block], field.p)
+            or additive_violations([classes], cdeg, N) or additive_violations(table.block, deg, N)
+            or descriptor.jacobi):
         return False
+    # the rows of T' in coordinate layers: the block, each row of layer 0 joined by
+    # its class row in C at the fibre sums, less the entries onto placeholders
+    entry = [[(x, t) for t in range(len(deg))] for x in range(field.p)]  # shared (x, t)
+    layers = [list(layer) for layer in table.block]
+    for i, (c, a) in enumerate(place):
+        layers[0][i] = {b: entry[x][t] for d, (x, e) in classes[c].items()
+                        for b, t in zip(fibres[d][0], fibres[e][a])
+                        if b is not None and t is not None} | layers[0][i]
     gens = table_generators(layers, sorted(range(len(deg)), key=lambda a: deg[a] != 1))
     if len(gens) > 2:
         labels = table.active
         again = table_generators(layers, sorted(
             range(len(deg)), key=lambda a: (deg[a] != 1, -labels[a].j - labels[a].k)))
         gens = min(gens, again, key=len)
-    if not ads_are_derivations(layers, gens, field):
-        return False
+    # the classes at k = -1 and those whose row meets a class with a placeholder
+    near = [c % ps == 0 or any(None in fibres[e][0] for _x, e in row.values())
+            for c, row in enumerate(classes)]
+    visit = [i for i, (c, _a) in enumerate(place) if near[c]]
+    vectors = [basis.vectors[lab] for lab in table.active]
     predicted = _predictions(vectors, field)
-    return all(descriptor.bracket(vectors[g], vb).terms == predicted(*table.rule(g, b))
-               for g in gens for b, vb in enumerate(vectors))
+    return (ads_are_derivations([classes], [place[g][0] for g in gens], field)
+            and ads_are_derivations(layers, gens, field,
+                                    visit if any(classes) else None)
+            and all(descriptor.bracket(vectors[g], vb).terms == predicted(*table.rule(g, b))
+                    for g in gens for b, vb in enumerate(vectors)))
 
 
 def _predictions(vectors: list, field: FieldParams):
@@ -641,89 +730,62 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
     L = (j+l, k+h, a+b) when k and h are not both -1, and
     c = sigma*(C(j+l+1,j) beta - C(j+l+1,l) alpha) at L = (j+l, p^s-2, a+b-1)
     when k = h = -1, with alpha, beta the generalized-power exponents of the
-    two labels.  An out-of-range target must come with c = 0; else the pair
-    is unlabelled, with no prediction, and a miss.  The label index a is
-    reduced mod p.  Exchanging the two labels negates c and keeps L;
-    `check_graded` tests this per pair rather than assuming it.  Pairs
-    range over active labels only: the zero placeholders are not basis
-    vectors, and as bracket targets they are covered by the coefficient
-    vanishing (top) or by the constant projection (bottom), so an entry
-    onto one is dropped.
+    two labels.  The label index a is reduced mod p.  Exchanging the two
+    labels negates c and keeps L; `check_graded` tests this per pair
+    rather than assuming it.  Pairs range over active labels only: the
+    zero placeholders are not basis vectors, and as bracket targets they
+    are covered by the coefficient vanishing (top) or by the constant
+    projection (bottom), so an entry onto one is dropped.
 
     Each part of a rule is computed once per class it depends on.  Off
     k = h = -1, c is the Poisson determinant X0 Y1 - X1 Y0 of the label
     exponents, x^(k+1), x^(h+1) on one axis and y^(j+1), y^(l+1) on the
     other, from the factors `liealg.axis_factors` tabulates for the
     structure constants: (X0, X1) = (C(k+h+1,h), C(k+h+1,k)) and
-    (Y0, Y1) = (C(j+l+1,l), C(j+l+1,j)).  It is computed once per
-    (j, l, k, h) and entered on the p x p block of (a, b) when nonzero.
-    On k = h = -1, c = sigma (Y1 beta - Y0 alpha) is an F_p-combination of
-    sigma*alpha, computed once per (j, a) and combined coordinate-wise per
-    (a, b).  So the table costs q p field multiplies and builds no algebra
-    element, and its entries share their (x, t) tuples.
+    (Y0, Y1) = (C(j+l+1,l), C(j+l+1,j)).  It depends on (j, l, k, h)
+    alone and the fibres enter only through a + b, so it is the entry of
+    the class table C at ((j, k), (l, h)), and those pairs are never
+    stored one by one.  Every target lies in the label range: for
+    g = e + f - 1 >= p^n with e, f < p^n the sum carries a digit, so
+    C(g, e) and C(g, e - 1) vanish mod p (Kummer) and `axis_factors` lists
+    no such g.  On k = h = -1, c = sigma (Y1 beta - Y0 alpha) is an
+    F_p-combination of sigma*alpha, computed once per (j, a) and combined
+    coordinate-wise per (a, b), into the block.  So the table costs q p
+    field multiplies and builds no algebra element.
     """
     spec, field = basis.spec, basis.field
     if spec.case not in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD):
         raise ValueError("product tables exist for the switched cases only")
-    p, q, ps, m = field.p, spec.q, spec.step, field.m
+    p, q, ps = field.p, spec.q, spec.step
     active = basis.active_labels
-    index = {lab: i for i, lab in enumerate(active)}
-    # at[j + 1][k + 1][a]: active index of the label (j, k, a), None at a placeholder
-    at = [[[index.get(Label(j, k, a)) for a in range(p)] for k in range(-1, ps - 1)]
-          for j in range(-1, q - 1)]
-    # rotated[j + 1][k + 1][a][b]: at[j + 1][k + 1][(a + b) % p]
-    rotated = [[[row[a:] + row[:a] for a in range(p)] for row in rows] for rows in at]
+    place = [((lab.j + 1) * ps + lab.k + 1, lab.a) for lab in active]
+    index = {x: i for i, x in enumerate(place)}
+    # fibres[c][a][b]: active index of (j, k, a + b) for c = (j + 1) p^s + k + 1,
+    # None at a placeholder
+    fibres = [[[index.get((c, (a + b) % p)) for b in range(p)] for a in range(p)]
+              for c in range(q * ps)]
     sigma_expo = [[(cfg.sigma * _label_exponent(spec, cfg, j, a)).coeffs for a in range(p)]
                   for j in range(-1, q - 1)]
-    entry = [[(x, t) for t in range(len(active))] for x in range(p)]  # shared (x, t) tuples
-    in_prime_field = [(x,) + (0,) * (m - 1) for x in range(p)]
-    layers = [[{} for _ in active] for _ in range(m)]
-    unlabelled = {}
+    block = [[{} for _ in active] for _ in range(field.m)]
+    classes = [{} for _ in fibres]
     xs = axis_factors(ps, p)
 
     # j1, l1, k1, h1 are the exponents j + 1, l + 1, k + 1, h + 1; gy, gx the target's
     for j1, yrow in enumerate(axis_factors(q, p)):
         for l1, y0, y1, gy in yrow:
-            targets = rotated[gy] if gy < q else None
             # k = h = -1: c = sigma (Y1 beta - Y0 alpha) onto (j + l, p^s - 2, a + b - 1)
-            for a, ia in enumerate(at[j1][0]):
-                if ia is None:
-                    continue
-                alpha = sigma_expo[j1][a]
-                tgt = targets[ps - 1][(a - 1) % p] if targets else None
-                for b, ib in enumerate(at[l1][0]):
-                    if ib is None:
-                        continue
-                    c = tuple((y1 * y - y0 * x) % p for x, y in zip(alpha, sigma_expo[l1][b]))
-                    if not any(c):
-                        continue
-                    if tgt is None:
-                        unlabelled[ia, ib] = c
-                    elif (t := tgt[b]) is not None:
-                        for layer, x in zip(layers, c):
-                            if x:
-                                layer[ia][ib] = entry[x][t]
-            # otherwise: c = X0 Y1 - X1 Y0 in F_p onto (j + l, k + h, a + b)
+            for a, ia in enumerate(fibres[j1 * ps][0]):
+                for b, ib in enumerate(fibres[l1 * ps][0]):  # [a - 1] at a = 0 is the fibre p - 1
+                    if None not in (ia, ib, t := fibres[gy * ps + ps - 1][a - 1][b]):
+                        for layer, x, y in zip(block, sigma_expo[j1][a], sigma_expo[l1][b]):
+                            if z := (y1 * y - y0 * x) % p:
+                                layer[ia][ib] = z, t
+            # otherwise: c = X0 Y1 - X1 Y0 in F_p onto the class (j + l, k + h)
             for k1, xrow in enumerate(xs):
                 for h1, x0, x1, gx in xrow:
-                    x = (x0 * y1 - x1 * y0) % p
-                    if not x:
-                        continue
-                    tgts = targets[gx] if targets and gx < ps else None
-                    partners, ex = at[l1][h1], entry[x]
-                    for a, ia in enumerate(at[j1][k1]):
-                        if ia is None:
-                            continue
-                        if tgts is None:
-                            for ib in partners:
-                                if ib is not None:
-                                    unlabelled[ia, ib] = in_prime_field[x]
-                            continue
-                        row = layers[0][ia]
-                        for ib, t in zip(partners, tgts[a]):
-                            if ib is not None and t is not None:
-                                row[ib] = ex[t]
-    return RuleTable(active, layers, unlabelled)
+                    if x := (x0 * y1 - x1 * y0) % p:
+                        classes[j1 * ps + k1][l1 * ps + h1] = x, gy * ps + gx
+    return RuleTable(active, place, fibres, classes, block, {})
 
 
 def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,

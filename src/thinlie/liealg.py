@@ -443,17 +443,19 @@ def jacobi_violations(desc: AlgebraDescriptor) -> list:
     return _jacobi_sweep(desc)
 
 
-def ads_are_derivations(rows: list, gens: list, field: FieldParams) -> bool:
-    """Whether ad_g is a derivation of the table for every g in gens.
+def ads_are_derivations(rows: list, gens: list, field: FieldParams,
+                        visit: list | None = None) -> bool:
+    """Whether ad_g is a derivation of the table for every g in gens, on
+    the rows in visit against every b (on every pair when visit is None).
 
     rows holds the table in coordinate layers, as `derivation_defects`
     takes it, and ad_g is row g of each layer, itself a monomial map in the
     derivation format.  One run of the kernel sums the defects of every
-    ad_g in a single sweep of the rows.  Only the pairs b > a are summed:
-    on an anticommutative table the defect of ad_g is antisymmetric in
-    (a, b)."""
+    ad_g in a single sweep of the rows.  Without visit only the pairs
+    b > a are summed: on an anticommutative table the defect of ad_g is
+    antisymmetric in (a, b)."""
     derivations = [[layer[g] for layer in rows] for g in gens]
-    return next(derivation_defects(rows, derivations, field, half=True), None) is None
+    return next(derivation_defects(rows, derivations, field, visit is None, visit), None) is None
 
 
 def monomial_generators(desc: AlgebraDescriptor) -> list[int] | None:

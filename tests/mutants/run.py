@@ -99,6 +99,21 @@ MUTANTS = [
     Mutant("_product_rule: Y0 and Y1 swapped", "grading.py",
            "for l1, y0, y1, gy in yrow:", "for l1, y1, y0, gy in yrow:",
            ("test_grading.py",)),
+    Mutant("_product_rule: block coefficient read at the fibre a - 1", "grading.py",
+           "zip(block, sigma_expo[j1][a], sigma_expo[l1][b])",
+           "zip(block, sigma_expo[j1][a - 1], sigma_expo[l1][b])",
+           ("test_grading.py",)),
+    Mutant("_rules_certified: a class entry expanded onto the fibre a + b + 1", "grading.py",
+           "for b, t in zip(fibres[d][0], fibres[e][a])",
+           "for b, t in zip(fibres[d][0], fibres[e][(a + 1) % len(fibres[e])])",
+           ("test_grading.py",)),
+    Mutant("_rules_certified: the fibre pass skips the rows at k = -1", "grading.py",
+           "near = [c % ps == 0 or any(", "near = [any(",
+           ("test_grading.py",)),
+    Mutant("_rules_certified: the fibre pass skips the rows meeting a placeholder", "grading.py",
+           "near = [c % ps == 0 or any(None in fibres[e][0] for _x, e in row.values())",
+           "near = [c % ps == 0 or any(None in fibres[e][1:] for _x, e in row.values())",
+           ("test_grading.py",)),
     Mutant("antisymmetry_violations: mirror target unchecked", "liealg.py",
            "if ba is None or ab[1] != ba[1] or (ab[0] + ba[0]) % p:",
            "if ba is None or (ab[0] + ba[0]) % p:",
@@ -145,6 +160,11 @@ MUTANTS = [
            "coeffs.append(-falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
            "coeffs.append(falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
            ("test_grading.py",)),
+    # the sign edit again, which the sympy Laguerre oracle must catch on its own
+    Mutant("_laguerre_coefficients: sign, against sympy alone", "grading.py",
+           "coeffs.append(-falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
+           "coeffs.append(falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
+           ("test_sympy_oracles.py::test_laguerre_coefficients_match_sympy",)),
     Mutant("_closed_scalar: sigma^a dropped", "grading.py",
            "return -falling_factorial(alpha, a) * cfg.sigma ** a / den",
            "return -falling_factorial(alpha, a) / den",

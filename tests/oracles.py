@@ -21,6 +21,11 @@ prediction c v_L afresh; the package's sweep, which builds each once,
 must return the same strays and misses, in the same order.
 `product_rule` predicts one pair at a time from Lucas binomials and field
 arithmetic, the reference for the factored rule table the package builds.
+`rule_layers` expands that table to dim x dim, one `RuleTable.rule` per
+ordered pair, and `full_rules_certified` runs the generator certificate of
+`grading._rules_certified` on the whole of it, with no class argument: the
+reference for the certificate that checks the table laws once per label
+class and per fibre only where the block or a placeholder enters.
 
 The kernel references (`bracket`, `apply`, `scale`, `Echelon`) keep each
 coefficient as one FieldElement, {monomial: FieldElement} with no zero
@@ -45,7 +50,8 @@ from thinlie import grading
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
 from thinlie.ffield import FieldElement, lucas_binomial
 from thinlie.grading import GradedBasis, GradingSpec, Label
-from thinlie.liealg import AlgebraDescriptor, Derivation, Family
+from thinlie.liealg import (AlgebraDescriptor, Derivation, Family, additive_violations,
+                            ads_are_derivations, antisymmetry_violations, table_generators)
 
 
 def dense_anticommutativity_violations(desc: AlgebraDescriptor) -> list:
@@ -279,6 +285,56 @@ def product_rule(basis: GradedBasis, cfg):
             return c.coeffs, None
         return c.coeffs, Label(j + l, kk, aa % p)
     return rule
+
+
+def rule_layers(table) -> tuple[list, bool]:
+    """The rule table T' of a `grading.RuleTable` expanded to dim x dim,
+    one `rule` call per ordered pair of active labels: the coordinate
+    layers rows[r][a] = {b: (x, t)} for each x != 0, the t^r coordinate of
+    c in rule(a, b) = (c, t), and whether some pair has c != 0 without a
+    target label."""
+    n, m = len(table.active), len(table.block)
+    rows, unlabelled = [[{} for _ in range(n)] for _ in range(m)], False
+    for a in range(n):
+        for b in range(n):
+            c, t = table.rule(a, b)
+            if t is None:
+                unlabelled = unlabelled or any(c)
+                continue
+            for layer, x in zip(rows, c):
+                if x:
+                    layer[a][b] = (x, t)
+    return rows, unlabelled
+
+
+def full_rules_certified(desc: AlgebraDescriptor, basis: GradedBasis, table) -> bool:
+    """The generator certificate of `grading._rules_certified`, with every
+    table law checked on all of T' as `rule_layers` expands it: no
+    unlabelled pair, antisymmetry and additive degrees over every entry,
+    an empty Jacobi verdict of the algebra, generators by the same two
+    walks, ad_g a derivation on every pair b > a, and the brackets of the
+    generators against their predictions."""
+    rows, unlabelled = rule_layers(table)
+    field, labels = basis.field, table.active
+    deg = [basis.degrees[lab] for lab in labels]
+    if (unlabelled or antisymmetry_violations(rows, field.p)
+            or additive_violations(rows, deg, basis.spec.N) or desc.jacobi):
+        return False
+    gens = table_generators(rows, sorted(range(len(deg)), key=lambda a: deg[a] != 1))
+    if len(gens) > 2:
+        again = table_generators(rows, sorted(
+            range(len(deg)), key=lambda a: (deg[a] != 1, -labels[a].j - labels[a].k)))
+        gens = min(gens, again, key=len)
+    if not ads_are_derivations(rows, gens, field):
+        return False
+    vectors = [basis.vectors[lab] for lab in labels]
+    for g in gens:
+        for b, vb in enumerate(vectors):
+            c, t = table.rule(g, b)
+            want = vectors[t].scale(field.element(c)) if t is not None else desc.zero()
+            if (t is None and any(c)) or desc.bracket(vectors[g], vb) != want:
+                return False
+    return True
 
 
 def ordered_check_graded(desc: AlgebraDescriptor, basis: GradedBasis, cfg=None) -> tuple[list, list]:

@@ -403,8 +403,10 @@ def test_certificates_take_one_kernel_pass_each(capsys, monkeypatch):
     """The derivation kernel sums every generator of a certificate in one
     run.  A passing verify runs it twice: the Jacobi certificate with one
     ad g per generator over every row, and Leibniz on the generator rows.
-    A passing switch runs it twice too: the Jacobi certificate on T and the
-    rule certificate on the three layers of T' over F_27, with X and Y."""
+    A passing switch runs it three times: the Jacobi certificate on T, and
+    the rule certificate with X and Y twice, once on the class table C over
+    every pair of classes and once per fibre on the three layers of T' over
+    F_27, on the rows of the 27 labels at k = -1 against every label."""
     calls, kernel, walk, walks = [], liealg.derivation_defects, liealg.monomial_generators, []
 
     def counted_kernel(rows, derivations, field, half=False, visit=None):
@@ -425,7 +427,11 @@ def test_certificates_take_one_kernel_pass_each(capsys, monkeypatch):
     calls[:], walks[:] = [], []
     code, _, _ = run(capsys, "switch", *SWITCH_FROZEN["big p3 n2 s2 pi t+0"][0])
     gens, = walks
-    assert (code, calls) == (0, [(1, len(gens), True, None), (3, 2, True, None)])
+    labels = [(j, k, a) for j in range(-1, 8) for k in range(-1, 8) for a in range(3)]
+    low = [i for i, (_j, k, _a) in enumerate(labels) if k == -1]
+    assert len(low) == 27
+    assert (code, calls) == (0, [(1, len(gens), True, None), (1, 2, True, None),
+                                 (3, 2, False, low)])
 
 
 def test_verify_walks_every_source_for_the_laws_of_d(capsys, monkeypatch):

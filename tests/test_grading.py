@@ -538,6 +538,127 @@ def test_rule_table_matches_pairwise_oracle(shape, big, data):
             assert table.rule(a, b) == (c, index.get(lab)), (la, lb)
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.booleans(), st.data())
+def test_rules_certificate_matches_full_table_oracle(shape, big, data):
+    """`_rules_certified`, which checks the laws of T' once on the class
+    table C and per fibre only on the rows the block or a placeholder
+    enters, gives the verdict of the certificate on all of T' in
+    `oracles`: on admissible switches of Albert-Zassenhaus over F_(p^p)
+    (pi = t / sigma + c) and Graded Hamiltonian over F_p (sigma, pi in
+    F_p^*), with random sigma and pi, where both pass, and with one
+    planted fault, the coefficient scaled on one order or on both: of a
+    class entry, which moves every fibre pair of its two classes, of a
+    block entry at a single fibre pair, or, on Graded Hamiltonian, of a
+    class entry onto a class with a zero placeholder."""
+    p, n, s = shape
+    h = Heights(p, s + 1, n)
+    sigma, c = data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, p - 1))
+    if big:
+        field = FieldParams(p, p, standard_modulus(p))
+        family, case = Family.ALBERT_ZASSENHAUS, GradingCase.BIG_FIELD
+        pi, residue = field.gen() * pow(sigma, -1, p) + c, 0
+    else:
+        field = FieldParams.prime(p)
+        family, case = Family.GRADED_HAMILTONIAN, GradingCase.PRIME_FIELD
+        residue = data.draw(st.integers(1, p - 1))
+        pi = field.element(residue)
+    desc = AlgebraDescriptor(family, field, h)
+    cfg = SwitchConfig(field, field.element(sigma), pi, s)
+    closed = build_closed_basis(desc, GradingSpec(case, h, s, residue), cfg)
+    table = grading._product_rule(closed, cfg)
+    planting = data.draw(st.sampled_from(["none", "class", "block"] + ["placeholder"] * (not big)))
+    if planting == "none":
+        assert grading._rules_certified(desc, closed, table)
+    scale, both = data.draw(st.integers(2, p - 1)), data.draw(st.booleans())
+    if planting == "block":
+        entries = [(layer, a, b) for layer in table.block for a, row in enumerate(layer)
+                   for b in row]
+    else:  # a class entry, onto a class with a placeholder for "placeholder"
+        entries = [(table.classes, a, b) for a, row in enumerate(table.classes)
+                   for b, (_x, e) in row.items()
+                   if planting == "class" or None in table.fibres[e][0]]
+    if planting != "none":
+        assume(entries)
+        layer, a, b = data.draw(st.sampled_from(entries))
+        for u, v in ((a, b), (b, a)) if both else ((a, b),):
+            x, t = layer[u][v]
+            layer[u][v] = (x * scale % p, t)
+    assert grading._rules_certified(desc, closed, table) == oracles.full_rules_certified(
+        desc, closed, table)
+
+
+@pytest.mark.parametrize("case, p, n, s, pi, sigma", [
+    (GradingCase.BIG_FIELD, 3, 1, 1, 0, 1), (GradingCase.BIG_FIELD, 3, 2, 2, 1, 1),
+    (GradingCase.PRIME_FIELD, 3, 1, 2, 1, 1), (GradingCase.PRIME_FIELD, 5, 1, 1, 2, 3)])
+def test_certificate_walks_the_full_expansion(case, p, n, s, pi, sigma, monkeypatch):
+    """The rows of T' that the certificate walks, and sums per fibre, are
+    the dim x dim expansion of `oracles.rule_layers`: the block, and every
+    class entry of C at the fibre sum a + b, none onto a placeholder (the
+    GradedHamiltonian switches have two), on Albert-Zassenhaus over F_27
+    and Graded Hamiltonian over F_3 and F_5."""
+    desc, _raw, closed, cfg = switched(case, p, n, s, pi, sigma)
+    table, walked, walk = grading._product_rule(closed, cfg), [], grading.table_generators
+
+    def spied(rows, candidates):
+        walked.append(rows)
+        return walk(rows, candidates)
+    monkeypatch.setattr(grading, "table_generators", spied)
+    assert grading._rules_certified(desc, closed, table)
+    assert walked == [oracles.rule_layers(table)[0]]
+
+
+def test_fibre_pass_visits_the_block_rows_and_those_meeting_a_placeholder(monkeypatch):
+    """The per-fibre derivation pass of a passing switch visits, in index
+    order, the labels at k = -1 and the labels whose class row in C has an
+    entry onto a class with a zero placeholder, whose pairs T' drops.  The
+    GradedHamiltonian switch at p = 3, s = 2 has placeholders at
+    (-1, -1, 0) and (1, 7, 2); the big field at dimension 27 has none."""
+    visits, kernel = [], liealg.derivation_defects
+
+    def spied(rows, derivations, field, half=False, visit=None):
+        visits.append(visit)
+        return kernel(rows, derivations, field, half, visit)
+    monkeypatch.setattr(liealg, "derivation_defects", spied)
+    for case, pi, holes in ((GradingCase.PRIME_FIELD, 1, {(-1, -1), (1, 7)}),
+                            (GradingCase.BIG_FIELD, 0, set())):
+        desc, _raw, closed, cfg = switched(case, 3, 1, 2 if holes else 1, pi)
+        table = grading._product_rule(closed, cfg)
+        assert {lab[:2] for lab in closed.labels if lab not in closed.active_labels} == holes
+        ps = closed.spec.step
+        hole_classes = {(j + 1) * ps + k + 1 for j, k in holes}
+        visits[:] = []
+        assert grading._rules_certified(desc, closed, table)
+        assert visits[-1] == [i for i, lab in enumerate(table.active) if lab.k == -1 or any(
+            e in hole_classes for _x, e in table.classes[table.place[i][0]].values())]
+        assert len(visits[-1]) > sum(lab.k == -1 for lab in table.active) or not holes
+
+
+def test_block_fault_away_from_the_generators_needs_the_fibre_pass(monkeypatch):
+    """A block coefficient scaled by 2 on both orders of one pair of labels
+    at k = -1, neither of them X or Y, keeps T' anticommutative and graded
+    and leaves C and the brackets of the generators as they are: only the
+    derivation pass per fibre, over the rows at k = -1, sees it.  Over
+    F_27 the certificate refuses it, as the full-table oracle does, and
+    passes it once the kernel is blinded on those rows."""
+    desc, _raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
+    table = grading._product_rule(closed, cfg)
+    degree_one = [i for i, lab in enumerate(table.active) if closed.degrees[lab] == 1]
+    r, a, b = next((r, a, b) for r, layer in enumerate(table.block)
+                   for a, row in enumerate(layer) for b in row
+                   if a < b and not {a, b} & set(degree_one))
+    for u, v in ((a, b), (b, a)):
+        x, t = table.block[r][u][v]
+        table.block[r][u][v] = (2 * x % 3, t)
+    assert not grading._rules_certified(desc, closed, table)
+    assert not oracles.full_rules_certified(desc, closed, table)
+    kernel = liealg.derivation_defects
+    monkeypatch.setattr(liealg, "derivation_defects",
+                        lambda rows, ds, field, half=False, visit=None:
+                        kernel(rows, ds, field, half, visit) if visit is None else iter(()))
+    assert grading._rules_certified(desc, closed, table)
+
+
 def test_switch_grading_computes_coefficients_per_eigenvalue(monkeypatch):
     """switch_grading computes the Laguerre coefficients once per eigenvalue
     of D^p, p falling factorials each: at most p^2 calls, where one series
@@ -662,13 +783,25 @@ def break_anticommutativity(desc, which: int):
 
 
 def set_rule(table, a, b, c, t):
-    """Make `RuleTable.rule(a, b)` of table read (c, t): the layers carry c
-    onto t, or c != 0 without a target goes to the unlabelled pairs."""
-    for layer, x in zip(table.layers, c):
-        if x and t is not None:
-            layer[a][b] = (x, t)
+    """Make `RuleTable.rule(a, b)` of table read (c, t).  A pair of two
+    labels at k = -1 is a block pair, set in the block alone.  Any other
+    pair with a target is set in the class table C, so every pair of its
+    two classes moves with it, at its own fibre sum.  c != 0 without a
+    target goes to the unlabelled pairs."""
+    la, lb = table.active[a], table.active[b]
+    if la.k == lb.k == -1:
+        for layer, x in zip(table.block, c):
+            if x and t is not None:
+                layer[a][b] = (x, t)
+            else:
+                layer[a].pop(b, None)
+    elif t is not None:
+        (ca, _fa), (cb, _fb) = table.place[a], table.place[b]
+        assert not any(c[1:])  # C holds coefficients in F_p
+        if c[0]:
+            table.classes[ca][cb] = (c[0], table.place[t][0])
         else:
-            layer[a].pop(b, None)
+            table.classes[ca].pop(cb, None)
     if t is None and any(c):
         table.unlabelled[a, b] = c
     else:
@@ -692,23 +825,25 @@ def perturbed_rule(pair):
 def test_rule_broken_in_one_layer_falls_back_to_the_sweep():
     """Over F_27, a rule coefficient changed in its t^1 coordinate alone,
     still nonzero and onto the same label, breaks the antisymmetry of T' in
-    layer 1 only.  The certificate refuses it, and check_graded sweeps the
-    pairs, as the ordered sweep does, with the pair among the misses."""
+    layer 1 only.  The coefficient is a block entry, of two labels at
+    k = -1, the one part of T' over F_27 rather than F_3.  The certificate
+    refuses it, and check_graded sweeps the pairs, as the ordered sweep
+    does, with the pair among the misses."""
     desc, _raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
     table, r = grading._product_rule(closed, cfg), 1
-    a, b = next((a, b) for a, row in enumerate(table.layers[r]) for b in row if a < b)
+    a, b = next((a, b) for a, row in enumerate(table.block[r]) for b in row if a < b)
     pair, product_rule_of = (table.active[a], table.active[b]), grading._product_rule
 
     def build(basis, cfg):
         broken = product_rule_of(basis, cfg)
-        x, t = broken.layers[r][a][b]
-        broken.layers[r][a][b] = (x % 2 + 1, t)  # nonzero, and not x
+        x, t = broken.block[r][a][b]
+        broken.block[r][a][b] = (x % 2 + 1, t)  # nonzero, and not x
         return broken
     with pytest.MonkeyPatch.context() as mp:
         sweeps = spying_sweep(mp)
         assert check_graded(desc, closed, cfg) == ([], []) and sweeps == []
         mp.setattr(grading, "_product_rule", build)
-        layers = build(closed, cfg).layers
+        layers, _unlabelled = oracles.rule_layers(build(closed, cfg))
         assert antisymmetry_violations(layers[:r] + layers[r + 1:], 3) == []
         assert antisymmetry_violations(layers, 3) == [(a, b)]
         strays, misses = check_graded(desc, closed, cfg)
@@ -750,15 +885,17 @@ def doubled_rule(pair):
 
 def unreached_rule(label):
     """`_product_rule` with every entry onto one label removed from its
-    table, so that no bracket of other labels reaches it."""
+    table, so that no bracket of other labels reaches it: the class
+    entries onto its class, which every fibre shares, and the block
+    entries onto the label."""
     product_rule = grading._product_rule
 
     def build(basis, cfg):
         table = product_rule(basis, cfg)
         t = table.active.index(label)
-        for layer in table.layers:
+        for layer, onto in [(table.classes, table.place[t][0])] + [(la, t) for la in table.block]:
             for row in layer:
-                for b in [b for b, (_x, u) in row.items() if u == t]:
+                for b in [b for b, (_x, u) in row.items() if u == onto]:
                     del row[b]
         return table
     return build
@@ -788,7 +925,9 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
     Each planting must also reach the pair sweep, and the unplanted switch
     must not, which makes each licensing step of the generator certificate
     load-bearing: where X and Y generate, doubling the rule on both orders
-    of a pair away from X and Y is caught by the derivation step alone, and
+    of a pair away from the classes of X and Y (a class pair of C moves
+    every pair of its two classes) is caught by the derivation step alone,
+    and
     doubling a table entry away from the supports of v_X and v_Y
     (anticommutative, not Jacobi) by the descriptor's Jacobi verdict alone,
     which the certificate reads.  A label no rule reaches becomes a
@@ -820,7 +959,9 @@ def test_check_graded_matches_ordered_sweep(shape, big, corruption, data):
     elif corruption == "rule pair":
         table = grading._product_rule(closed, cfg)
         index = {lab: i for i, lab in enumerate(table.active)}
-        pairs = [(a, b) for a in others for b in others
+        # a class pair of C moves with its two classes: keep away from those of X and Y
+        away = [lab for lab in others if (lab.j, lab.k) not in {g[:2] for g in generators}]
+        pairs = [(a, b) for a in away for b in away
                  if a < b and table.rule(index[a], index[b])[1] is not None]
         assume(pairs)
         product_rule = doubled_rule(data.draw(st.sampled_from(pairs)))
