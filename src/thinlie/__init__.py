@@ -3,8 +3,9 @@ algebras, Laguerre-series grading switches, and machine verification of
 the thin loop-algebra diamond patterns.
 
 Public names are loaded lazily (PEP 562): `from thinlie import X` imports
-X's module and what it imports, nothing else.  `thinlie.cli` imports every
-module."""
+X's module and what it imports, nothing else.  `import thinlie.cli` puts
+every module in sys.modules, but runs `grading` and `loopalg` only when a
+command first reads them: `verify` runs neither, `switch` only `grading`."""
 
 import importlib
 
@@ -12,17 +13,16 @@ __version__ = "0.1.0"
 
 #: Each module of the package and the public names it defines.
 _EXPORTS = {
+    "common": ("CheckResult", "GradingCase", "GradingSpec", "Label",
+               "monomial_grading_violations"),
     "dpalgebra": ("AlgebraElement", "Heights", "Monomial", "SparseEchelon"),
     "ffield": ("FieldElement", "FieldParams", "lucas_binomial"),
-    "grading": ("GradedBasis", "GradingCase", "GradingSpec", "Label", "SwitchConfig",
-                "build_closed_basis", "check_graded", "laguerre_apply",
-                "monomial_grading_violations", "switch_checks", "switch_grading",
-                "verify_product_tables"),
+    "grading": ("GradedBasis", "SwitchConfig", "build_closed_basis", "check_graded",
+                "laguerre_apply", "switch_checks", "switch_grading", "verify_product_tables"),
     "liealg": ("AlgebraDescriptor", "Derivation", "Family"),
-    "loopalg": ("CheckResult", "ComponentRecord", "DiamondRecord", "LoopConfig",
-                "PatternParams", "ThinReport", "centralizer_chain", "check_covering",
-                "classify_component", "expand_loop", "render_text", "run_analysis",
-                "verify_pattern"),
+    "loopalg": ("ComponentRecord", "DiamondRecord", "LoopConfig", "PatternParams",
+                "ThinReport", "centralizer_chain", "check_covering", "classify_component",
+                "expand_loop", "render_text", "run_analysis", "verify_pattern"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -10,26 +10,43 @@ Exit codes: 0 all enabled checks pass, 1 check failure or run error,
 """
 
 import argparse
+import importlib.util
 import re
 import sys
 from typing import NamedTuple
 
+from .common import (CheckResult, GradingCase, GradingSpec, checks_passed,
+                     monomial_grading_violations, verdict_lines)
 from .dpalgebra import Heights
 from .ffield import MAX_SPEC_DIGITS, FieldParams
-from .grading import (GradedBasis, GradingCase, GradingSpec, SwitchConfig,
-                      build_closed_basis, monomial_grading_violations, switch_checks,
-                      switch_grading, switch_hypotheses)
 from .liealg import (AlgebraDescriptor, Derivation, Family, closure_violations,
                      derivation_power_violations, realization_violations)
-from .loopalg import (CheckResult, checks_passed, degree_floor, render_text,
-                      run_analysis, verdict_lines)
+
+
+def _lazy(name: str):
+    """The module `name`, in sys.modules now and executed on its first
+    attribute read (importlib.util.LazyLoader): `verify` runs neither the
+    switch nor the loop algebra, and `switch` does not run the loop algebra."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+grading = _lazy(f"{__package__}.grading")
+loopalg = _lazy(f"{__package__}.loopalg")
 
 #: Largest number of divided-power monomials p^(n1+n) a command accepts.
 #: Every command builds its structure-constant table over all
 #: (p^(n1+n))^2 ordered pairs, from per-axis binomial tables.  verify takes
-#: about 0.09 s at 243 monomials, 0.15 s at 625 and at 729, and 0.39 s at
-#: 961 (p = 31, most brackets nonzero): medians of 9 fresh processes on a
-#: 2-vCPU Xeon with Python 3.11, of which interpreter start is 0.04 s.
+#: about 0.085 s at 243 monomials, 0.16 s at 625 and at 729, and 0.44 s at
+#: 961 (p = 31, most brackets nonzero): medians of 9 fresh processes
+#: compiling from source (PYTHONDONTWRITEBYTECODE=1) on a 2-vCPU Xeon with
+#: Python 3.11.7, of which interpreter start is 0.04 s.
 MAX_MONOMIALS = 1000
 
 #: Largest degree m of a `--field` p^m, refused before the irreducibility test
@@ -273,8 +290,8 @@ def _switched_setup(rc: RunConfig):
     out_case = (GradingCase.BIG_FIELD if rc.case == "big-field"
                 else GradingCase.PRIME_FIELD)
     out_spec = GradingSpec(out_case, rc.heights, rc.s, rc.pi_hat)
-    cfg = SwitchConfig(rc.field, rc.sigma, rc.pi, rc.s,
-                       allow_zero_pi=rc.allow_negative_control)
+    cfg = grading.SwitchConfig(rc.field, rc.sigma, rc.pi, rc.s,
+                               allow_zero_pi=rc.allow_negative_control)
     return desc, pre, out_spec, cfg
 
 
@@ -289,17 +306,17 @@ def _grading_params(rc: RunConfig, spec: GradingSpec) -> dict:
 def cmd_switch(rc: RunConfig):
     desc, pre, out_spec, cfg = _switched_setup(rc)
     deriv = Derivation(desc, rc.s)
-    raw = switch_grading(desc, pre, deriv, cfg)
-    closed = build_closed_basis(desc, out_spec, cfg)
+    raw = grading.switch_grading(desc, pre, deriv, cfg)
+    closed = grading.build_closed_basis(desc, out_spec, cfg)
 
     serialized = closed.serialize()
-    parsed = GradedBasis.parse(desc, out_spec, serialized)
+    parsed = grading.GradedBasis.parse(desc, out_spec, serialized)
     round_trip = (parsed.labels == closed.labels
                   and parsed.degrees == closed.degrees
                   and parsed.vectors == closed.vectors
                   and parsed.scalars == closed.scalars)
 
-    graded_raw, graded_closed, link_bad, tables = switch_checks(desc, raw, closed, cfg)
+    graded_raw, graded_closed, link_bad, tables = grading.switch_checks(desc, raw, closed, cfg)
     checks = {}
     for name, violations in (
         ("graded_raw", [(a.text(), b.text(), w.text()) for a, b, w in graded_raw]),
@@ -316,7 +333,7 @@ def cmd_switch(rc: RunConfig):
                  text_head=[serialized.rstrip("\n")])
 
 
-def _generators(spec: GradingSpec, basis: GradedBasis):
+def _generators(spec: GradingSpec, basis: "grading.GradedBasis"):
     """The two degree-1 basis vectors: j = -1 gives X, j = q-2 gives Y."""
     found = {lab.j: lab for lab in basis.active_labels
              if basis.degrees[lab] == 1}
@@ -333,19 +350,19 @@ def cmd_analyze(rc: RunConfig):
         cfg = None
     else:
         desc, pre, spec, cfg = _switched_setup(rc)
-    floor = degree_floor(spec)
+    floor = loopalg.degree_floor(spec)
     if rc.max_degree is not None and rc.max_degree < floor:
         raise UsageError(f"max-degree must be at least 2N + q = {floor}")
     if cfg is not None:
         # the switch behind the closed basis: refuse its hypothesis failures
         # as `switch` does, before any report
-        switch_hypotheses(desc, pre, Derivation(desc, rc.s), cfg)
-    basis = build_closed_basis(desc, spec, cfg)
+        grading.switch_hypotheses(desc, pre, Derivation(desc, rc.s), cfg)
+    basis = grading.build_closed_basis(desc, spec, cfg)
     X, Y = _generators(spec, basis)
-    report = run_analysis(desc, basis, X, Y, _grading_params(rc, spec),
-                          rc.max_degree, cfg)
+    report = loopalg.run_analysis(desc, basis, X, Y, _grading_params(rc, spec),
+                                  rc.max_degree, cfg)
     code = 0 if report.passed else 1
-    out = report.to_json() if rc.fmt == "json" else render_text(report)
+    out = report.to_json() if rc.fmt == "json" else loopalg.render_text(report)
     return code, out
 
 

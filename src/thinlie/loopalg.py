@@ -11,9 +11,10 @@ normalization, centralizer chains and the per-period dimension count.
 
 from typing import NamedTuple
 
+from .common import CheckResult, GradingCase, GradingSpec, checks_passed, verdict_lines
 from .dpalgebra import AlgebraElement, SparseEchelon
 from .ffield import FieldElement, FieldParams, plane_kernel, square_root
-from .grading import GradedBasis, GradingCase, GradingSpec, SwitchConfig
+from .grading import GradedBasis, SwitchConfig
 from .liealg import AlgebraDescriptor
 
 INFINITY = "Infinity"
@@ -103,21 +104,6 @@ class DiamondRecord(NamedTuple):
         return str(self.dtype)
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    counterexample: object = None
-    informational: bool = False
-
-    def to_json(self) -> dict:
-        out: dict = {"pass": self.passed}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        if self.informational:
-            out["informational"] = True
-        return out
-
-
 class ThinReport:
     """Full analysis artifact: parameter echo, components, diamonds, checks."""
 
@@ -173,23 +159,6 @@ class ThinReport:
 
     def __eq__(self, other):
         return isinstance(other, ThinReport) and self.to_dict() == other.to_dict()
-
-
-def checks_passed(checks: dict) -> bool:
-    """Overall verdict of named CheckResults: informational ones do not count."""
-    return all(c.passed for c in checks.values() if not c.informational)
-
-
-def verdict_lines(checks: dict) -> list:
-    """One "check name: tag" line per CheckResult, then the overall line."""
-    lines = []
-    for name, c in checks.items():
-        tag = "pass" if c.passed else "FAIL"
-        if c.informational:
-            tag += " (informational)"
-        lines.append(f"check {name}: {tag}")
-    lines.append("overall: " + ("pass" if checks_passed(checks) else "FAIL"))
-    return lines
 
 
 def render_text(report: ThinReport) -> str:

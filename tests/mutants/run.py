@@ -169,6 +169,16 @@ MUTANTS = [
            "return -falling_factorial(alpha, a) * cfg.sigma ** a / den",
            "return -falling_factorial(alpha, a) / den",
            ("test_grading.py", "test_cli.py")),
+    # field arithmetic, each edit against its sympy oracle alone
+    Mutant("lucas_binomial: the negative-index sign dropped", "ffield.py",
+           "sign = -1 if k % 2 else 1", "sign = 1",
+           ("test_sympy_oracles.py::test_lucas_binomial_matches_sympy",)),
+    Mutant("is_irreducible: the gcd test skipped", "ffield.py",
+           "            if len(g) - 1 > 0:\n", "            if False:\n",
+           ("test_sympy_oracles.py::test_is_irreducible_matches_sympy",)),
+    Mutant("_inverse_coeffs: the last remainder not divided out", "ffield.py",
+           "inv = pow(r1[0], -1, p)", "inv = 1",
+           ("test_sympy_oracles.py::test_extension_field_arithmetic_matches_sympy",)),
     Mutant("verify takes --pi again", "cli.py",
            'help="first exponent height (default: --n)")\n',
            'help="first exponent height (default: --n)")\n'
@@ -183,10 +193,20 @@ MUTANTS = [
            ("test_package.py",)),
     Mutant("AlgebraDescriptor exported from loopalg, which imports it", "__init__.py",
            '"liealg": ("AlgebraDescriptor", "Derivation", "Family"),\n'
-           '    "loopalg": ("CheckResult",',
+           '    "loopalg": ("ComponentRecord",',
            '"liealg": ("Derivation", "Family"),\n'
-           '    "loopalg": ("AlgebraDescriptor", "CheckResult",',
+           '    "loopalg": ("AlgebraDescriptor", "ComponentRecord",',
            ("test_package.py",)),
+    Mutant("_lazy executes the module at once", "cli.py",
+           "    spec.loader = importlib.util.LazyLoader(spec.loader)\n", "",
+           ("test_package.py::test_each_subcommand_runs_only_the_modules_it_uses",)),
+    Mutant("cli imports grading at load time", "cli.py",
+           "from .ffield import MAX_SPEC_DIGITS, FieldParams\n",
+           "from .ffield import MAX_SPEC_DIGITS, FieldParams\nfrom .grading import SwitchConfig\n",
+           ("test_package.py::test_each_subcommand_runs_only_the_modules_it_uses",)),
+    Mutant("_lazy leaves the module out of sys.modules", "cli.py",
+           "    sys.modules[name] = module\n", "",
+           ("test_cli.py::test_traced_jobs_span_each_law_once",)),
     Mutant("an unknown package name reads as None", "__init__.py",
            '        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
            "        return None",

@@ -542,7 +542,7 @@ def test_switch_checks_anticommutativity_once(capsys, monkeypatch):
     scalar link fails and the raw basis is swept on its own: a closed
     scalar doubled at one label breaks the link."""
     calls, check = [], liealg.anticommutativity_violations
-    build, broken = cli.build_closed_basis, [False]
+    build, broken = grading.build_closed_basis, [False]
 
     def counted(desc):
         calls.append(1)
@@ -555,7 +555,7 @@ def test_switch_checks_anticommutativity_once(capsys, monkeypatch):
             closed.scalars[lab] = closed.scalars[lab] * 2
         return closed
     monkeypatch.setattr(liealg, "anticommutativity_violations", counted)
-    monkeypatch.setattr(cli, "build_closed_basis", closed_basis)
+    monkeypatch.setattr(grading, "build_closed_basis", closed_basis)
     for broken[0], code in ((False, 0), (True, 1)):
         calls.clear()
         got, out, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1")
@@ -566,8 +566,9 @@ def test_switch_checks_anticommutativity_once(capsys, monkeypatch):
 
 def ranked_bases(monkeypatch) -> tuple[list, list]:
     """(the bases `GradedBasis.validate_rank` runs on, in call order; the
-    closed bases `cli.build_closed_basis` returns), both filled as a run goes."""
-    ranked, closed, validate, build = [], [], grading.GradedBasis.validate_rank, cli.build_closed_basis
+    closed bases `grading.build_closed_basis` returns), both filled as a run goes."""
+    ranked, closed = [], []
+    validate, build = grading.GradedBasis.validate_rank, grading.build_closed_basis
 
     def counted(self, desc):
         ranked.append(self)
@@ -577,7 +578,7 @@ def ranked_bases(monkeypatch) -> tuple[list, list]:
         closed.append(build(*args))
         return closed[-1]
     monkeypatch.setattr(grading.GradedBasis, "validate_rank", counted)
-    monkeypatch.setattr(cli, "build_closed_basis", built)
+    monkeypatch.setattr(grading, "build_closed_basis", built)
     return ranked, closed
 
 
@@ -604,7 +605,7 @@ def test_switch_checks_the_raw_rank_without_the_link(capsys, monkeypatch):
     multiple of another breaks the link too, and its rank check exits 1
     naming the dependent label."""
     ranked, closed = ranked_bases(monkeypatch)
-    build, switch = cli.build_closed_basis, cli.switch_grading
+    build, switch = grading.build_closed_basis, grading.switch_grading
 
     def doubled(*args):
         basis = build(*args)
@@ -612,7 +613,7 @@ def test_switch_checks_the_raw_rank_without_the_link(capsys, monkeypatch):
         basis.scalars[lab] = basis.scalars[lab] * 2
         return basis
     with monkeypatch.context() as m:
-        m.setattr(cli, "build_closed_basis", doubled)
+        m.setattr(grading, "build_closed_basis", doubled)
         for fmt, digest in (
                 ("text", "c4535f9d034799e573f96fb6ee792dccf55ab5712239b968da2ce1589b906719"),
                 ("json", "64bf8c4722aba96af838d87cec42c35ed941fb8c7531df730a0becee5e8ad022")):
@@ -627,7 +628,7 @@ def test_switch_checks_the_raw_rank_without_the_link(capsys, monkeypatch):
         raw = switch(*args)
         raw.vectors[Label(0, 0, 1)] = raw.vectors[Label(0, 0, 2)].scale(2)
         return raw
-    monkeypatch.setattr(cli, "switch_grading", dependent)
+    monkeypatch.setattr(grading, "switch_grading", dependent)
     ranked[:], closed[:] = [], []
     got = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1")
     assert got == (1, "", "error: basis vector at label Label(j=0, k=0, a=2) is dependent\n")
@@ -706,7 +707,7 @@ def test_switch_field_multiplies_linear_in_dim(capsys, monkeypatch):
     echelon steps run on integer coordinates (the FieldElement sweep made
     6245 products at dim 27 and 45 201 at dim 81)."""
     counts, sweeping = [], [False]
-    mul, switch_checks = FieldElement.__mul__, cli.switch_checks
+    mul, switch_checks = FieldElement.__mul__, grading.switch_checks
 
     def counted(self, other):
         if sweeping[0]:
@@ -721,7 +722,7 @@ def test_switch_field_multiplies_linear_in_dim(capsys, monkeypatch):
             sweeping[0] = False
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     monkeypatch.setattr(FieldElement, "__rmul__", counted)
-    monkeypatch.setattr(cli, "switch_checks", swept)
+    monkeypatch.setattr(grading, "switch_checks", swept)
     for n, dim in (("1", 27), ("2", 81)):
         counts.clear()
         code, _, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", n)

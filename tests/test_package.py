@@ -64,10 +64,46 @@ def test_the_closed_basis_loads_no_loop_algebra():
 
 def test_the_command_line_loads_every_module():
     """The benchmark's tracer wraps functions in the modules that
-    `import thinlie.cli` has loaded, so that import loads all of them."""
+    `import thinlie.cli` has put in sys.modules, so that import puts all of
+    them there."""
     assert loaded_by("import thinlie.cli") == {
         "thinlie", *(f"thinlie.{name}" for name in
-                     ("cli", "dpalgebra", "ffield", "grading", "liealg", "loopalg"))}
+                     ("cli", "common", "dpalgebra", "ffield", "grading", "liealg", "loopalg"))}
+
+
+def modules_run_by(*argv: str) -> set:
+    """The package's modules whose bodies a fresh interpreter executes to
+    run the command line on argv.  An audit hook on the `exec` event sees
+    each module's code object, compiled from source or read from cached
+    bytecode alike."""
+    listed = fresh(
+        "import contextlib, io, os, sys\n"
+        "ran = set()\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec':\n"
+        "        ran.add(args[0].co_filename)\n"
+        "sys.addaudithook(hook)\n"
+        "import thinlie.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = thinlie.cli.main({list(argv)!r})\n"
+        "home = os.path.dirname(thinlie.cli.__file__)\n"
+        "print(code, *(os.path.basename(f)[:-3] for f in ran if os.path.dirname(f) == home))\n")
+    code, *modules = listed.split()
+    assert code == "0", argv
+    return set(modules)
+
+
+def test_each_subcommand_runs_only_the_modules_it_uses():
+    """verify checks the algebra before any switch and runs neither the
+    switch (`grading`) nor the loop algebra (`loopalg`); switch adds the
+    one, analyze both."""
+    verify = {"__init__", "cli", "common", "dpalgebra", "ffield", "liealg"}
+    assert modules_run_by("verify", "--family", "albert-zassenhaus", "--p", "3",
+                          "--n", "1") == verify
+    assert modules_run_by("switch", "--case", "big-field", "--p", "3", "--n", "1") == {
+        *verify, "grading"}
+    assert modules_run_by("analyze", "--case", "big-field", "--p", "3", "--n", "1") == {
+        *verify, "grading", "loopalg"}
 
 
 def test_public_names_are_their_home_modules_objects():

@@ -4,10 +4,15 @@ mistakes.  sympy is a test dependency (the `test` extra of pyproject.toml),
 imported unconditionally, so a missing sympy is a collection error, never
 a skip."""
 
+import itertools
+import random
+
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcdex, gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
 from thinlie import grading
-from thinlie.ffield import FieldParams
+from thinlie.ffield import FieldElement, FieldParams, is_irreducible, lucas_binomial
 
 
 def test_laguerre_coefficients_match_sympy():
@@ -39,3 +44,79 @@ def test_laguerre_coefficients_match_sympy():
                 assert got == want, (p, alpha, lam)
                 checked += 1
     assert checked == 334
+
+
+def test_lucas_binomial_matches_sympy():
+    """`lucas_binomial(n, k, p)` is sympy's `binomial(n, k)` mod p, also for
+    a negative upper index, where both read C(n, k) as
+    (-1)^k C(k - n - 1, k): n from -10 to 49, k from 0 to 49, p = 3, 5, 7."""
+    checked = 0
+    for p in (3, 5, 7):
+        for n in range(-10, 50):
+            for k in range(50):
+                assert lucas_binomial(n, k, p) == sympy.binomial(n, k) % p, (n, k, p)
+                checked += 1
+    assert checked == 3 * 60 * 50
+
+
+def monic(p: int, m: int):
+    """Every monic polynomial of degree m over F_p, low-to-high."""
+    for low in itertools.product(range(p), repeat=m):
+        yield (*low, 1)
+
+
+def galois(coeffs) -> list:
+    """A low-to-high coefficient sequence as a galoistools polynomial:
+    high-to-low, without leading zeros."""
+    return gf_strip(list(reversed(coeffs)))
+
+
+def test_is_irreducible_matches_sympy():
+    """`is_irreducible` agrees with galoistools' `gf_irreducible_p` on every
+    monic polynomial of degree 1 to 4 over F_3, F_5 and F_7, and the
+    irreducible ones are as many as Gauss's formula counts."""
+    gauss = {1: lambda q: q, 2: lambda q: (q * q - q) // 2,
+             3: lambda q: (q ** 3 - q) // 3, 4: lambda q: (q ** 4 - q * q) // 4}
+    for p in (3, 5, 7):
+        for m in range(1, 5):
+            found = 0
+            for f in monic(p, m):
+                want = gf_irreducible_p(galois(f), p, ZZ)
+                assert is_irreducible(p, f) == want, (p, f)
+                found += want
+            assert found == gauss[m](p), (p, m)
+
+
+def element(field: FieldParams, poly: list) -> FieldElement:
+    """The field element of a galoistools polynomial reduced mod the modulus."""
+    coeffs = [int(c) for c in reversed(poly)]
+    return FieldElement(field, tuple(coeffs + [0] * (field.m - len(coeffs))))
+
+
+def test_extension_field_arithmetic_matches_sympy():
+    """Products and inverses in F_(p^m) = F_p[t]/(f) agree with galoistools:
+    a product is `gf_rem(gf_mul(a, b), f)`, and an inverse is the Bezout
+    cofactor s of `gf_gcdex(a, f)` = (s, _, 1).  For p = 3, 5, 7 and
+    m = 2, 3, 4, under the first two monic irreducible moduli of degree m
+    and under t^3 - t - 1 over F_3: every nonzero inverse, and every product
+    in fields of at most 81 elements, else 400 products of seeded random
+    pairs."""
+    rng = random.Random(0)
+    moduli = [(3, (2, 2, 0, 1))]
+    for p in (3, 5, 7):
+        for m in (2, 3, 4):
+            irreducible = (f for f in monic(p, m) if gf_irreducible_p(galois(f), p, ZZ))
+            moduli += [(p, f) for f in itertools.islice(irreducible, 2)]
+    for p, f in moduli:
+        field = FieldParams(p, len(f) - 1, f)
+        modulus = galois(f)
+        elements = [FieldElement(field, c) for c in itertools.product(range(p), repeat=field.m)]
+        pairs = (itertools.product(elements, repeat=2) if len(elements) <= 81
+                 else ((rng.choice(elements), rng.choice(elements)) for _ in range(400)))
+        for a, b in pairs:
+            want = gf_rem(gf_mul(galois(a.coeffs), galois(b.coeffs), p, ZZ), modulus, p, ZZ)
+            assert a * b == element(field, want), (f, a, b)
+        for a in elements[1:]:
+            s, _, h = gf_gcdex(galois(a.coeffs), modulus, p, ZZ)
+            assert h == [1], (f, a)
+            assert a.inverse() == element(field, s), (f, a)
