@@ -103,22 +103,28 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             sp.add_argument("--n1", type=int, default=None,
                             help="first exponent height (default: --n)")
+        analyze = name == "analyze"  # its cases differ in which options they read
         if name != "switch":  # a switched case fixes its family
-            sp.add_argument("--family", choices=[f.value for f in Family], default=None)
+            sp.add_argument("--family", choices=[f.value for f in Family], default=None,
+                            help="family of --case preswitch" if analyze else None)
         if name != "verify":  # verify checks the algebra over F_p, before any switch
             sp.add_argument("--case",
                             choices=["preswitch", "big-field", "prime-field"],
                             default=None)
             sp.add_argument("--field", default=None,
                             help="coefficient field as p^m:c0,...,cm")
-            sp.add_argument("--pi", default=None, help="switching parameter pi")
-            sp.add_argument("--sigma", default=None, help="switching parameter sigma")
-        if name == "analyze":
+            sp.add_argument("--pi", default=None, help="switching parameter pi" + (
+                "; read by big-field, prime-field and graded-hamiltonian preswitch"
+                if analyze else ""))
+            sp.add_argument("--sigma", default=None, help="switching parameter sigma" + (
+                "; read by big-field and prime-field" if analyze else ""))
+        if analyze:
             sp.add_argument("--max-degree", type=int, default=None)
         sp.add_argument("--format", choices=["text", "json"], default="text",
                         dest="fmt")
         if name != "verify":
-            sp.add_argument("--allow-negative-control", action="store_true")
+            sp.add_argument("--allow-negative-control", action="store_true",
+                            help="accept pi = 0; read wherever --pi is" if analyze else None)
     return ap
 
 
@@ -144,17 +150,23 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
     family_text, field_text, pi_text, sigma_text, allow_negative_control = (
         getattr(ns, name, None)
         for name in ("family", "field", "pi", "sigma", "allow_negative_control"))
-    family = Family(family_text) if family_text else None
-    if case == "big-field":
-        if family not in (None, Family.ALBERT_ZASSENHAUS):
-            raise UsageError("the big-field case lives on albert-zassenhaus")
-        family = Family.ALBERT_ZASSENHAUS
-    elif case == "prime-field":
-        if family not in (None, Family.GRADED_HAMILTONIAN):
-            raise UsageError("the prime-field case lives on graded-hamiltonian")
-        family = Family.GRADED_HAMILTONIAN
-    elif family is None:
-        raise UsageError("--family is required here")
+    where = f"the {case} case"
+    if case == "preswitch":
+        if family_text is None:
+            raise UsageError("--family is required here")
+        family = Family(family_text)
+        # sigma enters only through the switch, and only the graded
+        # Hamiltonian pre-switch degree is twisted by pi
+        unread = {"--sigma": sigma_text}
+        if family is Family.ALBERT_ZASSENHAUS:
+            where += f" on {family.value}"
+            unread.update({"--pi": pi_text, "--allow-negative-control": allow_negative_control})
+    else:  # a switched case fixes its family
+        family = Family.ALBERT_ZASSENHAUS if case == "big-field" else Family.GRADED_HAMILTONIAN
+        unread = {"--family": family_text}
+    for option, value in unread.items():
+        if value not in (None, False):
+            raise UsageError(f"{where} does not read {option}")
 
     if command == "verify":
         n1 = ns.n1 if ns.n1 is not None else n
@@ -210,8 +222,8 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
         raise UsageError("sigma must be nonzero")
     if pi.is_zero() and not allow_negative_control:
         raise UsageError("pi = 0 is the negative control; pass --allow-negative-control")
-    if case == "prime-field" and not pi.in_prime_field():
-        raise UsageError("the prime-field case needs pi in the prime subfield")
+    if family is Family.GRADED_HAMILTONIAN and not pi.in_prime_field():
+        raise UsageError(f"the {case} case needs pi in the prime subfield")
     pi_hat = pi.as_int() if pi.in_prime_field() else 0
 
     max_degree = getattr(ns, "max_degree", None)  # an analyze option

@@ -276,11 +276,6 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
     route, one operator per eigenvalue label).  A failure raises
     ValueError("hypothesis failure: ...") naming what broke.  Returns the
     Laguerre parameter of each monomial, or None for a zero derivation.
-
-    D^p is one `table_power` of D's map.  An entry of D^p that is
-    diagonal, D^p m = c m with c in F_p, is its own p-th power, c^p = c
-    (Fermat), so D^(p^2) follows only the entries of D^p off the diagonal;
-    such an entry missing from D^(p^2) is zero there.
     """
     if spec.case not in (GradingCase.PRESWITCH_AZ, GradingCase.PRESWITCH_GH):
         raise ValueError("switching starts from a pre-switch monomial grading")
@@ -312,12 +307,11 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
     factor = cfg.lam ** ((p - 1) * p)
     scaled = [factor * c for c in range(p)]  # lam^((p-1)p) c for the entries c of D^p
     alpha_of = [field.element(c) * cfg.pi for c in range(p)]
-    dp2 = table_power(dp, p, p, visit=[i for i, (_c, k) in dp.items() if k != i])
+    dp2 = table_power(dp, p, p)
     alphas = dict.fromkeys(monos, alpha_of[0])
     for i, (c, k) in dp.items():
         m = monos[i]
-        # (D^p)^p m = c^p m = c m on the diagonal, and 0 off it when dp2 has no entry
-        c2, k2 = dp2.get(i, (c if k == i else 0, k))
+        c2, k2 = dp2.get(i, (0, k))  # a chain that dies is zero in D^(p^2)
         if scaled[c] != field.element(c2) or k2 != k:
             raise ValueError(f"hypothesis failure: D^(p^2) != lam^((p-1)p) D^p on {m}")
         if k != i:

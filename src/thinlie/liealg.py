@@ -354,13 +354,12 @@ def iterated_table(desc: AlgebraDescriptor, s: int) -> dict[int, tuple[int, int]
     return power
 
 
-def table_power(table: dict, k: int, p: int, visit: list | None = None) -> dict:
-    """The monomial map table^k: each source followed k times along its
-    chain of entries, the coefficients multiplied mod p, for the basis
-    indexes in visit (every source of the table, in order, when visit is
-    None).  Only the chains that stay nonzero have an entry."""
+def table_power(table: dict, k: int, p: int) -> dict:
+    """The monomial map table^k: each source of the table, in order,
+    followed k times along its chain of entries, the coefficients
+    multiplied mod p.  Only the chains that stay nonzero have an entry."""
     out = {}
-    for i in sorted(table) if visit is None else visit:
+    for i in sorted(table):
         c, t = 1, i
         for _ in range(k):
             if t not in table:

@@ -19,20 +19,6 @@ from .liealg import AlgebraDescriptor
 
 INFINITY = "Infinity"
 
-CHECK_ORDER = (
-    "thinness",
-    "covering",
-    "diamond_positions",
-    "finite_slot_positions",
-    "type_progression",
-    "second_diamond",
-    "normalization",
-    "first_centralizer_chain",
-    "second_centralizer_chain",
-    "periodicity",
-    "dimension_sum",
-)
-
 
 class LoopConfig:
     """Generators and bound for expanding the positive part of the loop.
@@ -586,7 +572,4 @@ def run_analysis(descriptor: AlgebraDescriptor, basis: GradedBasis,
         None if dim_total == descriptor.dim
         else {"sum": dim_total, "dim": descriptor.dim},
     )
-    if tuple(checks) != CHECK_ORDER:
-        raise RuntimeError(f"checks {tuple(checks)} are not in CHECK_ORDER")
-
     return ThinReport(params_echo, records[:limit], diamonds, checks)

@@ -81,8 +81,8 @@ MUTANTS = [
            "        if k != i:\n            raise ValueError(f\"hypothesis failure: D^p is not",
            "        if k < i:\n            raise ValueError(f\"hypothesis failure: D^p is not",
            ("test_grading.py",)),
-    Mutant("switch_hypotheses: a chain that dies read as diagonal", "grading.py",
-           "c2, k2 = dp2.get(i, (c if k == i else 0, k))", "c2, k2 = dp2.get(i, (c, k))",
+    Mutant("switch_hypotheses: a chain that dies in D^(p^2) read as D^p", "grading.py",
+           "c2, k2 = dp2.get(i, (0, k))", "c2, k2 = dp2.get(i, (c, k))",
            ("test_grading.py",)),
     Mutant("power laws: expected eigenvalue", "liealg.py",
            "diagonal = [-(m.j - 1) % p for m in desc.basis]",
@@ -188,6 +188,20 @@ MUTANTS = [
            'if name != "switch":  # a switched case fixes its family',
            'if True:  # a switched case fixes its family',
            ("test_cli.py::test_each_subcommand_takes_only_the_options_it_reads",)),
+    Mutant("preswitch reads --sigma again", "cli.py",
+           '        unread = {"--sigma": sigma_text}\n', "        unread = {}\n",
+           ("test_cli.py::test_each_analyze_case_takes_only_the_options_it_reads",)),
+    Mutant("albert-zassenhaus preswitch reads --pi again", "cli.py",
+           'unread.update({"--pi": pi_text, "--allow-negative-control"',
+           'unread.update({"--allow-negative-control"',
+           ("test_cli.py::test_each_analyze_case_takes_only_the_options_it_reads",)),
+    Mutant("graded-hamiltonian preswitch reads a pi outside F_p as 0 again", "cli.py",
+           "if family is Family.GRADED_HAMILTONIAN and not pi.in_prime_field():",
+           'if case == "prime-field" and not pi.in_prime_field():',
+           ("test_cli.py::test_each_analyze_case_takes_only_the_options_it_reads",)),
+    Mutant("a switched case takes --family again", "cli.py",
+           '        unread = {"--family": family_text}\n', "        unread = {}\n",
+           ("test_cli.py::test_each_analyze_case_takes_only_the_options_it_reads",)),
     Mutant("the package imports loopalg eagerly again", "__init__.py",
            "import importlib\n", "import importlib\n\nfrom .loopalg import run_analysis\n",
            ("test_package.py",)),

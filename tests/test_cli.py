@@ -441,9 +441,9 @@ def test_verify_walks_every_source_for_the_laws_of_d(capsys, monkeypatch):
     families."""
     powered, power = [], liealg.table_power
 
-    def counted_power(table, k, p, visit=None):
-        powered.append(visit)
-        return power(table, k, p, visit)
+    def counted_power(table, k, p):
+        powered.append(None)
+        return power(table, k, p)
     monkeypatch.setattr(liealg, "table_power", counted_power)
     for name, calls in (("az p3 n2 n1 3", 2 + 2), ("gh p3 n2", 1 + 1)):
         powered[:] = []
@@ -635,19 +635,21 @@ def test_switch_checks_the_raw_rank_without_the_link(capsys, monkeypatch):
     assert len(ranked) == 2 and ranked[0] is closed[0]
 
 
-def test_switch_powers_no_row_of_a_diagonal_d_p(capsys, monkeypatch):
-    """switch_hypotheses powers D's map once for D^p, following every
-    source (visit None).  On switch-big243 D^p is diagonal with entries in
-    F_p, so D^(p^2) = D^p by Fermat and no source of D^p is followed again
-    (an empty visit)."""
+def test_switch_powers_d_p_from_every_source(capsys, monkeypatch):
+    """switch_hypotheses powers D's map for D^p, then D^p's map for
+    D^(p^2), each from every source.  On switch-big243 D^p is diagonal
+    with nonzero entries, so D^(p^2) has an entry at every source of D^p."""
     powered, power = [], grading.table_power
 
-    def counted(table, k, p, visit=None):
-        powered.append((k, visit))
-        return power(table, k, p, visit)
+    def counted(table, k, p):
+        powered.append((k, table, power(table, k, p)))
+        return powered[-1][2]
     monkeypatch.setattr(grading, "table_power", counted)
     code, _, _ = run(capsys, "switch", *SWITCH_FROZEN["big p3 n2 s2 pi t+0"][0])
-    assert (code, powered) == (0, [(3, None), (3, [])])
+    (k1, _d, dp), (k2, dp_again, dp2) = powered
+    assert (code, k1, k2, dp_again) == (0, 3, 3, dp)
+    assert sorted(dp2) == sorted(dp) != []
+    assert all(k == i for i, (_c, k) in dp.items())
 
 
 def test_switch_keeps_the_shorter_generator_walk(capsys, monkeypatch):
@@ -893,6 +895,22 @@ USAGE_ERRORS = (
     # degree 300, over MAX_FIELD_DEGREE, refused before the irreducibility test
     ("switch", "--case", "big-field", "--p", "3", "--n", "1",
      "--field", "3^300:" + ",".join(["2", "1"] + ["0"] * 298 + ["1"])),
+    # options the chosen analyze case does not read
+    ("analyze", "--case", "preswitch", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
+     "--sigma", "2"),
+    ("analyze", "--case", "preswitch", "--family", "graded-hamiltonian", "--p", "3", "--n", "1",
+     "--sigma", "2"),
+    ("analyze", "--case", "preswitch", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
+     "--pi", "2"),
+    ("analyze", "--case", "preswitch", "--family", "albert-zassenhaus", "--p", "3", "--n", "1",
+     "--allow-negative-control"),
+    ("analyze", "--case", "big-field", "--p", "3", "--n", "1",
+     "--family", "albert-zassenhaus"),
+    ("analyze", "--case", "prime-field", "--p", "3", "--n", "1",
+     "--family", "graded-hamiltonian"),
+    # a graded-hamiltonian pre-switch pi outside F_p
+    ("analyze", "--case", "preswitch", "--family", "graded-hamiltonian", "--p", "3", "--n", "1",
+     "--field", "3^2:2,2,1", "--pi", "t"),
 )
 
 # (argv, option) pairs that argparse refuses with "unrecognized arguments:
@@ -940,6 +958,49 @@ def test_usage_errors(capsys):
             main(list(args))
         assert exc.value.code == 2, args
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, args
+
+
+def test_each_analyze_case_takes_only_the_options_it_reads(capsys, monkeypatch):
+    """An analyze case refuses, before any field is built, each option it
+    never reads: sigma enters only through the switch, the
+    albert-zassenhaus pre-switch degree has no pi, and a switched case fixes
+    its family.  The graded-hamiltonian pre-switch degree is twisted by the
+    residue of pi in F_p, so a pi outside F_p is refused there."""
+    refusals = {
+        ("preswitch", "albert-zassenhaus", "--sigma"):
+            "the preswitch case on albert-zassenhaus does not read --sigma",
+        ("preswitch", "graded-hamiltonian", "--sigma"):
+            "the preswitch case does not read --sigma",
+        ("preswitch", "albert-zassenhaus", "--pi"):
+            "the preswitch case on albert-zassenhaus does not read --pi",
+        ("preswitch", "albert-zassenhaus", "--allow-negative-control"):
+            "the preswitch case on albert-zassenhaus does not read --allow-negative-control",
+        ("big-field", "albert-zassenhaus", "--family"):
+            "the big-field case does not read --family",
+        ("big-field", "graded-hamiltonian", "--family"):
+            "the big-field case does not read --family",
+        ("prime-field", "graded-hamiltonian", "--family"):
+            "the prime-field case does not read --family",
+        ("prime-field", "albert-zassenhaus", "--family"):
+            "the prime-field case does not read --family",
+    }
+    # the argv of each option after --family, which every row passes
+    argv_of = {"--sigma": ["--sigma", "2"], "--pi": ["--pi", "2"],
+               "--allow-negative-control": ["--allow-negative-control"], "--family": []}
+    monkeypatch.setattr(cli, "FieldParams", None)  # building a field would raise
+    for (case, family, option), error in refusals.items():
+        for fmt in ("text", "json"):
+            got = run(capsys, "analyze", "--case", case, "--family", family, "--p", "3",
+                      "--n", "1", *argv_of[option], "--format", fmt)
+            assert got == (2, "", f"error: {error}\n"), (case, family, option, fmt)
+    monkeypatch.undo()
+    for pi in ("t", "2t+1"):
+        for fmt in ("text", "json"):
+            got = run(capsys, "analyze", "--case", "preswitch", "--family", "graded-hamiltonian",
+                      "--p", "3", "--n", "1", "--field", "3^2:2,2,1", "--pi", pi,
+                      "--format", fmt)
+            assert got == (2, "", "error: the preswitch case needs pi in the prime subfield\n"), (
+                pi, fmt)
 
 
 def test_field_degree_is_bounded_before_the_modulus_is_tested(capsys, monkeypatch):

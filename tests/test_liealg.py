@@ -445,11 +445,11 @@ def scaled_ad(desc, z: int, c: int) -> dict:
 
 
 def powering_rows(record: list, power=liealg.table_power):
-    """`liealg.table_power`, appending to record the number of sources it
-    follows when given, or None when it follows every source."""
-    def counted(table, k, p, visit=None):
-        record.append(None if visit is None else len(visit))
-        return power(table, k, p, visit)
+    """`liealg.table_power`, appending None to record for each call: each
+    call follows every source of its table."""
+    def counted(table, k, p):
+        record.append(None)
+        return power(table, k, p)
     return counted
 
 
