@@ -16,7 +16,6 @@ from the per-axis factors of its structure constants.
 
 from __future__ import annotations
 
-import functools
 import re
 from typing import NamedTuple
 
@@ -424,10 +423,8 @@ class RuleTable(NamedTuple):
     x != 0 of c in [v_a, v_b] = c v_t, t at k = p^s - 2 and the fibre
     a + b - 1.  No pair lies in both parts.
 
-    A pair with c = 0, or with a zero placeholder as its target, is
-    predicted to vanish.  unlabelled = {(a, b): c} holds the pairs whose
-    c != 0 has no target label, which no bracket matches; `_product_rule`
-    enters none, since every target of its rules lies in the label range.
+    A pair with c = 0, or whose target is a zero placeholder, is predicted
+    to vanish.
 
     No dim x dim copy of T' is kept: `_rules_certified` expands the rows
     of T' for the kernels that read them, the generator walk and the
@@ -440,11 +437,10 @@ class RuleTable(NamedTuple):
     fibres: list
     classes: list
     block: list
-    unlabelled: dict
 
     def rule(self, a: int, b: int) -> tuple:
-        """(c, t) for [v_a, v_b] = c v_t, c by its m coordinates; t is None
-        when the bracket is predicted to vanish or c has no target label."""
+        """(c, t) for [v_a, v_b] = c v_t, c by its m coordinates; (0, ..., 0)
+        and None when the bracket is predicted to vanish."""
         c, t = [], None
         for layer in self.block:
             x, t = layer[a].get(b, (0, t))  # every layer names the same t
@@ -454,7 +450,7 @@ class RuleTable(NamedTuple):
         if x:  # the t^0 coordinate of c, on a pair with no block entry
             c[0], t = x, self.fibres[e][fa][fb]
         if t is None:
-            return self.unlabelled.get((a, b), (0,) * len(c)), None
+            return (0,) * len(c), None
         return tuple(c), t
 
 
@@ -482,11 +478,10 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
     are summed per fibre.  Four exact steps, in order, any failure
     returning False:
 
-    1. one test of the table laws: no unlabelled pair (a nonzero c without
-       a target label); no `antisymmetry_violations` of C or of the block,
-       as a pair of T' is a block pair iff its mirror is, and off the
-       block the mirror reads the mirror class entry at the same fibre
-       sum; degrees affine in the fibre, deg(J, a) = deg(J, 0) +
+    1. one test of the table laws: no `antisymmetry_violations` of C or of
+       the block, as a pair of T' is a block pair iff its mirror is, and
+       off the block the mirror reads the mirror class entry at the same
+       fibre sum; degrees affine in the fibre, deg(J, a) = deg(J, 0) +
        a (1 - q) p^s mod N, and no `additive_violations` of C on the class
        degrees deg(J, 0) or of the block on the label degrees, which
        grades T' as p (1 - q) p^s = -N = 0 mod N; and T, anticommutative
@@ -540,8 +535,7 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
     # (class, deg(J, 0)) of each label, as deg(j, k, a + 1) - deg(j, k, a) = -N / p mod N
     base = {(c, (d + a * N // field.p) % N) for (c, a), d in zip(place, deg)}
     cdeg = dict(base)
-    if (table.unlabelled or len(cdeg) < len(base)
-            or antisymmetry_violations([classes, *table.block], field.p)
+    if (len(cdeg) < len(base) or antisymmetry_violations([classes, *table.block], field.p)
             or additive_violations([classes], cdeg, N) or additive_violations(table.block, deg, N)
             or descriptor.jacobi):
         return False
@@ -564,24 +558,18 @@ def _rules_certified(descriptor: AlgebraDescriptor, basis: GradedBasis,
             for c, row in enumerate(classes)]
     visit = [i for i, (c, _a) in enumerate(place) if near[c]]
     vectors = [basis.vectors[lab] for lab in table.active]
-    predicted = _predictions(vectors, field)
     return (ads_are_derivations([classes], [place[g][0] for g in gens], field)
             and ads_are_derivations(layers, gens, field,
                                     visit if any(classes) else None)
-            and all(descriptor.bracket(vectors[g], vb).terms == predicted(*table.rule(g, b))
+            and all(descriptor.bracket(vectors[g], vb).terms
+                    == _prediction(vectors, field, *table.rule(g, b))
                     for g in gens for b, vb in enumerate(vectors)))
 
 
-def _predictions(vectors: list, field: FieldParams):
-    """predicted(c, t): the terms of c v_t, c by its coordinates, built once
-    per (c, t); empty for a vanishing prediction (t None, c = 0), None for
-    c != 0 without a label, which no bracket matches."""
-    @functools.cache
-    def predicted(c: tuple, t):
-        if t is None:
-            return None if any(c) else {}
-        return vectors[t].scale(field.element(c)).terms
-    return predicted
+def _prediction(vectors: list, field: FieldParams, c: tuple, t) -> dict:
+    """The terms of c v_t, c by its coordinates: empty when t is None, a
+    bracket predicted to vanish."""
+    return vectors[t].scale(field.element(c)).terms if t is not None else {}
 
 
 def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis,
@@ -591,8 +579,8 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis,
     cfg, or None without product tables.  It runs only when the
     certificate fails or cannot apply, so its job is to name the
     violations, which come out in (i, j) order.  Each bracket is compared
-    with its prediction c v_L, built once per (L, c), and reduced against
-    the echelon of the degree sum.
+    with its prediction c v_L and reduced against the echelon of the degree
+    sum.
     """
     spec, field = basis.spec, basis.field
     by_deg: dict[int, SparseEchelon] = {}
@@ -601,15 +589,12 @@ def _pair_sweep(descriptor: AlgebraDescriptor, basis: GradedBasis,
     degrees = [basis.degrees[lab] for lab in active]
     for v, d in zip(vectors, degrees):
         by_deg.setdefault(d, SparseEchelon(field, spec.heights)).insert(v)
-    predicted = _predictions(vectors, field)
     strays, misses = [], []
     for i, va in enumerate(vectors):
         for j, vb in enumerate(vectors):
             w = descriptor.bracket(va, vb)
-            if table is not None:
-                terms = predicted(*table.rule(i, j))
-                if terms is None or w.terms != terms:
-                    misses.append((active[i], active[j]))
+            if table is not None and w.terms != _prediction(vectors, field, *table.rule(i, j)):
+                misses.append((active[i], active[j]))
             if w.is_zero():
                 continue
             ech = by_deg.get((degrees[i] + degrees[j]) % spec.N)
@@ -689,7 +674,7 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
                 for h1, x0, x1, gx in xrow:
                     if x := (x0 * y1 - x1 * y0) % p:
                         classes[j1 * ps + k1][l1 * ps + h1] = x, gy * ps + gx
-    return RuleTable(active, place, fibres, classes, block, {})
+    return RuleTable(active, place, fibres, classes, block)
 
 
 def switch_checks(descriptor: AlgebraDescriptor, raw: GradedBasis,

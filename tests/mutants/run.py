@@ -114,6 +114,12 @@ MUTANTS = [
            "near = [c % ps == 0 or any(None in fibres[e][0] for _x, e in row.values())",
            "near = [c % ps == 0 or any(None in fibres[e][1:] for _x, e in row.values())",
            ("test_grading.py",)),
+    Mutant("_prediction reads a vanishing prediction as a miss", "grading.py",
+           ".terms if t is not None else {}", ".terms if t is not None else None",
+           ("test_grading.py", "test_cli.py")),
+    Mutant("RuleTable.rule keeps the class coefficient onto a placeholder", "grading.py",
+           "            return (0,) * len(c), None\n", "            return tuple(c), None\n",
+           ("test_grading.py::test_rule_table_matches_pairwise_oracle",)),
     Mutant("antisymmetry_violations: mirror target unchecked", "liealg.py",
            "if ba is None or ab[1] != ba[1] or (ab[0] + ba[0]) % p:",
            "if ba is None or (ab[0] + ba[0]) % p:",

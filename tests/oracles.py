@@ -16,9 +16,10 @@ follows one chain per source.  The sparse and integer
 sweeps must return the same violation lists, in the same order.
 
 `ordered_check_graded` is the sweep of `thinlie.grading.check_graded` over
-every ordered pair of active labels, building each product-rule
-prediction c v_L afresh; the package's sweep, which builds each once,
-must return the same strays and misses, in the same order.
+every ordered pair of active labels, comparing each bracket with its
+product-rule prediction c v_L as an element, or with zero when the rule
+vanishes; the package's sweep, which compares terms, must return the same
+strays and misses, in the same order.
 `product_rule` predicts one pair at a time from Lucas binomials and field
 arithmetic, the reference for the factored rule table the package builds.
 `rule_layers` expands that table to dim x dim, one `RuleTable.rule` per
@@ -287,37 +288,35 @@ def product_rule(basis: GradedBasis, cfg):
     return rule
 
 
-def rule_layers(table) -> tuple[list, bool]:
+def rule_layers(table) -> list:
     """The rule table T' of a `grading.RuleTable` expanded to dim x dim,
     one `rule` call per ordered pair of active labels: the coordinate
     layers rows[r][a] = {b: (x, t)} for each x != 0, the t^r coordinate of
-    c in rule(a, b) = (c, t), and whether some pair has c != 0 without a
-    target label."""
+    c in rule(a, b) = (c, t) with a target t."""
     n, m = len(table.active), len(table.block)
-    rows, unlabelled = [[{} for _ in range(n)] for _ in range(m)], False
+    rows = [[{} for _ in range(n)] for _ in range(m)]
     for a in range(n):
         for b in range(n):
             c, t = table.rule(a, b)
             if t is None:
-                unlabelled = unlabelled or any(c)
                 continue
             for layer, x in zip(rows, c):
                 if x:
                     layer[a][b] = (x, t)
-    return rows, unlabelled
+    return rows
 
 
 def full_rules_certified(desc: AlgebraDescriptor, basis: GradedBasis, table) -> bool:
     """The generator certificate of `grading._rules_certified`, with every
-    table law checked on all of T' as `rule_layers` expands it: no
-    unlabelled pair, antisymmetry and additive degrees over every entry,
-    an empty Jacobi verdict of the algebra, generators by the same two
-    walks, ad_g a derivation on every pair b > a, and the brackets of the
-    generators against their predictions."""
-    rows, unlabelled = rule_layers(table)
+    table law checked on all of T' as `rule_layers` expands it:
+    antisymmetry and additive degrees over every entry, an empty Jacobi
+    verdict of the algebra, generators by the same two walks, ad_g a
+    derivation on every pair b > a, and the brackets of the generators
+    against their predictions."""
+    rows = rule_layers(table)
     field, labels = basis.field, table.active
     deg = [basis.degrees[lab] for lab in labels]
-    if (unlabelled or antisymmetry_violations(rows, field.p)
+    if (antisymmetry_violations(rows, field.p)
             or additive_violations(rows, deg, basis.spec.N) or desc.jacobi):
         return False
     gens = table_generators(rows, sorted(range(len(deg)), key=lambda a: deg[a] != 1))
@@ -332,7 +331,7 @@ def full_rules_certified(desc: AlgebraDescriptor, basis: GradedBasis, table) -> 
         for b, vb in enumerate(vectors):
             c, t = table.rule(g, b)
             want = vectors[t].scale(field.element(c)) if t is not None else desc.zero()
-            if (t is None and any(c)) or desc.bracket(vectors[g], vb) != want:
+            if desc.bracket(vectors[g], vb) != want:
                 return False
     return True
 
@@ -356,11 +355,8 @@ def ordered_check_graded(desc: AlgebraDescriptor, basis: GradedBasis, cfg=None) 
             if table is not None:
                 c, t = table.rule(ia, ib)
                 lab = active[t] if t is not None else None
-                if lab is not None:
-                    predicted = vectors[lab].scale(field.element(c))
-                else:
-                    predicted = None if any(c) else desc.zero()
-                if predicted is None or w != predicted:
+                predicted = vectors[lab].scale(field.element(c)) if lab is not None else desc.zero()
+                if w != predicted:
                     misses.append((la, lb))
                 elif lab is not None and degrees[lab] == target:
                     continue

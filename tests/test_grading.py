@@ -533,6 +533,7 @@ def test_rule_table_matches_pairwise_oracle(shape, big, data):
     for la, a in index.items():
         for lb, b in index.items():
             c, lab = rule(la, lb)
+            assert lab is not None or not any(c), (la, lb)  # every nonzero rule has a target
             if lab is not None and lab not in index:
                 c, lab = zero, None
             assert table.rule(a, b) == (c, index.get(lab)), (la, lb)
@@ -605,7 +606,7 @@ def test_certificate_walks_the_full_expansion(case, p, n, s, pi, sigma, monkeypa
         return walk(rows, candidates)
     monkeypatch.setattr(grading, "table_generators", spied)
     assert grading._rules_certified(desc, closed, table)
-    assert walked == [oracles.rule_layers(table)[0]]
+    assert walked == [oracles.rule_layers(table)]
 
 
 def test_fibre_pass_visits_the_block_rows_and_those_meeting_a_placeholder(monkeypatch):
@@ -786,12 +787,13 @@ def set_rule(table, a, b, c, t):
     """Make `RuleTable.rule(a, b)` of table read (c, t).  A pair of two
     labels at k = -1 is a block pair, set in the block alone.  Any other
     pair with a target is set in the class table C, so every pair of its
-    two classes moves with it, at its own fibre sum.  c != 0 without a
-    target goes to the unlabelled pairs."""
+    two classes moves with it, at its own fibre sum.  A nonzero c needs a
+    target."""
+    assert t is not None or not any(c)
     la, lb = table.active[a], table.active[b]
     if la.k == lb.k == -1:
         for layer, x in zip(table.block, c):
-            if x and t is not None:
+            if x:
                 layer[a][b] = (x, t)
             else:
                 layer[a].pop(b, None)
@@ -802,10 +804,6 @@ def set_rule(table, a, b, c, t):
             table.classes[ca][cb] = (c[0], table.place[t][0])
         else:
             table.classes[ca].pop(cb, None)
-    if t is None and any(c):
-        table.unlabelled[a, b] = c
-    else:
-        table.unlabelled.pop((a, b), None)
 
 
 def perturbed_rule(pair):
@@ -843,7 +841,7 @@ def test_rule_broken_in_one_layer_falls_back_to_the_sweep():
         sweeps = spying_sweep(mp)
         assert check_graded(desc, closed, cfg) == ([], []) and sweeps == []
         mp.setattr(grading, "_product_rule", build)
-        layers, _unlabelled = oracles.rule_layers(build(closed, cfg))
+        layers = oracles.rule_layers(build(closed, cfg))
         assert antisymmetry_violations(layers[:r] + layers[r + 1:], 3) == []
         assert antisymmetry_violations(layers, 3) == [(a, b)]
         strays, misses = check_graded(desc, closed, cfg)
@@ -918,9 +916,9 @@ def test_check_graded_matches_ordered_sweep(corruption, shape, big, data):
     admissible switches, after swapping two labels, putting one label in a
     wrong degree, scaling one vector by 2, breaking anticommutativity at
     one table entry or shifting the rule's coefficient on one ordered pair
-    (the antisymmetry test of the rules fails).  The rule plantings edit the
-    table `_product_rule` returns, which both sweeps and the certificate
-    read.
+    with a target (the antisymmetry test of the rules fails).  The rule
+    plantings edit the table `_product_rule` returns, which both sweeps and
+    the certificate read.
 
     Each planting must also reach the pair sweep, and the unplanted switch
     must not, which makes each licensing step of the generator certificate
@@ -946,6 +944,9 @@ def test_check_graded_matches_ordered_sweep(corruption, shape, big, data):
     generators = [lab for lab in active if closed.degrees[lab] == 1]
     others = [lab for lab in active if lab not in generators]
     product_rule = None
+    if corruption in ("rule", "rule pair"):
+        table = grading._product_rule(closed, cfg)
+        index = {lab: i for i, lab in enumerate(table.active)}
     if corruption == "swap":
         swap_labels(raw, closed, l1, l2)
     elif corruption == "degree":
@@ -954,11 +955,11 @@ def test_check_graded_matches_ordered_sweep(corruption, shape, big, data):
         closed.vectors[l1] = closed.vectors[l1].scale(2)
     elif corruption == "table":
         break_anticommutativity(desc, data.draw(st.integers(0, 10 ** 6)))
-    elif corruption == "rule":
+    elif corruption == "rule":  # a pair with a target, as a nonzero rule has one
+        l1, l2 = data.draw(st.sampled_from([(a, b) for a in active for b in active
+                                            if table.rule(index[a], index[b])[1] is not None]))
         product_rule = perturbed_rule((l1, l2))
     elif corruption == "rule pair":
-        table = grading._product_rule(closed, cfg)
-        index = {lab: i for i, lab in enumerate(table.active)}
         # a class pair of C moves with its two classes: keep away from those of X and Y
         away = [lab for lab in others if (lab.j, lab.k) not in {g[:2] for g in generators}]
         pairs = [(a, b) for a in away for b in away
