@@ -1,5 +1,6 @@
 """Loop expansion, diamond classification and the thin-pattern check battery."""
 
+import collections
 import functools
 import itertools
 import random
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import items
+from thinlie.common import CheckResult
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
 from thinlie.ffield import FieldParams
 from thinlie.grading import (
@@ -23,6 +25,7 @@ from thinlie.liealg import AlgebraDescriptor, Family
 from thinlie.loopalg import (
     INFINITY,
     ComponentRecord,
+    DiamondRecord,
     LoopConfig,
     PatternParams,
     ThinReport,
@@ -30,10 +33,13 @@ from thinlie.loopalg import (
     check_covering,
     classify_component,
     expand_loop,
+    first_chain_check,
     normalization_check,
     periodicity_failures,
     render_text,
     run_analysis,
+    second_chain_check,
+    verify_pattern,
 )
 
 F27 = FieldParams(3, 3, (2, 2, 0, 1))
@@ -423,6 +429,128 @@ def test_fake_diamonds_frozen():
     assert kinds[21] == ("genuine", F3.element(2))
     assert kinds[5] == ("genuine", INFINITY)
     assert sum(r.dim for r in rep.components[: PRIME.N]) == GH.dim
+
+
+PLANT_H = Heights(5, 1, 1)
+PLANT_NAMES = {"Z": Monomial(0, 0), "V": Monomial(0, 1), "e1": Monomial(1, 0),
+               "e2": Monomial(1, 1), "w": Monomial(2, 0), "w2": Monomial(2, 1)}
+
+
+def plant(terms):
+    """The F_5 element sum of c*name over terms {name: c}."""
+    return AlgebraElement(F5, PLANT_H, [(PLANT_NAMES[n], F5.element(c))
+                                        for n, c in terms.items()])
+
+
+def planted_loop(**action):
+    """cfg and records L_1 .. L_4 of a loop over F_5 with q = 3, expanded
+    by expand_loop from L_1 = <Z> under a planted action: [Z, X] = V, and
+    each keyword name_G = {target: c} sets the bracket of that basis
+    monomial with generator G.  Brackets left out are zero.  So V spans
+    L_2, and the slot at degree 3 and the normalization read it."""
+    X, Y = plant({}), plant({})  # told apart by identity only
+    images = collections.defaultdict(lambda: plant({}))
+    for key, terms in {"Z_X": {"V": 1}, **action}.items():
+        name, gen = key.split("_")
+        images[PLANT_NAMES[name], gen == "X"] = plant(terms)
+    first = SparseEchelon(F5, PLANT_H)
+    first.insert(plant({"Z": 1}))
+    spec = types.SimpleNamespace(q=3)
+    cfg = types.SimpleNamespace(alg=ActionAlgebra(F5, PLANT_H, X, images), X=X, Y=Y,
+                                first=first, max_degree=4,
+                                basis=types.SimpleNamespace(spec=spec))
+    return cfg, expand_loop(cfg)
+
+
+# [V, X] = e1 and [V, Y] = e2 span the slot L_3
+PLANE = {"V_X": {"e1": 1}, "V_Y": {"e2": 1}}
+# a slot L_3 = <e1, e2> whose L_4 is the line <w>
+W_LINE = planted_loop(**PLANE, e1_Y={"w": 1}, e2_X={"w": 1})[1][3]
+
+# (action, planted L_4 or None for the expanded one, record at degree 3)
+PLANTED_SLOTS = [
+    # alpha = 1, beta = 3 = -2: type 1/4 = -1, the normalized second diamond
+    (dict(PLANE, e1_Y={"w": 1}, e2_X={"w": 3}), None, ("genuine", F5.element(-1))),
+    # alpha = 1, beta = 2: type 1/3 = 2, and 2/3 = 4 were the two read swapped
+    (dict(PLANE, e1_Y={"w": 1}, e2_X={"w": 2}), None, ("genuine", F5.element(2))),
+    (dict(PLANE, e1_Y={"w": 1}, e2_X={"w": 4}), None, ("genuine", INFINITY)),
+    (dict(V_X={"e1": 1}, e1_Y={"w": 1}), None, ("fake", 1)),
+    (dict(V_X={"e1": 1}, V_Y={"e1": 2}), None, ("fake", 0)),
+    (dict(V_X={"e1": 1}, V_Y={"e1": 2}, e1_Y={"w": 1}), None,
+     ("anomaly", "one-dimensional slot fits neither fake reading")),
+    ({}, None, ("anomaly", "slot has dimension 0")),
+    (dict(PLANE, e1_X={"w": 1}, e1_Y={"w": 1}), None,
+     ("anomaly", "[V,X,X] = (1)*x^(2)y^(0)")),
+    (dict(PLANE, e1_Y={"w": 1}, e2_Y={"w": 3}), None,
+     ("anomaly", "[V,Y,Y] = (3)*x^(2)y^(0)")),
+    (dict(PLANE, e1_Y={"w": 1}, e2_X={"w2": 1}), None,
+     ("anomaly", "component 4 has dimension 2")),
+    # only [V,Y,X] leaves <w>, then only [V,X,Y]
+    (dict(PLANE, e1_Y={"w": 1}, e2_X={"w2": 1}), W_LINE,
+     ("anomaly", "double brackets leave the next component")),
+    (dict(PLANE, e1_Y={"w2": 1}, e2_X={"w": 1}), W_LINE,
+     ("anomaly", "double brackets leave the next component")),
+    (PLANE, W_LINE, ("anomaly", "both double brackets vanish")),
+    (dict(PLANE, e1_Y={"w": 1}), None, ("anomaly", "two-dimensional slot computes type 1")),
+    (dict(PLANE, e2_X={"w": 1}), None, ("anomaly", "two-dimensional slot computes type 0")),
+]
+
+
+@pytest.mark.parametrize("action, nxt, want", PLANTED_SLOTS)
+def test_classify_planted_slot(action, nxt, want):
+    """Each reading of the slot, every anomaly included, on a planted loop;
+    a planted L_4 stands where the expanded one would contain both double
+    brackets."""
+    cfg, records = planted_loop(**action)
+    if nxt is not None:
+        records[3] = nxt
+    assert classify_component(cfg, 3, records) == DiamondRecord(3, *want)
+
+
+@pytest.mark.parametrize("action, want", [
+    (dict(PLANE, e1_Y={"w": 1}, e2_X={"w": 3}), None),
+    (dict(PLANE, e1_X={"w": 1}, e1_Y={"w": 1}),
+     {"[V,X,X]": "(1)*x^(2)y^(0)", "[V,Y,X] + 2[V,X,Y]": "(2)*x^(2)y^(0)"}),
+    (dict(PLANE, e1_Y={"w": 1}, e2_X={"w": 2}), {"[V,Y,X] + 2[V,X,Y]": "(4)*x^(2)y^(0)"}),
+    ({"Z_X": {}}, {"reason": "component 2 has dimension 0"}),
+])
+def test_normalization_planted(action, want):
+    cfg, records = planted_loop(**action)
+    assert normalization_check(cfg, records) == CheckResult("normalization", want is None, want)
+
+
+def test_verify_pattern_names_misplaced_slots():
+    """A slot whose type is finite where the pattern wants it infinite, or
+    the other way round, is named with both readings."""
+    diamonds = [DiamondRecord(1, "first", None), DiamondRecord(3, "genuine", INFINITY),
+                DiamondRecord(5, "genuine", F27.element(-1)), DiamondRecord(7, "fake", 0),
+                DiamondRecord(9, "anomaly", "both double brackets vanish")]
+    params = PatternParams(3, 3, F27.gen().inverse())
+    got = verify_pattern(F27, [], diamonds, params, 9)["finite_slot_positions"]
+    assert got == CheckResult("finite_slot_positions", False, [
+        {"degree": 3, "expected": "finite", "found": "Infinity"},
+        {"degree": 5, "expected": "infinite", "found": "2"},
+        {"degree": 7, "expected": "infinite", "found": "fake(0)"},
+    ])
+
+
+def test_chain_checks_name_each_degree():
+    """Each degree off its expected centralizer is named, in degree order:
+    <Y>, or zero at q - 1 for the first chain."""
+    zero, one = F5.zero(), F5.one()
+    y_only = [[zero, one]]
+    chain = {2: y_only, 3: [[one, zero]], 4: y_only, 6: y_only, 7: []}
+    assert first_chain_check(F5, chain, 5) == CheckResult(
+        "first_centralizer_chain", False,
+        [{"degree": 3, "centralizer": [["1", "0"]]}, {"degree": 4, "centralizer": [["0", "1"]]}])
+    assert first_chain_check(F5, {**chain, 3: y_only, 4: []}, 5).passed
+    assert second_chain_check(F5, chain, 5, 5) == CheckResult(
+        "second_centralizer_chain", False, [{"degree": 7, "centralizer": []}], True)
+    chain = {8: y_only, 9: [[one, F5.element(3)]], 10: y_only, 11: [[one, zero], [zero, one]]}
+    assert second_chain_check(F5, chain, 7, 7) == CheckResult(
+        "second_centralizer_chain", False,
+        [{"degree": 9, "centralizer": [["1", "3"]]},
+         {"degree": 11, "centralizer": [["1", "0"], ["0", "1"]]}])
 
 
 def test_pattern_params():
