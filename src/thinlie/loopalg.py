@@ -49,20 +49,26 @@ class LoopConfig:
 
 
 class ComponentRecord:
-    """One loop component: its degree, dimension and reduced basis.
+    """One loop component: its degree and the echelon of its span, which
+    gives its dimension and reduced basis.
 
     images holds ([u, X], [u, Y]) for each basis vector u, in the order of
     vectors; expand_loop fills it for every component it brackets, that is
     every one but the last.
     """
 
-    def __init__(self, degree: int, dim: int, vectors: list, echelon: SparseEchelon | None,
-                 images: list | None = None):
+    def __init__(self, degree: int, echelon: SparseEchelon, images: list | None = None):
         self.degree = degree
-        self.dim = dim
-        self.vectors = vectors
         self.echelon = echelon
         self.images = [] if images is None else images
+
+    @property
+    def dim(self) -> int:
+        return self.echelon.rank
+
+    @property
+    def vectors(self) -> list:
+        return self.echelon.basis()
 
 
 class DiamondRecord(NamedTuple):
@@ -91,7 +97,8 @@ class DiamondRecord(NamedTuple):
 
 
 class ThinReport:
-    """Full analysis artifact: parameter echo, components, diamonds, checks."""
+    """Full analysis artifact: parameter echo, (degree, dim) of each
+    component, diamonds, checks."""
 
     def __init__(self, params: dict, components: list, diamonds: list, checks: dict):
         self.params = params
@@ -106,9 +113,7 @@ class ThinReport:
     def to_dict(self) -> dict:
         return {
             "params": dict(self.params),
-            "components": [
-                {"degree": r.degree, "dim": r.dim} for r in self.components
-            ],
+            "components": [{"degree": d, "dim": dim} for d, dim in self.components],
             "diamonds": [
                 {"degree": d.degree, "kind": d.kind, "type": d.type_json()}
                 for d in self.diamonds
@@ -122,10 +127,7 @@ class ThinReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ThinReport":
-        components = [
-            ComponentRecord(c["degree"], c["dim"], [], None)
-            for c in data["components"]
-        ]
+        components = [(c["degree"], c["dim"]) for c in data["components"]]
         diamonds = [
             DiamondRecord(d["degree"], d["kind"], d["type"])
             for d in data["diamonds"]
@@ -169,7 +171,7 @@ def expand_loop(cfg: LoopConfig) -> list:
     the checks to read.
     """
     field, heights = cfg.alg.field, cfg.alg.heights
-    records = [ComponentRecord(1, cfg.first.rank, cfg.first.basis(), cfg.first)]
+    records = [ComponentRecord(1, cfg.first)]
     for i in range(2, cfg.max_degree + 1):
         ech = SparseEchelon(field, heights)
         prev = records[-1]
@@ -178,7 +180,7 @@ def expand_loop(cfg: LoopConfig) -> list:
         for bx, by in prev.images:
             ech.insert(bx)
             ech.insert(by)
-        records.append(ComponentRecord(i, ech.rank, ech.basis(), ech))
+        records.append(ComponentRecord(i, ech))
     return records
 
 
@@ -265,15 +267,6 @@ def _spans(x: tuple, y: tuple) -> bool:
     return False
 
 
-def _scalar_ratio(v: AlgebraElement, w: AlgebraElement):
-    """c with v = c*w, or None when v is not a multiple of w."""
-    if v.is_zero():
-        return v.field.zero()
-    m0 = w.support()[0]
-    c = v.coeff(m0) / w.coeff(m0)
-    return c if v == w.scale(c) else None
-
-
 def _double_brackets(cfg: LoopConfig, rec: ComponentRecord) -> tuple:
     """[V,X,X], [V,X,Y], [V,Y,X], [V,Y,Y] for V spanning the line component
     rec, bracketed from its images."""
@@ -288,7 +281,9 @@ def classify_component(cfg: LoopConfig, i: int, records: list) -> DiamondRecord:
 
     Needs V spanning L_{i-1}: with [V,X,X] = 0 = [V,Y,Y] and w spanning
     L_{i+1}, writing [V,X,Y] = alpha*w and [V,Y,X] = beta*w, the type is
-    alpha/(alpha+beta), or Infinity when alpha = -beta != 0.  A slot of
+    alpha/(alpha+beta), or Infinity when alpha = -beta != 0.  The echelon
+    of L_{i+1} has one row w with a unit lead, so it contains exactly the
+    multiples c*w and reads c as their one coordinate.  A slot of
     dimension 1 is a fake diamond: type 1 when [V,Y] = 0, else type 0 when
     [V,X,Y] = 0 = [V,X,X].  Everything else is an anomaly; anomalies are
     data, never exceptions.
@@ -311,14 +306,12 @@ def classify_component(cfg: LoopConfig, i: int, records: list) -> DiamondRecord:
         return DiamondRecord(i, "anomaly", f"[V,X,X] = {vxx.text()}")
     if not vyy.is_zero():
         return DiamondRecord(i, "anomaly", f"[V,Y,Y] = {vyy.text()}")
-    nxt = records[i]
-    if nxt.dim != 1:
-        return DiamondRecord(i, "anomaly", f"component {i + 1} has dimension {nxt.dim}")
-    w = nxt.vectors[0]
-    alpha = _scalar_ratio(vxy, w)
-    beta = _scalar_ratio(vyx, w)
-    if alpha is None or beta is None:
+    ech = records[i].echelon
+    if ech.rank != 1:
+        return DiamondRecord(i, "anomaly", f"component {i + 1} has dimension {ech.rank}")
+    if not (ech.contains(vxy) and ech.contains(vyx)):
         return DiamondRecord(i, "anomaly", "double brackets leave the next component")
+    (alpha,), (beta,) = ech.coordinates(vxy), ech.coordinates(vyx)
     if alpha.is_zero() and beta.is_zero():
         return DiamondRecord(i, "anomaly", "both double brackets vanish")
     total = alpha + beta
@@ -474,31 +467,26 @@ def centralizer_chain(cfg: LoopConfig, records: list, bound: int) -> dict:
     return out
 
 
-def _chain_text(space: list) -> list:
-    return [[str(c) for c in vec] for vec in space]
+def _chain_problems(field: FieldParams, chain: dict, degrees: range,
+                    zero_at: int | None = None) -> list:
+    """The degrees whose centralizer is not the expected one, <Y>, or zero
+    at degree zero_at, each named with its centralizer's text."""
+    y_only = [[field.zero(), field.one()]]
+    return [{"degree": i, "centralizer": [[str(c) for c in vec] for vec in chain[i]]}
+            for i in degrees if chain[i] != ([] if i == zero_at else y_only)]
 
 
 def first_chain_check(field: FieldParams, chain: dict, q: int) -> CheckResult:
     """Centralizer of L_i in L_1 is exactly <Y> for 2 <= i <= q-2 and zero
     at i = q-1 (the component feeding the second diamond)."""
-    y_only = [[field.zero(), field.one()]]
-    problems = []
-    for i in range(2, q - 1):
-        if chain[i] != y_only:
-            problems.append({"degree": i, "centralizer": _chain_text(chain[i])})
-    if chain[q - 1]:
-        problems.append({"degree": q - 1, "centralizer": _chain_text(chain[q - 1])})
+    problems = _chain_problems(field, chain, range(2, q), zero_at=q - 1)
     return CheckResult("first_centralizer_chain", not problems, problems or None)
 
 
 def second_chain_check(field: FieldParams, chain: dict, p: int, q: int) -> CheckResult:
     """Centralizer of L_i in L_1 is <Y> for q+1 <= i <= 2q-3; asserted only
     when p > 3 and q != 5, informational otherwise."""
-    y_only = [[field.zero(), field.one()]]
-    problems = []
-    for i in range(q + 1, 2 * q - 2):
-        if chain[i] != y_only:
-            problems.append({"degree": i, "centralizer": _chain_text(chain[i])})
+    problems = _chain_problems(field, chain, range(q + 1, 2 * q - 2))
     informational = not (p > 3 and q != 5)
     return CheckResult("second_centralizer_chain", not problems, problems or None,
                        informational)
@@ -572,4 +560,5 @@ def run_analysis(descriptor: AlgebraDescriptor, basis: GradedBasis,
         None if dim_total == descriptor.dim
         else {"sum": dim_total, "dim": descriptor.dim},
     )
-    return ThinReport(params_echo, records[:limit], diamonds, checks)
+    return ThinReport(params_echo, [(r.degree, r.dim) for r in records[:limit]],
+                      diamonds, checks)

@@ -162,6 +162,37 @@ MUTANTS = [
     Mutant("periodicity_failures skips the last degree", "loopalg.py",
            "for i in range(1, len(records) - period + 1):", "for i in range(1, len(records) - period):",
            ("test_loopalg.py", "test_acceptance.py")),
+    Mutant("check_covering: the kernel line's slope inverted", "loopalg.py",
+           "c = b / a", "c = a / b",
+           ("test_loopalg.py",)),
+    Mutant("check_covering: the root last in elements() order", "loopalg.py",
+           "c = min(((r - beta)", "c = max(((r - beta)",
+           ("test_loopalg.py",)),
+    Mutant("ComponentRecord.dim read from the images", "loopalg.py",
+           "        return self.echelon.rank\n", "        return len(self.images)\n",
+           ("test_loopalg.py",)),
+    Mutant("classify_component: the [V,X,X] anomaly never returned", "loopalg.py",
+           "    if not vxx.is_zero():\n        return DiamondRecord(i, \"anomaly\", f\"[V,X,X]",
+           "    if False:\n        return DiamondRecord(i, \"anomaly\", f\"[V,X,X]",
+           ("test_loopalg.py",)),
+    # an expanded L_{i+1} contains every double bracket, so only the planted
+    # loops of test_loopalg.py let one of them leave it
+    Mutant("classify_component: containment of [V,X,Y] only", "loopalg.py",
+           "if not (ech.contains(vxy) and ech.contains(vyx)):", "if not ech.contains(vxy):",
+           ("test_loopalg.py",)),
+    Mutant("classify_component: containment of [V,Y,X] only", "loopalg.py",
+           "if not (ech.contains(vxy) and ech.contains(vyx)):", "if not ech.contains(vyx):",
+           ("test_loopalg.py",)),
+    Mutant("classify_component: alpha and beta read swapped", "loopalg.py",
+           "(alpha,), (beta,) = ech.coordinates(vxy)", "(beta,), (alpha,) = ech.coordinates(vxy)",
+           ("test_loopalg.py",)),
+    Mutant("classify_component: a computed type 1 read as genuine", "loopalg.py",
+           "if mu == cfg.alg.field.zero() or mu == cfg.alg.field.one():",
+           "if mu == cfg.alg.field.zero():",
+           ("test_loopalg.py",)),
+    Mutant("first_chain_check: the zero clause at q - 1 dropped", "loopalg.py",
+           "range(2, q), zero_at=q - 1)", "range(2, q - 1))",
+           ("test_loopalg.py",)),
     Mutant("_laguerre_coefficients: sign", "grading.py",
            "coeffs.append(-falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
            "coeffs.append(falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",

@@ -225,8 +225,7 @@ def block_records(field, targets, coeffs, tail=None):
     for bx, by in images:
         nxt.insert(bx)
         nxt.insert(by)
-    return cfg, [ComponentRecord(1, cur.rank, cur.basis(), cur, images),
-                 ComponentRecord(2, nxt.rank, nxt.basis(), nxt)]
+    return cfg, [ComponentRecord(1, cur, images), ComponentRecord(2, nxt)]
 
 
 @st.composite
@@ -428,7 +427,7 @@ def test_fake_diamonds_frozen():
     assert kinds[15] == ("fake", 1)
     assert kinds[21] == ("genuine", F3.element(2))
     assert kinds[5] == ("genuine", INFINITY)
-    assert sum(r.dim for r in rep.components[: PRIME.N]) == GH.dim
+    assert sum(dim for _d, dim in rep.components[: PRIME.N]) == GH.dim
 
 
 PLANT_H = Heights(5, 1, 1)
@@ -573,7 +572,7 @@ def test_full_battery_passes():
         "type_progression", "second_diamond", "normalization", "first_centralizer_chain",
         "second_centralizer_chain", "periodicity", "dimension_sum"]
     assert all(c.passed for c in rep.checks.values())
-    assert sum(r.dim for r in rep.components[: BIG.N]) == AZ.dim
+    assert sum(dim for _d, dim in rep.components[: BIG.N]) == AZ.dim
 
 
 def test_corrupted_generator_is_caught():
