@@ -69,14 +69,10 @@ class RunConfig(NamedTuple):
     field: FieldParams
     pi: object
     sigma: object
-    pi_hat: int
+    spec: GradingSpec  # the pre-switch grading; a switched case grades by spec.switched()
     max_degree: int | None
     fmt: str
     allow_negative_control: bool
-
-    @property
-    def heights(self) -> Heights:
-        return Heights(self.p, self.n1, self.n)
 
 
 def standard_modulus(p: int) -> tuple:
@@ -222,9 +218,13 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
         raise UsageError("sigma must be nonzero")
     if pi.is_zero() and not allow_negative_control:
         raise UsageError("pi = 0 is the negative control; pass --allow-negative-control")
-    if family is Family.GRADED_HAMILTONIAN and not pi.in_prime_field():
+    heights = Heights(p, n1, n)
+    if family is Family.ALBERT_ZASSENHAUS:
+        spec = GradingSpec(GradingCase.PRESWITCH_AZ, heights, n1 - 1)
+    elif pi.in_prime_field():
+        spec = GradingSpec(GradingCase.PRESWITCH_GH, heights, n1 - 1, pi.as_int())
+    else:
         raise UsageError(f"the {case} case needs pi in the prime subfield")
-    pi_hat = pi.as_int() if pi.in_prime_field() else 0
 
     max_degree = getattr(ns, "max_degree", None)  # an analyze option
     if max_degree is not None and max_degree < 1:
@@ -233,7 +233,7 @@ def materialize(ns: argparse.Namespace) -> RunConfig:
         raise UsageError(f"max-degree must be at most {3 * MAX_MONOMIALS}")
 
     return RunConfig(command, p, n, s, n1, family, case, field, pi, sigma,
-                     pi_hat, max_degree, ns.fmt, bool(allow_negative_control))
+                     spec, max_degree, ns.fmt, bool(allow_negative_control))
 
 
 def _emit(rc: RunConfig, params: dict, checks: dict, extra: dict, text_head: list):
@@ -257,14 +257,8 @@ def _violation_payload(violations: list, limit: int = 5):
     return {"count": len(violations), "first": shown}
 
 
-def _preswitch_spec(rc: RunConfig) -> GradingSpec:
-    if rc.family is Family.ALBERT_ZASSENHAUS:
-        return GradingSpec(GradingCase.PRESWITCH_AZ, rc.heights, rc.n1 - 1)
-    return GradingSpec(GradingCase.PRESWITCH_GH, rc.heights, rc.n1 - 1, rc.pi_hat)
-
-
 def cmd_verify(rc: RunConfig):
-    desc = AlgebraDescriptor(rc.family, rc.field, rc.heights)
+    desc = AlgebraDescriptor(rc.family, rc.field, rc.spec.heights)
     deriv = Derivation(desc, rc.s)
     expected_dim = rc.p ** (rc.n1 + rc.n) - (2 if rc.family is Family.GRADED_HAMILTONIAN else 0)
     suites = (
@@ -274,7 +268,7 @@ def cmd_verify(rc: RunConfig):
         ("leibniz", deriv.leibniz),
         ("derivation_power", derivation_power_violations(deriv)),
         ("realization", realization_violations(deriv)),
-        ("monomial_grading", monomial_grading_violations(desc, _preswitch_spec(rc))),
+        ("monomial_grading", monomial_grading_violations(desc, rc.spec)),
     )
     checks = {}
     checks["dimension"] = CheckResult(
@@ -295,16 +289,9 @@ def cmd_verify(rc: RunConfig):
                  text_head=[f"dimension {desc.dim}"])
 
 
-def _switched_setup(rc: RunConfig):
-    """Descriptor, pre-switch spec, switched spec and SwitchConfig."""
-    desc = AlgebraDescriptor(rc.family, rc.field, rc.heights)
-    pre = _preswitch_spec(rc)
-    out_case = (GradingCase.BIG_FIELD if rc.case == "big-field"
-                else GradingCase.PRIME_FIELD)
-    out_spec = GradingSpec(out_case, rc.heights, rc.s, rc.pi_hat)
-    cfg = grading.SwitchConfig(rc.field, rc.sigma, rc.pi, rc.s,
-                               allow_zero_pi=rc.allow_negative_control)
-    return desc, pre, out_spec, cfg
+def _switch_config(rc: RunConfig) -> "grading.SwitchConfig":
+    return grading.SwitchConfig(rc.field, rc.sigma, rc.pi, rc.s,
+                                allow_zero_pi=rc.allow_negative_control)
 
 
 def _grading_params(rc: RunConfig, spec: GradingSpec) -> dict:
@@ -316,9 +303,10 @@ def _grading_params(rc: RunConfig, spec: GradingSpec) -> dict:
 
 
 def cmd_switch(rc: RunConfig):
-    desc, pre, out_spec, cfg = _switched_setup(rc)
+    desc = AlgebraDescriptor(rc.family, rc.field, rc.spec.heights)
+    out_spec, cfg = rc.spec.switched(), _switch_config(rc)
     deriv = Derivation(desc, rc.s)
-    raw = grading.switch_grading(desc, pre, deriv, cfg)
+    raw = grading.switch_grading(desc, rc.spec, deriv, cfg)
     closed = grading.build_closed_basis(desc, out_spec, cfg)
 
     serialized = closed.serialize()
@@ -356,19 +344,18 @@ def _generators(spec: GradingSpec, basis: "grading.GradedBasis"):
 
 
 def cmd_analyze(rc: RunConfig):
+    desc = AlgebraDescriptor(rc.family, rc.field, rc.spec.heights)
     if rc.case == "preswitch":
-        desc = AlgebraDescriptor(rc.family, rc.field, rc.heights)
-        spec = _preswitch_spec(rc)
-        cfg = None
+        spec, cfg = rc.spec, None
     else:
-        desc, pre, spec, cfg = _switched_setup(rc)
+        spec, cfg = rc.spec.switched(), _switch_config(rc)
     floor = loopalg.degree_floor(spec)
     if rc.max_degree is not None and rc.max_degree < floor:
         raise UsageError(f"max-degree must be at least 2N + q = {floor}")
     if cfg is not None:
         # the switch behind the closed basis: refuse its hypothesis failures
         # as `switch` does, before any report
-        grading.switch_hypotheses(desc, pre, Derivation(desc, rc.s), cfg)
+        grading.switch_hypotheses(desc, rc.spec, Derivation(desc, rc.s), cfg)
     basis = grading.build_closed_basis(desc, spec, cfg)
     X, Y = _generators(spec, basis)
     report = loopalg.run_analysis(desc, basis, X, Y, _grading_params(rc, spec),

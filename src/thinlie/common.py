@@ -21,6 +21,11 @@ class GradingCase(enum.Enum):
     BIG_FIELD = "big-field"
     PRIME_FIELD = "prime-field"
 
+    @property
+    def is_switched(self) -> bool:
+        """Whether a switch produces this grading (a label-indexed one)."""
+        return self in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD)
+
 
 #: cases whose degree formula carries the pi-twist (a + j*pi)p^s
 _TWISTED = (GradingCase.PRESWITCH_GH, GradingCase.PRIME_FIELD)
@@ -66,6 +71,16 @@ class GradingSpec(NamedTuple("GradingSpec", [("case", GradingCase), ("heights", 
     @property
     def step(self) -> int:
         return self.p ** self.s
+
+    def switched(self) -> "GradingSpec":
+        """The spec of the grading a switch of this one produces:
+        Albert-Zassenhaus switches over the big field and graded
+        Hamiltonian over the prime field."""
+        if self.case.is_switched:
+            raise ValueError("switching starts from a pre-switch monomial grading")
+        case = (GradingCase.BIG_FIELD if self.case is GradingCase.PRESWITCH_AZ
+                else GradingCase.PRIME_FIELD)
+        return GradingSpec(case, self.heights, self.s, self.pi_residue)
 
     def degree_of_label(self, lab: Label) -> int:
         j, k, a = lab

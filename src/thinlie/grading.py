@@ -206,7 +206,7 @@ def build_closed_basis(descriptor: AlgebraDescriptor, spec: GradingSpec,
     ps = spec.step
     labels = list(spec.labels())
     vectors, scalars = {}, {}
-    if spec.case in (GradingCase.PRESWITCH_AZ, GradingCase.PRESWITCH_GH):
+    if not spec.case.is_switched:
         for lab in labels:
             mono = spec.monomial_of_label(lab)
             if mono in descriptor.excluded:
@@ -276,7 +276,7 @@ def switch_hypotheses(descriptor: AlgebraDescriptor, spec: GradingSpec,
     ValueError("hypothesis failure: ...") naming what broke.  Returns the
     Laguerre parameter of each monomial, or None for a zero derivation.
     """
-    if spec.case not in (GradingCase.PRESWITCH_AZ, GradingCase.PRESWITCH_GH):
+    if spec.case.is_switched:
         raise ValueError("switching starts from a pre-switch monomial grading")
     if spec.heights.n1 != spec.s + 1:
         raise ValueError("switching needs n1 = s + 1")
@@ -347,12 +347,7 @@ def switch_grading(descriptor: AlgebraDescriptor, spec: GradingSpec,
         # zero derivation: identity switching
         return build_closed_basis(descriptor, spec, None)
     field = descriptor.field
-    out_case = (
-        GradingCase.BIG_FIELD
-        if spec.case is GradingCase.PRESWITCH_AZ
-        else GradingCase.PRIME_FIELD
-    )
-    out_spec = GradingSpec(out_case, spec.heights, spec.s, spec.pi_residue)
+    out_spec = spec.switched()
     labels = list(out_spec.labels())
     lam = cfg.lam
     series = {}  # Laguerre coefficients by parameter, one per eigenvalue of D^p
@@ -643,7 +638,7 @@ def _product_rule(basis: GradedBasis, cfg: SwitchConfig) -> RuleTable:
     field multiplies and builds no algebra element.
     """
     spec, field = basis.spec, basis.field
-    if spec.case not in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD):
+    if not spec.case.is_switched:
         raise ValueError("product tables exist for the switched cases only")
     p, q, ps = field.p, spec.q, spec.step
     active = basis.active_labels

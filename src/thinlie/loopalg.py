@@ -11,7 +11,7 @@ normalization, centralizer chains and the per-period dimension count.
 
 from typing import NamedTuple
 
-from .common import CheckResult, GradingCase, GradingSpec, checks_passed, verdict_lines
+from .common import CheckResult, GradingSpec, checks_passed, verdict_lines
 from .dpalgebra import AlgebraElement, SparseEchelon
 from .ffield import FieldElement, FieldParams, plane_kernel, square_root
 from .grading import GradedBasis, SwitchConfig
@@ -336,7 +336,7 @@ class PatternParams(NamedTuple):
     @classmethod
     def for_grading(cls, spec: GradingSpec, cfg: SwitchConfig | None,
                     field: FieldParams) -> "PatternParams":
-        if spec.case in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD):
+        if spec.case.is_switched:
             delta = None
             if cfg is not None and not cfg.pi.is_zero():
                 delta = cfg.pi.inverse()

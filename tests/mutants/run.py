@@ -119,7 +119,8 @@ MUTANTS = [
            ("test_grading.py", "test_cli.py")),
     Mutant("RuleTable.rule keeps the class coefficient onto a placeholder", "grading.py",
            "            return (0,) * len(c), None\n", "            return tuple(c), None\n",
-           ("test_grading.py::test_rule_table_matches_pairwise_oracle",)),
+           ("test_grading.py::test_rule_table_matches_pairwise_oracle_at_gh_placeholders",
+            "test_grading.py::test_rule_table_matches_pairwise_oracle")),
     Mutant("antisymmetry_violations: mirror target unchecked", "liealg.py",
            "if ba is None or ab[1] != ba[1] or (ab[0] + ba[0]) % p:",
            "if ba is None or (ab[0] + ba[0]) % p:",
@@ -193,6 +194,21 @@ MUTANTS = [
     Mutant("first_chain_check: the zero clause at q - 1 dropped", "loopalg.py",
            "range(2, q), zero_at=q - 1)", "range(2, q - 1))",
            ("test_loopalg.py",)),
+    # the one chart of which grading a switch produces
+    Mutant("GradingSpec.switched: big and prime field swapped", "common.py",
+           "case = (GradingCase.BIG_FIELD if self.case is GradingCase.PRESWITCH_AZ\n"
+           "                else GradingCase.PRIME_FIELD)",
+           "case = (GradingCase.PRIME_FIELD if self.case is GradingCase.PRESWITCH_AZ\n"
+           "                else GradingCase.BIG_FIELD)",
+           ("test_records.py::test_switched_spec",)),
+    Mutant("GradingSpec.switched drops the pi residue", "common.py",
+           "return GradingSpec(case, self.heights, self.s, self.pi_residue)",
+           "return GradingSpec(case, self.heights, self.s)",
+           ("test_records.py::test_switched_spec", "test_cli.py::test_readme_examples")),
+    Mutant("GradingCase.is_switched omits the prime field", "common.py",
+           "return self in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD)",
+           "return self is GradingCase.BIG_FIELD",
+           ("test_records.py::test_switched_spec",)),
     Mutant("_laguerre_coefficients: sign", "grading.py",
            "coeffs.append(-falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
            "coeffs.append(falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
@@ -233,9 +249,19 @@ MUTANTS = [
            'unread.update({"--allow-negative-control"',
            ("test_cli.py::test_each_analyze_case_takes_only_the_options_it_reads",)),
     Mutant("graded-hamiltonian preswitch reads a pi outside F_p as 0 again", "cli.py",
-           "if family is Family.GRADED_HAMILTONIAN and not pi.in_prime_field():",
-           'if case == "prime-field" and not pi.in_prime_field():',
+           "    elif pi.in_prime_field():\n"
+           "        spec = GradingSpec(GradingCase.PRESWITCH_GH, heights, n1 - 1, pi.as_int())\n",
+           '    elif pi.in_prime_field() or case == "preswitch":\n'
+           "        spec = GradingSpec(GradingCase.PRESWITCH_GH, heights, n1 - 1,\n"
+           "                           pi.as_int() if pi.in_prime_field() else 0)\n",
            ("test_cli.py::test_each_analyze_case_takes_only_the_options_it_reads",)),
+    Mutant("materialize builds the graded-hamiltonian spec with residue 0", "cli.py",
+           "heights, n1 - 1, pi.as_int())", "heights, n1 - 1, 0)",
+           ("test_cli.py::test_verify_defaults",)),
+    Mutant("analyze grades a switched case by the pre-switch spec", "cli.py",
+           "        spec, cfg = rc.spec.switched(), _switch_config(rc)",
+           "        spec, cfg = rc.spec, _switch_config(rc)",
+           ("test_cli.py::test_analyze_text_frozen",)),
     Mutant("a switched case takes --family again", "cli.py",
            '        unread = {"--family": family_text}\n', "        unread = {}\n",
            ("test_cli.py::test_each_analyze_case_takes_only_the_options_it_reads",)),

@@ -1057,7 +1057,7 @@ def test_verify_defaults():
     )
     rc = materialize(ns)
     assert (rc.case, rc.n1, rc.s) == ("preswitch", 2, 1)
-    assert (rc.field.spec_string, str(rc.pi), str(rc.sigma), rc.pi_hat) == ("3^1:0,1", "1", "1", 1)
+    assert (rc.field.spec_string, str(rc.pi), str(rc.sigma), rc.spec.pi_residue) == ("3^1:0,1", "1", "1", 1)
     ns = build_parser().parse_args(
         ["analyze", "--case", "big-field", "--p", "3", "--n", "2"]
     )
@@ -1065,9 +1065,9 @@ def test_verify_defaults():
     assert (rc.n1, rc.s) == (2, 1)
     assert rc.field.spec_string == "3^3:2,2,0,1"
     assert str(rc.pi) == "t" and str(rc.sigma) == "1"
-    assert rc.pi_hat == 0  # t has no prime-field residue
+    assert rc.spec.pi_residue == 0  # the Albert-Zassenhaus pre-switch grading has no pi twist
     ns = build_parser().parse_args(
         ["analyze", "--case", "prime-field", "--p", "3", "--n", "1", "--pi", "2"]
     )
-    assert materialize(ns).pi_hat == 2
+    assert materialize(ns).spec.pi_residue == 2
 

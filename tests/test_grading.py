@@ -195,6 +195,15 @@ def test_switch_matches_closed_form_up_to_scalar():
         assert not closed.scalars[lab].is_zero()
 
 
+@pytest.mark.parametrize("desc, pre, cfg", [
+    (AZ, PRE_AZ, big_config()),
+    (GH, GradingSpec(GradingCase.PRESWITCH_GH, H21, 1, pi_residue=2),
+     SwitchConfig(F3, F3.one(), F3.element(2), 1)),
+])
+def test_switch_grading_produces_the_switched_spec(desc, pre, cfg):
+    assert switch_grading(desc, pre, Derivation(desc, 1), cfg).spec == pre.switched()
+
+
 def test_switch_hypothesis_failures():
     deriv = Derivation(AZ, 1)
     bad = SwitchConfig(F27, F27.one(), F27.one(), 1)  # pi^p - pi = 0 != 1
@@ -537,6 +546,28 @@ def test_rule_table_matches_pairwise_oracle(shape, big, data):
             if lab is not None and lab not in index:
                 c, lab = zero, None
             assert table.rule(a, b) == (c, index.get(lab)), (la, lb)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rule_table_matches_pairwise_oracle_at_gh_placeholders(p):
+    """The comparison above at Graded Hamiltonian (p, n, s) = (p, 1, 1),
+    sigma = pi = 1, on every ordered pair: at s >= 1 some class rules
+    point at a zero placeholder, which the table must read as vanishing."""
+    h = Heights(p, 2, 1)
+    field = FieldParams.prime(p)
+    desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, field, h)
+    cfg = SwitchConfig(field, field.one(), field.one(), 1)
+    closed = build_closed_basis(desc, GradingSpec(GradingCase.PRIME_FIELD, h, 1, 1), cfg)
+    table, rule = grading._product_rule(closed, cfg), product_rule(closed, cfg)
+    index = {lab: i for i, lab in enumerate(table.active)}
+    wrong = []
+    for la, a in index.items():
+        for lb, b in index.items():
+            c, lab = rule(la, lb)
+            expected = (c, index[lab]) if lab in index else ((0,), None)
+            if table.rule(a, b) != expected:
+                wrong.append((la, lb))
+    assert wrong == []
 
 
 @settings(max_examples=12, deadline=None)

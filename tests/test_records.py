@@ -66,6 +66,27 @@ def test_repr_and_defaults():
                                s=0, pi_residue=0)
 
 
+SWITCHES = [(GradingCase.PRESWITCH_AZ, GradingCase.BIG_FIELD),
+            (GradingCase.PRESWITCH_GH, GradingCase.PRIME_FIELD)]
+
+
+@pytest.mark.parametrize("pre, out", SWITCHES)
+def test_switched_spec(pre, out):
+    """Albert-Zassenhaus switches over the big field and graded Hamiltonian
+    over the prime field; the switch keeps the heights, s and pi residue."""
+    for heights, s, residue in ((Heights(3, 2, 3), 1, 2), (Heights(5, 3, 1), 2, 4)):
+        spec = GradingSpec(pre, heights, s, residue)
+        assert spec.switched() == GradingSpec(out, heights, s, residue)
+        assert (spec.case.is_switched, spec.switched().case.is_switched) == (False, True)
+
+
+@pytest.mark.parametrize("case", [out for _pre, out in SWITCHES])
+def test_switched_spec_does_not_switch_again(case):
+    with pytest.raises(ValueError) as err:
+        GradingSpec(case, Heights(3, 2, 3), 1, 2).switched()
+    assert str(err.value) == "switching starts from a pre-switch monomial grading"
+
+
 def test_t_powers_computed_once_per_instance(monkeypatch):
     from thinlie import ffield
     field, other = FieldParams(5, 5, (4, 4, 0, 0, 0, 1)), FieldParams(5, 5, (4, 4, 0, 0, 0, 1))

@@ -109,3 +109,30 @@ def test_trace_targets_resolve():
     missing = [f"{module}:{path}" for _name, module, path in targets
                if tracing._resolve(importlib.import_module(module), path) is None]
     assert missing == []
+
+
+def enclosing_calls(tree: ast.AST, name: str, scope: tuple = ()):
+    """(line, qualified name of the enclosing function or class) of every
+    call of the plain name `name` in `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (node.name,)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == name):
+            yield node.lineno, ".".join(scope)
+        yield from enclosing_calls(node, name, inner)
+
+
+def test_grading_specs_are_built_in_one_place():
+    """Which chart a run grades by is decided once: `cli.materialize` builds
+    the pre-switch spec and `GradingSpec.switched` the spec a switch
+    produces; no other package code constructs a GradingSpec."""
+    assert SOURCES
+    allowed = {("common.py", "GradingSpec.switched"), ("cli.py", "materialize")}
+    found = [f"{path.name}:{line} {where}"
+             for path in SOURCES
+             for line, where in enclosing_calls(ast.parse(path.read_text(), str(path)),
+                                                "GradingSpec")
+             if (path.name, where) not in allowed]
+    assert found == []
