@@ -16,7 +16,10 @@ perfbench/workloads.py; `--help` of each subcommand is compared too.
 One more pair compares the library surface: a fresh `python -c` that prints
 every name of `thinlie.__all__` with its `__module__` and `__qualname__`,
 then runs README.md's library quick start as tests/test_package.py does,
-printing the value of each expression line.
+printing the value of each expression line.  The last pairs print the
+failure listings that only planted inputs reach: the pair sweep of a
+switched basis with one rule fault, and the Jacobi, Leibniz and
+anticommutativity listings of a table that is no Lie algebra.
 Standard library only; this is not part of the tier-1 suite.
 """
 
@@ -44,6 +47,40 @@ LIBRARY = ("import thinlie\n"
            "for name in thinlie.__all__:\n"
            "    value = getattr(thinlie, name)\n"
            "    print(name, value.__module__, value.__qualname__)\n")
+
+#: Builds the planted non-Lie table the law pairs read: AlbertZassenhaus
+#: (3; 2, 1) with [xy, x^(2)y] = xy and [x^(2)y, xy] = 2xy, anticommutative
+#: but no Lie algebra.
+PLANTED_TABLE = (
+    "from thinlie import AlgebraDescriptor, Derivation, Family, FieldParams, Heights, Monomial\n"
+    "desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, FieldParams.prime(3), Heights(3, 2, 1))\n"
+    "a, b = desc.basis.index(Monomial(1, 1)), desc.basis.index(Monomial(2, 1))\n"
+    "desc.table[a][b], desc.table[b][a] = (1, a), (2, a)\n")
+
+#: (label, program) of the failure listings that no command line reaches,
+#: each printed from planted inputs by the package's public names.
+PLANTED = [
+    # the certificate fails on the doubled vector of (0,0,1), so the pair
+    # sweep lists every ordered pair that leaves its closed product rule
+    ("pair sweep on a planted rule fault",
+     "from thinlie import (AlgebraDescriptor, Family, FieldParams, GradingCase, GradingSpec,\n"
+     "                     Heights, Label, SwitchConfig, build_closed_basis, check_graded)\n"
+     "field, heights = FieldParams(3, 3, (2, 2, 0, 1)), Heights(3, 2, 1)\n"
+     "desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, field, heights)\n"
+     "cfg = SwitchConfig(field, field.one(), field.gen(), 1)\n"
+     "closed = build_closed_basis(desc, GradingSpec(GradingCase.BIG_FIELD, heights, 1), cfg)\n"
+     "closed.vectors[Label(0, 0, 1)] = closed.vectors[Label(0, 0, 1)].scale(2)\n"
+     "strays, misses = check_graded(desc, closed, cfg)\n"
+     "print(len(strays), 'strays')\n"
+     "print(*(f'{a.text()} {b.text()}' for a, b in misses), sep='\\n')\n"),
+    ("jacobi triples on a planted non-Lie table",
+     PLANTED_TABLE + "print(*desc.jacobi, sep='\\n')\n"),
+    ("leibniz pairs on a planted non-Lie table",
+     PLANTED_TABLE + "print(*Derivation(desc, 1).leibniz, sep='\\n')\n"),
+    # the same table with the mirror [x^(2)y, xy] dropped
+    ("anticommutativity on a planted non-Lie table",
+     PLANTED_TABLE + "del desc.table[b][a]\nprint(*desc.anticommutativity, sep='\\n')\n"),
+]
 
 
 def read_test(file: str, *names: str) -> list:
@@ -94,6 +131,7 @@ def runs() -> list:
             out.append((f"thinlie {shlex.join(full)}", ["-m", "thinlie", *full], b""))
     interactive, quick_start = read_test("test_package.py", "INTERACTIVE", "readme_quick_start")
     out.append(("library surface", ["-c", LIBRARY + interactive], quick_start().encode()))
+    out += [(f"library: {label}", ["-c", program], b"") for label, program in PLANTED]
     return out
 
 
