@@ -3,9 +3,12 @@ algebras, Laguerre-series grading switches, and machine verification of
 the thin loop-algebra diamond patterns.
 
 Public names are loaded lazily (PEP 562): `from thinlie import X` imports
-X's module and what it imports, nothing else.  `import thinlie.cli` puts
-every module in sys.modules, but runs `grading` and `loopalg` only when a
-command first reads them: `verify` runs neither, `switch` only `grading`."""
+X's module and what it imports, nothing else, so `build_closed_basis`
+loads neither the table laws (`laws`) nor the raw switch and its
+certificate (`switch`).  `import thinlie.cli` puts every module in
+sys.modules, but runs `grading`, `laws`, `loopalg` and `switch` only when
+a command first reads them: `verify` runs `laws` alone of the four,
+`switch` all but `loopalg`, `analyze` only `grading` and `loopalg`."""
 
 import importlib
 
@@ -17,12 +20,14 @@ _EXPORTS = {
                "monomial_grading_violations"),
     "dpalgebra": ("AlgebraElement", "Heights", "Monomial", "SparseEchelon"),
     "ffield": ("FieldElement", "FieldParams", "lucas_binomial"),
-    "grading": ("GradedBasis", "SwitchConfig", "build_closed_basis", "check_graded",
-                "laguerre_apply", "switch_checks", "switch_grading", "verify_product_tables"),
+    "grading": ("GradedBasis", "SwitchConfig", "build_closed_basis"),
+    "laws": (),
     "liealg": ("AlgebraDescriptor", "Derivation", "Family"),
     "loopalg": ("ComponentRecord", "DiamondRecord", "LoopConfig", "PatternParams",
                 "ThinReport", "centralizer_chain", "check_covering", "classify_component",
                 "expand_loop", "render_text", "run_analysis", "verify_pattern"),
+    "switch": ("check_graded", "laguerre_apply", "switch_checks", "switch_grading",
+               "verify_product_tables"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -19,14 +19,16 @@ from .common import (CheckResult, GradingCase, GradingSpec, checks_passed,
                      monomial_grading_violations, verdict_lines)
 from .dpalgebra import Heights
 from .ffield import MAX_SPEC_DIGITS, FieldParams
-from .liealg import (AlgebraDescriptor, Derivation, Family, closure_violations,
-                     derivation_power_violations, realization_violations)
+from .liealg import AlgebraDescriptor, Derivation, Family
 
 
 def _lazy(name: str):
     """The module `name`, in sys.modules now and executed on its first
-    attribute read (importlib.util.LazyLoader): `verify` runs neither the
-    switch nor the loop algebra, and `switch` does not run the loop algebra."""
+    attribute read (importlib.util.LazyLoader): `verify` runs the table laws
+    (`laws`) but no grading switch and no loop algebra; `switch` runs the
+    laws, the closed basis (`grading`) and the raw switch with its
+    certificate (`switch`); `analyze` runs the closed basis and the loop
+    algebra (`loopalg`) alone."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -38,7 +40,9 @@ def _lazy(name: str):
 
 
 grading = _lazy(f"{__package__}.grading")
+laws = _lazy(f"{__package__}.laws")
 loopalg = _lazy(f"{__package__}.loopalg")
+switch = _lazy(f"{__package__}.switch")
 
 #: Largest number of divided-power monomials p^(n1+n) a command accepts.
 #: Every command builds its structure-constant table over all
@@ -264,10 +268,10 @@ def cmd_verify(rc: RunConfig):
     suites = (
         ("anticommutativity", desc.anticommutativity),
         ("jacobi", desc.jacobi),
-        ("closure", closure_violations(desc)),
+        ("closure", laws.closure_violations(desc)),
         ("leibniz", deriv.leibniz),
-        ("derivation_power", derivation_power_violations(deriv)),
-        ("realization", realization_violations(deriv)),
+        ("derivation_power", laws.derivation_power_violations(deriv)),
+        ("realization", laws.realization_violations(deriv)),
         ("monomial_grading", monomial_grading_violations(desc, rc.spec)),
     )
     checks = {}
@@ -306,7 +310,7 @@ def cmd_switch(rc: RunConfig):
     desc = AlgebraDescriptor(rc.family, rc.field, rc.spec.heights)
     out_spec, cfg = rc.spec.switched(), _switch_config(rc)
     deriv = Derivation(desc, rc.s)
-    raw = grading.switch_grading(desc, rc.spec, deriv, cfg)
+    raw = switch.switch_grading(desc, rc.spec, deriv, cfg)
     closed = grading.build_closed_basis(desc, out_spec, cfg)
 
     serialized = closed.serialize()
@@ -316,7 +320,7 @@ def cmd_switch(rc: RunConfig):
                   and parsed.vectors == closed.vectors
                   and parsed.scalars == closed.scalars)
 
-    graded_raw, graded_closed, link_bad, tables = grading.switch_checks(desc, raw, closed, cfg)
+    graded_raw, graded_closed, link_bad, tables = switch.switch_checks(desc, raw, closed, cfg)
     checks = {}
     for name, violations in (
         ("graded_raw", [(a.text(), b.text(), w.text()) for a, b, w in graded_raw]),

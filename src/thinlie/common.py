@@ -3,7 +3,8 @@ the monomial grading check that `verify` runs before any switch, and the
 named check verdicts each command reports.
 
 Kept apart from `grading` and `loopalg`, so that a `verify` run executes
-neither of them.
+neither of them.  The grading check reads its kernel from `laws` when it
+runs, so that `analyze`, which shares the rest, does not load the laws.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import enum
 from typing import NamedTuple
 
 from .dpalgebra import Heights, Monomial
-from .liealg import AlgebraDescriptor, additive_violations
+from .liealg import AlgebraDescriptor
 
 
 class GradingCase(enum.Enum):
@@ -115,10 +116,11 @@ def monomial_grading_violations(descriptor: AlgebraDescriptor, spec: GradingSpec
     constants, so it covers any heights, including configurations without a
     label chart.  Empty list means the monomial basis realizes the grading.
     """
+    from . import laws
     basis = descriptor.basis
     deg = [spec.degree_of_monomial(m) for m in basis]
     return [(basis[a], basis[b])
-            for a, b in additive_violations([descriptor.table], deg, spec.N)]
+            for a, b in laws.additive_violations([descriptor.table], deg, spec.N)]
 
 
 class CheckResult(NamedTuple):

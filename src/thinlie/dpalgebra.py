@@ -80,7 +80,7 @@ def accumulate(terms: dict, pairs, p: int) -> dict:
     through this one loop: on the integer tables, and on the F_p coordinates
     of algebra elements, keyed (monomial, r) for the coefficient of t^r.
     It reduces per term, not once per sum, because `SparseEchelon.reduce`
-    and `grading._laguerre_series` add into one growing dict many times,
+    and `switch._laguerre_series` add into one growing dict many times,
     and a reduce-once pass would reduce that whole dict again each time."""
     get, pop = terms.get, terms.pop
     for key, c in pairs:

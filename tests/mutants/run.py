@@ -70,7 +70,7 @@ MUTANTS = [
            "p, power = desc.heights.p, dict(desc.table[desc._index[Monomial(0, 1)]])",
            "p, power = desc.heights.p, desc.table[desc._index[Monomial(0, 1)]]",
            ("test_liealg.py",)),
-    Mutant("derivation_defects: preimage sign", "liealg.py",
+    Mutant("derivation_defects: preimage sign", "laws.py",
            "preimages[k].append((d, i, s, -y))", "preimages[k].append((d, i, s, y))",
            ("test_liealg.py",)),
     Mutant("_closed_form_table: AZ wrap coefficient", "liealg.py",
@@ -84,52 +84,52 @@ MUTANTS = [
     Mutant("switch_hypotheses: a chain that dies in D^(p^2) read as D^p", "grading.py",
            "c2, k2 = dp2.get(i, (0, k))", "c2, k2 = dp2.get(i, (c, k))",
            ("test_grading.py",)),
-    Mutant("power laws: expected eigenvalue", "liealg.py",
+    Mutant("power laws: expected eigenvalue", "laws.py",
            "diagonal = [-(m.j - 1) % p for m in desc.basis]",
            "diagonal = [(m.j - 1) % p for m in desc.basis]",
            ("test_liealg.py",)),
-    Mutant("power laws: D^(p^2) comparison dropped", "liealg.py",
+    Mutant("power laws: D^(p^2) comparison dropped", "laws.py",
            "        if dpp.get(i) != dp.get(i):\n            bad.append((m, \"D^(p^2) != D^p\"))\n",
            "",
            ("test_liealg.py",)),
-    Mutant("realization_violations: D's own sources only", "liealg.py",
+    Mutant("realization_violations: D's own sources only", "laws.py",
            "return [m for i, m in enumerate(desc.basis) if table.get(i) != iterated.get(i)]",
            "return [desc.basis[i] for i in sorted(table) if table[i] != iterated.get(i)]",
            ("test_liealg.py",)),
-    Mutant("_product_rule: Y0 and Y1 swapped", "grading.py",
+    Mutant("_product_rule: Y0 and Y1 swapped", "switch.py",
            "for l1, y0, y1, gy in yrow:", "for l1, y1, y0, gy in yrow:",
            ("test_grading.py",)),
-    Mutant("_product_rule: block coefficient read at the fibre a - 1", "grading.py",
+    Mutant("_product_rule: block coefficient read at the fibre a - 1", "switch.py",
            "zip(block, sigma_expo[j1][a], sigma_expo[l1][b])",
            "zip(block, sigma_expo[j1][a - 1], sigma_expo[l1][b])",
            ("test_grading.py",)),
-    Mutant("_rules_certified: a class entry expanded onto the fibre a + b + 1", "grading.py",
+    Mutant("_rules_certified: a class entry expanded onto the fibre a + b + 1", "switch.py",
            "for b, t in zip(fibres[d][0], fibres[e][a])",
            "for b, t in zip(fibres[d][0], fibres[e][(a + 1) % len(fibres[e])])",
            ("test_grading.py",)),
-    Mutant("_rules_certified: the fibre pass skips the rows at k = -1", "grading.py",
+    Mutant("_rules_certified: the fibre pass skips the rows at k = -1", "switch.py",
            "near = [c % ps == 0 or any(", "near = [any(",
            ("test_grading.py",)),
-    Mutant("_rules_certified: the fibre pass skips the rows meeting a placeholder", "grading.py",
+    Mutant("_rules_certified: the fibre pass skips the rows meeting a placeholder", "switch.py",
            "near = [c % ps == 0 or any(None in fibres[e][0] for _x, e in row.values())",
            "near = [c % ps == 0 or any(None in fibres[e][1:] for _x, e in row.values())",
            ("test_grading.py",)),
-    Mutant("_prediction reads a vanishing prediction as a miss", "grading.py",
+    Mutant("_prediction reads a vanishing prediction as a miss", "switch.py",
            ".terms if t is not None else {}", ".terms if t is not None else None",
            ("test_grading.py", "test_cli.py")),
-    Mutant("RuleTable.rule keeps the class coefficient onto a placeholder", "grading.py",
+    Mutant("RuleTable.rule keeps the class coefficient onto a placeholder", "switch.py",
            "            return (0,) * len(c), None\n", "            return tuple(c), None\n",
            ("test_grading.py::test_rule_table_matches_pairwise_oracle_at_gh_placeholders",
             "test_grading.py::test_rule_table_matches_pairwise_oracle")),
-    Mutant("antisymmetry_violations: mirror target unchecked", "liealg.py",
+    Mutant("antisymmetry_violations: mirror target unchecked", "laws.py",
            "if ba is None or ab[1] != ba[1] or (ab[0] + ba[0]) % p:",
            "if ba is None or (ab[0] + ba[0]) % p:",
            ("test_liealg.py",)),
-    Mutant("additive_violations: first layer only", "liealg.py",
+    Mutant("additive_violations: first layer only", "laws.py",
            "    for layer in rows:\n        for a, row in enumerate(layer):\n            wa",
            "    for layer in rows[:1]:\n        for a, row in enumerate(layer):\n            wa",
            ("test_liealg.py", "test_grading.py")),
-    Mutant("table_generators: a pair read before both members are reached", "liealg.py",
+    Mutant("table_generators: a pair read before both members are reached", "laws.py",
            "if done[v] and not reached[k]:", "if not reached[k]:",
            ("test_liealg.py", "test_grading.py")),
     Mutant("accumulate keeps zero sums", "dpalgebra.py",
@@ -209,12 +209,12 @@ MUTANTS = [
            "return self in (GradingCase.BIG_FIELD, GradingCase.PRIME_FIELD)",
            "return self is GradingCase.BIG_FIELD",
            ("test_records.py::test_switched_spec",)),
-    Mutant("_laguerre_coefficients: sign", "grading.py",
+    Mutant("_laguerre_coefficients: sign", "switch.py",
            "coeffs.append(-falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
            "coeffs.append(falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
            ("test_grading.py",)),
     # the sign edit again, which the sympy Laguerre oracle must catch on its own
-    Mutant("_laguerre_coefficients: sign, against sympy alone", "grading.py",
+    Mutant("_laguerre_coefficients: sign, against sympy alone", "switch.py",
            "coeffs.append(-falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
            "coeffs.append(falling_factorial(alpha + (p - 1), p - 1 - k) * lam_k)",
            ("test_sympy_oracles.py::test_laguerre_coefficients_match_sympy",)),
@@ -281,6 +281,26 @@ MUTANTS = [
            "from .ffield import MAX_SPEC_DIGITS, FieldParams\n",
            "from .ffield import MAX_SPEC_DIGITS, FieldParams\nfrom .grading import SwitchConfig\n",
            ("test_package.py::test_each_subcommand_runs_only_the_modules_it_uses",)),
+    # each command loads only the modules it runs: the laws and the switch
+    # certificate wait for the commands that check them
+    Mutant("cli imports laws at load time", "cli.py",
+           "from .ffield import MAX_SPEC_DIGITS, FieldParams\n",
+           "from .ffield import MAX_SPEC_DIGITS, FieldParams\nfrom .laws import closure_violations\n",
+           ("test_package.py::test_each_subcommand_runs_only_the_modules_it_uses",)),
+    Mutant("common imports laws at load time", "common.py",
+           "from .liealg import AlgebraDescriptor\n",
+           "from .laws import additive_violations\nfrom .liealg import AlgebraDescriptor\n",
+           ("test_package.py",)),
+    Mutant("liealg imports laws at load time", "liealg.py",
+           "\n\ndef __getattr__(name):", "\nfrom . import laws  # noqa: E402\n\n\ndef __getattr__(name):",
+           ("test_package.py",)),
+    Mutant("grading no longer serves check_graded to the tracer", "grading.py",
+           '_TRACED = {"check_graded": "switch", ', "_TRACED = {",
+           ("test_source.py::test_forwarding_serves_exactly_the_moved_trace_targets",)),
+    Mutant("liealg serves a name the tracer does not look up", "liealg.py",
+           '"leibniz_violations", "realization_violations"), "laws")',
+           '"leibniz_violations", "monomial_generators", "realization_violations"), "laws")',
+           ("test_source.py::test_forwarding_serves_exactly_the_moved_trace_targets",)),
     Mutant("_lazy leaves the module out of sys.modules", "cli.py",
            "    sys.modules[name] = module\n", "",
            ("test_cli.py::test_traced_jobs_span_each_law_once",)),

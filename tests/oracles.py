@@ -1,6 +1,7 @@
-"""Dense reference sweeps for the law checks of `thinlie.liealg` and the
-grading checks of `thinlie.grading`, and FieldElement references
-for the coordinate kernels of `thinlie.dpalgebra` and `thinlie.liealg`.
+"""Dense reference sweeps for the law checks of `thinlie.laws` and the
+grading checks of `thinlie.switch`, and FieldElement references
+for the coordinate kernels of `thinlie.dpalgebra`, `thinlie.liealg` and
+`thinlie.laws`.
 
 The sweeps visit every triple and every pair, with no sparsity argument, and
 read the structure constants only through the public `bracket_mono`,
@@ -15,7 +16,7 @@ D's monomial map, and `dense_table_power` sums vectors where the package
 follows one chain per source.  The sparse and integer
 sweeps must return the same violation lists, in the same order.
 
-`ordered_check_graded` is the sweep of `thinlie.grading.check_graded` over
+`ordered_check_graded` is the sweep of `thinlie.switch.check_graded` over
 every ordered pair of active labels, comparing each bracket with its
 product-rule prediction c v_L as an element, or with zero when the rule
 vanishes; the package's sweep, which compares terms, must return the same
@@ -24,7 +25,7 @@ strays and misses, in the same order.
 arithmetic, the reference for the factored rule table the package builds.
 `rule_layers` expands that table to dim x dim, one `RuleTable.rule` per
 ordered pair, and `full_rules_certified` runs the generator certificate of
-`grading._rules_certified` on the whole of it, with no class argument: the
+`switch._rules_certified` on the whole of it, with no class argument: the
 reference for the certificate that checks the table laws once per label
 class and per fibre only where the block or a placeholder enters.
 
@@ -47,12 +48,14 @@ falling factorials by Wilson's theorem.
 
 import math
 
-from thinlie import grading
+from thinlie import switch
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, accumulate
 from thinlie.ffield import FieldElement, lucas_binomial
-from thinlie.grading import GradedBasis, GradingSpec, Label
-from thinlie.liealg import (AlgebraDescriptor, Derivation, Family, additive_violations,
-                            ads_are_derivations, antisymmetry_violations, table_generators)
+from thinlie.common import GradingCase, GradingSpec, Label
+from thinlie.grading import GradedBasis
+from thinlie.laws import (additive_violations, ads_are_derivations, antisymmetry_violations,
+                          table_generators)
+from thinlie.liealg import AlgebraDescriptor, Derivation, Family
 
 
 def dense_anticommutativity_violations(desc: AlgebraDescriptor) -> list:
@@ -252,7 +255,7 @@ def dense_monomial_grading_violations(desc: AlgebraDescriptor, spec: GradingSpec
 
 
 def product_rule(basis: GradedBasis, cfg):
-    """The closed product rule of `grading._product_rule`, one ordered pair
+    """The closed product rule of `switch._product_rule`, one ordered pair
     of labels at a time: rule(la, lb) = (c, L) for [v_la, v_lb] = c v_L,
     c by its m F_p coordinates.  L is None when c = 0, and when the target
     falls outside the label range (then c must be 0: else no prediction).
@@ -267,7 +270,7 @@ def product_rule(basis: GradedBasis, cfg):
     p, q, ps = field.p, spec.q, spec.step
 
     def exponent(j, a):
-        if spec.case is grading.GradingCase.BIG_FIELD:
+        if spec.case is GradingCase.BIG_FIELD:
             return -field.element(j) * cfg.pi + a
         return field.element(a)
 
@@ -289,7 +292,7 @@ def product_rule(basis: GradedBasis, cfg):
 
 
 def rule_layers(table) -> list:
-    """The rule table T' of a `grading.RuleTable` expanded to dim x dim,
+    """The rule table T' of a `switch.RuleTable` expanded to dim x dim,
     one `rule` call per ordered pair of active labels: the coordinate
     layers rows[r][a] = {b: (x, t)} for each x != 0, the t^r coordinate of
     c in rule(a, b) = (c, t) with a target t."""
@@ -307,7 +310,7 @@ def rule_layers(table) -> list:
 
 
 def full_rules_certified(desc: AlgebraDescriptor, basis: GradedBasis, table) -> bool:
-    """The generator certificate of `grading._rules_certified`, with every
+    """The generator certificate of `switch._rules_certified`, with every
     table law checked on all of T' as `rule_layers` expands it:
     antisymmetry and additive degrees over every entry, an empty Jacobi
     verdict of the algebra, generators by the same two walks, ad_g a
@@ -338,9 +341,9 @@ def full_rules_certified(desc: AlgebraDescriptor, basis: GradedBasis, table) -> 
 
 def ordered_check_graded(desc: AlgebraDescriptor, basis: GradedBasis, cfg=None) -> tuple[list, list]:
     """(strays, misses) of `check_graded`, one bracket per ordered pair,
-    with the predictions read from the table of `grading._product_rule`."""
+    with the predictions read from the table of `switch._product_rule`."""
     spec, field = basis.spec, basis.field
-    table = grading._product_rule(basis, cfg) if cfg is not None else None
+    table = switch._product_rule(basis, cfg) if cfg is not None else None
     by_deg: dict = {}
     active = basis.active_labels
     vectors, degrees = basis.vectors, basis.degrees

@@ -19,27 +19,19 @@ from oracles import (
     element_leibniz_violations,
 )
 from thinlie.cli import main
+from thinlie.common import GradingCase, GradingSpec
 from thinlie.dpalgebra import Heights
 from thinlie.ffield import FieldParams, lucas_binomial
-from thinlie.grading import (
-    GradingCase,
-    GradingSpec,
-    SwitchConfig,
-    build_closed_basis,
-    switch_checks,
-    switch_grading,
-    verify_product_tables,
-)
-from thinlie.liealg import (
-    AlgebraDescriptor,
-    Derivation,
-    Family,
+from thinlie.grading import SwitchConfig, build_closed_basis
+from thinlie.laws import (
     anticommutativity_violations,
     derivation_power_violations,
     jacobi_violations,
     leibniz_violations,
     realization_violations,
 )
+from thinlie.liealg import AlgebraDescriptor, Derivation, Family
+from thinlie.switch import switch_checks, switch_grading, verify_product_tables
 from thinlie.loopalg import (
     INFINITY,
     LoopConfig,

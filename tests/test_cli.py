@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 import thinlie
-from thinlie import cli, ffield, grading, liealg
+from thinlie import cli, ffield, grading, laws, liealg, switch
 from thinlie.cli import build_parser, main, materialize, standard_modulus
 from thinlie.dpalgebra import Heights, Monomial, accumulate
 from thinlie.ffield import FieldElement, FieldParams
@@ -281,12 +281,12 @@ def test_switch_passes_gh_s0_without_the_pair_sweep(capsys, monkeypatch):
     further generators, so the frozen GradedHamiltonian s = 0 switches pass
     without the sweep too, as do the three big-field switches at dimension
     243 and the big field at p = 5."""
-    calls, sweep = [], grading._pair_sweep
+    calls, sweep = [], switch._pair_sweep
 
     def counted(*args):
         calls.append(1)
         return sweep(*args)
-    monkeypatch.setattr(grading, "_pair_sweep", counted)
+    monkeypatch.setattr(switch, "_pair_sweep", counted)
     for name in ("prime p3 n2 s0 pi1", "prime p5 n1 s0 pi2", "big p3 n2 s2 pi t+0",
                  "big p3 n2 s2 pi t+1", "big p3 n2 s2 pi t+2", "big p5 n1",
                  "prime p3 n1 s2 pi1", "prime p3 n2 s2 pi2 sigma2", "big p5 n1 s1 pi2t sigma3"):
@@ -329,12 +329,12 @@ def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatc
     """The chained-triple sweep runs zero times on a true algebra, once on a
     planted anticommutative Jacobi failure, and straight away, without the
     certificate, on a table planted off anticommutativity."""
-    calls, sweep = [], liealg._jacobi_sweep
+    calls, sweep = [], laws._jacobi_sweep
 
     def counted(desc):
         calls.append(1)
         return sweep(desc)
-    monkeypatch.setattr(liealg, "_jacobi_sweep", counted)
+    monkeypatch.setattr(laws, "_jacobi_sweep", counted)
     code, _, _ = run(capsys, "verify", "--family", "albert-zassenhaus",
                      "--p", "3", "--n", "2", "--n1", "3")
     assert (code, len(calls)) == (0, 0)
@@ -344,7 +344,7 @@ def test_verify_sweeps_jacobi_only_when_the_certificate_fails(capsys, monkeypatc
     assert desc.anticommutativity == []
     assert len(desc.jacobi) == 25
     assert len(calls) == 1
-    monkeypatch.setattr(liealg, "monomial_generators", None)  # the certificate would call it
+    monkeypatch.setattr(laws, "monomial_generators", None)  # the certificate would call it
     desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, FieldParams.prime(3), Heights(3, 1, 1))
     a, b = desc._index[Monomial(1, 0)], desc._index[Monomial(0, 1)]
     desc.table[a][b] = (1, desc._index[Monomial(1, 1)])  # [x, y] = xy, [y, x] = 0
@@ -360,8 +360,8 @@ def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
     Jacobi sweep test, anticommutative but not a Lie algebra, Leibniz sums
     every row and lists what the element sweep finds."""
     walks, visited, inside, iterated = [], [], [], []
-    walk, kernel, leibniz, iterate = (liealg.monomial_generators, liealg.derivation_defects,
-                                      liealg.leibniz_violations, liealg.iterated_table)
+    walk, kernel, leibniz, iterate = (laws.monomial_generators, laws.derivation_defects,
+                                      laws.leibniz_violations, laws.iterated_table)
 
     def counted_walk(desc):
         walks.append(walk(desc))
@@ -382,10 +382,10 @@ def test_verify_decides_leibniz_on_generator_rows(capsys, monkeypatch):
     def counted_iterate(desc, s):
         iterated.append(1)
         return iterate(desc, s)
-    monkeypatch.setattr(liealg, "monomial_generators", counted_walk)
-    monkeypatch.setattr(liealg, "leibniz_violations", counted_leibniz)
-    monkeypatch.setattr(liealg, "derivation_defects", counted_kernel)
-    monkeypatch.setattr(liealg, "iterated_table", counted_iterate)
+    monkeypatch.setattr(laws, "monomial_generators", counted_walk)
+    monkeypatch.setattr(laws, "leibniz_violations", counted_leibniz)
+    monkeypatch.setattr(laws, "derivation_defects", counted_kernel)
+    monkeypatch.setattr(laws, "iterated_table", counted_iterate)
     code, out, _ = run(capsys, "verify", "--family", "albert-zassenhaus",
                        "--p", "3", "--n", "2", "--n1", "3")
     assert (code, len(walks), visited, iterated) == (0, 1, [(len(walks[0]), False)], [1])
@@ -407,7 +407,7 @@ def test_certificates_take_one_kernel_pass_each(capsys, monkeypatch):
     the rule certificate with X and Y twice, once on the class table C over
     every pair of classes and once per fibre on the three layers of T' over
     F_27, on the rows of the 27 labels at k = -1 against every label."""
-    calls, kernel, walk, walks = [], liealg.derivation_defects, liealg.monomial_generators, []
+    calls, kernel, walk, walks = [], laws.derivation_defects, laws.monomial_generators, []
 
     def counted_kernel(rows, derivations, field, half=False, visit=None):
         calls.append((len(rows), len(derivations), half, visit))
@@ -416,8 +416,8 @@ def test_certificates_take_one_kernel_pass_each(capsys, monkeypatch):
     def counted_walk(desc):
         walks.append(walk(desc))
         return walks[-1]
-    monkeypatch.setattr(liealg, "derivation_defects", counted_kernel)
-    monkeypatch.setattr(liealg, "monomial_generators", counted_walk)
+    monkeypatch.setattr(laws, "derivation_defects", counted_kernel)
+    monkeypatch.setattr(laws, "monomial_generators", counted_walk)
     for name in ("az p3 n2 n1 3", "az p3 n3 n1 2"):
         calls[:], walks[:] = [], []
         code, _, _ = run(capsys, "verify", *VERIFY_FROZEN[name][0])
@@ -444,7 +444,8 @@ def test_verify_walks_every_source_for_the_laws_of_d(capsys, monkeypatch):
     def counted_power(table, k, p):
         powered.append(None)
         return power(table, k, p)
-    monkeypatch.setattr(liealg, "table_power", counted_power)
+    for module in (laws, liealg):  # the power law, and the powers of iterated_table
+        monkeypatch.setattr(module, "table_power", counted_power)
     for name, calls in (("az p3 n2 n1 3", 2 + 2), ("gh p3 n2", 1 + 1)):
         powered[:] = []
         code, out, _ = run(capsys, "verify", *VERIFY_FROZEN[name][0])
@@ -456,12 +457,12 @@ def test_verify_walks_every_source_for_the_laws_of_d(capsys, monkeypatch):
 def test_verify_checks_anticommutativity_once(capsys, monkeypatch):
     """The descriptor keeps its anticommutativity verdict, so Jacobi and
     Leibniz read it without computing it again."""
-    calls, check = [], liealg.anticommutativity_violations
+    calls, check = [], laws.anticommutativity_violations
 
     def counted(desc):
         calls.append(1)
         return check(desc)
-    monkeypatch.setattr(liealg, "anticommutativity_violations", counted)
+    monkeypatch.setattr(laws, "anticommutativity_violations", counted)
     code, out, _ = run(capsys, "verify", "--family", "albert-zassenhaus",
                        "--p", "3", "--n", "2", "--n1", "3")
     assert (code, len(calls)) == (0, 1)
@@ -486,13 +487,13 @@ def test_traced_jobs_span_each_law_once(tmp_path):
     per-layer metrics at zero."""
     tracing, workloads = perfbench_module("tracing"), perfbench_module("workloads")
     verify = workloads.WORKLOADS["verify-az243"].all_argvs()
-    switch = [workloads.WORKLOADS["switch-big243"].argv_of(0)]
-    assert switch[0][-2:] == ["--pi", "t+0"]
-    laws = ["liealg." + name for name in ("anticommutativity", "jacobi", "closure", "leibniz",
-                                          "derivation_power", "realization")]
+    switching = [workloads.WORKLOADS["switch-big243"].argv_of(0)]
+    assert switching[0][-2:] == ["--pi", "t+0"]
+    spans = ["liealg." + name for name in ("anticommutativity", "jacobi", "closure", "leibniz",
+                                           "derivation_power", "realization")]
     src = os.path.dirname(os.path.dirname(thinlie.__file__))
-    for argvs, names in ((verify, laws), (switch, ["liealg.anticommutativity",
-                                                   "grading.check_graded"])):
+    for argvs, names in ((verify, spans), (switching, ["liealg.anticommutativity",
+                                                       "grading.check_graded"])):
         for argv in argvs:
             dump = tmp_path / "trace.bin"
             out = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "traced",
@@ -541,7 +542,7 @@ def test_switch_checks_anticommutativity_once(capsys, monkeypatch):
     """One switch run computes anticommutativity once, also when the
     scalar link fails and the raw basis is swept on its own: a closed
     scalar doubled at one label breaks the link."""
-    calls, check = [], liealg.anticommutativity_violations
+    calls, check = [], laws.anticommutativity_violations
     build, broken = grading.build_closed_basis, [False]
 
     def counted(desc):
@@ -554,7 +555,7 @@ def test_switch_checks_anticommutativity_once(capsys, monkeypatch):
             lab = Label(0, 0, 1)
             closed.scalars[lab] = closed.scalars[lab] * 2
         return closed
-    monkeypatch.setattr(liealg, "anticommutativity_violations", counted)
+    monkeypatch.setattr(laws, "anticommutativity_violations", counted)
     monkeypatch.setattr(grading, "build_closed_basis", closed_basis)
     for broken[0], code in ((False, 0), (True, 1)):
         calls.clear()
@@ -605,7 +606,7 @@ def test_switch_checks_the_raw_rank_without_the_link(capsys, monkeypatch):
     multiple of another breaks the link too, and its rank check exits 1
     naming the dependent label."""
     ranked, closed = ranked_bases(monkeypatch)
-    build, switch = grading.build_closed_basis, grading.switch_grading
+    build, switch_grading = grading.build_closed_basis, switch.switch_grading
 
     def doubled(*args):
         basis = build(*args)
@@ -625,10 +626,10 @@ def test_switch_checks_the_raw_rank_without_the_link(capsys, monkeypatch):
             assert ranked[1].spec.case is grading.GradingCase.BIG_FIELD, fmt
 
     def dependent(*args):
-        raw = switch(*args)
+        raw = switch_grading(*args)
         raw.vectors[Label(0, 0, 1)] = raw.vectors[Label(0, 0, 2)].scale(2)
         return raw
-    monkeypatch.setattr(grading, "switch_grading", dependent)
+    monkeypatch.setattr(switch, "switch_grading", dependent)
     ranked[:], closed[:] = [], []
     got = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", "1")
     assert got == (1, "", "error: basis vector at label Label(j=0, k=0, a=2) is dependent\n")
@@ -659,7 +660,7 @@ def test_switch_keeps_the_shorter_generator_walk(capsys, monkeypatch):
     GradedHamiltonian switch at p = 5, s = 0, pi = 2 the second walk takes
     3 generators where the first took 9, and the output keeps its frozen
     bytes.  switch-big243, where X and Y generate, walks once."""
-    calls, walks, kernel, walk = [], [], liealg.derivation_defects, grading.table_generators
+    calls, walks, kernel, walk = [], [], laws.derivation_defects, switch.table_generators
 
     def counted_kernel(rows, derivations, field, half=False, visit=None):
         calls.append(len(derivations))
@@ -668,8 +669,8 @@ def test_switch_keeps_the_shorter_generator_walk(capsys, monkeypatch):
     def counted_walk(rows, candidates):
         walks.append(walk(rows, candidates))
         return walks[-1]
-    monkeypatch.setattr(liealg, "derivation_defects", counted_kernel)
-    monkeypatch.setattr(grading, "table_generators", counted_walk)
+    monkeypatch.setattr(laws, "derivation_defects", counted_kernel)
+    monkeypatch.setattr(switch, "table_generators", counted_walk)
     args, code, text_sha, json_sha = SWITCH_FROZEN["prime p5 n1 s0 pi2"]
     for fmt, digest in (("text", text_sha), ("json", json_sha)):
         calls[:], walks[:] = [], []
@@ -709,7 +710,7 @@ def test_switch_field_multiplies_linear_in_dim(capsys, monkeypatch):
     echelon steps run on integer coordinates (the FieldElement sweep made
     6245 products at dim 27 and 45 201 at dim 81)."""
     counts, sweeping = [], [False]
-    mul, switch_checks = FieldElement.__mul__, grading.switch_checks
+    mul, switch_checks = FieldElement.__mul__, switch.switch_checks
 
     def counted(self, other):
         if sweeping[0]:
@@ -724,7 +725,7 @@ def test_switch_field_multiplies_linear_in_dim(capsys, monkeypatch):
             sweeping[0] = False
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     monkeypatch.setattr(FieldElement, "__rmul__", counted)
-    monkeypatch.setattr(grading, "switch_checks", swept)
+    monkeypatch.setattr(switch, "switch_checks", swept)
     for n, dim in (("1", 27), ("2", 81)):
         counts.clear()
         code, _, _ = run(capsys, "switch", "--case", "big-field", "--p", "3", "--n", n)

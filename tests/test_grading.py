@@ -10,26 +10,16 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import Echelon, falling_binomial, ordered_check_graded, product, product_rule
-from thinlie import grading, liealg
+from thinlie import grading, laws, switch
 from thinlie.cli import standard_modulus
+from thinlie.common import GradingCase, GradingSpec, Label, monomial_grading_violations
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon, generalized_power
 from thinlie.ffield import FieldParams
-from thinlie.grading import (
-    GradedBasis,
-    GradingCase,
-    GradingSpec,
-    Label,
-    SwitchConfig,
-    build_closed_basis,
-    check_graded,
-    laguerre_apply,
-    monomial_grading_violations,
-    switch_checks,
-    switch_grading,
-    verify_product_tables,
-)
-from thinlie.liealg import (AlgebraDescriptor, Derivation, Family, antisymmetry_violations,
-                            anticommutativity_violations)
+from thinlie.grading import GradedBasis, SwitchConfig, build_closed_basis
+from thinlie.laws import antisymmetry_violations, anticommutativity_violations
+from thinlie.liealg import AlgebraDescriptor, Derivation, Family
+from thinlie.switch import (check_graded, laguerre_apply, switch_checks, switch_grading,
+                            verify_product_tables)
 
 F3 = FieldParams.prime(3)
 F27 = FieldParams(3, 3, (2, 2, 0, 1))
@@ -347,7 +337,7 @@ def test_laguerre_series_matches_element_oracle(shape, data):
         [k // field.p ** r % field.p for r in range(field.m)]), st.integers(0, field.order - 1))
     v = AlgebraElement(field, heights, [(m, data.draw(element)) for m in monos])
     coeffs = [data.draw(element) for _ in range(field.p)]
-    assert grading._laguerre_series(coeffs, deriv, v) == oracles.laguerre_series(coeffs, deriv, v)
+    assert switch._laguerre_series(coeffs, deriv, v) == oracles.laguerre_series(coeffs, deriv, v)
 
 
 def test_serialize_parse_round_trip():
@@ -450,16 +440,16 @@ def counting_brackets(desc):
 
 
 def spying_sweep(mp, calls=()):
-    """Wrap `grading._pair_sweep`; the returned list gets, per sweep, how
+    """Wrap `switch._pair_sweep`; the returned list gets, per sweep, how
     many entries `calls` (see `counting_brackets`) gained inside it."""
-    sweeps, sweep = [], grading._pair_sweep
+    sweeps, sweep = [], switch._pair_sweep
 
     def spied(*args):
         before = len(calls)
         out = sweep(*args)
         sweeps.append(len(calls) - before)
         return out
-    mp.setattr(grading, "_pair_sweep", spied)
+    mp.setattr(switch, "_pair_sweep", spied)
     return sweeps
 
 
@@ -535,7 +525,7 @@ def test_rule_table_matches_pairwise_oracle(shape, big, data):
         closed = build_closed_basis(desc, spec, cfg)
     except ValueError:
         assume(False)
-    table, rule = grading._product_rule(closed, cfg), product_rule(closed, cfg)
+    table, rule = switch._product_rule(closed, cfg), product_rule(closed, cfg)
     assert table.active == closed.active_labels
     index = {lab: i for i, lab in enumerate(table.active)}
     zero = (0,) * field.m
@@ -558,7 +548,7 @@ def test_rule_table_matches_pairwise_oracle_at_gh_placeholders(p):
     desc = AlgebraDescriptor(Family.GRADED_HAMILTONIAN, field, h)
     cfg = SwitchConfig(field, field.one(), field.one(), 1)
     closed = build_closed_basis(desc, GradingSpec(GradingCase.PRIME_FIELD, h, 1, 1), cfg)
-    table, rule = grading._product_rule(closed, cfg), product_rule(closed, cfg)
+    table, rule = switch._product_rule(closed, cfg), product_rule(closed, cfg)
     index = {lab: i for i, lab in enumerate(table.active)}
     wrong = []
     for la, a in index.items():
@@ -598,10 +588,10 @@ def test_rules_certificate_matches_full_table_oracle(shape, big, data):
     desc = AlgebraDescriptor(family, field, h)
     cfg = SwitchConfig(field, field.element(sigma), pi, s)
     closed = build_closed_basis(desc, GradingSpec(case, h, s, residue), cfg)
-    table = grading._product_rule(closed, cfg)
+    table = switch._product_rule(closed, cfg)
     planting = data.draw(st.sampled_from(["none", "class", "block"] + ["placeholder"] * (not big)))
     if planting == "none":
-        assert grading._rules_certified(desc, closed, table)
+        assert switch._rules_certified(desc, closed, table)
     scale, both = data.draw(st.integers(2, p - 1)), data.draw(st.booleans())
     if planting == "block":
         entries = [(layer, a, b) for layer in table.block for a, row in enumerate(layer)
@@ -616,7 +606,7 @@ def test_rules_certificate_matches_full_table_oracle(shape, big, data):
         for u, v in ((a, b), (b, a)) if both else ((a, b),):
             x, t = layer[u][v]
             layer[u][v] = (x * scale % p, t)
-    assert grading._rules_certified(desc, closed, table) == oracles.full_rules_certified(
+    assert switch._rules_certified(desc, closed, table) == oracles.full_rules_certified(
         desc, closed, table)
 
 
@@ -630,13 +620,13 @@ def test_certificate_walks_the_full_expansion(case, p, n, s, pi, sigma, monkeypa
     GradedHamiltonian switches have two), on Albert-Zassenhaus over F_27
     and Graded Hamiltonian over F_3 and F_5."""
     desc, _raw, closed, cfg = switched(case, p, n, s, pi, sigma)
-    table, walked, walk = grading._product_rule(closed, cfg), [], grading.table_generators
+    table, walked, walk = switch._product_rule(closed, cfg), [], switch.table_generators
 
     def spied(rows, candidates):
         walked.append(rows)
         return walk(rows, candidates)
-    monkeypatch.setattr(grading, "table_generators", spied)
-    assert grading._rules_certified(desc, closed, table)
+    monkeypatch.setattr(switch, "table_generators", spied)
+    assert switch._rules_certified(desc, closed, table)
     assert walked == [oracles.rule_layers(table)]
 
 
@@ -646,21 +636,21 @@ def test_fibre_pass_visits_the_block_rows_and_those_meeting_a_placeholder(monkey
     entry onto a class with a zero placeholder, whose pairs T' drops.  The
     GradedHamiltonian switch at p = 3, s = 2 has placeholders at
     (-1, -1, 0) and (1, 7, 2); the big field at dimension 27 has none."""
-    visits, kernel = [], liealg.derivation_defects
+    visits, kernel = [], laws.derivation_defects
 
     def spied(rows, derivations, field, half=False, visit=None):
         visits.append(visit)
         return kernel(rows, derivations, field, half, visit)
-    monkeypatch.setattr(liealg, "derivation_defects", spied)
+    monkeypatch.setattr(laws, "derivation_defects", spied)
     for case, pi, holes in ((GradingCase.PRIME_FIELD, 1, {(-1, -1), (1, 7)}),
                             (GradingCase.BIG_FIELD, 0, set())):
         desc, _raw, closed, cfg = switched(case, 3, 1, 2 if holes else 1, pi)
-        table = grading._product_rule(closed, cfg)
+        table = switch._product_rule(closed, cfg)
         assert {lab[:2] for lab in closed.labels if lab not in closed.active_labels} == holes
         ps = closed.spec.step
         hole_classes = {(j + 1) * ps + k + 1 for j, k in holes}
         visits[:] = []
-        assert grading._rules_certified(desc, closed, table)
+        assert switch._rules_certified(desc, closed, table)
         assert visits[-1] == [i for i, lab in enumerate(table.active) if lab.k == -1 or any(
             e in hole_classes for _x, e in table.classes[table.place[i][0]].values())]
         assert len(visits[-1]) > sum(lab.k == -1 for lab in table.active) or not holes
@@ -674,7 +664,7 @@ def test_block_fault_away_from_the_generators_needs_the_fibre_pass(monkeypatch):
     F_27 the certificate refuses it, as the full-table oracle does, and
     passes it once the kernel is blinded on those rows."""
     desc, _raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
-    table = grading._product_rule(closed, cfg)
+    table = switch._product_rule(closed, cfg)
     degree_one = [i for i, lab in enumerate(table.active) if closed.degrees[lab] == 1]
     r, a, b = next((r, a, b) for r, layer in enumerate(table.block)
                    for a, row in enumerate(layer) for b in row
@@ -682,13 +672,13 @@ def test_block_fault_away_from_the_generators_needs_the_fibre_pass(monkeypatch):
     for u, v in ((a, b), (b, a)):
         x, t = table.block[r][u][v]
         table.block[r][u][v] = (2 * x % 3, t)
-    assert not grading._rules_certified(desc, closed, table)
+    assert not switch._rules_certified(desc, closed, table)
     assert not oracles.full_rules_certified(desc, closed, table)
-    kernel = liealg.derivation_defects
-    monkeypatch.setattr(liealg, "derivation_defects",
+    kernel = laws.derivation_defects
+    monkeypatch.setattr(laws, "derivation_defects",
                         lambda rows, ds, field, half=False, visit=None:
                         kernel(rows, ds, field, half, visit) if visit is None else iter(()))
-    assert grading._rules_certified(desc, closed, table)
+    assert switch._rules_certified(desc, closed, table)
 
 
 def test_switch_grading_computes_coefficients_per_eigenvalue(monkeypatch):
@@ -696,12 +686,12 @@ def test_switch_grading_computes_coefficients_per_eigenvalue(monkeypatch):
     of D^p, p falling factorials each: at most p^2 calls, where one series
     per monomial made dim p.  The D of Albert-Zassenhaus has all p
     eigenvalues, so at p = 3, dim 81 that is 9 calls instead of 243."""
-    calls, falling = [], grading.falling_factorial
+    calls, falling = [], switch.falling_factorial
 
     def counted(*args):
         calls.append(1)
         return falling(*args)
-    monkeypatch.setattr(grading, "falling_factorial", counted)
+    monkeypatch.setattr(switch, "falling_factorial", counted)
     h = Heights(3, 2, 2)
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F27, h)
     switch_grading(desc, GradingSpec(GradingCase.PRESWITCH_AZ, h, 1), Derivation(desc, 1),
@@ -724,7 +714,7 @@ def test_switch_coefficients_match_binomial_oracle(field, data):
     else:
         alpha = field.element([data.draw(st.integers(0, p - 1)) for _ in range(field.m)])
     sigma = nonzero_element(field, data)
-    assert grading._laguerre_coefficients(alpha, sigma) == [
+    assert switch._laguerre_coefficients(alpha, sigma) == [
         falling_binomial(alpha + (p - 1), p - 1 - k) * (-1) ** k
         * field.element(pow(math.factorial(k), -1, p)) * sigma ** k for k in range(p)]
     h = Heights(p, 1, 1)
@@ -840,7 +830,7 @@ def set_rule(table, a, b, c, t):
 def perturbed_rule(pair):
     """`_product_rule` with the coefficient of one ordered pair shifted by 1
     in its table, so that the rules stop being antisymmetric on the pair."""
-    product_rule = grading._product_rule
+    product_rule = switch._product_rule
 
     def build(basis, cfg):
         table, p = product_rule(basis, cfg), basis.field.p
@@ -859,9 +849,9 @@ def test_rule_broken_in_one_layer_falls_back_to_the_sweep():
     refuses it, and check_graded sweeps the pairs, as the ordered sweep
     does, with the pair among the misses."""
     desc, _raw, closed, cfg = switched(GradingCase.BIG_FIELD, 3, 1, 1, 0)
-    table, r = grading._product_rule(closed, cfg), 1
+    table, r = switch._product_rule(closed, cfg), 1
     a, b = next((a, b) for a, row in enumerate(table.block[r]) for b in row if a < b)
-    pair, product_rule_of = (table.active[a], table.active[b]), grading._product_rule
+    pair, product_rule_of = (table.active[a], table.active[b]), switch._product_rule
 
     def build(basis, cfg):
         broken = product_rule_of(basis, cfg)
@@ -871,7 +861,7 @@ def test_rule_broken_in_one_layer_falls_back_to_the_sweep():
     with pytest.MonkeyPatch.context() as mp:
         sweeps = spying_sweep(mp)
         assert check_graded(desc, closed, cfg) == ([], []) and sweeps == []
-        mp.setattr(grading, "_product_rule", build)
+        mp.setattr(switch, "_product_rule", build)
         layers = oracles.rule_layers(build(closed, cfg))
         assert antisymmetry_violations(layers[:r] + layers[r + 1:], 3) == []
         assert antisymmetry_violations(layers, 3) == [(a, b)]
@@ -900,7 +890,7 @@ def doubled_rule(pair):
     """`_product_rule` with the coefficient doubled on both orders of one
     pair in its table: the table stays anticommutative, graded and
     generated."""
-    product_rule = grading._product_rule
+    product_rule = switch._product_rule
 
     def build(basis, cfg):
         table, p = product_rule(basis, cfg), basis.field.p
@@ -917,7 +907,7 @@ def unreached_rule(label):
     table, so that no bracket of other labels reaches it: the class
     entries onto its class, which every fibre shares, and the block
     entries onto the label."""
-    product_rule = grading._product_rule
+    product_rule = switch._product_rule
 
     def build(basis, cfg):
         table = product_rule(basis, cfg)
@@ -976,7 +966,7 @@ def test_check_graded_matches_ordered_sweep(corruption, shape, big, data):
     others = [lab for lab in active if lab not in generators]
     product_rule = None
     if corruption in ("rule", "rule pair"):
-        table = grading._product_rule(closed, cfg)
+        table = switch._product_rule(closed, cfg)
         index = {lab: i for i, lab in enumerate(table.active)}
     if corruption == "swap":
         swap_labels(raw, closed, l1, l2)
@@ -1005,12 +995,12 @@ def test_check_graded_matches_ordered_sweep(corruption, shape, big, data):
         product_rule = unreached_rule(data.draw(st.sampled_from(others)))
     with pytest.MonkeyPatch.context() as mp:
         if product_rule is not None:
-            mp.setattr(grading, "_product_rule", product_rule)
+            mp.setattr(switch, "_product_rule", product_rule)
         sweeps = spying_sweep(mp)
         strays, misses = check_graded(desc, closed, cfg)
         assert (strays, misses) == ordered_check_graded(desc, closed, cfg)
         assert len(sweeps) == int(corruption != "none")
-        blind = {"rule pair": lambda: mp.setattr(liealg, "derivation_defects",
+        blind = {"rule pair": lambda: mp.setattr(laws, "derivation_defects",
                                                  lambda *args, **kwargs: iter(())),
                  "jacobi": lambda: mp.setitem(desc.__dict__, "jacobi", [])}.get(corruption)
         if blind and degree_one_pair(closed):

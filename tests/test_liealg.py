@@ -21,12 +21,9 @@ from oracles import (
 )
 from thinlie.dpalgebra import AlgebraElement, Heights, Monomial, SparseEchelon
 from thinlie.ffield import FieldParams, is_irreducible
-from thinlie import liealg
-from thinlie.grading import GradingCase, GradingSpec, monomial_grading_violations
-from thinlie.liealg import (
-    AlgebraDescriptor,
-    Derivation,
-    Family,
+from thinlie import laws
+from thinlie.common import GradingCase, GradingSpec, monomial_grading_violations
+from thinlie.laws import (
     additive_violations,
     ads_are_derivations,
     anticommutativity_violations,
@@ -34,12 +31,17 @@ from thinlie.liealg import (
     closure_violations,
     derivation_defects,
     derivation_power_violations,
-    iterated_table,
     jacobi_violations,
     leibniz_violations,
     monomial_generators,
-    poisson_coeff,
     realization_violations,
+)
+from thinlie.liealg import (
+    AlgebraDescriptor,
+    Derivation,
+    Family,
+    iterated_table,
+    poisson_coeff,
     table_power,
 )
 
@@ -171,7 +173,7 @@ def test_closure_finds_every_top_pair(monkeypatch):
         top_pairs = [(a, b) for a in desc.basis for b in desc.basis
                      if (a.i + b.i - 1, a.j + b.j - 1) == h.top]
         assert top_pairs
-        monkeypatch.setattr("thinlie.liealg.poisson_coeff", lambda *args: 1)
+        monkeypatch.setattr("thinlie.laws.poisson_coeff", lambda *args: 1)
         assert closure_violations(desc) == top_pairs
         monkeypatch.undo()
 
@@ -444,8 +446,8 @@ def scaled_ad(desc, z: int, c: int) -> dict:
     return {i: (c * x % p, k) for i, (x, k) in desc.table[z].items()}
 
 
-def powering_rows(record: list, power=liealg.table_power):
-    """`liealg.table_power`, appending None to record for each call: each
+def powering_rows(record: list, power=table_power):
+    """`table_power`, appending None to record for each call: each
     call follows every source of its table."""
     def counted(table, k, p):
         record.append(None)
@@ -475,12 +477,12 @@ def test_power_laws_walk_every_source(data):
     elif planting == "entry":
         i = data.draw(st.integers(0, n - 1))
         deriv.table[i] = (data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1)))
-    powered, power = [], liealg.table_power
-    liealg.table_power = powering_rows(powered)
+    powered, power = [], laws.table_power
+    laws.table_power = powering_rows(powered)
     try:
         got = derivation_power_violations(deriv)
     finally:
-        liealg.table_power = power
+        laws.table_power = power
     assert got == element_derivation_power_violations(deriv)
     assert powered == ([None] if desc.family is Family.GRADED_HAMILTONIAN else [None, None])
 
@@ -495,7 +497,7 @@ def test_power_laws_walk_every_row_when_the_diagonal_is_no_derivation(monkeypatc
     desc.table[a][b], desc.table[b][a] = (1, k), (2, k)
     deriv = Derivation(desc, 1)
     powered = []
-    monkeypatch.setattr(liealg, "table_power", powering_rows(powered))
+    monkeypatch.setattr(laws, "table_power", powering_rows(powered))
     assert derivation_power_violations(deriv) == element_derivation_power_violations(deriv)
     assert powered == [None, None]
 
@@ -525,7 +527,7 @@ def test_power_laws_walk_lie_algebras_where_they_fail(monkeypatch):
     assert not {a, b} & set(desc.generators)
     assert desc.anticommutativity == desc.jacobi == deriv.leibniz == []
     powered = []
-    monkeypatch.setattr(liealg, "table_power", powering_rows(powered))
+    monkeypatch.setattr(laws, "table_power", powering_rows(powered))
     got = derivation_power_violations(deriv)
     assert got == element_derivation_power_violations(deriv) == [
         (Monomial(2, 0), "D^p eigenvalue"), (Monomial(2, 1), "D^p eigenvalue")]
@@ -551,7 +553,7 @@ def test_laws_of_d_read_no_other_verdict(monkeypatch):
     def counted_additive(*args):
         additive.append(1)
         return []
-    monkeypatch.setattr(liealg, "additive_violations", counted_additive)
+    monkeypatch.setattr(laws, "additive_violations", counted_additive)
     for family in Family:
         desc = AlgebraDescriptor(family, F3, Heights(3, 2, 1))
         deriv = Derivation(desc, 1)
@@ -812,12 +814,12 @@ def test_ads_hand_the_kernel_the_table_rows(monkeypatch):
     table's own row objects, one per layer, not as copies."""
     desc = AlgebraDescriptor(Family.ALBERT_ZASSENHAUS, F3, Heights(3, 2, 1))
     rows, gens = [desc.table, [dict(row) for row in desc.table]], desc.generators
-    seen, kernel = [], liealg.derivation_defects
+    seen, kernel = [], laws.derivation_defects
 
     def spy(rows, derivations, field, half=False, visit=None):
         seen.append(derivations)
         return kernel(rows, derivations, field, half, visit)
-    monkeypatch.setattr(liealg, "derivation_defects", spy)
+    monkeypatch.setattr(laws, "derivation_defects", spy)
     ads_are_derivations(rows, gens, desc.field)
     derivations, = seen
     assert len(derivations) == len(gens) > 1

@@ -57,9 +57,24 @@ def test_algebra_names_load_only_the_algebra_modules():
 
 
 def test_the_closed_basis_loads_no_loop_algebra():
+    """A closed basis needs `grading`, but neither the table laws, the raw
+    switch with its certificate, nor the loop algebra."""
     loaded = loaded_by("from thinlie import build_closed_basis")
     assert "thinlie.grading" in loaded
-    assert loaded.isdisjoint({"thinlie.loopalg", "thinlie.cli"})
+    assert loaded.isdisjoint({"thinlie.laws", "thinlie.loopalg", "thinlie.switch", "thinlie.cli"})
+
+
+def test_benchmark_set_ups_load_neither_laws_nor_switch():
+    """The set-up each benchmark workload times in a fresh process (field,
+    descriptor and, for the switched ones, the closed basis) loads neither
+    `laws` nor `switch`."""
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    for name in ("verify-az243", "switch-big243", "analyze-big3125"):
+        loaded = loaded_by(f"sys.path.insert(0, {str(perfbench)!r})\n"
+                           "from workloads import WORKLOADS\n"
+                           f"WORKLOADS[{name!r}].setup_of(0)()")
+        assert "thinlie.liealg" in loaded, name
+        assert loaded.isdisjoint({"thinlie.laws", "thinlie.switch"}), name
 
 
 def test_the_command_line_loads_every_module():
@@ -68,7 +83,8 @@ def test_the_command_line_loads_every_module():
     them there."""
     assert loaded_by("import thinlie.cli") == {
         "thinlie", *(f"thinlie.{name}" for name in
-                     ("cli", "common", "dpalgebra", "ffield", "grading", "liealg", "loopalg"))}
+                     ("cli", "common", "dpalgebra", "ffield", "grading", "laws", "liealg",
+                      "loopalg", "switch"))}
 
 
 def modules_run_by(*argv: str) -> set:
@@ -94,16 +110,21 @@ def modules_run_by(*argv: str) -> set:
 
 
 def test_each_subcommand_runs_only_the_modules_it_uses():
-    """verify checks the algebra before any switch and runs neither the
-    switch (`grading`) nor the loop algebra (`loopalg`); switch adds the
-    one, analyze both."""
-    verify = {"__init__", "cli", "common", "dpalgebra", "ffield", "liealg"}
+    """verify checks the table laws (`laws`) before any switch and runs
+    neither the closed basis (`grading`), the raw switch with its
+    certificate (`switch`) nor the loop algebra (`loopalg`); switch runs
+    all but the loop algebra.  analyze checks no law and certifies no
+    product rule: it runs the closed basis and the loop algebra alone."""
+    algebra = {"__init__", "cli", "common", "dpalgebra", "ffield", "liealg"}
     assert modules_run_by("verify", "--family", "albert-zassenhaus", "--p", "3",
-                          "--n", "1") == verify
+                          "--n", "1") == {*algebra, "laws"}
     assert modules_run_by("switch", "--case", "big-field", "--p", "3", "--n", "1") == {
-        *verify, "grading"}
-    assert modules_run_by("analyze", "--case", "big-field", "--p", "3", "--n", "1") == {
-        *verify, "grading", "loopalg"}
+        *algebra, "laws", "grading", "switch"}
+    for case in ("big-field", "prime-field"):
+        assert modules_run_by("analyze", "--case", case, "--p", "3", "--n", "1") == {
+            *algebra, "grading", "loopalg"}, case
+    assert modules_run_by("analyze", "--case", "preswitch", "--family", "albert-zassenhaus",
+                          "--p", "3", "--n", "1", "--s", "1") == {*algebra, "grading", "loopalg"}
 
 
 def test_public_names_are_their_home_modules_objects():

@@ -97,18 +97,77 @@ def test_only_dpalgebra_touches_echelon_rows():
     assert found == []
 
 
-def test_trace_targets_resolve():
-    """Every function the benchmark's tracer wraps still exists under the
-    name it looks up, so renaming or deleting one fails here too."""
+def perfbench_tracing():
+    """The benchmark's tracer module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_targets_resolve():
+    """Every function the benchmark's tracer wraps still exists under the
+    name it looks up, so renaming or deleting one fails here too."""
+    tracing = perfbench_tracing()
     targets = tracing.SPANS + tracing.COUNTERS
     assert targets
     missing = [f"{module}:{path}" for _name, module, path in targets
                if tracing._resolve(importlib.import_module(module), path) is None]
     assert missing == []
+
+
+#: The modules that serve, by a module `__getattr__`, names the tracer
+#: still looks up there although another module defines them.
+FORWARDING = ("thinlie.grading", "thinlie.liealg")
+
+
+def test_forwarding_serves_exactly_the_moved_trace_targets():
+    """`liealg` and `grading` serve a name they do not define only when the
+    benchmark's tracer looks it up there, and every such tracer name is
+    served, as the object of the module that defines it."""
+    tracing = perfbench_tracing()
+    modules = [importlib.import_module(f"thinlie.{path.stem}") for path in SOURCES
+               if path.stem != "__main__"]
+    defined = {name for module in modules for name in vars(module)
+               if not name.startswith("__")}
+    for modname in FORWARDING:
+        module = importlib.import_module(modname)
+        own = vars(module)
+        traced = {path.split(".")[0] for _name, target, path in tracing.SPANS + tracing.COUNTERS
+                  if target == modname}
+        moved = {name for name in traced if name not in own}
+        served = {name for name in defined - own.keys() if hasattr(module, name)}
+        assert served == moved == set(module._TRACED), modname
+        for name in served:
+            home = importlib.import_module(f"thinlie.{module._TRACED[name]}")
+            assert getattr(module, name) is vars(home)[name], (modname, name)
+
+
+def test_no_module_reads_a_moved_name_from_its_old_module():
+    """No package module or test imports, reads or patches a name from
+    `liealg` or `grading` that they only serve to the tracer: each reads it
+    from the module that defines it, so the forwarding can go once the
+    tracer's spans name those modules."""
+    served = {modname.rpartition(".")[2]: set(importlib.import_module(modname)._TRACED)
+              for modname in FORWARDING}
+    found = []
+    for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                old = node.module.removeprefix("thinlie.") if node.module.startswith(
+                    "thinlie.") or node.level else None
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                old, names = node.value.id, [node.attr]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                old, _dot, name = node.value.removeprefix("thinlie.").rpartition(".")
+                names = [name] if node.value.startswith("thinlie.") else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {old}.{name}" for name in names
+                      if name in served.get(old, ())]
+    assert found == []
 
 
 def enclosing_calls(tree: ast.AST, name: str, scope: tuple = ()):

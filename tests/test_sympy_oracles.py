@@ -11,12 +11,12 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_gcdex, gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
-from thinlie import grading
+from thinlie import switch
 from thinlie.ffield import FieldElement, FieldParams, is_irreducible, lucas_binomial
 
 
 def test_laguerre_coefficients_match_sympy():
-    """`grading._laguerre_coefficients(alpha, lam)` are the coefficients of
+    """`switch._laguerre_coefficients(alpha, lam)` are the coefficients of
     x^k in the generalized Laguerre polynomial L_(p-1)^(a)(x) at a = alpha,
     times lam^k: sympy's `assoc_laguerre(p - 1, a, x)` with a symbolic,
     whose coefficients are polynomials in a with denominators dividing
@@ -40,7 +40,7 @@ def test_laguerre_coefficients_match_sympy():
                 residues.append(r)
             for lam in range(1, p):
                 want = [field.element(r * lam ** k % p) for k, r in enumerate(residues)]
-                got = grading._laguerre_coefficients(field.element(alpha), field.element(lam))
+                got = switch._laguerre_coefficients(field.element(alpha), field.element(lam))
                 assert got == want, (p, alpha, lam)
                 checked += 1
     assert checked == 334
